@@ -10,6 +10,7 @@ feedback exponent n re-solved from its first-order condition each iteration.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -28,6 +29,10 @@ from .series import LogPriceSeries, ProbabilitySeries
 # normalises over the four state pairs, so a dead switch indicator cannot
 # zero out the normaliser.
 DENSITY_FLOOR = 1e-300
+
+# Largest (grid points x T) block evaluated at once in the feedback-exponent
+# grid scan; it bounds the scan's temporaries at a few hundred kilobytes.
+FEEDBACK_GRID_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -128,7 +133,6 @@ class EMConfig:
     kappa: float = 0.6
     q00_init: float = 0.95
     q11_init: float = 0.95
-    seed: Optional[int] = None
 
     def __post_init__(self):
         if self.average_window < 1:
@@ -152,6 +156,8 @@ class EMTrace:
 
     ``stalled`` is set when the monotonicity safeguard could not find an
     ascent step, i.e. the closed-form update family cannot improve further.
+    A stalled fit is not ``converged``: that flag means the relative
+    log-likelihood change reached the tolerance.
     """
 
     params: list[ModelParams] = field(default_factory=list)
@@ -213,6 +219,12 @@ def _emission_densities(y: np.ndarray, params: ModelParams) -> np.ndarray:
     return np.maximum(dens, DENSITY_FLOOR)
 
 
+def _column(values: np.ndarray) -> array:
+    """Copy a 1-D float view into an ``array('d')``, which iterates as Python
+    floats without boxing numpy scalars."""
+    return array("d", values.tobytes())
+
+
 def hamilton_filter(
     series: LogPriceSeries, params: ModelParams, initial=None
 ) -> FilterOutput:
@@ -231,33 +243,41 @@ def hamilton_filter(
         raise ValueError("initial must be a length-2 distribution summing to 1")
 
     dens = _emission_densities(y, params)
-    q = params.q
-    q00, q01, q10, q11 = q[0, 0], q[0, 1], q[1, 0], q[1, 1]
+    q00, q01, q10, q11 = (float(v) for v in params.q.ravel())
 
-    T = len(y) - 1
-    pairwise = np.empty((T, 2, 2))
-    filtering = np.empty(T + 1)
-    filtering[0] = pi[1]
+    # The recursion runs on Python floats, which do the same IEEE operations
+    # in the same order as numpy scalars would, and keeps only the filtered
+    # pair and the normaliser of each step; the pairwise tables are then
+    # rebuilt from them in one pass.
     f0, f1 = float(pi[0]), float(pi[1])
-    loglik = 0.0
-    for t in range(T):
-        d = dens[t]
-        w00 = q00 * f0 * d[0, 0]
-        w01 = q01 * f0 * d[0, 1]
-        w10 = q10 * f1 * d[1, 0]
-        w11 = q11 * f1 * d[1, 1]
+    f0s, f1s, norms = array("d", [f0]), array("d", [f1]), array("d")
+    for d00, d01, d10, d11 in zip(*(_column(dens[:, i, j]) for i in (0, 1) for j in (0, 1))):
+        w00 = q00 * f0 * d00
+        w01 = q01 * f0 * d01
+        w10 = q10 * f1 * d10
+        w11 = q11 * f1 * d11
         norm = w00 + w01 + w10 + w11
-        if not (norm > 0.0 and math.isfinite(norm)):
-            raise NumericalFailureError(t + 1, f"filter normaliser {norm!r} at step {t + 1}")
-        pairwise[t, 0, 0] = w00 / norm
-        pairwise[t, 0, 1] = w01 / norm
-        pairwise[t, 1, 0] = w10 / norm
-        pairwise[t, 1, 1] = w11 / norm
-        f0 = pairwise[t, 0, 0] + pairwise[t, 1, 0]
-        f1 = pairwise[t, 0, 1] + pairwise[t, 1, 1]
-        filtering[t + 1] = f1
-        loglik += math.log(norm)
+        if not 0.0 < norm < math.inf:
+            step = len(norms) + 1
+            # numpy's repr, as the numpy-scalar reference loop reports it
+            raise NumericalFailureError(
+                step, f"filter normaliser {np.float64(norm)!r} at step {step}"
+            )
+        f0 = w00 / norm + w10 / norm
+        f1 = w01 / norm + w11 / norm
+        f0s.append(f0)
+        f1s.append(f1)
+        norms.append(norm)
+    # summed left to right like the step loop; sum() compensates on 3.12+
+    loglik = 0.0
+    for log_norm in map(math.log, norms):
+        loglik += log_norm
 
+    filtering = np.frombuffer(f1s)
+    prior = np.stack([np.frombuffer(f0s)[:-1], filtering[:-1]], axis=1)
+    pairwise = params.q * prior[:, :, None]
+    pairwise *= dens
+    pairwise /= np.frombuffer(norms)[:, None, None]
     probs = ProbabilitySeries(series.timestamps, np.clip(filtering, 0.0, 1.0),
                               label=f"{series.asset_id}:filtering")
     return FilterOutput(probs, pairwise, loglik)
@@ -282,29 +302,43 @@ def kim_smoother(filt: FilterOutput, params: ModelParams) -> SmootherOutput:
     transition matrix is already folded into the pairwise filtered tables.
     """
     del params
-    filtering = filt.filtering.values
-    N = len(filtering)
-    smoothing = np.empty(N)
-    smoothing[-1] = filtering[-1]
-    pairwise = np.empty((N - 1, 2, 2))
+    pf = filt.pairwise_filtered
+    N = len(pf) + 1
+    landing = pf.sum(axis=1)  # P(s_{t+1}=j | y_0..y_{t+1}), indexed [t, j]
 
-    for t in range(N - 2, -1, -1):
-        pf = filt.pairwise_filtered[t]     # transition t -> t+1, indexed [i, j]
-        landing = pf.sum(axis=0)           # P(s_{t+1}=j | y_0..y_{t+1})
-        s_next = np.array([1.0 - smoothing[t + 1], smoothing[t + 1]])
-        pair = np.empty((2, 2))
-        for j in range(2):
-            if landing[j] <= 0.0:
-                if s_next[j] > 1e-12:
-                    raise NumericalFailureError(
-                        t + 1, f"zero backward denominator for state {j} at step {t + 1}"
-                    )
-                pair[:, j] = 0.0
-            else:
-                pair[:, j] = pf[:, j] * (s_next[j] / landing[j])
-        pairwise[t] = pair
-        smoothing[t] = pair[1, :].sum()
+    # Scalar recursion over Python floats, newest step first: r_j is the
+    # factor that carries the smoothed mass of s_{t+1}=j back onto column j
+    # of the filtered table, and s is P(s_t=1 | y_T).
+    s = float(filt.filtering.values[-1])
+    smoothed, ratios0, ratios1 = array("d", [s]), array("d"), array("d")
+    for pf10, pf11, l0, l1 in zip(_column(pf[::-1, 1, 0]), _column(pf[::-1, 1, 1]),
+                                  _column(landing[::-1, 0]), _column(landing[::-1, 1])):
+        if l0 <= 0.0:
+            if 1.0 - s > 1e-12:
+                step = N - len(smoothed)
+                raise NumericalFailureError(
+                    step, f"zero backward denominator for state 0 at step {step}"
+                )
+            r0 = 0.0
+        else:
+            r0 = (1.0 - s) / l0
+        if l1 <= 0.0:
+            if s > 1e-12:
+                step = N - len(smoothed)
+                raise NumericalFailureError(
+                    step, f"zero backward denominator for state 1 at step {step}"
+                )
+            r1 = 0.0
+        else:
+            r1 = s / l1
+        s = pf10 * r0 + pf11 * r1
+        smoothed.append(s)
+        ratios0.append(r0)
+        ratios1.append(r1)
 
+    smoothing = np.frombuffer(smoothed)[::-1]
+    ratios = np.stack([np.frombuffer(ratios0)[::-1], np.frombuffer(ratios1)[::-1]], axis=1)
+    pairwise = pf * ratios[:, None, :]
     probs = ProbabilitySeries(filt.filtering.timestamps, np.clip(smoothing, 0.0, 1.0),
                               label=filt.filtering.label.replace("filtering", "smoothing"))
     return SmootherOutput(probs, pairwise)
@@ -402,15 +436,46 @@ def _feedback_equation(
     y: np.ndarray, w11: np.ndarray, mu1: float, sigma1: float, n: float
 ) -> float:
     """First-order condition for n (with the sigma1 condition substituted)."""
-    u = _exp_neg_n_y(y, n)
-    u_t, u_prev = u[1:], u[:-1]
-    du = u_t - u_prev
-    terms = (
-        -(du + n * mu1) * (-u_t * y[1:] + u_prev * y[:-1] + mu1) / (n**2 * sigma1**2)
-        + 1.0 / n
-        - y[1:]
-    )
-    return float(np.dot(w11, terms))
+    return float(_feedback_grid(y, w11, mu1, sigma1, np.array([n], dtype=float))[0])
+
+
+def _feedback_grid(
+    y: np.ndarray, w11: np.ndarray, mu1: float, sigma1: float, grid: np.ndarray
+) -> np.ndarray:
+    """:func:`_feedback_equation` at every point of ``grid``.
+
+    Per point n, with u = p^{-n}, the condition is the w11-weighted sum of
+
+        -(du + n*mu1) * (u_prev*y_prev - u_t*y_t + mu1) / (n**2 * sigma1**2)
+        + 1/n - y_t.
+
+    Grid points are evaluated in blocks of at most ``FEEDBACK_GRID_BLOCK``
+    elements. Every value is bitwise independent of the blocking: the
+    elementwise operations are the same IEEE operations for any block shape,
+    ``n**2`` is a scalar power per point (an array square rounds differently
+    in rare cases), and each point keeps its own ``np.dot`` with w11, because
+    a single matrix product sums in another order.
+    """
+    rows = max(1, FEEDBACK_GRID_BLOCK // len(y))
+    values = np.empty(len(grid))
+    for start in range(0, len(grid), rows):
+        n = grid[start : start + rows]
+        scale = np.array([v**2 * sigma1**2 for v in n])
+        u = -n[:, None] * y
+        # np.clip's bounds, applied in place at half its cost
+        np.exp(np.minimum(np.maximum(u, -EXP_CLAMP, out=u), EXP_CLAMP, out=u), out=u)
+        uy = u * y
+        terms = u[:, 1:] - u[:, :-1]
+        terms += (n * mu1)[:, None]
+        lever = uy[:, :-1] - uy[:, 1:]
+        lever += mu1
+        terms *= lever
+        terms /= scale[:, None]
+        np.subtract((1.0 / n)[:, None], terms, out=terms)
+        terms -= y[1:]
+        for k, row in enumerate(terms, start):
+            values[k] = np.dot(w11, row)
+    return values
 
 
 def _golden_max(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
@@ -478,7 +543,7 @@ def solve_feedback_exponent(
     objective = lambda n: _bubble_block_objective(y, w11, mu1, sigma1, n)
 
     grid = np.geomspace(lo, hi, 257)
-    values = np.array([g(n) for n in grid])
+    values = _feedback_grid(y, w11, mu1, sigma1, grid)
     finite = np.isfinite(values)
     roots = []
     for k in range(len(grid) - 1):
@@ -510,12 +575,16 @@ def ascend_feedback_exponent(
     best = n_current
     best_value = objective(n_current)
     candidate = solve_feedback_exponent(smoother, series, mu1, sigma1, search)
-    if objective(candidate) >= best_value:
-        best, best_value = candidate, objective(candidate)
-    else:
+    candidate_value = objective(candidate)
+    if candidate_value >= best_value:
+        best = candidate
+    # Every root the solver returns has a residual below 1e-8 (see
+    # _bisect_root). A candidate with a larger residual is already the
+    # golden-section maximiser, and searching again would return it again.
+    elif abs(_feedback_equation(y, w11, mu1, sigma1, candidate)) < 1e-8:
         golden = _golden_max(objective, *search)
         if objective(golden) >= best_value:
-            best, best_value = golden, objective(golden)
+            best = golden
     return float(best)
 
 
@@ -652,7 +721,6 @@ def em_fit(
             ) from err
         if accepted is None:
             trace.stalled = True
-            trace.converged = True
             break
 
         params, filt = accepted

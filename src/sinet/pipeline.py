@@ -213,7 +213,6 @@ class PipelineConfig:
             kappa=float(get("kappa", "0.6")),
             q00_init=float(get("q00_init", "0.95")),
             q11_init=float(get("q11_init", "0.95")),
-            seed=int(get("seed", "42")),
         )
         out_dir = Path(get("output_dir", "sinet-out"))
         if not out_dir.is_absolute():

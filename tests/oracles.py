@@ -106,6 +106,92 @@ def enumerate_posteriors(y, q, initial, theta):
 
 
 # ---------------------------------------------------------------------------
+# Step-by-step filter and smoother recursions on numpy scalars: the loops the
+# library ran before its float-scalar kernels, kept as the reference those
+# kernels must match bit for bit (same values, same failing step, same
+# message).
+
+class RecursionFailure(ArithmeticError):
+    def __init__(self, step, message):
+        self.step = step
+        super().__init__(message)
+
+
+def hamilton_filter_steps(dens, q, initial):
+    """Forward recursion over floored emission densities ``dens`` (T, 2, 2).
+
+    Returns (filtering, pairwise_filtered, loglik); filtering is unclipped.
+    """
+    pi = np.asarray(initial, dtype=float)
+    q00, q01, q10, q11 = q[0, 0], q[0, 1], q[1, 0], q[1, 1]
+    T = len(dens)
+    pairwise = np.empty((T, 2, 2))
+    filtering = np.empty(T + 1)
+    filtering[0] = pi[1]
+    f0, f1 = float(pi[0]), float(pi[1])
+    loglik = 0.0
+    for t in range(T):
+        d = dens[t]
+        w00 = q00 * f0 * d[0, 0]
+        w01 = q01 * f0 * d[0, 1]
+        w10 = q10 * f1 * d[1, 0]
+        w11 = q11 * f1 * d[1, 1]
+        norm = w00 + w01 + w10 + w11
+        if not (norm > 0.0 and math.isfinite(norm)):
+            raise RecursionFailure(t + 1, f"filter normaliser {norm!r} at step {t + 1}")
+        pairwise[t, 0, 0] = w00 / norm
+        pairwise[t, 0, 1] = w01 / norm
+        pairwise[t, 1, 0] = w10 / norm
+        pairwise[t, 1, 1] = w11 / norm
+        f0 = pairwise[t, 0, 0] + pairwise[t, 1, 0]
+        f1 = pairwise[t, 0, 1] + pairwise[t, 1, 1]
+        filtering[t + 1] = f1
+        loglik += math.log(norm)
+    return filtering, pairwise, loglik
+
+
+def kim_smoother_steps(filtering, pairwise_filtered):
+    """Backward recursion seeded with ``filtering[-1]``.
+
+    Returns (smoothing, pairwise_smoothed); smoothing is unclipped.
+    """
+    N = len(filtering)
+    smoothing = np.empty(N)
+    smoothing[-1] = filtering[-1]
+    pairwise = np.empty((N - 1, 2, 2))
+    for t in range(N - 2, -1, -1):
+        pf = pairwise_filtered[t]
+        landing = pf.sum(axis=0)
+        s_next = np.array([1.0 - smoothing[t + 1], smoothing[t + 1]])
+        pair = np.empty((2, 2))
+        for j in range(2):
+            if landing[j] <= 0.0:
+                if s_next[j] > 1e-12:
+                    raise RecursionFailure(
+                        t + 1, f"zero backward denominator for state {j} at step {t + 1}"
+                    )
+                pair[:, j] = 0.0
+            else:
+                pair[:, j] = pf[:, j] * (s_next[j] / landing[j])
+        pairwise[t] = pair
+        smoothing[t] = pair[1, :].sum()
+    return smoothing, pairwise
+
+
+def feedback_equation(y, w11, mu1, sigma1, n):
+    """First-order condition for n, one grid point at a time."""
+    u = np.exp(np.clip(-n * y, -700.0, 700.0))
+    u_t, u_prev = u[1:], u[:-1]
+    du = u_t - u_prev
+    terms = (
+        -(du + n * mu1) * (-u_t * y[1:] + u_prev * y[:-1] + mu1) / (n**2 * sigma1**2)
+        + 1.0 / n
+        - y[1:]
+    )
+    return float(np.dot(w11, terms))
+
+
+# ---------------------------------------------------------------------------
 # Expected complete-data log-likelihood over fixed posterior weights.
 #
 # Only the (0,0) and (1,1) emission blocks and the chain term enter; the

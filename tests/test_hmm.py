@@ -24,6 +24,9 @@ from sinet import (
     threshold_fractions,
 )
 from sinet.hmm import FilterOutput, SmootherOutput
+from sinet.io import read_price_table
+from sinet.pipeline import PipelineConfig
+from sinet.synthetic import bundled_corpus_config
 import sinet.hmm as hmm_module
 
 
@@ -321,6 +324,21 @@ class TestSolveFeedbackExponent:
             n = n_next
         assert 0.35 <= n <= 0.65
 
+    def test_rejected_golden_candidate_is_not_searched_again(self, monkeypatch):
+        # no root in the interval and the objective falls with n: the golden
+        # section stops just inside the lower edge, where n_current sits
+        s = make_series(np.cumsum(np.random.default_rng(0).normal(0.0, 0.2, 21)))
+        weights = np.zeros((20, 2, 2))
+        weights[:, 1, 1] = 1.0
+        smth = smoother_from_weights(weights, s.timestamps)
+        searches = []
+        golden_max = hmm_module._golden_max
+        monkeypatch.setattr(
+            hmm_module, "_golden_max", lambda *args: searches.append(args) or golden_max(*args)
+        )
+        assert hmm_module.ascend_feedback_exponent(smth, s, 0.2, 0.05, 1e-4) == 1e-4
+        assert len(searches) == 1
+
     def test_degenerate_weights_rejected(self, make_series):
         s = make_series(np.linspace(0, 0.2, 11))
         weights = np.zeros((10, 2, 2))
@@ -381,6 +399,19 @@ class TestEmFit:
     def test_short_series_rejected(self, make_series):
         with pytest.raises(InsufficientDataError):
             em_fit(make_series(np.linspace(0, 1, 9)), EMConfig())
+
+    def test_stalled_fit_is_not_converged(self):
+        # SEC in the bundled corpus stalls: no damped step of its second
+        # update raises the likelihood
+        config = PipelineConfig.from_file(bundled_corpus_config())
+        spec = next(a for a in config.assets if a.asset_id == "SEC")
+        table = read_price_table(spec.path, config.column_map)
+        series = LogPriceSeries("SEC", table["dates"], np.log(table["prices"]))
+        series = series.window(config.analysis_start, config.analysis_end)
+        _, trace, _, _ = em_fit(series, config.em)
+        assert trace.stalled
+        assert not trace.converged
+        trace.validate_monotone(1e-9)
 
 
 class TestFractions:
