@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import io as sio
-from .entropy import SIIMatrix, discretize, transfer_entropy
+from .entropy import SIIMatrix, sii
 from .errors import ConfigurationError, NumericalFailureError, SinetError
 from .hmm import EMConfig, bubble_time_fraction, em_fit, geometric_average_filter
 from .network import ALL_INDICATORS, build_sin, compute_indicators
@@ -147,10 +147,7 @@ def _cmd_calibrate(args) -> int:
 def _cmd_te(args) -> int:
     source = sio.read_probabilities_csv(args.source, args.column)
     target = sio.read_probabilities_csv(args.target, args.column)
-    value = transfer_entropy(
-        discretize(target, args.bins), discretize(source, args.bins), base=args.base
-    )
-    print(repr(value))
+    print(repr(sii(source, target, args.bins, args.base)))
     return 0
 
 

@@ -10,7 +10,8 @@ series v to a target series u reduces to
 
 over occupied triples, all four tables estimated by counting. The pairwise
 matrix of these values over a basket of assets is the raw material of the
-influence network.
+influence network; one batched kernel computes it, and a single pair is
+its one-by-one case.
 """
 from __future__ import annotations
 
@@ -22,6 +23,9 @@ import numpy as np
 from .series import ProbabilitySeries
 
 NEGATIVE_RESIDUE_WARN = 1e-9
+# Most elements (targets x steps, or targets x B^3 counts) in one block of
+# the batched transfer-entropy kernel.
+TE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -130,29 +134,131 @@ def discretize(probs: ProbabilitySeries, bin_count: int = 10) -> BinnedSeries:
     return BinnedSeries(bins, bin_count)
 
 
-def joint_histogram(u: BinnedSeries, v: BinnedSeries, mask=None) -> JointHistogram:
-    """Count occurrences of the aligned triples (u_t, u_{t-1}, v_{t-1}).
-
-    ``mask`` (length T-1, aligned with t = 1..T-1) restricts counting to
-    selected triples.
-    """
+def _checked_mask(u: BinnedSeries, v: BinnedSeries, mask):
+    """Validate a (target, source) pair and its optional triple mask."""
     if len(u) != len(v):
         raise ValueError(f"series lengths differ: {len(u)} vs {len(v)}")
     if len(u) < 3:
         raise ValueError("need at least 3 observations to form lagged triples")
     if u.bin_count != v.bin_count:
         raise ValueError("series must share the same bin count")
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (len(u) - 1,):
+            raise ValueError("mask must align with the lagged triples")
+    return mask
+
+
+def joint_histogram(u: BinnedSeries, v: BinnedSeries, mask=None) -> JointHistogram:
+    """Count occurrences of the aligned triples (u_t, u_{t-1}, v_{t-1}).
+
+    ``mask`` (length T-1, aligned with t = 1..T-1) restricts counting to
+    selected triples.
+    """
+    mask = _checked_mask(u, v, mask)
     B = u.bin_count
     codes = (u.bins[1:] * B + u.bins[:-1]) * B + v.bins[:-1]
     if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != codes.shape:
-            raise ValueError("mask must align with the lagged triples")
         codes = codes[mask]
         if len(codes) < 2:
             raise ValueError("mask keeps fewer than 2 triples")
     counts = np.bincount(codes, minlength=B**3).reshape(B, B, B)
     return JointHistogram(counts)
+
+
+def _te_kernel(
+    sources: np.ndarray,
+    targets: np.ndarray,
+    bin_count: int,
+    base: float,
+    source_days: np.ndarray | None = None,
+    target_days: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unclamped transfer entropy from every row of ``sources`` to every row
+    of ``targets`` (bin symbols, one series per row, all of length T >= 3).
+
+    Returns the values and the sample sizes, both indexed [source, target].
+    With day flags (given for both sides, one row of length T-1 per
+    series), pair (i, r) counts only the triples where
+    ``source_days[i] & target_days[r]``.
+
+    Targets are taken in blocks of at most ``TE_BLOCK`` elements, counting
+    both the block's triples (targets x steps) and its cells (targets x
+    B^3), and one bincount per source counts the triples of the whole
+    block. Each pair's value is still bit for bit what counting it alone
+    gives: its tables are the same integer counts over the same divisions,
+    and its sum is one ``np.dot`` over its occupied cells in C order.
+    """
+    B = bin_count
+    cells = B**3
+    steps = targets.shape[1] - 1
+    v_prev = sources[:, :-1]
+    masked = source_days is not None
+    log_base = float(np.log(base))
+    values = np.empty((len(sources), len(targets)))
+    sizes = np.empty((len(sources), len(targets)), dtype=np.int64)
+    ones = np.ones(B, dtype=np.int64)
+    block = min(len(targets), max(1, TE_BLOCK // max(steps, cells)))
+    # where each cell of a block (r, u_t, u_prev, v_prev) falls in the
+    # pair tables; a shorter last block uses a prefix of each map
+    grid = np.arange(block * cells)
+    row = grid // cells
+    target_pair = grid // B                                  # (r, u_t, u_prev)
+    lagged_pair = row * (B * B) + grid % (B * B)             # (r, u_prev, v_prev)
+    lagged = row * B + target_pair % B                       # (r, u_prev)
+    # buffers for a block's target codes and triple codes, reused per block
+    target_codes = np.empty((block, steps), dtype=np.int64)
+    triple_codes = np.empty_like(target_codes)
+    for lo in range(0, len(targets), block):
+        u = targets[lo:lo + block]
+        rows = len(u)
+        size = rows * cells
+        bounds = np.arange(rows + 1) * cells
+        # cell r*B^3 + (u_t*B + u_prev)*B + v_prev for target r of the block
+        target_code, code = target_codes[:rows], triple_codes[:rows]
+        np.multiply(u[:, 1:], B, out=target_code)
+        target_code += u[:, :-1]
+        target_code *= B
+        target_code += np.arange(rows)[:, None] * cells
+        for i, v in enumerate(v_prev):
+            np.add(target_code, v, out=code)
+            if masked:  # dropped triples land in a discard cell past the block
+                code[~(target_days[lo:lo + rows] & source_days[i])] = size
+            counts = np.bincount(code.ravel(), minlength=size)[:size]
+            # integer marginals, as exact as the triple counts
+            n = counts.reshape(rows, cells).sum(axis=1)
+            tp = counts.reshape(-1, B) @ ones
+            lp = counts.reshape(rows, B, B * B).sum(axis=1).ravel()
+            lag = tp.reshape(rows, B, B).sum(axis=1).ravel()
+            cell = np.flatnonzero(counts > 0)                   # C order within each pair
+            pair_n = n[row[cell]]
+            p3 = counts[cell] / pair_n
+            ratio = p3 * (lag[lagged[cell]] / pair_n)
+            ratio /= (tp[target_pair[cell]] / pair_n) * (lp[lagged_pair[cell]] / pair_n)
+            logs = np.log(ratio)
+            ends = np.searchsorted(cell, bounds).tolist()
+            for j in range(rows):
+                a, b = ends[j], ends[j + 1]
+                values[i, lo + j] = float(np.dot(p3[a:b], logs[a:b])) / log_base
+            sizes[i, lo:lo + rows] = n
+    return values, sizes
+
+
+def _clamped(value: float, size: int) -> float:
+    """One pair's reported value: rejects a mask that keeps fewer than two
+    triples, and clamps a negative rounding residue to zero (the
+    0*log(0) convention leaves only rounding below zero)."""
+    if size < 2:
+        raise ValueError("mask keeps fewer than 2 triples")
+    if value < 0.0:
+        if value < -NEGATIVE_RESIDUE_WARN:
+            warnings.warn(
+                f"transfer entropy rounding residue {value:.3e} clamped to 0",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        value = 0.0
+    return value
 
 
 def transfer_entropy(
@@ -166,33 +272,17 @@ def transfer_entropy(
     """
     if base <= 1.0:
         raise ValueError("log base must exceed 1")
-    hist = joint_histogram(u, v, mask)
-    p3 = hist.freq_triple
-    p_tp = hist.freq_target_pair     # (u_t, u_prev)
-    p_lp = hist.freq_lagged_pair     # (u_prev, v_prev)
-    p_l = hist.freq_lagged_single    # (u_prev,)
-
-    a, b, c = np.nonzero(hist.triple)
-    num = p3[a, b, c] * p_l[b]
-    den = p_tp[a, b] * p_lp[b, c]
-    value = float(np.dot(p3[a, b, c], np.log(num / den))) / float(np.log(base))
-    if value < 0.0:
-        if value < -NEGATIVE_RESIDUE_WARN:
-            warnings.warn(
-                f"transfer entropy rounding residue {value:.3e} clamped to 0",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        value = 0.0
-    return value
+    mask = _checked_mask(u, v, mask)
+    days = None if mask is None else mask[None]
+    values, sizes = _te_kernel(v.bins[None], u.bins[None], u.bin_count, base, days, days)
+    return _clamped(values.item(), sizes.item())
 
 
-def _bubble_day_mask(
-    x_probs: ProbabilitySeries, y_probs: ProbabilitySeries, level: float
-) -> np.ndarray:
-    """Triples where both assets sit at or above ``level`` on both days."""
-    both = np.minimum(x_probs.values, y_probs.values) >= level
-    return both[1:] & both[:-1]
+def _bubble_days(probs: ProbabilitySeries, level: float) -> np.ndarray:
+    """Triples (t = 1..T-1) on both of whose days the asset is at or above
+    ``level``; a pair keeps the triples where both assets' flags are set."""
+    high = probs.values >= level
+    return high[1:] & high[:-1]
 
 
 def sii(
@@ -211,7 +301,10 @@ def sii(
     bubble probabilities reach ``bubble_level`` (an alternative reading of
     conditioning on the joint bubble state; not the default).
     """
-    mask = _bubble_day_mask(x_probs, y_probs, bubble_level) if bubble_only else None
+    mask = (
+        _bubble_days(x_probs, bubble_level) & _bubble_days(y_probs, bubble_level)
+        if bubble_only else None
+    )
     return transfer_entropy(
         discretize(y_probs, bin_count), discretize(x_probs, bin_count),
         base=base, mask=mask,
@@ -233,9 +326,8 @@ def sii_matrix(
 ) -> SIIMatrix:
     """All ordered-pair influence intensities for a basket of assets.
 
-    Series must be aligned (equal timestamps). Each pair is independent of
-    the others, so the loop is trivially parallelisable; evaluation order
-    does not affect the result.
+    Series must be aligned (equal timestamps). Every pair is counted by one
+    batched kernel, and each entry equals ``sii`` of its pair bit for bit.
     """
     if len(assets) < 2:
         raise ValueError("need at least 2 assets")
@@ -246,18 +338,21 @@ def sii_matrix(
         if len(s) != len(first) or not np.array_equal(s.timestamps, first.timestamps):
             raise ValueError(f"series {name!r} is not aligned with {names[0]!r}")
 
-    binned = {name: discretize(assets[name], bin_count) for name in names}
-    k = len(names)
-    values = np.zeros((k, k))
-    for i, src in enumerate(names):
-        for j, dst in enumerate(names):
-            if i == j:
-                continue
-            mask = (
-                _bubble_day_mask(assets[src], assets[dst], bubble_level)
-                if bubble_only else None
-            )
-            values[i, j] = transfer_entropy(
-                binned[dst], binned[src], base=base, mask=mask
-            )
+    bins = np.empty((len(names), len(first)), dtype=np.int32)  # symbols < bin_count
+    for row, name in zip(bins, names):
+        row[:] = discretize(assets[name], bin_count).bins
+    if base <= 1.0:
+        raise ValueError("log base must exceed 1")
+    if len(first) < 3:
+        raise ValueError("need at least 3 observations to form lagged triples")
+    days = (
+        np.stack([_bubble_days(assets[name], bubble_level) for name in names])
+        if bubble_only else None
+    )
+    raw, sizes = _te_kernel(bins, bins, bin_count, base, days, days)
+    values = np.zeros(raw.shape)
+    for i, (row, row_sizes) in enumerate(zip(raw.tolist(), sizes.tolist())):
+        for j, (value, size) in enumerate(zip(row, row_sizes)):
+            if i != j:
+                values[i, j] = _clamped(value, size)
     return SIIMatrix(tuple(names), values, window=window)

@@ -259,10 +259,7 @@ def hamilton_filter(
         norm = w00 + w01 + w10 + w11
         if not 0.0 < norm < math.inf:
             step = len(norms) + 1
-            # numpy's repr, as the numpy-scalar reference loop reports it
-            raise NumericalFailureError(
-                step, f"filter normaliser {np.float64(norm)!r} at step {step}"
-            )
+            raise NumericalFailureError(step, f"filter normaliser {norm!r} at step {step}")
         f0 = w00 / norm + w10 / norm
         f1 = w01 / norm + w11 / norm
         f0s.append(f0)
@@ -283,7 +280,7 @@ def hamilton_filter(
     return FilterOutput(probs, pairwise, loglik)
 
 
-def kim_smoother(filt: FilterOutput, params: ModelParams) -> SmootherOutput:
+def kim_smoother(filt: FilterOutput) -> SmootherOutput:
     """Backward smoother seeded with the final filtered distribution.
 
     Each backward step redistributes the smoothed mass of s_{t+1} over its
@@ -296,12 +293,10 @@ def kim_smoother(filt: FilterOutput, params: ModelParams) -> SmootherOutput:
     its landing-state column. Because the emission of y_{t+1} depends on the
     state pair (not on s_{t+1} alone), conditioning on the pairwise filtered
     posterior -- rather than propagating P(s_t | y_t) through the chain
-    alone -- is what makes the recursion exact for this model.
-
-    ``params`` is accepted for interface symmetry with the filter; the
-    transition matrix is already folded into the pairwise filtered tables.
+    alone -- is what makes the recursion exact for this model. The
+    transition matrix is already folded into the pairwise filtered tables,
+    so the smoother needs no model parameters.
     """
-    del params
     pf = filt.pairwise_filtered
     N = len(pf) + 1
     landing = pf.sum(axis=1)  # P(s_{t+1}=j | y_0..y_{t+1}), indexed [t, j]
@@ -686,7 +681,7 @@ def em_fit(
 
     for iteration in range(1, config.max_iterations + 1):
         try:
-            smth = kim_smoother(filt, params)
+            smth = kim_smoother(filt)
             updated = m_step(smth, series, params.regime.n, kappa=config.kappa, freeze=params)
             n_new = params.regime.n
             if smth.pairwise_smoothed[:, 1, 1].sum() > 0.0:
@@ -732,7 +727,7 @@ def em_fit(
             trace.converged = True
             break
 
-    smth = kim_smoother(filt, params)
+    smth = kim_smoother(filt)
     return params, trace, filt, smth
 
 

@@ -241,22 +241,21 @@ def write_probabilities_csv(
 
 
 def read_probabilities_csv(path, column: str = "filtering") -> ProbabilitySeries:
-    rows = [
-        line for line in Path(path).read_text().splitlines()
-        if line and not line.startswith("#")
-    ]
-    if not rows:
+    lines = Path(path).read_text().splitlines()
+    data = [n for n, line in enumerate(lines) if line and not line.startswith("#")]
+    if not data:
         raise ConfigurationError(f"{path}: empty table")
-    header = rows[0].split(",")
+    header = lines[data[0]].split(",")
     if column not in header:
         raise ConfigurationError(f"{path}: no column {column!r}")
     idx = header.index(column)
-    dates, values = [], []
-    for row in rows[1:]:
-        cells = row.split(",")
-        dates.append(np.datetime64(cells[0], "D"))
-        values.append(float(cells[idx]))
-    return ProbabilitySeries(np.array(dates, dtype="datetime64[D]"), np.array(values))
+    rows = [lines[n].split(",") for n in data[1:]]
+    dates = np.array([cells[0] for cells in rows], dtype="datetime64[D]")
+    missing = np.flatnonzero(np.isnat(dates))
+    if len(missing):
+        raise ConfigurationError(f"{path}: missing date on line {data[1 + missing[0]] + 1}")
+    values = np.array([float(cells[idx]) for cells in rows])
+    return ProbabilitySeries(dates, values)
 
 
 def write_matrix_csv(path, nodes, values, provenance: str = "") -> Path:

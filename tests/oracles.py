@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -138,7 +139,7 @@ def hamilton_filter_steps(dens, q, initial):
         w11 = q11 * f1 * d[1, 1]
         norm = w00 + w01 + w10 + w11
         if not (norm > 0.0 and math.isfinite(norm)):
-            raise RecursionFailure(t + 1, f"filter normaliser {norm!r} at step {t + 1}")
+            raise RecursionFailure(t + 1, f"filter normaliser {float(norm)!r} at step {t + 1}")
         pairwise[t, 0, 0] = w00 / norm
         pairwise[t, 0, 1] = w01 / norm
         pairwise[t, 1, 0] = w10 / norm
@@ -274,6 +275,81 @@ def transfer_entropy_counting(u, v, base: float = 10.0) -> float:
         )
         te += p3 * math.log(ratio, base)
     return max(te, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# The per-pair transfer entropy and influence matrix the library computed
+# before its batched kernel, kept as the reference that kernel must match
+# bit for bit (same values, same errors and warnings in the same order).
+# Series are plain arrays of bin symbols or probabilities.
+
+def joint_counts(u, v, bin_count, mask=None):
+    """Triple counts over (u_t, u_{t-1}, v_{t-1}), shape (B, B, B)."""
+    if len(u) != len(v):
+        raise ValueError(f"series lengths differ: {len(u)} vs {len(v)}")
+    if len(u) < 3:
+        raise ValueError("need at least 3 observations to form lagged triples")
+    B = bin_count
+    codes = (u[1:] * B + u[:-1]) * B + v[:-1]
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != codes.shape:
+            raise ValueError("mask must align with the lagged triples")
+        codes = codes[mask]
+        if len(codes) < 2:
+            raise ValueError("mask keeps fewer than 2 triples")
+    return np.bincount(codes, minlength=B**3).reshape(B, B, B)
+
+
+def transfer_entropy_pairwise(u, v, bin_count, base=10.0, mask=None, warn_below=1e-9):
+    """Transfer entropy from v to u by one histogram of the pair."""
+    if base <= 1.0:
+        raise ValueError("log base must exceed 1")
+    triple = joint_counts(u, v, bin_count, mask)
+    n = int(triple.sum())
+    p3 = triple / n
+    p_tp = triple.sum(axis=2) / n
+    p_lp = triple.sum(axis=0) / n
+    p_l = triple.sum(axis=(0, 2)) / n
+    a, b, c = np.nonzero(triple)
+    num = p3[a, b, c] * p_l[b]
+    den = p_tp[a, b] * p_lp[b, c]
+    value = float(np.dot(p3[a, b, c], np.log(num / den))) / float(np.log(base))
+    if value < 0.0:
+        if value < -warn_below:
+            warnings.warn(
+                f"transfer entropy rounding residue {value:.3e} clamped to 0",
+                RuntimeWarning,
+            )
+        value = 0.0
+    return value
+
+
+def bubble_day_mask(x, y, level):
+    """Triples where both probability series sit at or above ``level`` on
+    both days."""
+    both = np.minimum(x, y) >= level
+    return both[1:] & both[:-1]
+
+
+def sii_matrix_pairwise(series, bin_count=10, base=10.0, bubble_only=False,
+                        bubble_level=0.5, warn_below=1e-9):
+    """Influence matrix over aligned probability arrays, one pair at a time
+    in (source, target) order."""
+    binned = [np.minimum(np.floor(np.asarray(x) * bin_count).astype(np.int64), bin_count - 1)
+              for x in series]
+    k = len(series)
+    values = np.zeros((k, k))
+    for i in range(k):
+        for j in range(k):
+            if i == j:
+                continue
+            mask = (bubble_day_mask(series[i], series[j], bubble_level)
+                    if bubble_only else None)
+            values[i, j] = transfer_entropy_pairwise(
+                binned[j], binned[i], bin_count, base, mask, warn_below
+            )
+    return values
 
 
 # ---------------------------------------------------------------------------

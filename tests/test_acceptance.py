@@ -106,7 +106,7 @@ def test_criterion_03_filter_smoother_oracle():
         params, initial, y = random_instance(rng)
         series = make_series(y)
         filt = hamilton_filter(series, params, initial=initial)
-        smth = kim_smoother(filt, params)
+        smth = kim_smoother(filt)
         ref_f, ref_pf, ref_s, ref_ps, ref_ll = oracles.enumerate_posteriors(
             y, params.q, initial, theta_tuple(params)
         )

@@ -72,8 +72,12 @@ class TestStageCommands:
             "--target", str(run_dir / "probabilities_MAT.csv"),
         ])
         assert rc == 0
-        value = float(capsys.readouterr().out.strip())
-        assert value >= 0.0
+        # the stage command prints the run's matrix entry for the pair exactly
+        rows = [line.split(",") for line in (run_dir / "sii_matrix.csv").read_text().splitlines()
+                if not line.startswith("#")]
+        entry = next(row for row in rows if row[0] == "ENE")[rows[0].index("MAT")]
+        assert capsys.readouterr().out == entry + "\n"
+        assert float(entry) > 0.0
 
     def test_network_and_indicators(self, run_dir, groups_file, tmp_path, capsys):
         rc = main([

@@ -152,6 +152,7 @@ class TestHamiltonFilter:
         with pytest.raises(NumericalFailureError) as err:
             hamilton_filter(s, params, initial=[0.5, 0.5])
         assert err.value.step == 1
+        assert "filter normaliser inf at step 1" in str(err.value)
 
 
 class TestKimSmoother:
@@ -161,7 +162,7 @@ class TestKimSmoother:
         params, initial, y = random_instance(rng)
         s = make_series(y)
         filt = hamilton_filter(s, params, initial=initial)
-        return s, params, initial, filt, kim_smoother(filt, params)
+        return s, params, initial, filt, kim_smoother(filt)
 
     def test_terminal_smoothing_equals_filtering(self, fitted):
         _, _, _, filt, smth = fitted
@@ -179,7 +180,7 @@ class TestKimSmoother:
             params, initial, y = random_instance(rng)
             s = make_series(y)
             filt = hamilton_filter(s, params, initial=initial)
-            smth = kim_smoother(filt, params)
+            smth = kim_smoother(filt)
             _, _, smooth, pair_s, _ = oracles.enumerate_posteriors(
                 y, params.q, initial, theta_tuple(params)
             )
@@ -199,7 +200,7 @@ class TestKimSmoother:
             RegimeParams(0.1, 0.1, 0.1, 0.1, 1.0), np.array([[1.0, 0.0], [1.0, 0.0]])
         )
         with pytest.raises(NumericalFailureError):
-            kim_smoother(filt, params)
+            kim_smoother(filt)
 
 
 class TestMStep:

@@ -138,6 +138,25 @@ class TestTableRoundTrips:
         np.testing.assert_array_equal(back_s.values, smth.values)
         np.testing.assert_array_equal(back_f.timestamps, filt.timestamps)
 
+    def test_probabilities_csv_dates_parse_as_numpy_scalars(self, tmp_path):
+        cells = ["2006-01-02", "2006-02", "2007", " 2008-03-04"]
+        path = write(tmp_path / "p.csv", "date,filtering,smoothing\n"
+                     + "".join(f"{c},0.5,0.5\n" for c in cells))
+        back = sio.read_probabilities_csv(path)
+        np.testing.assert_array_equal(back.timestamps, [np.datetime64(c, "D") for c in cells])
+
+    def test_probabilities_csv_unparseable_date_rejected(self, tmp_path):
+        path = write(tmp_path / "p.csv", "date,filtering,smoothing\n2006-13-01,0.5,0.5\n")
+        with pytest.raises(ValueError):
+            sio.read_probabilities_csv(path)
+
+    @pytest.mark.parametrize("cell", ["", "NaT"])
+    def test_probabilities_csv_missing_date_names_line(self, tmp_path, cell):
+        path = write(tmp_path / "p.csv", "# provenance\ndate,filtering,smoothing\n"
+                     f"2006-01-02,0.5,0.5\n\n{cell},0.5,0.5\n")
+        with pytest.raises(ConfigurationError, match=r"p\.csv: missing date on line 5"):
+            sio.read_probabilities_csv(path)
+
     def test_matrix_csv(self, tmp_path):
         rng = np.random.default_rng(0)
         values = rng.random((4, 4))

@@ -71,7 +71,7 @@ def reference_filter(series, params, initial):
     return FilterOutput(probs, pairwise, loglik)
 
 
-def reference_smoother(filt, params):
+def reference_smoother(filt):
     smoothing, pairwise = oracles.kim_smoother_steps(
         filt.filtering.values, filt.pairwise_filtered
     )
@@ -116,8 +116,8 @@ def test_filter_and_smoother_match_step_loops_bitwise(instance):
     filt = outcome(hamilton_filter, series, params, initial)
     assert_same_filter(filt, outcome(reference_filter, series, params, initial))
     if isinstance(filt, FilterOutput):
-        assert_same_smoother(outcome(kim_smoother, filt, params),
-                             outcome(reference_smoother, filt, params))
+        assert_same_smoother(outcome(kim_smoother, filt),
+                             outcome(reference_smoother, filt))
 
 
 @st.composite
@@ -141,9 +141,8 @@ def filter_outputs(draw):
 @PARITY
 @given(filter_outputs())
 def test_smoother_matches_step_loop_on_hand_built_tables(filt):
-    params = ModelParams(RegimeParams(0.1, 0.1, 0.1, 0.1, 1.0), np.eye(2))
-    assert_same_smoother(outcome(kim_smoother, filt, params),
-                         outcome(reference_smoother, filt, params))
+    assert_same_smoother(outcome(kim_smoother, filt),
+                         outcome(reference_smoother, filt))
 
 
 # exponents whose n**2 by the C library's pow, as numpy computes it for a

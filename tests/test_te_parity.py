@@ -1,0 +1,203 @@
+"""Bitwise parity of the batched transfer-entropy kernel with the per-pair
+histograms in ``oracles``: the same influence matrix bit for bit, and the
+same errors and warnings in the same order."""
+import warnings
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
+import sinet.entropy as entropy_module
+from sinet import (
+    BinnedSeries,
+    ProbabilitySeries,
+    sii,
+    sii_matrix,
+    transfer_entropy,
+)
+from sinet.entropy import joint_histogram
+
+PARITY = settings(max_examples=200, deadline=None, database=None)
+LEVELS = [0.0, 0.5, 0.9, 1.0]
+
+
+def dates(n):
+    return np.datetime64("2006-01-02", "D") + np.arange(n)
+
+
+def outcome(fn, *args, **kwargs):
+    """The value as bytes, or the ValueError raised, with every warning
+    emitted on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = np.asarray(fn(*args, **kwargs), dtype=float).tobytes()
+        except ValueError as err:
+            result = ("ValueError", str(err))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def library_matrix(series, bins, base, bubble_only, level):
+    assets = {f"a{k}": ProbabilitySeries(dates(len(x)), x) for k, x in enumerate(series)}
+    return sii_matrix(assets, bins, base, bubble_only=bubble_only, bubble_level=level).values
+
+
+def assert_matrix_parity(series, bins, base=10.0, bubble_only=False, level=0.5):
+    got = outcome(library_matrix, series, bins, base, bubble_only, level)
+    want = outcome(oracles.sii_matrix_pairwise, series, bins, base, bubble_only, level)
+    assert got == want
+
+
+def series_of(kind, rng, T):
+    """Probability series of several shapes: uniform noise, a constant,
+    a few levels including the bin edges 0.5, 0.9 and 1, and a persistent
+    walk that revisits few cells."""
+    if kind == "uniform":
+        return rng.random(T)
+    if kind == "constant":
+        return np.full(T, rng.choice([0.0, 0.3, 0.5, 1.0]))
+    if kind == "levels":
+        return rng.choice([0.0, 0.45, 0.5, 0.9, 1.0], T)
+    return np.clip(0.5 + np.cumsum(rng.normal(0.0, 0.05, T)), 0.0, 1.0)
+
+
+@st.composite
+def baskets(draw):
+    K = draw(st.integers(2, 9))
+    T = draw(st.integers(3, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["uniform", "constant", "levels", "walk"]),
+                          min_size=K, max_size=K))
+    bins = draw(st.integers(2, 12))
+    return {
+        "series": [series_of(kind, rng, T) for kind in kinds],
+        "bins": bins,
+        "base": draw(st.sampled_from([2.0, np.e, 10.0, 1.5])),
+        "bubble_only": draw(st.booleans()),
+        "level": draw(st.sampled_from(LEVELS)),
+        # 1 puts every target in a block of its own, the middle value splits
+        # the basket into blocks of three targets
+        "block": draw(st.sampled_from(
+            [1, 3 * max(T - 1, bins**3), entropy_module.TE_BLOCK])),
+    }
+
+
+@PARITY
+@given(baskets())
+def test_matrix_matches_pairwise_reference_bitwise(case):
+    with mock.patch.object(entropy_module, "TE_BLOCK", case.pop("block")):
+        assert_matrix_parity(**case)
+
+
+@PARITY
+@given(baskets())
+def test_sii_matches_pairwise_reference_bitwise(case):
+    x, y = case["series"][:2]
+    got = outcome(sii, ProbabilitySeries(dates(len(x)), x), ProbabilitySeries(dates(len(y)), y),
+                  case["bins"], case["base"], case["bubble_only"], case["level"])
+    binned = [np.minimum(np.floor(s * case["bins"]).astype(np.int64), case["bins"] - 1)
+              for s in (x, y)]
+    mask = oracles.bubble_day_mask(x, y, case["level"]) if case["bubble_only"] else None
+    want = outcome(oracles.transfer_entropy_pairwise, binned[1], binned[0],
+                   case["bins"], case["base"], mask)
+    assert got == want
+
+
+@pytest.mark.parametrize("bubble_only", [False, True])
+def test_wide_basket_matches_pairwise_reference_bitwise(bubble_only):
+    # the size of the benchmark's series, with lag-coupled logistic latents
+    rng = np.random.default_rng(40)
+    leader = np.cumsum(rng.normal(0.0, 0.1, 2_921))
+    latents = [0.6 * leader[1:] + 0.8 * np.cumsum(rng.normal(0.0, 0.1, 2_920))
+               for _ in range(40)]
+    series = [1.0 / (1.0 + np.exp(-2.0 * z)) for z in latents]
+    assert_matrix_parity(series, 10, bubble_only=bubble_only, level=0.1)
+
+
+@pytest.mark.parametrize("T", [3, 4])
+@pytest.mark.parametrize("level", LEVELS)
+def test_shortest_baskets_match(T, level):
+    rng = np.random.default_rng(T)
+    series = [rng.random(T), np.full(T, 1.0), np.full(T, 0.5), rng.random(T)]
+    assert_matrix_parity(series, 10)
+    assert_matrix_parity(series, 3, bubble_only=True, level=level)
+
+
+def test_constant_basket_is_zero():
+    series = [np.full(50, v) for v in (0.0, 0.3, 0.3, 1.0)]
+    assert_matrix_parity(series, 10)
+    assert not library_matrix(series, 10, 10.0, False, 0.5).any()
+
+
+@pytest.mark.parametrize("T", [0, 1, 2])
+def test_too_short_basket_raises_like_reference(T):
+    series = [np.full(T, 0.5), np.full(T, 0.2)]
+    assert_matrix_parity(series, 10)
+    assert outcome(library_matrix, series, 10, 10.0, False, 0.5)[0] == (
+        "ValueError", "need at least 3 observations to form lagged triples")
+
+
+def test_bad_base_raises_like_reference():
+    series = [np.linspace(0.0, 1.0, 20), np.linspace(1.0, 0.0, 20)]
+    assert_matrix_parity(series, 10, base=1.0)
+
+
+# two (source, target) pairs of binary series whose transfer entropy rounds
+# to a tiny negative value, found by a search over random series
+RESIDUE_PAIRS = [
+    ([1, 1, 1, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0], [1, 1, 1, 1, 1, 0, 1, 1, 0, 0, 1, 1, 0, 0]),
+    ([1, 1, 0, 0, 0, 1, 1, 0, 0, 0, 1, 0, 1, 0], [1, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0]),
+]
+
+
+def residue_series(bits):
+    return 0.25 + 0.5 * np.array(bits, dtype=float)
+
+
+def test_negative_residues_warn_in_pair_order(monkeypatch):
+    # with the warning threshold at 0 every negative residue warns: the
+    # kernel must warn for the same pairs, in the same order and with the
+    # same values as the pair loop, and clamp them to zero
+    series = [residue_series(bits) for pair in RESIDUE_PAIRS for bits in pair]
+    assert_matrix_parity(series, 2)
+    assert library_matrix(series, 2, 10.0, False, 0.5)[0, 1] == 0.0
+    monkeypatch.setattr(entropy_module, "NEGATIVE_RESIDUE_WARN", 0.0)
+    got = outcome(library_matrix, series, 2, 10.0, False, 0.5)
+    want = outcome(oracles.sii_matrix_pairwise, series, 2, 10.0, False, 0.5, 0.0)
+    assert len(want[1]) >= 2
+    assert got == want
+
+
+def test_overtight_mask_raises_after_earlier_warnings(monkeypatch):
+    # pair (0, 1) keeps all its triples and warns; pair (0, 2) keeps one
+    # triple and must raise only after that warning
+    monkeypatch.setattr(entropy_module, "NEGATIVE_RESIDUE_WARN", 0.0)
+    source, target = (residue_series(bits) for bits in RESIDUE_PAIRS[0])
+    late = np.concatenate([[0.95, 0.95], np.full(12, 0.1)])
+    series = [source, target, late]
+    got = outcome(library_matrix, series, 2, 10.0, True, 0.25)
+    want = outcome(oracles.sii_matrix_pairwise, series, 2, 10.0, True, 0.25, 0.0)
+    assert want[0] == ("ValueError", "mask keeps fewer than 2 triples")
+    assert len(want[1]) == 1
+    assert got == want
+
+
+def binned(seq, bins=10):
+    return BinnedSeries(np.asarray(seq, dtype=np.int64), bins)
+
+
+@pytest.mark.parametrize("u, v, mask", [
+    (binned([1, 2, 3]), binned([1, 2]), None),
+    (binned([1, 2]), binned([1, 2]), None),
+    (binned([1, 2, 3], bins=10), binned([1, 2, 3], bins=5), None),
+    (binned([1, 2, 3, 4]), binned([1, 2, 3, 4]), [True, False]),
+    (binned([1, 2, 3, 4]), binned([1, 2, 3, 4]), [True, False, False]),
+])
+def test_transfer_entropy_validates_like_joint_histogram(u, v, mask):
+    with pytest.raises(ValueError) as hist_err:
+        joint_histogram(u, v, mask)
+    with pytest.raises(ValueError) as te_err:
+        transfer_entropy(u, v, mask=mask)
+    assert str(te_err.value) == str(hist_err.value)
