@@ -37,7 +37,6 @@ from .bubble import (
 )
 from .entropy import (
     BinnedSeries,
-    JointHistogram,
     SIIMatrix,
     discretize,
     nsii,
@@ -92,7 +91,6 @@ __all__ = [
     "FilterOutput",
     "IndicatorTable",
     "InsufficientDataError",
-    "JointHistogram",
     "LogPriceSeries",
     "ModelParams",
     "NodeGroup",

@@ -7,17 +7,16 @@ regress, export) plus `run` for the whole pipeline. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from . import io as sio
+from . import pipeline
 from .entropy import SIIMatrix, sii
 from .errors import ConfigurationError, NumericalFailureError, SinetError
-from .hmm import EMConfig, bubble_time_fraction, em_fit, geometric_average_filter
-from .network import ALL_INDICATORS, build_sin, compute_indicators
+from .hmm import EMConfig
+from .network import build_sin, compute_indicators
 from .bubble import simulate_sa_path
-from .pipeline import PipelineConfig, loss_analytics, run_pipeline
 from .synthetic import bundled_corpus_config
 
 
@@ -44,15 +43,15 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("calibrate", help="fit the regime model to one CSV")
     p.add_argument("--input", type=Path, required=True)
     p.add_argument("--asset-id", default=None)
-    p.add_argument("--date-column", default="date")
-    p.add_argument("--price-column", default="price")
+    p.add_argument("--date-column", default=sio.DEFAULT_COLUMNS["date"])
+    p.add_argument("--price-column", default=sio.DEFAULT_COLUMNS["price"])
     p.add_argument("--start", default=None, help="analysis window start (ISO date)")
     p.add_argument("--end", default=None, help="analysis window end (ISO date)")
     p.add_argument("--no-average", action="store_true")
-    p.add_argument("--window", type=int, default=100)
-    p.add_argument("--kappa", type=float, default=0.6)
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--max-iterations", type=int, default=500)
+    p.add_argument("--window", type=int, default=EMConfig.average_window)
+    p.add_argument("--kappa", type=float, default=EMConfig.kappa)
+    p.add_argument("--tol", type=float, default=EMConfig.tol)
+    p.add_argument("--max-iterations", type=int, default=EMConfig.max_iterations)
     p.add_argument("--out-dir", type=Path, default=Path("."))
 
     p = sub.add_parser("te", help="transfer entropy between two probability CSVs")
@@ -112,35 +111,18 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    colmap = {"date": args.date_column, "price": args.price_column}
-    series = sio.load_price_csv(args.input, colmap, asset_id=args.asset_id)
-    if not args.no_average:
-        series = geometric_average_filter(series, args.window)
-    if args.start or args.end:
-        series = series.window(args.start, args.end)
     config = EMConfig(average_window=args.window, tol=args.tol,
                       max_iterations=args.max_iterations, kappa=args.kappa)
-    params, trace, filt, smth = em_fit(series, config)
+    fit = pipeline.calibrate_asset(
+        args.asset_id or args.input.stem, args.input,
+        {"date": args.date_column, "price": args.price_column},
+        config, not args.no_average, args.start, args.end,
+    )
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    prob_path = args.out_dir / f"probabilities_{series.asset_id}.csv"
-    sio.write_probabilities_csv(prob_path, filt.filtering, smth.smoothing)
-    r = params.regime
-    doc = {
-        "asset": series.asset_id,
-        "mu0": r.mu0, "sigma0": r.sigma0, "mu1": r.mu1, "sigma1": r.sigma1,
-        "n": r.n, "kappa": r.kappa,
-        "q": [[params.q[0, 0], params.q[0, 1]], [params.q[1, 0], params.q[1, 1]]],
-        "loglik": trace.logliks[-1],
-        "iterations": trace.iterations,
-        "converged": trace.converged,
-        "stalled": trace.stalled,
-        "bubble_fraction_filtering": bubble_time_fraction(filt.filtering),
-        "bubble_fraction_smoothing": bubble_time_fraction(smth.smoothing),
-    }
-    params_path = args.out_dir / f"params_{series.asset_id}.json"
-    params_path.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"wrote {prob_path} and {params_path} "
-          f"(n={r.n:.4f}, bubble fraction {doc['bubble_fraction_filtering']:.1f}%)")
+    provenance = f"input={args.input.name} window={args.start}..{args.end}"
+    prob_path, params_path = pipeline.write_asset_fit(args.out_dir, fit, provenance)
+    print(f"wrote {prob_path} and {params_path} (n={fit.params.regime.n:.4f}, "
+          f"bubble fraction {fit.summary()['bubble_fraction_filtering']:.1f}%)")
     return 0
 
 
@@ -158,8 +140,7 @@ def _cmd_network(args) -> int:
     losses = sio.read_losses_csv(args.losses) if args.losses else None
     graph = build_sin(matrix, groups, args.threshold, losses)
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    for fmt, name in (("dot", "sin.dot"), ("graph-json", "sin.json")):
-        sio.export_graph(graph, fmt, args.out_dir / name)
+    pipeline.write_network(args.out_dir, graph)
     print(f"wrote sin.dot and sin.json ({graph.edge_count} edges) to {args.out_dir}")
     return 0
 
@@ -168,43 +149,35 @@ def _cmd_indicators(args) -> int:
     nodes, values = sio.read_matrix_csv(args.matrix)
     matrix = SIIMatrix(nodes, values)
     groups = sio.read_groups_csv(args.groups)
-    table = compute_indicators(matrix, groups)
-    rows = [
-        [node] + [float(table.value(node, name)) for name in ALL_INDICATORS]
-        for node in matrix.nodes
-    ]
-    sio.write_table_csv(args.out, ["node", *ALL_INDICATORS], rows)
+    pipeline.write_indicators(args.out, compute_indicators(matrix, groups))
     print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_regress(args) -> int:
-    from .pipeline import DEFAULT_CORRELATIONS, DEFAULT_REGRESSIONS
-
     table = sio.read_indicators_csv(args.indicators)
     groups = sio.read_groups_csv(args.groups)
     losses = sio.read_losses_csv(args.losses)
-    doc, text = loss_analytics(
+    doc, text = pipeline.loss_analytics(
         table, table.nodes, groups, losses,
-        args.models or DEFAULT_REGRESSIONS,
-        args.correlations or DEFAULT_CORRELATIONS,
+        args.models or pipeline.DEFAULT_REGRESSIONS,
+        args.correlations or pipeline.DEFAULT_CORRELATIONS,
     )
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    (args.out_dir / "regressions.json").write_text(json.dumps(doc, indent=2) + "\n")
-    (args.out_dir / "regressions.txt").write_text(text)
+    pipeline.write_regressions(args.out_dir, doc, text)
     print(f"wrote regressions.json and regressions.txt to {args.out_dir}")
     return 0
 
 
 def _cmd_run(args) -> int:
     config_path = args.config if args.config is not None else bundled_corpus_config()
-    config = PipelineConfig.from_file(config_path)
+    config = pipeline.PipelineConfig.from_file(config_path)
     if args.out_dir is not None:
         config.output_dir = args.out_dir
     elif args.config is None:
         # bundled corpus: write next to the caller, not into the package
         config.output_dir = Path.cwd() / "sinet-out"
-    report = run_pipeline(config)
+    report = pipeline.run_pipeline(config)
     print(f"processed: {', '.join(report.processed)}")
     for asset, reason in report.failed.items():
         print(f"failed: {asset}: {reason}")

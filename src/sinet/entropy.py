@@ -16,7 +16,7 @@ its one-by-one case.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,45 +46,6 @@ class BinnedSeries:
 
     def __len__(self) -> int:
         return len(self.bins)
-
-
-@dataclass(frozen=True)
-class JointHistogram:
-    """Empirical tables over the aligned triples (u_t, u_{t-1}, v_{t-1}).
-
-    The pair and single tables are marginals of the triple counts, so the
-    marginalisation identities hold exactly by construction.
-    """
-
-    triple: np.ndarray        # counts over (u_t, u_prev, v_prev)
-    sample_size: int = field(init=False)
-
-    def __post_init__(self):
-        c = np.asarray(self.triple, dtype=np.int64)
-        if c.ndim != 3 or len(set(c.shape)) != 1:
-            raise ValueError("triple counts must be a cubic 3-d array")
-        c.setflags(write=False)
-        object.__setattr__(self, "triple", c)
-        object.__setattr__(self, "sample_size", int(c.sum()))
-
-    @property
-    def freq_triple(self) -> np.ndarray:
-        return self.triple / self.sample_size
-
-    @property
-    def freq_target_pair(self) -> np.ndarray:
-        """p(u_t, u_{t-1})"""
-        return self.triple.sum(axis=2) / self.sample_size
-
-    @property
-    def freq_lagged_pair(self) -> np.ndarray:
-        """p(u_{t-1}, v_{t-1})"""
-        return self.triple.sum(axis=0) / self.sample_size
-
-    @property
-    def freq_lagged_single(self) -> np.ndarray:
-        """p(u_{t-1})"""
-        return self.triple.sum(axis=(0, 2)) / self.sample_size
 
 
 @dataclass(frozen=True)
@@ -127,43 +88,9 @@ def discretize(probs: ProbabilitySeries, bin_count: int = 10) -> BinnedSeries:
     """
     if bin_count < 2:
         raise ValueError("bin_count must be >= 2")
-    v = probs.values
-    if len(v) and (v.min() < 0.0 or v.max() > 1.0):
-        raise ValueError("probability values must lie in [0, 1]")
+    v = probs.values  # in [0, 1]: ProbabilitySeries rejects anything else, NaN too
     bins = np.minimum(np.floor(v * bin_count).astype(np.int64), bin_count - 1)
     return BinnedSeries(bins, bin_count)
-
-
-def _checked_mask(u: BinnedSeries, v: BinnedSeries, mask):
-    """Validate a (target, source) pair and its optional triple mask."""
-    if len(u) != len(v):
-        raise ValueError(f"series lengths differ: {len(u)} vs {len(v)}")
-    if len(u) < 3:
-        raise ValueError("need at least 3 observations to form lagged triples")
-    if u.bin_count != v.bin_count:
-        raise ValueError("series must share the same bin count")
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (len(u) - 1,):
-            raise ValueError("mask must align with the lagged triples")
-    return mask
-
-
-def joint_histogram(u: BinnedSeries, v: BinnedSeries, mask=None) -> JointHistogram:
-    """Count occurrences of the aligned triples (u_t, u_{t-1}, v_{t-1}).
-
-    ``mask`` (length T-1, aligned with t = 1..T-1) restricts counting to
-    selected triples.
-    """
-    mask = _checked_mask(u, v, mask)
-    B = u.bin_count
-    codes = (u.bins[1:] * B + u.bins[:-1]) * B + v.bins[:-1]
-    if mask is not None:
-        codes = codes[mask]
-        if len(codes) < 2:
-            raise ValueError("mask keeps fewer than 2 triples")
-    counts = np.bincount(codes, minlength=B**3).reshape(B, B, B)
-    return JointHistogram(counts)
 
 
 def _te_kernel(
@@ -272,8 +199,17 @@ def transfer_entropy(
     """
     if base <= 1.0:
         raise ValueError("log base must exceed 1")
-    mask = _checked_mask(u, v, mask)
-    days = None if mask is None else mask[None]
+    if len(u) != len(v):
+        raise ValueError(f"series lengths differ: {len(u)} vs {len(v)}")
+    if len(u) < 3:
+        raise ValueError("need at least 3 observations to form lagged triples")
+    if u.bin_count != v.bin_count:
+        raise ValueError("series must share the same bin count")
+    days = None
+    if mask is not None:
+        days = np.asarray(mask, dtype=bool)[None]
+        if days.shape != (1, len(u) - 1):
+            raise ValueError("mask must align with the lagged triples")
     values, sizes = _te_kernel(v.bins[None], u.bins[None], u.bin_count, base, days, days)
     return _clamped(values.item(), sizes.item())
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .network import SINGraph
-from .series import LogPriceSeries, ProbabilitySeries
+from .series import ProbabilitySeries
 
 GRAPH_SCHEMA = "sin-graph/1"
 
@@ -108,13 +108,6 @@ def read_price_table(path, column_map=None) -> dict:
     return table
 
 
-def load_price_csv(path, column_map=None, asset_id=None) -> LogPriceSeries:
-    """Load a CSV into a log-price series (see :func:`read_price_table`)."""
-    table = read_price_table(path, column_map)
-    name = asset_id if asset_id is not None else Path(path).stem
-    return LogPriceSeries(name, table["dates"], np.log(table["prices"]))
-
-
 # ---------------------------------------------------------------------------
 # Key-value configuration files
 
@@ -139,10 +132,6 @@ def read_key_values(path) -> dict[str, str]:
 
 # ---------------------------------------------------------------------------
 # Graph export / import
-
-def _node_sort_value(value) -> float:
-    return -1.0 if value is None else float(value)
-
 
 def export_graph(g: SINGraph, fmt: str, path, provenance: str = "") -> Path:
     """Write a network to ``path`` as 'dot' or 'graph-json'. Returns the path."""
@@ -271,17 +260,9 @@ def write_matrix_csv(path, nodes, values, provenance: str = "") -> Path:
 
 
 def read_matrix_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
-    rows = [
-        line for line in Path(path).read_text().splitlines()
-        if line and not line.startswith("#")
-    ]
-    if not rows:
-        raise ConfigurationError(f"{path}: empty table")
-    nodes = tuple(rows[0].split(",")[1:])
-    values = np.array(
-        [[float(v) for v in row.split(",")[1:]] for row in rows[1:]], dtype=float
-    )
-    return nodes, values
+    header, rows = _read_rows(path)
+    values = np.array([[float(v) for v in row[1:]] for row in rows], dtype=float)
+    return tuple(header[1:]), values
 
 
 def write_table_csv(path, header: list[str], rows: list[list], provenance: str = "") -> Path:

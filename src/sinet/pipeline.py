@@ -5,10 +5,10 @@ Per-asset calibration failures are isolated and reported; the run aborts
 only when fewer than two assets survive or the configuration itself is
 invalid. All outputs are deterministic for a fixed configuration.
 
-Per-asset calibrations and per-pair entropies are independent work units
-(nothing is shared between them), so they could be dispatched concurrently;
-the implementation runs them in configuration order and writes each output
-file once, which keeps reruns byte-identical.
+Per-asset calibrations (:func:`calibrate_asset`) and per-pair entropies are
+independent work units (nothing is shared between them), so they could be
+dispatched concurrently; the implementation runs them in configuration
+order and writes each output file once, which keeps reruns byte-identical.
 """
 from __future__ import annotations
 
@@ -27,6 +27,10 @@ from .entropy import sii_matrix
 from .errors import ConfigurationError, SinetError
 from .hmm import (
     EMConfig,
+    EMTrace,
+    FilterOutput,
+    ModelParams,
+    SmootherOutput,
     bubble_time_fraction,
     em_fit,
     geometric_average_filter,
@@ -50,6 +54,52 @@ class AssetSpec:
     path: Path
     group: str
     subsector: Optional[str] = None
+
+
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() in ("true", "yes", "1", "on"):
+        return True
+    if raw.lower() in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+def _format_bool(value: bool) -> str:
+    return str(value).lower()
+
+
+# Flat config key -> (field, parser, formatter), in echo order. A field under
+# ``em.`` belongs to the EMConfig; a trailing ``.0``/``.1`` indexes a pair.
+# Absent keys take the dataclass defaults.
+_CONFIG_KEYS = (
+    ("analysis_start", "analysis_start", str, str),
+    ("analysis_end", "analysis_end", str, str),
+    ("loss_start", "loss_start", str, str),
+    ("loss_end", "loss_end", str, str),
+    ("average", "average", _parse_bool, _format_bool),
+    ("average_window", "em.average_window", int, str),
+    ("em_tol", "em.tol", float, repr),
+    ("em_max_iterations", "em.max_iterations", int, str),
+    ("n_min", "em.n_search.0", float, repr),
+    ("n_max", "em.n_search.1", float, repr),
+    ("kappa", "em.kappa", float, repr),
+    ("q00_init", "em.q00_init", float, repr),
+    ("q11_init", "em.q11_init", float, repr),
+    ("te_bins", "te_bins", int, str),
+    ("te_base", "te_base", float, repr),
+    ("te_bubble_only", "te_bubble_only", _parse_bool, _format_bool),
+    ("te_bubble_level", "te_bubble_level", float, repr),
+    ("nsii_threshold", "nsii_threshold", float, repr),
+    ("probability_source", "probability_source", str, str),
+    ("regressions", "regressions", str, str),
+    ("correlations", "correlation_specs", str, str),
+)
+
+
+def _field_value(obj, field_path: str):
+    for part in field_path.split("."):
+        obj = obj[int(part)] if part.isdigit() else getattr(obj, part)
+    return obj
 
 
 @dataclass
@@ -77,7 +127,6 @@ class PipelineConfig:
     probability_source: str = "filtering"
     regressions: str = DEFAULT_REGRESSIONS
     correlation_specs: str = DEFAULT_CORRELATIONS
-    seed: int = 42
 
     def validate(self) -> None:
         if len(self.assets) < 2:
@@ -123,28 +172,8 @@ class PipelineConfig:
                 kv[f"asset.{a.asset_id}.subsector"] = a.subsector
         for logical, actual in sorted(self.column_map.items()):
             kv[f"column.{logical}"] = actual
-        kv["analysis_start"] = str(self.analysis_start)
-        kv["analysis_end"] = str(self.analysis_end)
-        kv["loss_start"] = str(self.loss_start)
-        kv["loss_end"] = str(self.loss_end)
-        kv["average"] = str(self.average).lower()
-        kv["average_window"] = str(self.em.average_window)
-        kv["em_tol"] = repr(self.em.tol)
-        kv["em_max_iterations"] = str(self.em.max_iterations)
-        kv["n_min"] = repr(self.em.n_search[0])
-        kv["n_max"] = repr(self.em.n_search[1])
-        kv["kappa"] = repr(self.em.kappa)
-        kv["q00_init"] = repr(self.em.q00_init)
-        kv["q11_init"] = repr(self.em.q11_init)
-        kv["te_bins"] = str(self.te_bins)
-        kv["te_base"] = repr(self.te_base)
-        kv["te_bubble_only"] = str(self.te_bubble_only).lower()
-        kv["te_bubble_level"] = repr(self.te_bubble_level)
-        kv["nsii_threshold"] = repr(self.nsii_threshold)
-        kv["probability_source"] = self.probability_source
-        kv["regressions"] = self.regressions
-        kv["correlations"] = self.correlation_specs
-        kv["seed"] = str(self.seed)
+        for key, field_path, _, fmt in _CONFIG_KEYS:
+            kv[key] = fmt(_field_value(self, field_path))
         kv["output_dir"] = str(self.output_dir)
         return kv
 
@@ -168,74 +197,61 @@ class PipelineConfig:
 
     @classmethod
     def from_key_values(cls, kv: dict[str, str], base: Path) -> "PipelineConfig":
-        def get(key, default=None):
-            return kv.get(key, default)
-
-        def get_bool(key, default):
-            raw = kv.get(key)
-            if raw is None:
-                return default
-            if raw.lower() in ("true", "yes", "1", "on"):
-                return True
-            if raw.lower() in ("false", "no", "0", "off"):
-                return False
-            raise ConfigurationError(f"{key}: expected a boolean, got {raw!r}")
-
-        data_dir = Path(get("data_dir", "."))
-        if not data_dir.is_absolute():
-            data_dir = base / data_dir
-        names = [n.strip() for n in get("assets", "").split(",") if n.strip()]
+        names = [n.strip() for n in kv.get("assets", "").split(",") if n.strip()]
         if not names:
             raise ConfigurationError("config must list assets")
+        known = {key for key, *_ in _CONFIG_KEYS} | {"data_dir", "assets", "output_dir"}
+        known |= {f"asset.{n}.{a}" for n in names for a in ("path", "group", "subsector")}
+        known |= {f"column.{logical}" for logical in sio.DEFAULT_COLUMNS}
+        unknown = [key for key in kv if key not in known]
+        if unknown:
+            raise ConfigurationError(
+                "unknown config key(s): " + ", ".join(map(repr, unknown))
+            )
+
+        data_dir = Path(kv.get("data_dir", "."))
+        if not data_dir.is_absolute():
+            data_dir = base / data_dir
         assets = []
         for name in names:
-            rel = get(f"asset.{name}.path", f"{name}.csv")
-            path = Path(rel)
+            path = Path(kv.get(f"asset.{name}.path", f"{name}.csv"))
             if not path.is_absolute():
                 path = data_dir / path
-            group = get(f"asset.{name}.group")
+            group = kv.get(f"asset.{name}.group")
             if group is None:
                 raise ConfigurationError(f"asset.{name}.group is required")
             assets.append(
-                AssetSpec(name, path, group.strip(), get(f"asset.{name}.subsector"))
+                AssetSpec(name, path, group.strip(), kv.get(f"asset.{name}.subsector"))
             )
-
-        column_map = {}
-        for logical in ("date", "price", "market_cap"):
-            if f"column.{logical}" in kv:
-                column_map[logical] = kv[f"column.{logical}"]
-
-        em = EMConfig(
-            average_window=int(get("average_window", "100")),
-            tol=float(get("em_tol", "1e-4")),
-            max_iterations=int(get("em_max_iterations", "500")),
-            n_search=(float(get("n_min", "1e-4")), float(get("n_max", "10.0"))),
-            kappa=float(get("kappa", "0.6")),
-            q00_init=float(get("q00_init", "0.95")),
-            q11_init=float(get("q11_init", "0.95")),
-        )
-        out_dir = Path(get("output_dir", "sinet-out"))
+        column_map = {
+            logical: kv[f"column.{logical}"]
+            for logical in sio.DEFAULT_COLUMNS if f"column.{logical}" in kv
+        }
+        out_dir = Path(kv.get("output_dir", cls.output_dir))
         if not out_dir.is_absolute():
             out_dir = base / out_dir
+
+        fields: dict = {}
+        em_fields: dict = {}
+        for key, field_path, parse, _ in _CONFIG_KEYS:
+            if key not in kv:
+                continue
+            try:
+                value = parse(kv[key])
+            except ValueError as err:
+                raise ConfigurationError(f"{key}: {err}") from None
+            if not field_path.startswith("em."):
+                fields[field_path] = value
+                continue
+            name, _, index = field_path[3:].partition(".")
+            if index:  # one end of a pair; the other keeps its value or default
+                pair = list(em_fields.get(name, getattr(EMConfig, name)))
+                pair[int(index)] = value
+                value = tuple(pair)
+            em_fields[name] = value
         return cls(
-            assets=assets,
-            output_dir=out_dir,
-            column_map=column_map,
-            analysis_start=get("analysis_start"),
-            analysis_end=get("analysis_end"),
-            loss_start=get("loss_start"),
-            loss_end=get("loss_end"),
-            average=get_bool("average", True),
-            em=em,
-            te_bins=int(get("te_bins", "10")),
-            te_base=float(get("te_base", "10.0")),
-            te_bubble_only=get_bool("te_bubble_only", False),
-            te_bubble_level=float(get("te_bubble_level", "0.5")),
-            nsii_threshold=float(get("nsii_threshold", "0.3")),
-            probability_source=get("probability_source", "filtering"),
-            regressions=get("regressions", DEFAULT_REGRESSIONS),
-            correlation_specs=get("correlations", DEFAULT_CORRELATIONS),
-            seed=int(get("seed", "42")),
+            assets=assets, output_dir=out_dir, column_map=column_map,
+            em=EMConfig(**em_fields), **fields,
         )
 
 
@@ -288,6 +304,91 @@ def _combo_values(spec: str, table, nodes) -> np.ndarray:
     return values
 
 
+@dataclass(frozen=True)
+class AssetFit:
+    """One asset's calibration: its price table and the EM fit on its
+    (pre-averaged, windowed) log prices."""
+
+    asset_id: str
+    table: dict
+    params: ModelParams
+    trace: EMTrace
+    filt: FilterOutput
+    smth: SmootherOutput
+
+    def summary(self) -> dict:
+        """Fitted parameters and bubble-time statistics, as written to
+        ``params_<id>.json`` and ``run_report.json``."""
+        r, q = self.params.regime, self.params.q
+        hfp, lfp = threshold_fractions(self.filt.filtering)
+        return {
+            "mu0": r.mu0, "sigma0": r.sigma0, "mu1": r.mu1, "sigma1": r.sigma1,
+            "n": r.n, "kappa": r.kappa,
+            "q": [[q[0, 0], q[0, 1]], [q[1, 0], q[1, 1]]],
+            "loglik": self.trace.logliks[-1],
+            "iterations": self.trace.iterations,
+            "converged": self.trace.converged,
+            "stalled": self.trace.stalled,
+            "bubble_fraction_filtering": bubble_time_fraction(self.filt.filtering),
+            "bubble_fraction_smoothing": bubble_time_fraction(self.smth.smoothing),
+            "high_filter_pct": hfp,
+            "low_filter_pct": lfp,
+        }
+
+
+def calibrate_asset(asset_id: str, path, column_map: dict, em: EMConfig,
+                    average: bool = True, start: Optional[str] = None,
+                    end: Optional[str] = None) -> AssetFit:
+    """Read one price CSV, optionally pre-average it, restrict it to the
+    analysis window [start, end] and fit the regime model by EM."""
+    table = sio.read_price_table(path, column_map)
+    series = LogPriceSeries(asset_id, table["dates"], np.log(table["prices"]))
+    if average:
+        series = geometric_average_filter(series, em.average_window)
+    series = series.window(start, end)
+    params, trace, filt, smth = em_fit(series, em)
+    return AssetFit(asset_id, table, params, trace, filt, smth)
+
+
+def write_asset_fit(out: Path, fit: AssetFit, provenance: str) -> list[Path]:
+    """Write ``probabilities_<id>.csv`` and ``params_<id>.json``."""
+    probs = sio.write_probabilities_csv(
+        out / f"probabilities_{fit.asset_id}.csv",
+        fit.filt.filtering, fit.smth.smoothing, provenance,
+    )
+    params = out / f"params_{fit.asset_id}.json"
+    params.write_text(
+        json.dumps({"provenance": provenance, **fit.summary()}, indent=2) + "\n"
+    )
+    return [probs, params]
+
+
+def write_indicators(path: Path, table, provenance: str = "") -> Path:
+    """Write an indicator table as ``node`` plus one column per indicator."""
+    rows = [
+        [node] + [float(table.value(node, name)) for name in ALL_INDICATORS]
+        for node in table.nodes
+    ]
+    return sio.write_table_csv(path, ["node", *ALL_INDICATORS], rows, provenance)
+
+
+def write_network(out: Path, graph, provenance: str = "") -> list[Path]:
+    """Write the network as ``sin.dot`` and ``sin.json``."""
+    return [
+        sio.export_graph(graph, fmt, out / name, provenance)
+        for fmt, name in (("dot", "sin.dot"), ("graph-json", "sin.json"))
+    ]
+
+
+def write_regressions(out: Path, doc: dict, text: str) -> list[Path]:
+    """Write the output of :func:`loss_analytics` as ``regressions.json``
+    and ``regressions.txt``."""
+    json_path, text_path = out / "regressions.json", out / "regressions.txt"
+    json_path.write_text(json.dumps(doc, indent=2) + "\n")
+    text_path.write_text(text)
+    return [json_path, text_path]
+
+
 def run_pipeline(config: PipelineConfig) -> RunReport:
     """Run the full pipeline and write every intermediate artifact.
 
@@ -313,52 +414,25 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
     loss_notes: list[str] = []
     for spec in config.assets:
         try:
-            table = sio.read_price_table(spec.path, config.column_map)
-            series = LogPriceSeries(
-                spec.asset_id, table["dates"], np.log(table["prices"])
+            fit = calibrate_asset(
+                spec.asset_id, spec.path, config.column_map, config.em,
+                config.average, config.analysis_start, config.analysis_end,
             )
-            if config.average:
-                series = geometric_average_filter(series, config.em.average_window)
-            series = series.window(config.analysis_start, config.analysis_end)
-            params, trace, filt, smth = em_fit(series, config.em)
-
-            path = out / f"probabilities_{spec.asset_id}.csv"
-            sio.write_probabilities_csv(path, filt.filtering, smth.smoothing, provenance)
-            report.artifacts.append(path.name)
-
-            r = params.regime
-            hfp, lfp = threshold_fractions(filt.filtering)
-            summary = {
-                "mu0": r.mu0, "sigma0": r.sigma0, "mu1": r.mu1, "sigma1": r.sigma1,
-                "n": r.n, "kappa": r.kappa,
-                "q": [[params.q[0, 0], params.q[0, 1]], [params.q[1, 0], params.q[1, 1]]],
-                "loglik": trace.logliks[-1],
-                "iterations": trace.iterations,
-                "converged": trace.converged,
-                "stalled": trace.stalled,
-                "bubble_fraction_filtering": bubble_time_fraction(filt.filtering),
-                "bubble_fraction_smoothing": bubble_time_fraction(smth.smoothing),
-                "high_filter_pct": hfp,
-                "low_filter_pct": lfp,
-            }
-            ppath = out / f"params_{spec.asset_id}.json"
-            ppath.write_text(
-                json.dumps({"provenance": provenance, **summary}, indent=2) + "\n"
-            )
-            report.artifacts.append(ppath.name)
-            report.summary[spec.asset_id] = summary
-
+            report.artifacts += [p.name for p in write_asset_fit(out, fit, provenance)]
+            report.summary[spec.asset_id] = fit.summary()
             probs[spec.asset_id] = (
-                filt.filtering if config.probability_source == "filtering" else smth.smoothing
+                fit.filt.filtering if config.probability_source == "filtering"
+                else fit.smth.smoothing
             )
 
             if config.loss_start is not None or config.loss_end is not None:
-                mask = np.ones(len(table["dates"]), dtype=bool)
+                dates = fit.table["dates"]
+                mask = np.ones(len(dates), dtype=bool)
                 if config.loss_start is not None:
-                    mask &= table["dates"] >= np.datetime64(config.loss_start, "D")
+                    mask &= dates >= np.datetime64(config.loss_start, "D")
                 if config.loss_end is not None:
-                    mask &= table["dates"] <= np.datetime64(config.loss_end, "D")
-                values = table.get("caps", table["prices"])[mask]
+                    mask &= dates <= np.datetime64(config.loss_end, "D")
+                values = fit.table.get("caps", fit.table["prices"])[mask]
                 if len(values) >= 2:
                     losses[spec.asset_id] = max_loss(values)
                 else:
@@ -390,22 +464,13 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
          if s.asset_id in probs and s.subsector},
     )
     table = compute_indicators(matrix, groups)
-    rows = [
-        [node] + [float(table.value(node, name)) for name in ALL_INDICATORS]
-        for node in matrix.nodes
-    ]
-    path = sio.write_table_csv(
-        out / "indicators.csv", ["node", *ALL_INDICATORS], rows, provenance
-    )
-    report.artifacts.append(path.name)
+    report.artifacts.append(write_indicators(out / "indicators.csv", table, provenance).name)
 
     graph_losses = losses if set(losses) >= set(matrix.nodes) else None
     if losses and graph_losses is None:
         loss_notes.append("losses incomplete; node colors omitted")
     graph = build_sin(matrix, groups, config.nsii_threshold, graph_losses)
-    for fmt, name in (("dot", "sin.dot"), ("graph-json", "sin.json")):
-        path = sio.export_graph(graph, fmt, out / name, provenance)
-        report.artifacts.append(path.name)
+    report.artifacts += [p.name for p in write_network(out, graph, provenance)]
 
     if losses:
         rows = [[node, losses[node]] for node in matrix.nodes if node in losses]
@@ -415,9 +480,7 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
             table, matrix.nodes, groups, losses,
             config.regressions, config.correlation_specs, provenance,
         )
-        (out / "regressions.json").write_text(json.dumps(doc, indent=2) + "\n")
-        (out / "regressions.txt").write_text(text)
-        report.artifacts.extend(["regressions.json", "regressions.txt"])
+        report.artifacts += [p.name for p in write_regressions(out, doc, text)]
     else:
         report.skipped.append("loss analytics (no loss window or no loss data)")
 

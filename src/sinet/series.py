@@ -46,13 +46,6 @@ class LogPriceSeries:
     def __len__(self) -> int:
         return len(self.log_prices)
 
-    @classmethod
-    def from_prices(cls, asset_id, timestamps, prices) -> "LogPriceSeries":
-        prices = np.asarray(prices, dtype=float)
-        if np.any(prices <= 0):
-            raise ValueError("prices must be strictly positive")
-        return cls(asset_id, timestamps, np.log(prices))
-
     def window(self, start=None, end=None) -> "LogPriceSeries":
         """Restrict to timestamps in [start, end] (inclusive, either side optional)."""
         mask = np.ones(len(self), dtype=bool)
@@ -80,7 +73,7 @@ class ProbabilitySeries:
         v = np.asarray(self.values, dtype=float)
         if len(ts) != len(v):
             raise ValueError("timestamps and values must have equal length")
-        if len(v) and (v.min() < 0.0 or v.max() > 1.0):
+        if not ((v >= 0.0) & (v <= 1.0)).all():  # NaN fails both comparisons
             raise ValueError("probability values must lie in [0, 1]")
         ts.setflags(write=False)
         v.setflags(write=False)
@@ -89,11 +82,3 @@ class ProbabilitySeries:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def window(self, start=None, end=None) -> "ProbabilitySeries":
-        mask = np.ones(len(self), dtype=bool)
-        if start is not None:
-            mask &= self.timestamps >= np.datetime64(start, "D")
-        if end is not None:
-            mask &= self.timestamps <= np.datetime64(end, "D")
-        return ProbabilitySeries(self.timestamps[mask], self.values[mask], self.label)

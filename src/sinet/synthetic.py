@@ -113,6 +113,7 @@ def write_corpus(directory, seed: int = 42) -> list[Path]:
 
     config_lines = [
         "# synthetic five-asset corpus: run `sinet run` with this file",
+        f"# written by sinet.synthetic.write_corpus at seed {seed}",
         "data_dir = .",
         "assets = " + ", ".join(a[0] for a in ASSETS),
     ]
@@ -133,7 +134,6 @@ def write_corpus(directory, seed: int = 42) -> list[Path]:
         "average_window = 100",
         "kappa = 2.0",
         "nsii_threshold = 0.02",
-        f"seed = {seed}",
         "output_dir = sinet-out",
     ]
     config_path = directory / "corpus.cfg"

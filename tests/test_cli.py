@@ -43,6 +43,16 @@ class TestRun:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    def test_unknown_config_key_exits_one(self, corpus_dir, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        text = (corpus_dir / "corpus.cfg").read_text()
+        cfg.write_text(text.replace("data_dir = .", f"data_dir = {corpus_dir}")
+                       + "em_tolerance = 1e-9\n")
+        rc = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+        assert "'em_tolerance'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_file_exits_one(self, tmp_path):
         rc = main(["run", "--config", str(tmp_path / "none.cfg")])
         assert rc == 1
@@ -109,6 +119,24 @@ class TestStageCommands:
         assert rc == 0
         doc = json.loads((tmp_path / "params_ENE.json").read_text())
         assert 0 < doc["bubble_fraction_filtering"] < 100
+
+    def test_calibrate_writes_what_run_writes(self, corpus_dir, run_dir, tmp_path):
+        rc = main([
+            "calibrate", "--input", str(corpus_dir / "ENE.csv"), "--no-average",
+            "--kappa", "2.0", "--start", "2006-01-02", "--end", "2007-12-31",
+            "--out-dir", str(tmp_path),
+        ])
+        assert rc == 0
+
+        def body(path):
+            return [line for line in path.read_text().splitlines() if not line.startswith("#")]
+
+        name = "probabilities_ENE.csv"
+        assert body(tmp_path / name) == body(run_dir / name)
+        ours = json.loads((tmp_path / "params_ENE.json").read_text())
+        theirs = json.loads((run_dir / "params_ENE.json").read_text())
+        assert ours.pop("provenance") != theirs.pop("provenance")
+        assert ours == theirs
 
 
 class TestExport:

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import oracles
+import sinet.entropy as entropy_module
 from sinet import (
     BinnedSeries,
     SIIMatrix,
@@ -11,7 +14,6 @@ from sinet import (
     sii_matrix,
     transfer_entropy,
 )
-from sinet.entropy import joint_histogram
 
 
 def binned(seq, bins=10):
@@ -36,29 +38,6 @@ class TestDiscretize:
     def test_bin_count_validation(self, make_probs):
         with pytest.raises(ValueError):
             discretize(make_probs([0.5]), bin_count=1)
-
-
-class TestJointHistogram:
-    def test_marginalisation_identities_exact(self):
-        rng = np.random.default_rng(3)
-        u = binned(rng.integers(0, 10, 200))
-        v = binned(rng.integers(0, 10, 200))
-        h = joint_histogram(u, v)
-        np.testing.assert_array_equal(h.triple.sum(axis=2) / h.sample_size, h.freq_target_pair)
-        np.testing.assert_array_equal(h.triple.sum(axis=0) / h.sample_size, h.freq_lagged_pair)
-        np.testing.assert_array_equal(
-            h.triple.sum(axis=(0, 2)) / h.sample_size, h.freq_lagged_single
-        )
-        assert h.freq_triple.sum() == pytest.approx(1.0, abs=1e-12)
-        assert h.sample_size == 199
-
-    def test_length_and_alignment_validation(self):
-        with pytest.raises(ValueError):
-            joint_histogram(binned([1, 2]), binned([1, 2]))
-        with pytest.raises(ValueError):
-            joint_histogram(binned([1, 2, 3]), binned([1, 2]))
-        with pytest.raises(ValueError):
-            joint_histogram(binned([1, 2, 3], bins=10), binned([1, 2, 3], bins=5))
 
 
 class TestTransferEntropy:
@@ -180,6 +159,18 @@ class TestSiiMatrix:
         }
         m = sii_matrix(assets)
         np.testing.assert_array_equal(m.values, 0.0)
+
+    def test_nan_series_never_reaches_binning(self, make_probs, monkeypatch):
+        calls = []
+        monkeypatch.setattr(entropy_module, "discretize", lambda *args: calls.append(args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warns when it casts NaN to int
+            with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+                sii_matrix({
+                    "a": make_probs([0.1, 0.2, 0.3, 0.4, 0.5]),
+                    "b": make_probs([0.1, np.nan, 0.3, 0.4, 0.5]),
+                })
+        assert calls == []
 
     def test_entries_match_standalone_sii(self, make_probs):
         rng = np.random.default_rng(23)

@@ -24,8 +24,7 @@ from sinet import (
     threshold_fractions,
 )
 from sinet.hmm import FilterOutput, SmootherOutput
-from sinet.io import read_price_table
-from sinet.pipeline import PipelineConfig
+from sinet.pipeline import PipelineConfig, calibrate_asset
 from sinet.synthetic import bundled_corpus_config
 import sinet.hmm as hmm_module
 
@@ -406,10 +405,10 @@ class TestEmFit:
         # update raises the likelihood
         config = PipelineConfig.from_file(bundled_corpus_config())
         spec = next(a for a in config.assets if a.asset_id == "SEC")
-        table = read_price_table(spec.path, config.column_map)
-        series = LogPriceSeries("SEC", table["dates"], np.log(table["prices"]))
-        series = series.window(config.analysis_start, config.analysis_end)
-        _, trace, _, _ = em_fit(series, config.em)
+        trace = calibrate_asset(
+            "SEC", spec.path, config.column_map, config.em, config.average,
+            config.analysis_start, config.analysis_end,
+        ).trace
         assert trace.stalled
         assert not trace.converged
         trace.validate_monotone(1e-9)

@@ -13,18 +13,21 @@ def write(path, text):
 class TestLoadPriceCsv:
     def test_two_row_file(self, tmp_path):
         p = write(tmp_path / "a.csv", "date,price\n2006-01-02,10.0\n2006-01-03,10.5\n")
-        series = sio.load_price_csv(p)
-        assert len(series) == 2
-        assert series.asset_id == "a"
-        np.testing.assert_allclose(series.log_prices, np.log([10.0, 10.5]))
+        table = sio.read_price_table(p)
+        np.testing.assert_array_equal(
+            table["dates"], np.array(["2006-01-02", "2006-01-03"], dtype="datetime64[D]")
+        )
+        np.testing.assert_array_equal(table["prices"], [10.0, 10.5])
+        assert "caps" not in table
 
     def test_unsorted_rows_get_sorted(self, tmp_path):
         p = write(
             tmp_path / "a.csv",
             "date,price\n2006-01-04,3.0\n2006-01-02,1.0\n2006-01-03,2.0\n",
         )
-        series = sio.load_price_csv(p)
-        np.testing.assert_allclose(np.exp(series.log_prices), [1.0, 2.0, 3.0])
+        table = sio.read_price_table(p)
+        np.testing.assert_array_equal(table["prices"], [1.0, 2.0, 3.0])
+        assert np.all(np.diff(table["dates"]) > np.timedelta64(0, "D"))
 
     def test_zero_price_names_line(self, tmp_path):
         p = write(
@@ -32,24 +35,24 @@ class TestLoadPriceCsv:
             "date,price\n2006-01-02,1.0\n2006-01-03,1.1\n2006-01-04,1.2\n2006-01-05,0\n",
         )
         with pytest.raises(ValueError, match="line 5"):
-            sio.load_price_csv(p)
+            sio.read_price_table(p)
 
     def test_unparseable_date_names_line(self, tmp_path):
         p = write(tmp_path / "a.csv", "date,price\n2006-01-02,1.0\nnot-a-date,1.1\n")
         with pytest.raises(ValueError, match="line 3"):
-            sio.load_price_csv(p)
+            sio.read_price_table(p)
 
     def test_missing_date_column_names_it(self, tmp_path):
         p = write(tmp_path / "a.csv", "day,price\n2006-01-02,1.0\n")
         with pytest.raises(ConfigurationError, match="'date'"):
-            sio.load_price_csv(p)
+            sio.read_price_table(p)
 
     def test_duplicate_date_rejected(self, tmp_path):
         p = write(
             tmp_path / "a.csv", "date,price\n2006-01-02,1.0\n2006-01-02,1.1\n"
         )
         with pytest.raises(ValueError, match="duplicate date"):
-            sio.load_price_csv(p)
+            sio.read_price_table(p)
 
     def test_column_map_and_caps(self, tmp_path):
         p = write(
@@ -63,7 +66,7 @@ class TestLoadPriceCsv:
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            sio.load_price_csv(tmp_path / "absent.csv")
+            sio.read_price_table(tmp_path / "absent.csv")
 
 
 class TestKeyValues:
@@ -155,6 +158,12 @@ class TestTableRoundTrips:
         path = write(tmp_path / "p.csv", "# provenance\ndate,filtering,smoothing\n"
                      f"2006-01-02,0.5,0.5\n\n{cell},0.5,0.5\n")
         with pytest.raises(ConfigurationError, match=r"p\.csv: missing date on line 5"):
+            sio.read_probabilities_csv(path)
+
+    def test_probabilities_csv_nan_rejected(self, tmp_path):
+        path = write(tmp_path / "p.csv", "date,filtering,smoothing\n"
+                     "2006-01-02,0.5,0.5\n2006-01-03,nan,0.5\n")
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
             sio.read_probabilities_csv(path)
 
     def test_matrix_csv(self, tmp_path):

@@ -1,5 +1,6 @@
 import json
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,51 @@ class TestConfigParsing:
         )
         with pytest.raises(ConfigurationError, match="group"):
             PipelineConfig.from_file(tmp_path / "bad.cfg")
+
+    @pytest.mark.parametrize("line", [
+        "em_tolerance = 1e-9", "kapa = 2", "seed = 42",
+        "asset.XYZ.path = XYZ.csv", "column.volume = vol",
+    ])
+    def test_unknown_key_rejected(self, tmp_path, corpus_dir, line):
+        (tmp_path / "typo.cfg").write_text(
+            f"data_dir = {corpus_dir}\nassets = ENE, MAT\n"
+            "asset.ENE.group = industrial\nasset.MAT.group = financial\n"
+            f"{line}\n"
+        )
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigurationError, match=f"unknown config key.*'{key}'"):
+            PipelineConfig.from_file(tmp_path / "typo.cfg")
+
+    @pytest.mark.parametrize("line, message", [
+        ("te_bins = ten", "te_bins: invalid literal for int"),
+        ("average = maybe", "average: expected a boolean, got 'maybe'"),
+    ])
+    def test_unparseable_value_names_key(self, tmp_path, corpus_dir, line, message):
+        (tmp_path / "bad.cfg").write_text(
+            f"data_dir = {corpus_dir}\nassets = ENE, MAT\n"
+            "asset.ENE.group = industrial\nasset.MAT.group = financial\n"
+            f"{line}\n"
+        )
+        with pytest.raises(ConfigurationError, match=f"^{message}"):
+            PipelineConfig.from_file(tmp_path / "bad.cfg")
+
+    def test_key_values_round_trip(self, tmp_path, corpus_dir):
+        config = corpus_config(corpus_dir, tmp_path / "out")
+        config.em = replace(config.em, n_search=(0.25, 4.0), tol=1e-7)
+        config.te_bubble_only = True
+        config.column_map = {"price": "close"}
+        kv = config.key_values()
+        assert "seed" not in kv
+        assert PipelineConfig.from_key_values(kv, tmp_path).key_values() == kv
+
+    def test_bundled_corpus_matches_its_generator(self, tmp_path):
+        bundled = bundled_corpus_config().parent
+        written = write_corpus(tmp_path, seed=42)
+        assert sorted(p.name for p in written) == sorted(
+            p.name for p in bundled.iterdir() if p.suffix in (".csv", ".cfg")
+        )
+        for path in written:
+            assert path.read_bytes() == (bundled / path.name).read_bytes(), path.name
 
     def test_hash_changes_with_content(self, corpus_dir, tmp_path):
         a = corpus_config(corpus_dir, tmp_path / "a")

@@ -17,7 +17,6 @@ from sinet import (
     sii_matrix,
     transfer_entropy,
 )
-from sinet.entropy import joint_histogram
 
 PARITY = settings(max_examples=200, deadline=None, database=None)
 LEVELS = [0.0, 0.5, 0.9, 1.0]
@@ -188,16 +187,20 @@ def binned(seq, bins=10):
     return BinnedSeries(np.asarray(seq, dtype=np.int64), bins)
 
 
-@pytest.mark.parametrize("u, v, mask", [
-    (binned([1, 2, 3]), binned([1, 2]), None),
-    (binned([1, 2]), binned([1, 2]), None),
-    (binned([1, 2, 3], bins=10), binned([1, 2, 3], bins=5), None),
-    (binned([1, 2, 3, 4]), binned([1, 2, 3, 4]), [True, False]),
-    (binned([1, 2, 3, 4]), binned([1, 2, 3, 4]), [True, False, False]),
-])
-def test_transfer_entropy_validates_like_joint_histogram(u, v, mask):
-    with pytest.raises(ValueError) as hist_err:
-        joint_histogram(u, v, mask)
-    with pytest.raises(ValueError) as te_err:
+@pytest.mark.parametrize("u, v, mask, message", [
+    (binned([1, 2, 3]), binned([1, 2]), None, "series lengths differ: 3 vs 2"),
+    (binned([1, 2]), binned([1, 2]), None,
+     "need at least 3 observations to form lagged triples"),
+    (binned([1, 2, 3], bins=10), binned([1, 2, 3], bins=5), None,
+     "series must share the same bin count"),
+    (binned([1, 2, 3, 4]), binned([1, 2, 3, 4]), [True, False],
+     "mask must align with the lagged triples"),
+    (binned([1, 2, 3, 4]), binned([1, 2, 3, 4]), [True, False, False],
+     "mask keeps fewer than 2 triples"),
+], ids=["u0-v0-None", "u1-v1-None", "u2-v2-None", "u3-v3-mask3", "u4-v4-mask4"])
+def test_transfer_entropy_validates_like_joint_histogram(u, v, mask, message):
+    """transfer_entropy rejects a pair it cannot form the joint histogram of
+    the lagged triples from, with these exact messages."""
+    with pytest.raises(ValueError) as err:
         transfer_entropy(u, v, mask=mask)
-    assert str(te_err.value) == str(hist_err.value)
+    assert str(err.value) == message
