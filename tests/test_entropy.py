@@ -40,6 +40,19 @@ class TestDiscretize:
             discretize(make_probs([0.5]), bin_count=1)
 
 
+class TestJointHistogram:
+    """transfer_entropy refuses a pair it cannot form the joint histogram of
+    lagged triples from."""
+
+    def test_length_and_alignment_validation(self):
+        with pytest.raises(ValueError):
+            transfer_entropy(binned([1, 2]), binned([1, 2]))
+        with pytest.raises(ValueError):
+            transfer_entropy(binned([1, 2, 3]), binned([1, 2]))
+        with pytest.raises(ValueError):
+            transfer_entropy(binned([1, 2, 3], bins=10), binned([1, 2, 3], bins=5))
+
+
 class TestTransferEntropy:
     def test_constant_target_is_zero(self):
         rng = np.random.default_rng(0)
