@@ -57,14 +57,14 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("te", help="transfer entropy between two probability CSVs")
     p.add_argument("--source", type=Path, required=True)
     p.add_argument("--target", type=Path, required=True)
-    p.add_argument("--column", default="filtering")
-    p.add_argument("--bins", type=int, default=10)
-    p.add_argument("--base", type=float, default=10.0)
+    p.add_argument("--column", default=pipeline.PipelineConfig.probability_source)
+    p.add_argument("--bins", type=int, default=pipeline.PipelineConfig.te_bins)
+    p.add_argument("--base", type=float, default=pipeline.PipelineConfig.te_base)
 
     p = sub.add_parser("network", help="build the influence network from a matrix")
     p.add_argument("--matrix", type=Path, required=True)
     p.add_argument("--groups", type=Path, required=True)
-    p.add_argument("--threshold", type=float, default=0.3)
+    p.add_argument("--threshold", type=float, default=pipeline.PipelineConfig.nsii_threshold)
     p.add_argument("--losses", type=Path, default=None)
     p.add_argument("--out-dir", type=Path, default=Path("."))
 

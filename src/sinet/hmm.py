@@ -4,8 +4,10 @@ A hidden chain s_t in {0 (normal), 1 (bubble)} drives the emission density of
 each log-price step: geometric Brownian motion while (0,0), the nonlinear
 bubble transition while (1,1), and flat bounded switch densities on (0,1) and
 (1,0). Calibration alternates a Hamilton forward filter, a Kim backward
-smoother and closed-form posterior-weighted parameter updates, with the
-feedback exponent n re-solved from its first-order condition each iteration.
+smoother and closed-form posterior-weighted parameter updates, followed by
+a conditional-maximisation step for the feedback exponent n: a golden-section
+search of the bubble block of the E-step objective at the updated mu1 and
+sigma1, which keeps the current n unless it finds a higher value.
 """
 from __future__ import annotations
 
@@ -29,10 +31,6 @@ from .series import LogPriceSeries, ProbabilitySeries
 # normalises over the four state pairs, so a dead switch indicator cannot
 # zero out the normaliser.
 DENSITY_FLOOR = 1e-300
-
-# Largest (grid points x T) block evaluated at once in the feedback-exponent
-# grid scan; it bounds the scan's temporaries at a few hundred kilobytes.
-FEEDBACK_GRID_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -427,52 +425,6 @@ def _bubble_block_objective(
     return float(np.dot(w11[live], np.asarray(logf)[live]))
 
 
-def _feedback_equation(
-    y: np.ndarray, w11: np.ndarray, mu1: float, sigma1: float, n: float
-) -> float:
-    """First-order condition for n (with the sigma1 condition substituted)."""
-    return float(_feedback_grid(y, w11, mu1, sigma1, np.array([n], dtype=float))[0])
-
-
-def _feedback_grid(
-    y: np.ndarray, w11: np.ndarray, mu1: float, sigma1: float, grid: np.ndarray
-) -> np.ndarray:
-    """:func:`_feedback_equation` at every point of ``grid``.
-
-    Per point n, with u = p^{-n}, the condition is the w11-weighted sum of
-
-        -(du + n*mu1) * (u_prev*y_prev - u_t*y_t + mu1) / (n**2 * sigma1**2)
-        + 1/n - y_t.
-
-    Grid points are evaluated in blocks of at most ``FEEDBACK_GRID_BLOCK``
-    elements. Every value is bitwise independent of the blocking: the
-    elementwise operations are the same IEEE operations for any block shape,
-    ``n**2`` is a scalar power per point (an array square rounds differently
-    in rare cases), and each point keeps its own ``np.dot`` with w11, because
-    a single matrix product sums in another order.
-    """
-    rows = max(1, FEEDBACK_GRID_BLOCK // len(y))
-    values = np.empty(len(grid))
-    for start in range(0, len(grid), rows):
-        n = grid[start : start + rows]
-        scale = np.array([v**2 * sigma1**2 for v in n])
-        u = -n[:, None] * y
-        # np.clip's bounds, applied in place at half its cost
-        np.exp(np.minimum(np.maximum(u, -EXP_CLAMP, out=u), EXP_CLAMP, out=u), out=u)
-        uy = u * y
-        terms = u[:, 1:] - u[:, :-1]
-        terms += (n * mu1)[:, None]
-        lever = uy[:, :-1] - uy[:, 1:]
-        lever += mu1
-        terms *= lever
-        terms /= scale[:, None]
-        np.subtract((1.0 / n)[:, None], terms, out=terms)
-        terms -= y[1:]
-        for k, row in enumerate(terms, start):
-            values[k] = np.dot(w11, row)
-    return values
-
-
 def _golden_max(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
     """Golden-section maximiser of a unimodal-ish function on [lo, hi]."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
@@ -492,39 +444,23 @@ def _golden_max(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
     return 0.5 * (a + b)
 
 
-def _bisect_root(g, a: float, b: float, ga: float) -> Optional[float]:
-    """Bisection on [a, b] until |g| < 1e-8; None if float resolution runs out."""
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        gm = g(mid)
-        if abs(gm) < 1e-8:
-            return float(mid)
-        if ga * gm <= 0.0:
-            b = mid
-        else:
-            a, ga = mid, gm
-        if b - a < 1e-15 * max(1.0, b):
-            break
-    mid = 0.5 * (a + b)
-    return float(mid) if abs(g(mid)) < 1e-8 else None
-
-
 def solve_feedback_exponent(
     smoother: SmootherOutput,
     series: LogPriceSeries,
     mu1: float,
     sigma1: float,
+    n_current: float,
     search: tuple[float, float] = (1e-4, 10.0),
 ) -> float:
-    """Solve the feedback exponent's first-order condition for n.
+    """Conditional-maximisation step for the feedback exponent n.
 
-    Scans the search interval for sign changes and bisects each bracket down
-    to a residual below 1e-8. The equation can have several roots away from
-    the joint optimum (it embeds the sigma1 condition, which only holds at
-    self-consistent parameters), so among the roots the one with the highest
-    bubble-block expected log-likelihood is returned. When no bracket exists,
-    falls back to maximising that objective by golden section on the same
-    interval.
+    Maximises the bubble-block expected log-likelihood over n on ``search``
+    by golden section, with mu1 and sigma1 held fixed, and returns
+    ``n_current`` when the maximiser does not score strictly higher. The
+    step is thus an exact CM step of ECM (Meng & Rubin 1993): it can never
+    lower the E-step objective. Golden section assumes the objective is
+    unimodal in n; where it is not, the step may miss the global maximiser
+    but still never descends.
     """
     w11 = smoother.pairwise_smoothed[:, 1, 1]
     if w11.sum() <= 0.0:
@@ -534,53 +470,9 @@ def solve_feedback_exponent(
     if not (0 < lo < hi):
         raise ValueError("search must be an increasing positive interval")
 
-    g = lambda n: _feedback_equation(y, w11, mu1, sigma1, n)
     objective = lambda n: _bubble_block_objective(y, w11, mu1, sigma1, n)
-
-    grid = np.geomspace(lo, hi, 257)
-    values = _feedback_grid(y, w11, mu1, sigma1, grid)
-    finite = np.isfinite(values)
-    roots = []
-    for k in range(len(grid) - 1):
-        if finite[k] and finite[k + 1] and values[k] * values[k + 1] <= 0.0:
-            root = _bisect_root(g, grid[k], grid[k + 1], values[k])
-            if root is not None:
-                roots.append(root)
-    if roots:
-        return max(roots, key=objective)
-    return float(_golden_max(objective, lo, hi))
-
-
-def ascend_feedback_exponent(
-    smoother: SmootherOutput,
-    series: LogPriceSeries,
-    mu1: float,
-    sigma1: float,
-    n_current: float,
-    search: tuple[float, float] = (1e-4, 10.0),
-) -> float:
-    """Feedback-exponent update that never lowers the bubble-block objective.
-
-    Prefers the first-order-condition root; falls back to the golden-section
-    maximiser, and keeps ``n_current`` when neither candidate improves on it.
-    """
-    w11 = smoother.pairwise_smoothed[:, 1, 1]
-    y = series.log_prices
-    objective = lambda n: _bubble_block_objective(y, w11, mu1, sigma1, n)
-    best = n_current
-    best_value = objective(n_current)
-    candidate = solve_feedback_exponent(smoother, series, mu1, sigma1, search)
-    candidate_value = objective(candidate)
-    if candidate_value >= best_value:
-        best = candidate
-    # Every root the solver returns has a residual below 1e-8 (see
-    # _bisect_root). A candidate with a larger residual is already the
-    # golden-section maximiser, and searching again would return it again.
-    elif abs(_feedback_equation(y, w11, mu1, sigma1, candidate)) < 1e-8:
-        golden = _golden_max(objective, *search)
-        if objective(golden) >= best_value:
-            best = golden
-    return float(best)
+    best = _golden_max(objective, lo, hi)
+    return float(best) if objective(best) > objective(n_current) else float(n_current)
 
 
 def _initial_params(y: np.ndarray, config: EMConfig) -> ModelParams:
@@ -643,9 +535,10 @@ def em_fit(
     """Calibrate the regime-switching model by EM.
 
     Each iteration runs the filter and smoother at the current parameters,
-    applies the closed-form updates, then re-solves the feedback exponent
-    using the freshly updated mu1 and sigma1 (accepting the root only when
-    it does not lower the bubble-block objective).
+    applies the closed-form updates, then takes one conditional-maximisation
+    step for the feedback exponent (:func:`solve_feedback_exponent`): n
+    maximises the bubble-block objective at the freshly updated mu1 and
+    sigma1, or stays where it is when no higher value is found.
 
     The switch-density heights 1/|mu0| and 1/|mu1| tie the likelihood to the
     drift parameters, but the closed-form updates treat them as constants, so
@@ -685,7 +578,7 @@ def em_fit(
             updated = m_step(smth, series, params.regime.n, kappa=config.kappa, freeze=params)
             n_new = params.regime.n
             if smth.pairwise_smoothed[:, 1, 1].sum() > 0.0:
-                n_new = ascend_feedback_exponent(
+                n_new = solve_feedback_exponent(
                     smth, series, updated.regime.mu1, updated.regime.sigma1,
                     params.regime.n, search=config.n_search,
                 )

@@ -178,8 +178,17 @@ class PipelineConfig:
         return kv
 
     def config_hash(self) -> str:
-        # output_dir does not affect the computation, so it is not hashed
-        kv = {k: v for k, v in self.key_values().items() if k != "output_dir"}
+        """Hash of the settings and of the input data.
+
+        Each asset enters by the sha256 of its file's bytes instead of its
+        path, so one corpus hashes alike in every directory and edited data
+        hashes differently. output_dir does not affect the computation and
+        is left out.
+        """
+        kv = self.key_values()
+        del kv["output_dir"]
+        for a in self.assets:
+            kv[f"asset.{a.asset_id}.path"] = hashlib.sha256(Path(a.path).read_bytes()).hexdigest()
         blob = "\n".join(f"{k} = {v}" for k, v in kv.items())
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 

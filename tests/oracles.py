@@ -180,7 +180,8 @@ def kim_smoother_steps(filtering, pairwise_filtered):
 
 
 def feedback_equation(y, w11, mu1, sigma1, n):
-    """First-order condition for n, one grid point at a time."""
+    """First-order condition for n with the sigma1 condition substituted:
+    the w11-weighted sum over steps of d/dn of the bubble log-density."""
     u = np.exp(np.clip(-n * y, -700.0, 700.0))
     u_t, u_prev = u[1:], u[:-1]
     du = u_t - u_prev
@@ -212,25 +213,22 @@ def estep_objective(y, weights, mu0, sigma0, mu1, sigma1, n, q):
 
 
 def normal_block_objective(y, weights, mu0, sigma0):
-    """The objective terms that vary with (mu0, sigma0)."""
+    """The objective terms that vary with (mu0, sigma0), summed exactly
+    (``math.fsum``) so finite differences see no accumulation noise."""
     y = np.asarray(y, dtype=float)
-    total = 0.0
-    for t in range(1, len(y)):
-        w = weights[t - 1][0, 0]
-        if w > 0:
-            total += w * math.log(gbm_density(y[t], y[t - 1], mu0, sigma0))
-    return total
+    return math.fsum(
+        weights[t - 1][0, 0] * math.log(gbm_density(y[t], y[t - 1], mu0, sigma0))
+        for t in range(1, len(y)) if weights[t - 1][0, 0] > 0
+    )
 
 
 def bubble_block_objective(y, weights, mu1, sigma1, n):
-    """The objective terms that vary with (mu1, sigma1, n)."""
+    """The objective terms that vary with (mu1, sigma1, n), summed exactly."""
     y = np.asarray(y, dtype=float)
-    total = 0.0
-    for t in range(1, len(y)):
-        w = weights[t - 1][1, 1]
-        if w > 0:
-            total += w * math.log(bubble_density(y[t], y[t - 1], mu1, sigma1, n))
-    return total
+    return math.fsum(
+        weights[t - 1][1, 1] * math.log(bubble_density(y[t], y[t - 1], mu1, sigma1, n))
+        for t in range(1, len(y)) if weights[t - 1][1, 1] > 0
+    )
 
 
 def golden_section_max(fn, lo: float, hi: float, tol: float = 1e-12) -> float:

@@ -33,9 +33,9 @@ from sinet import (
     ols_regress,
     rank_transform,
     simulate_sa_path,
+    solve_feedback_exponent,
     transfer_entropy,
 )
-import sinet.hmm as hmm_module
 from sinet.pipeline import PipelineConfig, run_pipeline
 from sinet.synthetic import write_corpus
 from test_hmm import (
@@ -156,7 +156,7 @@ def test_criterion_04_em_correctness():
         )
         for _ in range(400):
             upd = m_step(smth, series, n, freeze=freeze)
-            n_next = hmm_module.ascend_feedback_exponent(
+            n_next = solve_feedback_exponent(
                 smth, series, upd.regime.mu1, upd.regime.sigma1, n
             )
             if abs(n_next - n) < 1e-12:
@@ -168,7 +168,7 @@ def test_criterion_04_em_correctness():
         # sigma1 re-derived at each n) crosses zero exactly at the optimum
         def residual(n_val):
             u = m_step(smth, series, n_val, freeze=freeze)
-            return hmm_module._feedback_equation(
+            return oracles.feedback_equation(
                 y, weights[:, 1, 1], u.regime.mu1, u.regime.sigma1, n_val
             )
 
@@ -187,7 +187,7 @@ def test_criterion_04_em_correctness():
         upd = m_step(smth, series, n, freeze=freeze)
         r = upd.regime
         assert abs(
-            hmm_module._feedback_equation(y, weights[:, 1, 1], r.mu1, r.sigma1, n)
+            oracles.feedback_equation(y, weights[:, 1, 1], r.mu1, r.sigma1, n)
         ) < 1e-8
 
         # finite differences per coordinate against the block of the

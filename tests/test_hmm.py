@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from sinet import (
@@ -288,20 +289,44 @@ FREEZE = ModelParams(
 
 
 class TestSolveFeedbackExponent:
-    def test_residual_below_tolerance(self):
-        # exact-solution path at dt=1 so the bubble equation has a real root
+    def test_matches_golden_section_oracle(self):
+        # exact-solution path at dt=1 so the bubble objective has an
+        # interior maximiser in n
         path = simulate_sa_path(1.0, 5e-4, 0.008, 0.5, dt=1.0, max_steps=800, seed=41)
         assert not path.hit_critical
         s = make_series(path.log_prices)
         weights = np.zeros((len(s) - 1, 2, 2))
         weights[:, 1, 1] = 1.0
         smth = smoother_from_weights(weights, s.timestamps)
-        upd = m_step(smth, s, 0.5, freeze=FREEZE)
-        n_hat = solve_feedback_exponent(smth, s, upd.regime.mu1, upd.regime.sigma1)
-        residual = hmm_module._feedback_equation(
-            s.log_prices, weights[:, 1, 1], upd.regime.mu1, upd.regime.sigma1, n_hat
+        r = m_step(smth, s, 0.5, freeze=FREEZE).regime
+        n_hat = solve_feedback_exponent(smth, s, r.mu1, r.sigma1, 0.5)
+        want = oracles.golden_section_max(
+            lambda v: oracles.bubble_block_objective(s.log_prices, weights, r.mu1, r.sigma1, v),
+            1e-4, 10.0,
         )
-        assert abs(residual) < 1e-8
+        assert 1e-4 < want < 10.0
+        assert n_hat == pytest.approx(want, abs=1e-6)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        T=st.integers(5, 60),
+        level=st.floats(0.0, 5.0),
+        mu1=st.floats(1e-4, 1.0),
+        sigma1=st.floats(1e-3, 1.0),
+        n_current=st.floats(1e-4, 10.0),
+    )
+    def test_never_lowers_the_objective(self, seed, T, level, mu1, sigma1, n_current):
+        rng = np.random.default_rng(seed)
+        s = make_series(level + np.cumsum(rng.normal(0.0, 0.05, T + 1)))
+        weights = consistent_random_weights(rng, T)
+        smth = smoother_from_weights(weights, s.timestamps)
+        n = solve_feedback_exponent(smth, s, mu1, sigma1, n_current)
+        assert 1e-4 <= n <= 10.0
+        objective = lambda v: hmm_module._bubble_block_objective(
+            s.log_prices, weights[:, 1, 1], mu1, sigma1, v
+        )
+        assert objective(n) >= objective(n_current)
 
     def test_recovers_true_exponent(self):
         # exact-solution path sampled at dt=1 steps the p^{-n} walk directly
@@ -315,9 +340,7 @@ class TestSolveFeedbackExponent:
         n = 0.5
         for _ in range(40):
             upd = m_step(smth, s, n, freeze=FREEZE)
-            n_next = hmm_module.ascend_feedback_exponent(
-                smth, s, upd.regime.mu1, upd.regime.sigma1, n
-            )
+            n_next = solve_feedback_exponent(smth, s, upd.regime.mu1, upd.regime.sigma1, n)
             if abs(n_next - n) < 1e-10:
                 n = n_next
                 break
@@ -325,8 +348,9 @@ class TestSolveFeedbackExponent:
         assert 0.35 <= n <= 0.65
 
     def test_rejected_golden_candidate_is_not_searched_again(self, monkeypatch):
-        # no root in the interval and the objective falls with n: the golden
-        # section stops just inside the lower edge, where n_current sits
+        # the objective falls with n over the whole interval: the golden
+        # section stops just inside the lower edge, where n_current sits, and
+        # the step keeps n_current without a second search
         s = make_series(np.cumsum(np.random.default_rng(0).normal(0.0, 0.2, 21)))
         weights = np.zeros((20, 2, 2))
         weights[:, 1, 1] = 1.0
@@ -336,7 +360,7 @@ class TestSolveFeedbackExponent:
         monkeypatch.setattr(
             hmm_module, "_golden_max", lambda *args: searches.append(args) or golden_max(*args)
         )
-        assert hmm_module.ascend_feedback_exponent(smth, s, 0.2, 0.05, 1e-4) == 1e-4
+        assert solve_feedback_exponent(smth, s, 0.2, 0.05, 1e-4) == 1e-4
         assert len(searches) == 1
 
     def test_degenerate_weights_rejected(self, make_series):
@@ -345,7 +369,7 @@ class TestSolveFeedbackExponent:
         weights[:, 0, 0] = 1.0
         smth = smoother_from_weights(weights, s.timestamps)
         with pytest.raises(DegenerateRegimeError):
-            solve_feedback_exponent(smth, s, 0.1, 0.1)
+            solve_feedback_exponent(smth, s, 0.1, 0.1, 0.5)
 
 
 def two_segment_series(seed, y0=0.0, t_gbm=1400, t_bub=600, mu0=2e-4, sigma0=0.008,

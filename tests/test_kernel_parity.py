@@ -143,26 +143,3 @@ def filter_outputs(draw):
 def test_smoother_matches_step_loop_on_hand_built_tables(filt):
     assert_same_smoother(outcome(kim_smoother, filt),
                          outcome(reference_smoother, filt))
-
-
-# exponents whose n**2 by the C library's pow, as numpy computes it for a
-# scalar, is one ulp away from the correctly rounded n*n of an array square
-POW_NOT_SQUARE = [float.fromhex(h) for h in (
-    "0x1.aac7e8adf2082p+2", "0x1.694ed4822e3c4p+2", "0x1.3698bdfb60b6ap+1")]
-
-
-@pytest.mark.parametrize("level", [0.0, 75.0])
-@pytest.mark.parametrize("T", [1_000, 11_600])
-def test_feedback_grid_matches_pointwise_reference_bitwise(T, level):
-    # at level 75 the top of the n grid drives n*y past the exponent clamp
-    rng = np.random.default_rng(T + int(level))
-    y = level + np.cumsum(rng.normal(1e-4, 0.01, T + 1))
-    w11 = rng.uniform(0.0, 1.0, T)
-    mu1, sigma1 = 0.03, 0.02
-    grid = np.geomspace(1e-4, 10.0, 257)
-    got = hmm_module._feedback_grid(y, w11, mu1, sigma1, grid)
-    want = [oracles.feedback_equation(y, w11, mu1, sigma1, n) for n in grid]
-    assert bits(got) == bits(want)
-    for n in [*rng.uniform(1e-4, 10.0, 8), *POW_NOT_SQUARE]:
-        assert (hmm_module._feedback_equation(y, w11, mu1, sigma1, float(n)).hex()
-                == oracles.feedback_equation(y, w11, mu1, sigma1, float(n)).hex())

@@ -104,6 +104,20 @@ class TestConfigParsing:
         b.nsii_threshold = 0.5
         assert a.config_hash() != b.config_hash()
 
+    def test_hash_follows_data_not_location(self, tmp_path):
+        hashes = []
+        for name in ("a", "b"):
+            write_corpus(tmp_path / name, seed=42)
+            hashes.append(PipelineConfig.from_file(tmp_path / name / "corpus.cfg").config_hash())
+        assert hashes[0] == hashes[1]
+        csv = next((tmp_path / "b").glob("*.csv"))
+        data = bytearray(csv.read_bytes())
+        data[-2] = ord("7") if data[-2] != ord("7") else ord("8")
+        csv.write_bytes(bytes(data))
+        edited = PipelineConfig.from_file(tmp_path / "b" / "corpus.cfg")
+        assert edited.config_hash() != hashes[0]
+        assert edited.key_values()[f"asset.{csv.stem}.path"] == str(csv)
+
     def test_window_order_validated(self, corpus_dir, tmp_path):
         config = corpus_config(corpus_dir, tmp_path / "out")
         config.analysis_start, config.analysis_end = "2007-12-31", "2006-01-02"
