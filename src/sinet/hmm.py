@@ -5,7 +5,7 @@ each log-price step: geometric Brownian motion while (0,0), the nonlinear
 bubble transition while (1,1), and flat bounded switch densities on (0,1) and
 (1,0). Calibration alternates a Hamilton forward filter, a Kim backward
 smoother and closed-form posterior-weighted parameter updates, followed by
-a conditional-maximisation step for the feedback exponent n: a golden-section
+a conditional-maximisation step for the feedback exponent n: a bounded Brent
 search of the bubble block of the E-step objective at the updated mu1 and
 sigma1, which keeps the current n unless it finds a higher value.
 """
@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .bubble import (
     EXP_CLAMP,
@@ -31,6 +32,10 @@ from .series import LogPriceSeries, ProbabilitySeries
 # normalises over the four state pairs, so a dead switch indicator cannot
 # zero out the normaliser.
 DENSITY_FLOOR = 1e-300
+
+# Absolute x tolerance of the Brent search for n. scipy's step tolerance is
+# 1.5e-8 |n| + N_XATOL / 3, so the relative term rules above n = 2e-3.
+N_XATOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -425,25 +430,6 @@ def _bubble_block_objective(
     return float(np.dot(w11[live], np.asarray(logf)[live]))
 
 
-def _golden_max(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Golden-section maximiser of a unimodal-ish function on [lo, hi]."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol * max(1.0, abs(b)):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
-
-
 def solve_feedback_exponent(
     smoother: SmootherOutput,
     series: LogPriceSeries,
@@ -455,12 +441,12 @@ def solve_feedback_exponent(
     """Conditional-maximisation step for the feedback exponent n.
 
     Maximises the bubble-block expected log-likelihood over n on ``search``
-    by golden section, with mu1 and sigma1 held fixed, and returns
-    ``n_current`` when the maximiser does not score strictly higher. The
-    step is thus an exact CM step of ECM (Meng & Rubin 1993): it can never
-    lower the E-step objective. Golden section assumes the objective is
-    unimodal in n; where it is not, the step may miss the global maximiser
-    but still never descends.
+    by bounded Brent search (golden section with parabolic steps; Brent 1973,
+    ch. 5), with mu1 and sigma1 held fixed, and returns ``n_current`` when
+    the maximiser does not score strictly higher. The step is thus an exact
+    CM step of ECM (Meng & Rubin 1993): it can never lower the E-step
+    objective. The search assumes the objective is unimodal in n; where it
+    is not, the step may miss the global maximiser but still never descends.
     """
     w11 = smoother.pairwise_smoothed[:, 1, 1]
     if w11.sum() <= 0.0:
@@ -470,9 +456,12 @@ def solve_feedback_exponent(
     if not (0 < lo < hi):
         raise ValueError("search must be an increasing positive interval")
 
-    objective = lambda n: _bubble_block_objective(y, w11, mu1, sigma1, n)
-    best = _golden_max(objective, lo, hi)
-    return float(best) if objective(best) > objective(n_current) else float(n_current)
+    found = minimize_scalar(
+        lambda n: -_bubble_block_objective(y, w11, mu1, sigma1, n),
+        bounds=(lo, hi), method="bounded", options={"xatol": N_XATOL},
+    )
+    keep = _bubble_block_objective(y, w11, mu1, sigma1, n_current)
+    return float(found.x) if -found.fun > keep else float(n_current)
 
 
 def _initial_params(y: np.ndarray, config: EMConfig) -> ModelParams:
@@ -537,8 +526,9 @@ def em_fit(
     Each iteration runs the filter and smoother at the current parameters,
     applies the closed-form updates, then takes one conditional-maximisation
     step for the feedback exponent (:func:`solve_feedback_exponent`): n
-    maximises the bubble-block objective at the freshly updated mu1 and
-    sigma1, or stays where it is when no higher value is found.
+    maximises the bubble-block objective, by bounded Brent search, at the
+    freshly updated mu1 and sigma1, or stays where it is when no higher
+    value is found.
 
     The switch-density heights 1/|mu0| and 1/|mu1| tie the likelihood to the
     drift parameters, but the closed-form updates treat them as constants, so

@@ -11,7 +11,9 @@ from __future__ import annotations
 import csv
 import json
 from datetime import date
+from itertools import repeat
 from pathlib import Path
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -33,13 +35,156 @@ def _fmt(x) -> str:
 
 # ---------------------------------------------------------------------------
 # CSV ingestion
+#
+# Every table reader goes through ``_read_table``: the file is read once, all
+# data rows are cut into cells in one ``split``, and each column a reader
+# needs is converted by one numpy call. Checks are vectorised masks; only
+# when one fires is the offending column scanned, to name the first bad
+# line. Bad cells fail with ``<path>: <what> on line <n>`` (1-based).
+
+# date.fromisoformat only takes years 1 to 9999
+_FIRST_DAY, _LAST_DAY = np.datetime64("0001-01-01"), np.datetime64("9999-12-31")
+
+
+class _Table(NamedTuple):
+    """The data rows of a CSV file, cut into cells.
+
+    ``cells`` holds the rows one after another, each padded with "" to
+    ``width`` cells (at least the header's width); ``widths`` is each row's
+    own cell count and ``linenos`` its 1-based line number.
+    """
+
+    path: Path
+    header: list[str]
+    linenos: Sequence[int]
+    widths: list[int]
+    cells: list[str]
+    width: int
+
+    def column(self, j: int) -> list[str]:
+        return self.cells[j :: self.width]
+
+    def fail(self, row: int, what: str) -> ConfigurationError:
+        return ConfigurationError(f"{self.path}: {what} on line {self.linenos[row]}")
+
+
+def _read_table(path, price_file: bool = False) -> _Table:
+    """Cut a CSV file into a header and data rows.
+
+    Pipeline tables skip empty lines and lines starting with '#' and split
+    on every comma. Price files honour csv quoting, strip the header names
+    and skip rows whose cells are all blank; '#' has no special meaning.
+    """
+    path = Path(path)
+    text = path.read_text()
+    quoted = price_file and '"' in text
+    if price_file:
+        lines = text.split("\n")  # read_text() turns \r\n and \r into \n
+        if lines[-1] == "":
+            lines.pop()
+        if not lines:
+            raise ConfigurationError(f"{path}: empty file")
+        if quoted:
+            lines = list(csv.reader(lines))
+            rows = [r for r in lines[1:] if any(c.strip() for c in r)]
+            header = [h.strip() for h in lines[0]]
+        else:
+            rows = [r for r in lines[1:] if r.replace(",", "").strip()]
+            header = [h.strip() for h in lines[0].split(",")]
+        first = 0
+    else:
+        lines = text.splitlines()
+        rows = [line for line in lines if line and line[0] != "#"]
+        if not rows:
+            raise ConfigurationError(f"{path}: empty table")
+        first = lines.index(rows[0])
+        header = rows.pop(0).split(",")
+    linenos = range(first + 2, first + 2 + len(rows))
+    if len(lines) > first + 1 + len(rows):  # skipped lines among the rows
+        linenos, k = [], first + 1
+        for row in rows:
+            while lines[k] != row:
+                k += 1
+            k += 1
+            linenos.append(k)
+
+    if rows and not quoted:
+        commas = list(map(str.count, rows, repeat(",")))
+        width = commas[0] + 1
+        if commas.count(width - 1) == len(rows) and width >= len(header):
+            cells = ",".join(rows).split(",")
+            return _Table(path, header, linenos, [width] * len(rows), cells, width)
+        rows = [r.split(",") for r in rows]
+    widths = [len(r) for r in rows]
+    width = max(widths + [len(header)])
+    pad = [""] * width
+    cells = [c for r in rows for c in (r + pad)[:width]]
+    return _Table(path, header, linenos, widths, cells, width)
+
+
+def _float_column(cells: list[str]) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """``float()`` of every cell, and a mask of the cells it rejects (NaN
+    there); the mask is None when every cell parses."""
+    try:
+        return np.fromiter(map(float, cells), float, len(cells)), None
+    except ValueError:
+        values = np.full(len(cells), np.nan)
+        bad = np.zeros(len(cells), dtype=bool)
+        for k, cell in enumerate(cells):
+            try:
+                values[k] = float(cell)
+            except ValueError:
+                bad[k] = True
+        return values, bad
+
+
+def _float_columns(table: _Table, columns) -> list[np.ndarray]:
+    """The given columns as floats; the first bad cell in file order (the
+    leftmost on its line) fails the read."""
+    out, bad = [], []
+    for j in columns:
+        values, mask = _float_column(table.column(j))
+        out.append(values)
+        if mask is not None:
+            bad.append((int(np.argmax(mask)), j))
+    if bad:
+        row, j = min(bad)
+        what = "missing" if table.widths[row] <= j else "unparseable"
+        raise table.fail(row, f"{what} {table.header[j]}")
+    return out
+
+
+def _iso_dates(cells: list[str]) -> np.ndarray:
+    """``date.fromisoformat(cell.strip())`` of every cell as datetime64[D],
+    NaT where it fails. numpy parses the whole column; only the cells that
+    are not already YYYY-MM-DD in years 1 to 9999 go through
+    ``fromisoformat``.
+    """
+    try:
+        dates = np.array(cells, dtype="datetime64[D]")
+        plain = (dates >= _FIRST_DAY) & (dates <= _LAST_DAY)
+        plain &= np.datetime_as_string(dates) == np.array(cells, dtype=str)
+    except (ValueError, OverflowError):
+        dates = np.full(len(cells), np.datetime64("NaT", "D"))
+        plain = np.zeros(len(cells), dtype=bool)
+    for k in np.flatnonzero(~plain):
+        try:
+            dates[k] = date.fromisoformat(cells[k].strip())
+        except ValueError:
+            dates[k] = np.datetime64("NaT")
+    return dates
+
 
 def read_price_table(path, column_map=None) -> dict:
     """Read a (date, price[, market_cap]) CSV, sorted by date.
 
     Returns a dict with ``dates`` (datetime64[D]), ``prices`` and, when the
-    mapped column exists, ``caps``. Rows are validated one by one so errors
-    carry their 1-based line number.
+    mapped column exists, ``caps``. Dates are ISO dates as
+    ``date.fromisoformat`` reads them; prices and caps must be finite and
+    positive. A bad row raises ValueError naming its 1-based line: the first
+    one in the file, with the first failing check on it, in the order
+    unparseable date, duplicate date, unparseable or non-positive price,
+    then market_cap.
     """
     colmap = dict(DEFAULT_COLUMNS)
     if column_map:
@@ -48,64 +193,33 @@ def read_price_table(path, column_map=None) -> dict:
     if not path.exists():
         raise FileNotFoundError(f"price file {path} does not exist")
 
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigurationError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        for field in ("date", "price"):
-            if colmap[field] not in header:
-                raise ConfigurationError(
-                    f"{path}: missing required column {colmap[field]!r} (maps {field})"
-                )
-        date_idx = header.index(colmap["date"])
-        price_idx = header.index(colmap["price"])
-        cap_idx = header.index(colmap["market_cap"]) if colmap["market_cap"] in header else None
+    table = _read_table(path, price_file=True)
+    for field in ("date", "price"):
+        if colmap[field] not in table.header:
+            raise ConfigurationError(
+                f"{path}: missing required column {colmap[field]!r} (maps {field})"
+            )
+    dates = _iso_dates(table.column(table.header.index(colmap["date"])))
+    order = np.argsort(dates, kind="stable")
+    repeated = np.zeros(len(dates), dtype=bool)
+    repeated[order[1:]] = dates[order[1:]] == dates[order[:-1]]
 
-        dates: list[date] = []
-        prices: list[float] = []
-        caps: list[float] = []
-        seen: set[date] = set()
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            try:
-                day = date.fromisoformat(row[date_idx].strip())
-            except (ValueError, IndexError):
-                raise ValueError(f"{path}: unparseable date on line {lineno}") from None
-            if day in seen:
-                raise ValueError(f"{path}: duplicate date {day} on line {lineno}")
-            seen.add(day)
-            try:
-                price = float(row[price_idx])
-            except (ValueError, IndexError):
-                raise ValueError(f"{path}: unparseable price on line {lineno}") from None
-            if not np.isfinite(price) or price <= 0:
-                raise ValueError(f"{path}: non-positive price on line {lineno}")
-            cap = None
-            if cap_idx is not None:
-                try:
-                    cap = float(row[cap_idx])
-                except (ValueError, IndexError):
-                    raise ValueError(
-                        f"{path}: unparseable market_cap on line {lineno}"
-                    ) from None
-                if not np.isfinite(cap) or cap <= 0:
-                    raise ValueError(f"{path}: non-positive market_cap on line {lineno}")
-            dates.append(day)
-            prices.append(price)
-            caps.append(cap)
-
-    order = np.argsort(np.array(dates, dtype="datetime64[D]"), kind="stable")
-    table = {
-        "dates": np.array(dates, dtype="datetime64[D]")[order],
-        "prices": np.asarray(prices, dtype=float)[order],
-    }
-    if cap_idx is not None:
-        table["caps"] = np.asarray(caps, dtype=float)[order]
-    return table
+    checks = [("unparseable date", np.isnat(dates)), ("duplicate date", repeated)]
+    out = {"dates": dates[order]}
+    for field, key in (("price", "prices"), ("market_cap", "caps")):
+        if colmap[field] not in table.header:
+            continue
+        values, unparseable = _float_column(table.column(table.header.index(colmap[field])))
+        checks.append((f"unparseable {field}", unparseable))
+        checks.append((f"non-positive {field}", ~(np.isfinite(values) & (values > 0))))
+        out[key] = values[order]
+    failing = [(int(np.argmax(m)), i) for i, (_, m) in enumerate(checks)
+               if m is not None and m.any()]
+    if failing:
+        row, i = min(failing)
+        what = checks[i][0] + (f" {dates[row]}" if i == 1 else "")
+        raise ValueError(f"{path}: {what} on line {table.linenos[row]}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -223,27 +337,36 @@ def write_probabilities_csv(
     if provenance:
         lines.append(f"# {provenance}")
     lines.append("date,filtering,smoothing")
-    for ts, f, s in zip(filtering.timestamps, filtering.values, smoothing.values):
-        lines.append(f"{ts},{_fmt(float(f))},{_fmt(float(s))}")
+    lines.extend(map(
+        "{},{!r},{!r}".format,
+        np.datetime_as_string(filtering.timestamps).tolist(),
+        filtering.values.tolist(),
+        smoothing.values.tolist(),
+    ))
     path.write_text("\n".join(lines) + "\n")
     return path
 
 
 def read_probabilities_csv(path, column: str = "filtering") -> ProbabilitySeries:
-    lines = Path(path).read_text().splitlines()
-    data = [n for n, line in enumerate(lines) if line and not line.startswith("#")]
-    if not data:
-        raise ConfigurationError(f"{path}: empty table")
-    header = lines[data[0]].split(",")
-    if column not in header:
+    """Read one probability column of a table written by
+    :func:`write_probabilities_csv`; dates are in the first column."""
+    table = _read_table(path)
+    if column not in table.header:
         raise ConfigurationError(f"{path}: no column {column!r}")
-    idx = header.index(column)
-    rows = [lines[n].split(",") for n in data[1:]]
-    dates = np.array([cells[0] for cells in rows], dtype="datetime64[D]")
+    cells = table.column(0)
+    try:
+        dates = np.array(cells, dtype="datetime64[D]")
+    except ValueError:
+        for row, cell in enumerate(cells):
+            try:
+                np.array([cell], dtype="datetime64[D]")
+            except ValueError:
+                raise table.fail(row, "unparseable date") from None
+        raise
     missing = np.flatnonzero(np.isnat(dates))
     if len(missing):
-        raise ConfigurationError(f"{path}: missing date on line {data[1 + missing[0]] + 1}")
-    values = np.array([float(cells[idx]) for cells in rows])
+        raise table.fail(missing[0], "missing date")
+    (values,) = _float_columns(table, [table.header.index(column)])
     return ProbabilitySeries(dates, values)
 
 
@@ -260,9 +383,14 @@ def write_matrix_csv(path, nodes, values, provenance: str = "") -> Path:
 
 
 def read_matrix_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
-    header, rows = _read_rows(path)
-    values = np.array([[float(v) for v in row[1:]] for row in rows], dtype=float)
-    return tuple(header[1:]), values
+    table = _read_table(path)
+    width = len(table.header)
+    for row, cells in enumerate(table.widths):
+        if cells != width:
+            raise table.fail(row, f"{cells} cells where the header has {width}")
+    values = _float_columns(table, range(1, width))
+    matrix = np.column_stack(values) if values else np.empty((len(table.linenos), 0))
+    return tuple(table.header[1:]), matrix
 
 
 def write_table_csv(path, header: list[str], rows: list[list], provenance: str = "") -> Path:
@@ -277,51 +405,41 @@ def write_table_csv(path, header: list[str], rows: list[list], provenance: str =
     return path
 
 
-def _read_rows(path) -> tuple[list[str], list[list[str]]]:
-    rows = [
-        line for line in Path(path).read_text().splitlines()
-        if line and not line.startswith("#")
-    ]
-    if not rows:
-        raise ConfigurationError(f"{path}: empty table")
-    return rows[0].split(","), [r.split(",") for r in rows[1:]]
-
-
 def read_indicators_csv(path):
     """Read an indicator table written by the pipeline."""
     from .network import ALL_INDICATORS, IndicatorTable
 
-    header, rows = _read_rows(path)
-    if header[0] != "node":
+    table = _read_table(path)
+    if table.header[0] != "node":
         raise ConfigurationError(f"{path}: first column must be 'node'")
-    nodes = tuple(r[0] for r in rows)
-    values = {}
     for name in ALL_INDICATORS:
-        if name not in header:
+        if name not in table.header:
             raise ConfigurationError(f"{path}: missing indicator column {name!r}")
-        idx = header.index(name)
-        values[name] = np.array([float(r[idx]) for r in rows])
-    return IndicatorTable(nodes, values)
+    values = _float_columns(table, [table.header.index(name) for name in ALL_INDICATORS])
+    return IndicatorTable(tuple(table.column(0)), dict(zip(ALL_INDICATORS, values)))
 
 
 def read_losses_csv(path) -> dict[str, float]:
-    header, rows = _read_rows(path)
-    if header[:2] != ["node", "max_loss_pct"]:
+    table = _read_table(path)
+    if table.header[:2] != ["node", "max_loss_pct"]:
         raise ConfigurationError(f"{path}: expected columns node,max_loss_pct")
-    return {r[0]: float(r[1]) for r in rows}
+    (losses,) = _float_columns(table, [1])
+    return dict(zip(table.column(0), losses.tolist()))
 
 
 def read_groups_csv(path):
     """Read node-group assignments: node,group[,subsector] per line."""
     from .network import NodeGroup
 
-    header, rows = _read_rows(path)
-    if header[:2] != ["node", "group"]:
+    table = _read_table(path)
+    if table.header[:2] != ["node", "group"]:
         raise ConfigurationError(f"{path}: expected columns node,group[,subsector]")
-    groups = {}
+    for row, cells in enumerate(table.widths):
+        if cells < 2:
+            raise table.fail(row, "missing group")
+    nodes = table.column(0)
+    groups = dict(zip(nodes, table.column(1)))
     subsectors = {}
-    for r in rows:
-        groups[r[0]] = r[1]
-        if len(r) > 2 and r[2]:
-            subsectors[r[0]] = r[2]
+    if table.width > 2:
+        subsectors = {node: sub for node, sub in zip(nodes, table.column(2)) if sub}
     return NodeGroup(groups, subsectors)

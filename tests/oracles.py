@@ -6,12 +6,17 @@ and deliberately shares no code with the implementations under test.
 """
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 import warnings
 from collections import Counter
+from datetime import date
+from pathlib import Path
 
 import numpy as np
+
+from sinet.errors import ConfigurationError
 
 DENSITY_FLOOR = 1e-300
 
@@ -395,3 +400,73 @@ def gen_bubble_log_prices(T, mu1, sigma1, n, seed, y0=0.0):
         if u[t] <= 0:
             raise RuntimeError("bubble path crossed the singularity; re-seed or shorten")
     return -np.log(u) / n
+
+
+# ---------------------------------------------------------------------------
+# Price CSV ingestion, row by row: the reader the columnar one replaced.
+
+def read_price_table_rows(path, column_map=None) -> dict:
+    """Read a (date, price[, market_cap]) CSV with ``csv.reader``, checking
+    one row at a time, so the first failing check names its 1-based line."""
+    colmap = {"date": "date", "price": "price", "market_cap": "market_cap"}
+    if column_map:
+        colmap.update(column_map)
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"price file {path} does not exist")
+
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ConfigurationError(f"{path}: empty file") from None
+        header = [h.strip() for h in header]
+        for field in ("date", "price"):
+            if colmap[field] not in header:
+                raise ConfigurationError(
+                    f"{path}: missing required column {colmap[field]!r} (maps {field})"
+                )
+        date_idx = header.index(colmap["date"])
+        price_idx = header.index(colmap["price"])
+        cap_idx = header.index(colmap["market_cap"]) if colmap["market_cap"] in header else None
+
+        dates, prices, caps, seen = [], [], [], set()
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            try:
+                day = date.fromisoformat(row[date_idx].strip())
+            except (ValueError, IndexError):
+                raise ValueError(f"{path}: unparseable date on line {lineno}") from None
+            if day in seen:
+                raise ValueError(f"{path}: duplicate date {day} on line {lineno}")
+            seen.add(day)
+            try:
+                price = float(row[price_idx])
+            except (ValueError, IndexError):
+                raise ValueError(f"{path}: unparseable price on line {lineno}") from None
+            if not np.isfinite(price) or price <= 0:
+                raise ValueError(f"{path}: non-positive price on line {lineno}")
+            cap = None
+            if cap_idx is not None:
+                try:
+                    cap = float(row[cap_idx])
+                except (ValueError, IndexError):
+                    raise ValueError(
+                        f"{path}: unparseable market_cap on line {lineno}"
+                    ) from None
+                if not np.isfinite(cap) or cap <= 0:
+                    raise ValueError(f"{path}: non-positive market_cap on line {lineno}")
+            dates.append(day)
+            prices.append(price)
+            caps.append(cap)
+
+    order = np.argsort(np.array(dates, dtype="datetime64[D]"), kind="stable")
+    table = {
+        "dates": np.array(dates, dtype="datetime64[D]")[order],
+        "prices": np.asarray(prices, dtype=float)[order],
+    }
+    if cap_idx is not None:
+        table["caps"] = np.asarray(caps, dtype=float)[order]
+    return table

@@ -166,3 +166,28 @@ class TestTeOptions:
         ])
         assert rc == 0
         assert float(capsys.readouterr().out.strip()) >= 0.0
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("row, what", [
+        ("2000-01-04", "missing filtering on line 3"),
+        ("2000-01-04,abc,0.5", "unparseable filtering on line 3"),
+    ])
+    def test_te_bad_row_exits_one_naming_line(self, tmp_path, capsys, row, what):
+        path = tmp_path / "f.csv"
+        path.write_text(f"date,filtering,smoothing\n2000-01-03,0.5,0.5\n{row}\n")
+        rc = main(["te", "--source", str(path), "--target", str(path)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {path}: {what}\n"
+
+    def test_indicators_ragged_matrix_exits_one_naming_line(
+        self, tmp_path, groups_file, capsys
+    ):
+        matrix = tmp_path / "m.csv"
+        matrix.write_text("node,ENE,MAT\nENE,0.0,0.1\nMAT,0.2\n")
+        rc = main(["indicators", "--matrix", str(matrix), "--groups", str(groups_file),
+                   "--out", str(tmp_path / "ind.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {matrix}: 2 cells where the header has 3 on line 3\n"
+        )

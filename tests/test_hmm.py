@@ -288,17 +288,21 @@ FREEZE = ModelParams(
 )
 
 
+def exact_path_bubble_fit():
+    """An exact-solution path at dt=1, all weight on the bubble regime, so
+    the bubble objective has an interior maximiser in n."""
+    path = simulate_sa_path(1.0, 5e-4, 0.008, 0.5, dt=1.0, max_steps=800, seed=41)
+    assert not path.hit_critical
+    s = make_series(path.log_prices)
+    weights = np.zeros((len(s) - 1, 2, 2))
+    weights[:, 1, 1] = 1.0
+    smth = smoother_from_weights(weights, s.timestamps)
+    return s, weights, smth, m_step(smth, s, 0.5, freeze=FREEZE).regime
+
+
 class TestSolveFeedbackExponent:
     def test_matches_golden_section_oracle(self):
-        # exact-solution path at dt=1 so the bubble objective has an
-        # interior maximiser in n
-        path = simulate_sa_path(1.0, 5e-4, 0.008, 0.5, dt=1.0, max_steps=800, seed=41)
-        assert not path.hit_critical
-        s = make_series(path.log_prices)
-        weights = np.zeros((len(s) - 1, 2, 2))
-        weights[:, 1, 1] = 1.0
-        smth = smoother_from_weights(weights, s.timestamps)
-        r = m_step(smth, s, 0.5, freeze=FREEZE).regime
+        s, weights, smth, r = exact_path_bubble_fit()
         n_hat = solve_feedback_exponent(smth, s, r.mu1, r.sigma1, 0.5)
         want = oracles.golden_section_max(
             lambda v: oracles.bubble_block_objective(s.log_prices, weights, r.mu1, r.sigma1, v),
@@ -348,20 +352,34 @@ class TestSolveFeedbackExponent:
         assert 0.35 <= n <= 0.65
 
     def test_rejected_golden_candidate_is_not_searched_again(self, monkeypatch):
-        # the objective falls with n over the whole interval: the golden
-        # section stops just inside the lower edge, where n_current sits, and
+        # the objective falls with n over the whole interval: the Brent
+        # search stops just inside the lower edge, where n_current sits, and
         # the step keeps n_current without a second search
         s = make_series(np.cumsum(np.random.default_rng(0).normal(0.0, 0.2, 21)))
         weights = np.zeros((20, 2, 2))
         weights[:, 1, 1] = 1.0
         smth = smoother_from_weights(weights, s.timestamps)
         searches = []
-        golden_max = hmm_module._golden_max
+        brent = hmm_module.minimize_scalar
         monkeypatch.setattr(
-            hmm_module, "_golden_max", lambda *args: searches.append(args) or golden_max(*args)
+            hmm_module, "minimize_scalar",
+            lambda *args, **kwargs: searches.append(args) or brent(*args, **kwargs),
         )
         assert solve_feedback_exponent(smth, s, 0.2, 0.05, 1e-4) == 1e-4
         assert len(searches) == 1
+
+    def test_one_step_takes_at_most_40_objective_calls(self, monkeypatch):
+        # a golden-section step took 67 calls here (65 in the search, then
+        # the maximiser and n_current scored again)
+        s, _, smth, r = exact_path_bubble_fit()
+        calls = []
+        objective = hmm_module._bubble_block_objective
+        monkeypatch.setattr(
+            hmm_module, "_bubble_block_objective",
+            lambda *args: calls.append(args[-1]) or objective(*args),
+        )
+        solve_feedback_exponent(smth, s, r.mu1, r.sigma1, 0.5)
+        assert 0 < len(calls) <= 40
 
     def test_degenerate_weights_rejected(self, make_series):
         s = make_series(np.linspace(0, 0.2, 11))

@@ -1,13 +1,25 @@
+import hashlib
+import re
+from datetime import date, timedelta
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from sinet import ConfigurationError, NodeGroup, SIIMatrix, build_sin
+import oracles
+from sinet import ConfigurationError, NodeGroup, ProbabilitySeries, SIIMatrix, build_sin
 from sinet import io as sio
+from sinet.network import ALL_INDICATORS
 
 
 def write(path, text):
     path.write_text(text)
     return path
+
+
+def raises_exactly(exc, path, what):
+    """``pytest.raises`` for the message ``<path>: <what>`` and nothing else."""
+    return pytest.raises(exc, match=rf"^{re.escape(str(path))}: {re.escape(what)}$")
 
 
 class TestLoadPriceCsv:
@@ -34,24 +46,24 @@ class TestLoadPriceCsv:
             tmp_path / "a.csv",
             "date,price\n2006-01-02,1.0\n2006-01-03,1.1\n2006-01-04,1.2\n2006-01-05,0\n",
         )
-        with pytest.raises(ValueError, match="line 5"):
+        with raises_exactly(ValueError, p, "non-positive price on line 5"):
             sio.read_price_table(p)
 
     def test_unparseable_date_names_line(self, tmp_path):
         p = write(tmp_path / "a.csv", "date,price\n2006-01-02,1.0\nnot-a-date,1.1\n")
-        with pytest.raises(ValueError, match="line 3"):
+        with raises_exactly(ValueError, p, "unparseable date on line 3"):
             sio.read_price_table(p)
 
     def test_missing_date_column_names_it(self, tmp_path):
         p = write(tmp_path / "a.csv", "day,price\n2006-01-02,1.0\n")
-        with pytest.raises(ConfigurationError, match="'date'"):
+        with raises_exactly(ConfigurationError, p, "missing required column 'date' (maps date)"):
             sio.read_price_table(p)
 
     def test_duplicate_date_rejected(self, tmp_path):
         p = write(
             tmp_path / "a.csv", "date,price\n2006-01-02,1.0\n2006-01-02,1.1\n"
         )
-        with pytest.raises(ValueError, match="duplicate date"):
+        with raises_exactly(ValueError, p, "duplicate date 2006-01-02 on line 3"):
             sio.read_price_table(p)
 
     def test_column_map_and_caps(self, tmp_path):
@@ -65,8 +77,11 @@ class TestLoadPriceCsv:
         np.testing.assert_allclose(table["caps"], [200.0, 220.0])
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            sio.read_price_table(tmp_path / "absent.csv")
+        absent = tmp_path / "absent.csv"
+        with pytest.raises(
+            FileNotFoundError, match=rf"^price file {re.escape(str(absent))} does not exist$"
+        ):
+            sio.read_price_table(absent)
 
 
 class TestKeyValues:
@@ -79,12 +94,12 @@ class TestKeyValues:
 
     def test_duplicate_key_rejected(self, tmp_path):
         p = write(tmp_path / "c.cfg", "a = 1\na = 2\n")
-        with pytest.raises(ConfigurationError, match="duplicate"):
+        with raises_exactly(ConfigurationError, p, "duplicate key 'a' on line 2"):
             sio.read_key_values(p)
 
     def test_malformed_line_rejected(self, tmp_path):
         p = write(tmp_path / "c.cfg", "just words\n")
-        with pytest.raises(ConfigurationError):
+        with raises_exactly(ConfigurationError, p, "line 1 is not 'key = value'"):
             sio.read_key_values(p)
 
 
@@ -120,12 +135,14 @@ class TestGraphExport:
         assert first.read_bytes() == second.read_bytes()
 
     def test_unknown_format_rejected(self, tmp_path, hand_graph):
-        with pytest.raises(ValueError, match="unknown graph format"):
+        with pytest.raises(
+            ValueError, match=r"^unknown graph format 'gexf' \(expected 'dot' or 'graph-json'\)$"
+        ):
             sio.export_graph(hand_graph, "gexf", tmp_path / "g.gexf")
 
     def test_bad_schema_rejected(self, tmp_path):
         p = write(tmp_path / "g.json", '{"schema": "other/9", "nodes": [], "edges": []}')
-        with pytest.raises(ConfigurationError, match="schema"):
+        with raises_exactly(ConfigurationError, p, "unsupported graph schema 'other/9'"):
             sio.import_graph_json(p)
 
 
@@ -157,13 +174,13 @@ class TestTableRoundTrips:
     def test_probabilities_csv_missing_date_names_line(self, tmp_path, cell):
         path = write(tmp_path / "p.csv", "# provenance\ndate,filtering,smoothing\n"
                      f"2006-01-02,0.5,0.5\n\n{cell},0.5,0.5\n")
-        with pytest.raises(ConfigurationError, match=r"p\.csv: missing date on line 5"):
+        with raises_exactly(ConfigurationError, path, "missing date on line 5"):
             sio.read_probabilities_csv(path)
 
     def test_probabilities_csv_nan_rejected(self, tmp_path):
         path = write(tmp_path / "p.csv", "date,filtering,smoothing\n"
                      "2006-01-02,0.5,0.5\n2006-01-03,nan,0.5\n")
-        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        with pytest.raises(ValueError, match=r"^probability values must lie in \[0, 1\]$"):
             sio.read_probabilities_csv(path)
 
     def test_matrix_csv(self, tmp_path):
@@ -202,3 +219,202 @@ class TestGraphNullColors:
         assert first.read_bytes() == second.read_bytes()
         dot = sio.export_graph(g, "dot", tmp_path / "g.dot").read_text()
         assert "color_value" not in dot
+
+
+class TestMalformedRows:
+    """A short row or a bad cell names the file and the 1-based line."""
+
+    def test_price_short_row(self, tmp_path):
+        p = write(tmp_path / "a.csv", "date,price\n2006-01-02,1.0\n2006-01-03\n")
+        with raises_exactly(ValueError, p, "unparseable price on line 3"):
+            sio.read_price_table(p)
+
+    def test_probabilities_short_row(self, tmp_path):
+        p = write(tmp_path / "p.csv", "# prov\ndate,filtering,smoothing\n"
+                  "2000-01-03,0.5,0.5\n2000-01-04\n")
+        with raises_exactly(ConfigurationError, p, "missing filtering on line 4"):
+            sio.read_probabilities_csv(p)
+
+    def test_probabilities_non_numeric_cell(self, tmp_path):
+        p = write(tmp_path / "p.csv", "date,filtering,smoothing\n"
+                  "2000-01-03,0.5,0.5\n\n2000-01-04,0.5,abc\n")
+        with raises_exactly(ConfigurationError, p, "unparseable smoothing on line 4"):
+            sio.read_probabilities_csv(p, "smoothing")
+
+    def test_probabilities_unparseable_date(self, tmp_path):
+        p = write(tmp_path / "p.csv", "date,filtering,smoothing\n"
+                  "2000-01-03,0.5,0.5\nnot-a-date,0.5,0.5\n")
+        with raises_exactly(ConfigurationError, p, "unparseable date on line 3"):
+            sio.read_probabilities_csv(p)
+
+    @pytest.mark.parametrize("row, what", [
+        ("b,0.1", "2 cells where the header has 3"),
+        ("b,0.1,0.0,0.3", "4 cells where the header has 3"),
+        ("b,0.1,x", "unparseable b"),
+    ])
+    def test_matrix_ragged_or_bad_row(self, tmp_path, row, what):
+        p = write(tmp_path / "m.csv", f"# prov\nnode,a,b\na,0.0,0.2\n{row}\n")
+        with raises_exactly(ConfigurationError, p, f"{what} on line 4"):
+            sio.read_matrix_csv(p)
+
+    def test_indicators_bad_cell(self, tmp_path):
+        header = ",".join(("node",) + ALL_INDICATORS)
+        good = ",".join(["a"] + ["0.0"] * len(ALL_INDICATORS))
+        bad = ",".join(["b"] + ["0.0"] * (len(ALL_INDICATORS) - 1) + ["?"])
+        p = write(tmp_path / "i.csv", f"{header}\n{good}\n{bad}\n")
+        with raises_exactly(ConfigurationError, p, f"unparseable {ALL_INDICATORS[-1]} on line 3"):
+            sio.read_indicators_csv(p)
+
+    def test_losses_short_row(self, tmp_path):
+        p = write(tmp_path / "l.csv", "node,max_loss_pct\na,12.5\nb\n")
+        with raises_exactly(ConfigurationError, p, "missing max_loss_pct on line 3"):
+            sio.read_losses_csv(p)
+
+    def test_groups_short_row(self, tmp_path):
+        p = write(tmp_path / "g.csv", "node,group\na,industrial\n\nb\n")
+        with raises_exactly(ConfigurationError, p, "missing group on line 4"):
+            sio.read_groups_csv(p)
+
+    def test_comment_rows(self, tmp_path):
+        # '#' lines are skipped in the pipeline's tables but are data in price files
+        losses = write(tmp_path / "l.csv", "# prov\nnode,max_loss_pct\n# note\na,12.5\n")
+        assert sio.read_losses_csv(losses) == {"a": 12.5}
+        prices = write(tmp_path / "a.csv", "date,price\n2006-01-02,1.0\n# note\n")
+        with raises_exactly(ValueError, prices, "unparseable date on line 3"):
+            sio.read_price_table(prices)
+
+
+# ---------------------------------------------------------------------------
+# The columnar price reader against the row-by-row reader it replaced
+
+def _outcome(read, path, column_map):
+    try:
+        table = read(path, column_map)
+    except Exception as err:  # noqa: BLE001 - the exception itself is compared
+        return type(err), str(err)
+    return {k: (v.dtype.str, v.shape, v.tobytes()) for k, v in table.items()}
+
+
+def _date_text(day: date, style: int) -> str:
+    """An ISO form ``date.fromisoformat`` reads: calendar, basic or week date."""
+    if style == 0:
+        return day.isoformat()
+    if style == 1:
+        return day.strftime("%Y%m%d")
+    year, week, weekday = day.isocalendar()
+    return f"{year:04d}-W{week:02d}-{weekday}"
+
+
+@st.composite
+def price_tables(draw):
+    """CSV text of a valid price table, its column map and its rows as cells."""
+    n = draw(st.integers(0, 12))
+    days = draw(st.lists(st.integers(0, 3_000_000), min_size=n, max_size=n, unique=True))
+    positive = st.floats(min_value=5e-324, max_value=1e300, allow_nan=False)
+    with_cap = draw(st.booleans())
+    names = {"date": "date", "price": "price", "market_cap": "market_cap"}
+    column_map = None
+    if draw(st.booleans()):
+        column_map = {"date": "day", "price": "close", "market_cap": "cap"}
+        names = dict(column_map)
+    fields = ["date", "price"] + (["market_cap"] if with_cap else []) + ["volume"]
+    fields = draw(st.permutations(fields))
+    # plain tables too, so that numpy's one-call parse takes the whole column
+    styles = st.sampled_from(draw(st.sampled_from([(0,), (0, 1, 2)])))
+    pad = st.sampled_from(draw(st.sampled_from([("",), ("", " ", "\t", "  ")])))
+    quote = draw(st.booleans())
+
+    def cell(text):
+        text = draw(pad) + text + draw(pad)
+        return f'"{text}"' if quote and draw(st.booleans()) else text
+
+    rows = []
+    for d in days:
+        values = {
+            "date": _date_text(date(1000, 1, 1) + timedelta(days=d), draw(styles)),
+            "price": repr(draw(positive)),
+            "market_cap": repr(draw(positive)),
+            "volume": draw(st.sampled_from(["", "7", "x"])),
+        }
+        rows.append({f: values[f] for f in fields})
+    lines = [",".join(draw(pad) + names.get(f, f) + draw(pad) for f in fields)]
+    for row in rows:
+        lines.append(",".join(cell(row[f]) for f in fields))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", ",,", " , \t"])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    return text, column_map, fields
+
+
+CORRUPTIONS = {
+    "date": ["not-a-date", "2006/01/02", "2006-02", "2006-02-30", "", "0000-01-01", "# x"],
+    "price": ["0", "-1.5", "inf", "nan", "abc", ""],
+    "market_cap": ["0", "-2", "-inf", "nan", "1e", ""],
+}
+FUZZ = settings(max_examples=150, deadline=None, database=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestPriceTableParity:
+    @FUZZ
+    @given(table=price_tables())
+    def test_valid_tables_match_row_reader(self, tmp_path, table):
+        text, column_map, _ = table
+        path = tmp_path / "prices.csv"
+        path.write_bytes(text.encode())
+        want = _outcome(oracles.read_price_table_rows, path, column_map)
+        assert isinstance(want, dict)
+        assert _outcome(sio.read_price_table, path, column_map) == want
+
+    @FUZZ
+    @given(table=price_tables(), data=st.data())
+    def test_one_corrupted_row_fails_like_row_reader(self, tmp_path, table, data):
+        text, column_map, fields = table
+        lines = text.splitlines()
+        rows = [k for k, line in enumerate(lines) if k and line.replace(",", "").strip()]
+        if not rows:
+            return
+        k = data.draw(st.sampled_from(rows))
+        cells = lines[k].split(",")
+        field = data.draw(st.sampled_from([f for f in fields if f in CORRUPTIONS] + ["cut"]))
+        if field == "cut":
+            cells = cells[: data.draw(st.integers(1, len(cells) - 1))]
+        elif field == "date" and data.draw(st.booleans()) and len(rows) > 1:
+            other = lines[data.draw(st.sampled_from([r for r in rows if r != k]))].split(",")
+            cells[fields.index("date")] = other[fields.index("date")]
+        else:
+            cells[fields.index(field)] = data.draw(st.sampled_from(CORRUPTIONS[field]))
+        lines[k] = ",".join(cells)
+        path = tmp_path / "prices.csv"
+        path.write_bytes(("\n".join(lines) + "\n").encode())
+        want = _outcome(oracles.read_price_table_rows, path, column_map)
+        assert _outcome(sio.read_price_table, path, column_map) == want
+
+
+    @pytest.mark.parametrize("cell", [
+        "0000-01-01", "2006-02", "2007", "today", "+2006-01-02", " 206-01-02", "   2006-01",
+        "2006-01-02T00:00", "20060102", "2006-W01-1", " 2006-01-03", "2006-01-03 ", "NaT",
+    ])
+    def test_dates_numpy_reads_but_iso_may_not(self, tmp_path, cell):
+        path = write(tmp_path / "a.csv", f"date,price\n2006-01-04,1.0\n{cell},2.0\n")
+        want = _outcome(oracles.read_price_table_rows, path, None)
+        assert _outcome(sio.read_price_table, path, None) == want
+
+
+class TestProbabilitiesWriter:
+    def test_bytes_are_pinned(self, tmp_path):
+        values = np.concatenate([
+            np.random.default_rng(7).random(60),
+            [0.0, 1.0, 5e-324, 1e-300, 0.1, 1 / 3, 0.5, 1 - 2**-53],
+        ])
+        dates = np.datetime64("1999-12-30", "D") + np.arange(len(values)) * 3
+        path = sio.write_probabilities_csv(
+            tmp_path / "p.csv",
+            ProbabilitySeries(dates, values),
+            ProbabilitySeries(dates, values[::-1].copy()),
+            "config=abc window=x..y",
+        )
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "1a838e0790bc1c51f3c95befa16f4781fe761e21e09f11504a4b92d29fa49956"
+        )
