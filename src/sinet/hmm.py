@@ -8,11 +8,16 @@ smoother and closed-form posterior-weighted parameter updates, followed by
 a conditional-maximisation step for the feedback exponent n: a bounded Brent
 search of the bubble block of the E-step objective at the updated mu1 and
 sigma1, which keeps the current n unless it finds a higher value.
+
+The filter and the smoother have no per-step loop. Both recursions are
+products of 2x2 operators, one per step, and both take every prefix of that
+product by cyclic (odd/even) reduction: O(T) work in about log2 T vectorised
+passes. The filter reduces in log domain, the smoother, whose operators are
+column-stochastic, in linear domain. ``tests/test_kernel_parity.py`` holds
+them to exact rational recursions over the same inputs.
 """
 from __future__ import annotations
 
-import math
-from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -222,10 +227,51 @@ def _emission_densities(y: np.ndarray, params: ModelParams) -> np.ndarray:
     return np.maximum(dens, DENSITY_FLOOR)
 
 
-def _column(values: np.ndarray) -> array:
-    """Copy a 1-D float view into an ``array('d')``, which iterates as Python
-    floats without boxing numpy scalars."""
-    return array("d", values.tobytes())
+def _prefixes(first: np.ndarray, ops: np.ndarray, product) -> np.ndarray:
+    """Every prefix ``first * ops[0] * ... * ops[t]`` by cyclic reduction.
+
+    Time is the last axis: ``first`` is a (1, 2, 1) row vector, ``ops`` a
+    (2, 2, T) stack and ``product(a, b)`` the batched product of two stacks.
+    Adjacent operators are multiplied in pairs until none are left (about
+    log2 T levels); going back down, each level's odd prefixes are the next
+    level's results and its even ones take one more product. That is O(T)
+    products in O(log T) vectorised passes, and prefix t only ever combines
+    ``ops[0..t]``. Returns the (1, 2, T) prefixes.
+    """
+    levels = []
+    while ops.shape[-1]:
+        levels.append(ops)
+        ops = product(ops[..., 0:-1:2], ops[..., 1::2])
+    out = first[..., :0]
+    for ops in reversed(levels):
+        T = ops.shape[-1]
+        merged = np.empty((1, 2, T))
+        merged[..., 1::2] = out
+        before = np.concatenate([first, out[..., : (T - 1) // 2]], axis=-1)
+        merged[..., 0::2] = product(before, ops[..., 0::2])
+        out = merged
+    return out
+
+
+def _log_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched product of log-domain stacks: each entry is the log of a sum
+    of two products, taken as hi + log1p(exp(lo - hi)). A sum of two zeros
+    (-inf) stays -inf, and each result is shifted so that the largest entry
+    of its first row is 0 (the filter only needs directions)."""
+    terms = a[:, :, None] + b
+    hi = np.maximum(terms[:, 0], terms[:, 1])
+    gap = np.minimum(terms[:, 0], terms[:, 1])
+    gap -= hi
+    np.fmax(gap, -np.inf, out=gap)
+    hi += np.log1p(np.exp(gap, out=gap), out=gap)
+    hi -= np.maximum(hi[0, 0], hi[0, 1])
+    return hi
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched product of linear-domain stacks."""
+    terms = a[:, :, None] * b
+    return terms[:, 0] + terms[:, 1]
 
 
 def hamilton_filter(
@@ -237,6 +283,15 @@ def hamilton_filter(
     ``initial`` is the distribution of s_0 (defaults to the stationary
     distribution of ``params.q``). The log-likelihood accumulates the log of
     the per-step normalisers.
+
+    The unnormalised forward vector after step t is ``initial`` times the
+    product of the operators q * D_1, ..., q * D_t, where D_t holds the
+    emission densities of step t. Those prefix products are taken by cyclic
+    reduction in log domain, so factors as small as 1e-300 * 1e-300 keep
+    their weight; the filtered prior of each step then gives its pairwise
+    table and normaliser in one vectorised pass. The first normaliser outside
+    (0, inf) -- an infinite or NaN density -- is a numerical failure at that
+    step; prefixes before it never involve the offending operator.
     """
     y = series.log_prices
     if initial is None:
@@ -245,42 +300,38 @@ def hamilton_filter(
     if pi.shape != (2,) or np.any(pi < 0) or abs(pi.sum() - 1.0) > 1e-9:
         raise ValueError("initial must be a length-2 distribution summing to 1")
 
-    dens = _emission_densities(y, params)
-    q00, q01, q10, q11 = (float(v) for v in params.q.ravel())
-
-    # The recursion runs on Python floats, which do the same IEEE operations
-    # in the same order as numpy scalars would, and keeps only the filtered
-    # pair and the normaliser of each step; the pairwise tables are then
-    # rebuilt from them in one pass.
-    f0, f1 = float(pi[0]), float(pi[1])
-    f0s, f1s, norms = array("d", [f0]), array("d", [f1]), array("d")
-    for d00, d01, d10, d11 in zip(*(_column(dens[:, i, j]) for i in (0, 1) for j in (0, 1))):
-        w00 = q00 * f0 * d00
-        w01 = q01 * f0 * d01
-        w10 = q10 * f1 * d10
-        w11 = q11 * f1 * d11
-        norm = w00 + w01 + w10 + w11
-        if not 0.0 < norm < math.inf:
-            step = len(norms) + 1
+    # log 0 = -inf marks a dead transition and log inf = inf an overflowing
+    # density; whatever they make of later prefixes is never reported,
+    # because the normaliser of the step that holds them fails first
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ops = np.log(_emission_densities(y, params).transpose(1, 2, 0), order="C")  # [i, j, t]
+        ops += np.log(params.q)[:, :, None]
+        log_pi = np.log(pi)[:, None]
+        log_forward = _prefixes(log_pi[None], ops, _log_product)[0]
+        forward = np.exp(log_forward)  # the larger entry of each column is exp(0) = 1
+        total = forward[0] + forward[1]
+        forward /= total
+        log_forward -= np.log(total)
+        cells = ops  # log P(s_{t-1}=i, s_t=j, y_t | y_0..y_{t-1}) from here on
+        cells[..., 0] += log_pi
+        cells[..., 1:] += log_forward[:, None, :-1]
+        top = np.maximum(np.maximum(cells[0, 0], cells[0, 1]),
+                         np.maximum(cells[1, 0], cells[1, 1]))
+        pairwise = np.exp(cells - top)
+        norms = pairwise.sum(axis=(0, 1))
+        log_norms = top + np.log(norms)
+        bad = ~np.isfinite(log_norms)
+        if bad.any():
+            step = int(np.argmax(bad)) + 1
+            norm = float(np.exp(cells[..., step - 1]).sum())
             raise NumericalFailureError(step, f"filter normaliser {norm!r} at step {step}")
-        f0 = w00 / norm + w10 / norm
-        f1 = w01 / norm + w11 / norm
-        f0s.append(f0)
-        f1s.append(f1)
-        norms.append(norm)
-    # summed left to right like the step loop; sum() compensates on 3.12+
-    loglik = 0.0
-    for log_norm in map(math.log, norms):
-        loglik += log_norm
+    pairwise /= norms
+    loglik = float(log_norms.sum())
 
-    filtering = np.frombuffer(f1s)
-    prior = np.stack([np.frombuffer(f0s)[:-1], filtering[:-1]], axis=1)
-    pairwise = params.q * prior[:, :, None]
-    pairwise *= dens
-    pairwise /= np.frombuffer(norms)[:, None, None]
+    filtering = np.concatenate([pi[1:], forward[1]])
     probs = ProbabilitySeries(series.timestamps, np.clip(filtering, 0.0, 1.0),
                               label=f"{series.asset_id}:filtering")
-    return FilterOutput(probs, pairwise, loglik)
+    return FilterOutput(probs, pairwise.transpose(2, 0, 1), loglik)
 
 
 def kim_smoother(filt: FilterOutput) -> SmootherOutput:
@@ -299,47 +350,42 @@ def kim_smoother(filt: FilterOutput) -> SmootherOutput:
     alone -- is what makes the recursion exact for this model. The
     transition matrix is already folded into the pairwise filtered tables,
     so the smoother needs no model parameters.
+
+    The smoothed distribution of s_t is thus the product of those
+    column-stochastic operators from step t to the end, applied to the final
+    filtered distribution; the suffix products are taken by the same cyclic
+    reduction as the filter's, in linear domain, and each distribution is
+    normalised once at the end. A landing column of probability zero carries
+    no pairwise weight back; it is a numerical failure if the smoothed mass
+    it would have to carry exceeds 1e-12 (the newest such step is reported).
     """
-    pf = filt.pairwise_filtered
-    N = len(pf) + 1
-    landing = pf.sum(axis=1)  # P(s_{t+1}=j | y_0..y_{t+1}), indexed [t, j]
-
-    # Scalar recursion over Python floats, newest step first: r_j is the
-    # factor that carries the smoothed mass of s_{t+1}=j back onto column j
-    # of the filtered table, and s is P(s_t=1 | y_T).
+    pf = filt.pairwise_filtered.transpose(1, 2, 0)  # [i, j, t]
+    landing = pf[0] + pf[1]  # P(s_{t+1}=j | y_0..y_{t+1}), [j, t]
+    dead = landing <= 0.0
+    back = np.divide(pf, landing, out=np.zeros(pf.shape), where=~dead)
+    # for the reduction, a dead column hands its (at most 1e-12) smoothed
+    # mass to state 0, so every operator is column-stochastic and
+    # P(s_t=0 | y_T) stays 1 - P(s_t=1 | y_T)
+    back[0][dead] = 1.0
     s = float(filt.filtering.values[-1])
-    smoothed, ratios0, ratios1 = array("d", [s]), array("d"), array("d")
-    for pf10, pf11, l0, l1 in zip(_column(pf[::-1, 1, 0]), _column(pf[::-1, 1, 1]),
-                                  _column(landing[::-1, 0]), _column(landing[::-1, 1])):
-        if l0 <= 0.0:
-            if 1.0 - s > 1e-12:
-                step = N - len(smoothed)
-                raise NumericalFailureError(
-                    step, f"zero backward denominator for state 0 at step {step}"
-                )
-            r0 = 0.0
-        else:
-            r0 = (1.0 - s) / l0
-        if l1 <= 0.0:
-            if s > 1e-12:
-                step = N - len(smoothed)
-                raise NumericalFailureError(
-                    step, f"zero backward denominator for state 1 at step {step}"
-                )
-            r1 = 0.0
-        else:
-            r1 = s / l1
-        s = pf10 * r0 + pf11 * r1
-        smoothed.append(s)
-        ratios0.append(r0)
-        ratios1.append(r1)
+    last = np.array([[[1.0 - s], [s]]])
+    later = _prefixes(last, back.transpose(1, 0, 2)[..., ::-1], _product)[0, :, ::-1]
+    back[0][dead] = 0.0
+    later /= later[0] + later[1]
+    landed = np.concatenate([later[:, 1:], last[0]], axis=1)  # P(s_{t+1}=j | y_T), [j, t]
 
-    smoothing = np.frombuffer(smoothed)[::-1]
-    ratios = np.stack([np.frombuffer(ratios0)[::-1], np.frombuffer(ratios1)[::-1]], axis=1)
-    pairwise = pf * ratios[:, None, :]
+    dead &= landed > 1e-12
+    if dead.any():
+        t = int(np.flatnonzero(dead.any(axis=0))[-1])
+        j = int(np.argmax(dead[:, t]))
+        raise NumericalFailureError(
+            t + 1, f"zero backward denominator for state {j} at step {t + 1}"
+        )
+    back *= landed
+    smoothing = np.concatenate([later[1], [s]])
     probs = ProbabilitySeries(filt.filtering.timestamps, np.clip(smoothing, 0.0, 1.0),
                               label=filt.filtering.label.replace("filtering", "smoothing"))
-    return SmootherOutput(probs, pairwise)
+    return SmootherOutput(probs, back.transpose(2, 0, 1))
 
 
 def _exp_neg_n_y(y: np.ndarray, n: float) -> np.ndarray:

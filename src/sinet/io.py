@@ -347,25 +347,50 @@ def write_probabilities_csv(
     return path
 
 
+def _bad_date(table: _Table, cells: list[str]) -> ConfigurationError:
+    """The error for the first row of a probabilities table whose date is
+    unparseable, missing, not YYYY-MM-DD, or not after the row above."""
+    previous = None
+    for row, cell in enumerate(cells):
+        try:
+            day = np.datetime64(cell, "D")
+        except ValueError:
+            return table.fail(row, "unparseable date")
+        if np.isnat(day):
+            return table.fail(row, "missing date")
+        if not (len(cell) == 10 and cell[4] == cell[7] == "-"
+                and (cell[:4] + cell[5:7] + cell[8:]).isdigit()):
+            return table.fail(row, f"date {cell!r} not in YYYY-MM-DD form")
+        if previous is not None and day <= previous:
+            what = "duplicate" if day == previous else "unsorted"
+            return table.fail(row, f"{what} date {day}")
+        previous = day
+
+
 def read_probabilities_csv(path, column: str = "filtering") -> ProbabilitySeries:
     """Read one probability column of a table written by
-    :func:`write_probabilities_csv`; dates are in the first column."""
+    :func:`write_probabilities_csv`.
+
+    Dates are in the first column, as YYYY-MM-DD and strictly increasing;
+    numpy alone would also read ``2006-02`` as 2006-02-01. The first bad date
+    raises ConfigurationError naming its line.
+    """
     table = _read_table(path)
     if column not in table.header:
         raise ConfigurationError(f"{path}: no column {column!r}")
     cells = table.column(0)
+    n = len(cells)
     try:
         dates = np.array(cells, dtype="datetime64[D]")
     except ValueError:
-        for row, cell in enumerate(cells):
-            try:
-                np.array([cell], dtype="datetime64[D]")
-            except ValueError:
-                raise table.fail(row, "unparseable date") from None
-        raise
-    missing = np.flatnonzero(np.isnat(dates))
-    if len(missing):
-        raise table.fail(missing[0], "missing date")
+        raise _bad_date(table, cells) from None
+    # cells hold no commas, so the slices prove that every cell is DDDD-DD-DD
+    text = ",".join(cells)
+    if n and (np.isnat(dates).any() or not (dates[1:] > dates[:-1]).all()
+            or len(text) != 11 * n - 1 or text[10::11] != "," * (n - 1)
+            or text[4::11] != "-" * n or text[7::11] != "-" * n
+            or not text.encode().translate(None, b",-").isdigit()):
+        raise _bad_date(table, cells)
     (values,) = _float_columns(table, [table.header.index(column)])
     return ProbabilitySeries(dates, values)
 
@@ -388,6 +413,9 @@ def read_matrix_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
     for row, cells in enumerate(table.widths):
         if cells != width:
             raise table.fail(row, f"{cells} cells where the header has {width}")
+    for row, (label, node) in enumerate(zip(table.column(0), table.header[1:])):
+        if label != node:
+            raise table.fail(row, f"row {label!r} where the header has {node!r}")
     values = _float_columns(table, range(1, width))
     matrix = np.column_stack(values) if values else np.empty((len(table.linenos), 0))
     return tuple(table.header[1:]), matrix

@@ -12,6 +12,8 @@ import math
 import warnings
 from collections import Counter
 from datetime import date
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -112,10 +114,10 @@ def enumerate_posteriors(y, q, initial, theta):
 
 
 # ---------------------------------------------------------------------------
-# Step-by-step filter and smoother recursions on numpy scalars: the loops the
-# library ran before its float-scalar kernels, kept as the reference those
-# kernels must match bit for bit (same values, same failing step, same
-# message).
+# Step-by-step filter and smoother recursions, on numpy scalars and in exact
+# rational arithmetic. The library's cyclic-reduction kernels must fail where
+# the float loops fail and otherwise match the exact recursions within
+# tolerance (tests/test_kernel_parity.py).
 
 class RecursionFailure(ArithmeticError):
     def __init__(self, step, message):
@@ -156,6 +158,45 @@ def hamilton_filter_steps(dens, q, initial):
     return filtering, pairwise, loglik
 
 
+def hamilton_filter_exact(dens, q, initial):
+    """The forward recursion of :func:`hamilton_filter_steps` in exact
+    rational arithmetic over the same float inputs, rounded once at the end.
+
+    The unnormalised forward vector alpha_t = alpha_{t-1} (q * D_t) starts
+    from ``initial`` as given, so the product of the step normalisers is
+    sum(alpha_T) and the log-likelihood is its logarithm, taken here to 50
+    significant digits. Returns (filtering, pairwise_filtered, loglik).
+
+    A step with a non-finite density raises :class:`RecursionFailure` with
+    the IEEE value of its normaliser: nan if a density is NaN or an infinite
+    one meets a path of exact weight zero, inf otherwise.
+    """
+    q = [[Fraction(float(v)) for v in row] for row in q]
+    alpha = [Fraction(float(v)) for v in initial]
+    T = len(dens)
+    filtering = np.empty(T + 1)
+    filtering[0] = float(initial[1])
+    pairwise = np.empty((T, 2, 2))
+    for t in range(T):
+        d = [[float(dens[t, i, j]) for j in range(2)] for i in range(2)]
+        if not all(math.isfinite(v) for row in d for v in row):
+            norm = sum(d[i][j] if alpha[i] * q[i][j] > 0 else 0.0 * d[i][j]
+                       for i in range(2) for j in range(2))
+            raise RecursionFailure(t + 1, f"filter normaliser {norm!r} at step {t + 1}")
+        w = [[alpha[i] * q[i][j] * Fraction(d[i][j]) for j in range(2)] for i in range(2)]
+        alpha = [w[0][0] + w[1][0], w[0][1] + w[1][1]]
+        total = alpha[0] + alpha[1]
+        for i in range(2):
+            for j in range(2):
+                pairwise[t, i, j] = w[i][j] / total
+        filtering[t + 1] = alpha[1] / total
+    total = alpha[0] + alpha[1]
+    with localcontext() as ctx:
+        ctx.prec = 50
+        loglik = Decimal(total.numerator).ln() - Decimal(total.denominator).ln()
+    return filtering, pairwise, float(loglik)
+
+
 def kim_smoother_steps(filtering, pairwise_filtered):
     """Backward recursion seeded with ``filtering[-1]``.
 
@@ -181,6 +222,35 @@ def kim_smoother_steps(filtering, pairwise_filtered):
                 pair[:, j] = pf[:, j] * (s_next[j] / landing[j])
         pairwise[t] = pair
         smoothing[t] = pair[1, :].sum()
+    return smoothing, pairwise
+
+
+def kim_smoother_exact(filtering, pairwise_filtered):
+    """:func:`kim_smoother_steps` in exact rational arithmetic over the same
+    float inputs, rounded once at the end; a landing column of probability
+    zero fails under the same 1e-12 rule."""
+    s = Fraction(float(filtering[-1]))
+    T = len(pairwise_filtered)
+    smoothing = np.empty(T + 1)
+    smoothing[-1] = float(s)
+    pairwise = np.empty((T, 2, 2))
+    for t in range(T - 1, -1, -1):
+        pf = [[Fraction(float(v)) for v in row] for row in pairwise_filtered[t]]
+        s_next = (1 - s, s)
+        pair = [[Fraction(0)] * 2 for _ in range(2)]
+        for j in range(2):
+            landing = pf[0][j] + pf[1][j]
+            if landing == 0:
+                if s_next[j] > Fraction(1e-12):
+                    raise RecursionFailure(
+                        t + 1, f"zero backward denominator for state {j} at step {t + 1}"
+                    )
+                continue
+            for i in range(2):
+                pair[i][j] = pf[i][j] * s_next[j] / landing
+        pairwise[t] = [[float(v) for v in row] for row in pair]
+        s = pair[1][0] + pair[1][1]
+        smoothing[t] = float(s)
     return smoothing, pairwise
 
 

@@ -191,3 +191,13 @@ class TestMalformedInput:
         assert capsys.readouterr().err == (
             f"error: {matrix}: 2 cells where the header has 3 on line 3\n"
         )
+
+    def test_network_rows_out_of_header_order_exit_one(self, tmp_path, groups_file, capsys):
+        matrix = tmp_path / "m.csv"
+        matrix.write_text("node,ENE,MAT\nMAT,0.2,0.0\nENE,0.0,0.1\n")
+        rc = main(["network", "--matrix", str(matrix), "--groups", str(groups_file),
+                   "--threshold", "0.05", "--out-dir", str(tmp_path / "net")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {matrix}: row 'MAT' where the header has 'ENE' on line 2\n"
+        )

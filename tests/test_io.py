@@ -158,12 +158,25 @@ class TestTableRoundTrips:
         np.testing.assert_array_equal(back_s.values, smth.values)
         np.testing.assert_array_equal(back_f.timestamps, filt.timestamps)
 
-    def test_probabilities_csv_dates_parse_as_numpy_scalars(self, tmp_path):
-        cells = ["2006-01-02", "2006-02", "2007", " 2008-03-04"]
-        path = write(tmp_path / "p.csv", "date,filtering,smoothing\n"
-                     + "".join(f"{c},0.5,0.5\n" for c in cells))
-        back = sio.read_probabilities_csv(path)
-        np.testing.assert_array_equal(back.timestamps, [np.datetime64(c, "D") for c in cells])
+    @pytest.mark.parametrize("cell, what", [
+        ("2006-02", "date '2006-02' not in YYYY-MM-DD form"),
+        ("2007", "date '2007' not in YYYY-MM-DD form"),
+        (" 2008-03-04", "date ' 2008-03-04' not in YYYY-MM-DD form"),
+        ("+006-01-02", "date '+006-01-02' not in YYYY-MM-DD form"),
+        ("2006-01-03", "duplicate date 2006-01-03"),
+        ("2006-01-02", "unsorted date 2006-01-02"),
+    ])
+    def test_probabilities_csv_bad_date_names_line(self, tmp_path, cell, what):
+        # numpy reads every one of these cells; line 5 is bad too, but only
+        # the first bad line is named
+        path = write(tmp_path / "p.csv", "# provenance\ndate,filtering,smoothing\n"
+                     f"2006-01-03,0.5,0.5\n{cell},0.5,0.5\n2006-01-01,0.5,0.5\n")
+        with raises_exactly(ConfigurationError, path, f"{what} on line 4"):
+            sio.read_probabilities_csv(path)
+
+    def test_probabilities_csv_header_only_is_empty(self, tmp_path):
+        path = write(tmp_path / "p.csv", "date,filtering,smoothing\n")
+        assert len(sio.read_probabilities_csv(path)) == 0
 
     def test_probabilities_csv_unparseable_date_rejected(self, tmp_path):
         path = write(tmp_path / "p.csv", "date,filtering,smoothing\n2006-13-01,0.5,0.5\n")
@@ -255,6 +268,11 @@ class TestMalformedRows:
     def test_matrix_ragged_or_bad_row(self, tmp_path, row, what):
         p = write(tmp_path / "m.csv", f"# prov\nnode,a,b\na,0.0,0.2\n{row}\n")
         with raises_exactly(ConfigurationError, p, f"{what} on line 4"):
+            sio.read_matrix_csv(p)
+
+    def test_matrix_rows_out_of_header_order(self, tmp_path):
+        p = write(tmp_path / "m.csv", "node,a,b\nb,0.1,0.0\na,0.0,0.2\n")
+        with raises_exactly(ConfigurationError, p, "row 'b' where the header has 'a' on line 2"):
             sio.read_matrix_csv(p)
 
     def test_indicators_bad_cell(self, tmp_path):
