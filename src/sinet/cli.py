@@ -13,7 +13,7 @@ from pathlib import Path
 from . import io as sio
 from . import pipeline
 from .entropy import SIIMatrix, sii
-from .errors import ConfigurationError, NumericalFailureError, SinetError
+from .errors import NumericalFailureError, SinetError
 from .hmm import EMConfig
 from .network import build_sin, compute_indicators
 from .bubble import simulate_sa_path
@@ -204,22 +204,22 @@ _COMMANDS = {
 }
 
 
+# The exit code of each failure, the first matching entry deciding: 1 for
+# bad input, 2 for a failed computation or an unwritable output.
+_EXIT_CODES = (
+    (NumericalFailureError, 2),
+    ((ValueError, SinetError, FileNotFoundError), 1),
+    (OSError, 2),
+)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigurationError, FileNotFoundError) as err:
+    except (ValueError, SinetError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (ValueError, SinetError) as err:
-        if isinstance(err, NumericalFailureError):
-            print(f"error: {err}", file=sys.stderr)
-            return 2
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in _EXIT_CODES if isinstance(err, kind))
 
 
 if __name__ == "__main__":

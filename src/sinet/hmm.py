@@ -18,7 +18,7 @@ them to exact rational recursions over the same inputs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -618,17 +618,7 @@ def em_fit(
                     smth, series, updated.regime.mu1, updated.regime.sigma1,
                     params.regime.n, search=config.n_search,
                 )
-            candidate = ModelParams(
-                RegimeParams(
-                    mu0=updated.regime.mu0,
-                    sigma0=updated.regime.sigma0,
-                    mu1=updated.regime.mu1,
-                    sigma1=updated.regime.sigma1,
-                    n=n_new,
-                    kappa=config.kappa,
-                ),
-                updated.q,
-            )
+            candidate = ModelParams(replace(updated.regime, n=n_new), updated.q)
 
             accepted = None
             lam = 1.0

@@ -38,12 +38,14 @@ def _fmt(x) -> str:
 #
 # Every table reader goes through ``_read_table``: the file is read once, all
 # data rows are cut into cells in one ``split``, and each column a reader
-# needs is converted by one numpy call. Checks are vectorised masks; only
-# when one fires is the offending column scanned, to name the first bad
-# line. Bad cells fail with ``<path>: <what> on line <n>`` (1-based).
+# needs is converted by one numpy call. Each reader then lists its checks as
+# row masks, in the order they rank within one line, and ``_Table.check``
+# fails the read at the first line any of them flags, with the
+# highest-ranked check failing there: ``<path>: <what> on line <n>``
+# (1-based).
 
-# date.fromisoformat only takes years 1 to 9999
-_FIRST_DAY, _LAST_DAY = np.datetime64("0001-01-01"), np.datetime64("9999-12-31")
+# date.fromisoformat only takes years from 1
+_FIRST_DAY = np.datetime64("0001-01-01")
 
 
 class _Table(NamedTuple):
@@ -57,15 +59,30 @@ class _Table(NamedTuple):
     path: Path
     header: list[str]
     linenos: Sequence[int]
-    widths: list[int]
+    widths: np.ndarray
     cells: list[str]
     width: int
 
     def column(self, j: int) -> list[str]:
         return self.cells[j :: self.width]
 
-    def fail(self, row: int, what: str) -> ConfigurationError:
-        return ConfigurationError(f"{self.path}: {what} on line {self.linenos[row]}")
+    def check(self, checks, error=ConfigurationError) -> None:
+        """Raise ``error`` for the first line any check flags, naming the
+        first of ``checks`` that flags it.
+
+        ``checks`` are ``(what, mask)`` pairs in the order they rank within
+        one line: ``mask`` flags the failing rows (None when none fails; it
+        may stop short of the last row) and ``what`` is the message, or a
+        function of the row that gives it.
+        """
+        failing = [(int(np.argmax(mask)), rank) for rank, (_, mask) in enumerate(checks)
+                   if mask is not None and mask.any()]
+        if failing:
+            row, rank = min(failing)
+            what = checks[rank][0]
+            if callable(what):
+                what = what(row)
+            raise error(f"{self.path}: {what} on line {self.linenos[row]}")
 
 
 def _read_table(path, price_file: bool = False) -> _Table:
@@ -113,13 +130,13 @@ def _read_table(path, price_file: bool = False) -> _Table:
         width = commas[0] + 1
         if commas.count(width - 1) == len(rows) and width >= len(header):
             cells = ",".join(rows).split(",")
-            return _Table(path, header, linenos, [width] * len(rows), cells, width)
+            return _Table(path, header, linenos, np.full(len(rows), width), cells, width)
         rows = [r.split(",") for r in rows]
     widths = [len(r) for r in rows]
     width = max(widths + [len(header)])
     pad = [""] * width
     cells = [c for r in rows for c in (r + pad)[:width]]
-    return _Table(path, header, linenos, widths, cells, width)
+    return _Table(path, header, linenos, np.array(widths, dtype=int), cells, width)
 
 
 def _float_column(cells: list[str]) -> tuple[np.ndarray, Optional[np.ndarray]]:
@@ -138,40 +155,49 @@ def _float_column(cells: list[str]) -> tuple[np.ndarray, Optional[np.ndarray]]:
         return values, bad
 
 
-def _float_columns(table: _Table, columns) -> list[np.ndarray]:
-    """The given columns as floats; the first bad cell in file order (the
-    leftmost on its line) fails the read."""
-    out, bad = [], []
-    for j in columns:
-        values, mask = _float_column(table.column(j))
-        out.append(values)
-        if mask is not None:
-            bad.append((int(np.argmax(mask)), j))
-    if bad:
-        row, j = min(bad)
-        what = "missing" if table.widths[row] <= j else "unparseable"
-        raise table.fail(row, f"{what} {table.header[j]}")
-    return out
+def _numbers(table: _Table, columns) -> tuple[list[np.ndarray], list]:
+    """The given columns of a pipeline table as floats, and their checks in
+    line order: ``missing <column>`` where a row is too short to have the
+    cell, then ``unparseable <column>`` where ``float()`` rejects it."""
+    parsed = {j: _float_column(table.column(j)) for j in sorted(columns)}
+    checks = []
+    for j, (_, bad) in parsed.items():
+        if bad is not None:
+            checks.append((f"missing {table.header[j]}", table.widths <= j))
+            checks.append((f"unparseable {table.header[j]}", bad))
+    return [parsed[j][0] for j in columns], checks
 
 
-def _iso_dates(cells: list[str]) -> np.ndarray:
-    """``date.fromisoformat(cell.strip())`` of every cell as datetime64[D],
-    NaT where it fails. numpy parses the whole column; only the cells that
-    are not already YYYY-MM-DD in years 1 to 9999 go through
-    ``fromisoformat``.
+def _plain(text: str, n: int) -> bool:
+    """Whether ``text`` is ``n`` DDDD-DD-DD cells joined by commas: a comma
+    after every 10 characters, dashes at offsets 4 and 7 and 8n ASCII digits
+    around them."""
+    digits = text.encode().translate(None, b",-")
+    return (len(text) == 11 * n - 1 and text[10::11] == "," * (n - 1)
+            and text[4::11] == "-" * n and text[7::11] == "-" * n
+            and len(digits) == 8 * n and digits.isdigit())
+
+
+def _plain_dates(cells: list[str]) -> np.ndarray:
+    """numpy's datetime64[D] of every cell written YYYY-MM-DD, NaT at every
+    other cell.
+
+    A test on the joined text proves every cell plain, and numpy parses the
+    whole column in one call; the cells are looked at one by one only when
+    either step fails.
     """
-    try:
-        dates = np.array(cells, dtype="datetime64[D]")
-        plain = (dates >= _FIRST_DAY) & (dates <= _LAST_DAY)
-        plain &= np.datetime_as_string(dates) == np.array(cells, dtype=str)
-    except (ValueError, OverflowError):
-        dates = np.full(len(cells), np.datetime64("NaT", "D"))
-        plain = np.zeros(len(cells), dtype=bool)
-    for k in np.flatnonzero(~plain):
+    if cells and _plain(",".join(cells), len(cells)):
         try:
-            dates[k] = date.fromisoformat(cells[k].strip())
-        except ValueError:
-            dates[k] = np.datetime64("NaT")
+            return np.array(cells, dtype="datetime64[D]")
+        except ValueError:  # a month or day out of range
+            pass
+    dates = np.full(len(cells), np.datetime64("NaT"), dtype="datetime64[D]")
+    for k, cell in enumerate(cells):
+        if _plain(cell, 1):
+            try:
+                dates[k] = np.datetime64(cell, "D")
+            except ValueError:
+                pass
     return dates
 
 
@@ -180,11 +206,13 @@ def read_price_table(path, column_map=None) -> dict:
 
     Returns a dict with ``dates`` (datetime64[D]), ``prices`` and, when the
     mapped column exists, ``caps``. Dates are ISO dates as
-    ``date.fromisoformat`` reads them; prices and caps must be finite and
-    positive. A bad row raises ValueError naming its 1-based line: the first
-    one in the file, with the first failing check on it, in the order
-    unparseable date, duplicate date, unparseable or non-positive price,
-    then market_cap.
+    ``date.fromisoformat`` reads them: plain YYYY-MM-DD cells are parsed by
+    numpy in one call, the rest one by one. Prices and caps must be finite
+    and positive. A bad row raises ValueError naming the first bad line,
+    with the first check that fails on it, in the order unparseable date,
+    duplicate date, unparseable price, non-positive price, unparseable
+    market_cap, non-positive market_cap: the order in which a row-by-row
+    reader would meet them.
     """
     colmap = dict(DEFAULT_COLUMNS)
     if column_map:
@@ -199,12 +227,19 @@ def read_price_table(path, column_map=None) -> dict:
             raise ConfigurationError(
                 f"{path}: missing required column {colmap[field]!r} (maps {field})"
             )
-    dates = _iso_dates(table.column(table.header.index(colmap["date"])))
+    cells = table.column(table.header.index(colmap["date"]))
+    dates = _plain_dates(cells)
+    for k in np.flatnonzero(~(dates >= _FIRST_DAY)):  # NaT or year 0
+        try:
+            dates[k] = date.fromisoformat(cells[k].strip())
+        except ValueError:
+            dates[k] = np.datetime64("NaT")
     order = np.argsort(dates, kind="stable")
     repeated = np.zeros(len(dates), dtype=bool)
     repeated[order[1:]] = dates[order[1:]] == dates[order[:-1]]
 
-    checks = [("unparseable date", np.isnat(dates)), ("duplicate date", repeated)]
+    checks = [("unparseable date", np.isnat(dates)),
+              (lambda row: f"duplicate date {dates[row]}", repeated)]
     out = {"dates": dates[order]}
     for field, key in (("price", "prices"), ("market_cap", "caps")):
         if colmap[field] not in table.header:
@@ -213,12 +248,7 @@ def read_price_table(path, column_map=None) -> dict:
         checks.append((f"unparseable {field}", unparseable))
         checks.append((f"non-positive {field}", ~(np.isfinite(values) & (values > 0))))
         out[key] = values[order]
-    failing = [(int(np.argmax(m)), i) for i, (_, m) in enumerate(checks)
-               if m is not None and m.any()]
-    if failing:
-        row, i = min(failing)
-        what = checks[i][0] + (f" {dates[row]}" if i == 1 else "")
-        raise ValueError(f"{path}: {what} on line {table.linenos[row]}")
+    table.check(checks, ValueError)
     return out
 
 
@@ -347,51 +377,39 @@ def write_probabilities_csv(
     return path
 
 
-def _bad_date(table: _Table, cells: list[str]) -> ConfigurationError:
-    """The error for the first row of a probabilities table whose date is
-    unparseable, missing, not YYYY-MM-DD, or not after the row above."""
-    previous = None
-    for row, cell in enumerate(cells):
-        try:
-            day = np.datetime64(cell, "D")
-        except ValueError:
-            return table.fail(row, "unparseable date")
-        if np.isnat(day):
-            return table.fail(row, "missing date")
-        if not (len(cell) == 10 and cell[4] == cell[7] == "-"
-                and (cell[:4] + cell[5:7] + cell[8:]).isdigit()):
-            return table.fail(row, f"date {cell!r} not in YYYY-MM-DD form")
-        if previous is not None and day <= previous:
-            what = "duplicate" if day == previous else "unsorted"
-            return table.fail(row, f"{what} date {day}")
-        previous = day
-
-
 def read_probabilities_csv(path, column: str = "filtering") -> ProbabilitySeries:
     """Read one probability column of a table written by
     :func:`write_probabilities_csv`.
 
     Dates are in the first column, as YYYY-MM-DD and strictly increasing;
-    numpy alone would also read ``2006-02`` as 2006-02-01. The first bad date
-    raises ConfigurationError naming its line.
+    numpy alone would also read ``2006-02`` as 2006-02-01. A bad row raises
+    ConfigurationError naming the first bad line, with the first check that
+    fails on it, in the order unparseable, missing or not-YYYY-MM-DD date,
+    duplicate or unsorted date, missing or unparseable probability.
     """
     table = _read_table(path)
     if column not in table.header:
         raise ConfigurationError(f"{path}: no column {column!r}")
     cells = table.column(0)
-    n = len(cells)
-    try:
-        dates = np.array(cells, dtype="datetime64[D]")
-    except ValueError:
-        raise _bad_date(table, cells) from None
-    # cells hold no commas, so the slices prove that every cell is DDDD-DD-DD
-    text = ",".join(cells)
-    if n and (np.isnat(dates).any() or not (dates[1:] > dates[:-1]).all()
-            or len(text) != 11 * n - 1 or text[10::11] != "," * (n - 1)
-            or text[4::11] != "-" * n or text[7::11] != "-" * n
-            or not text.encode().translate(None, b",-").isdigit()):
-        raise _bad_date(table, cells)
-    (values,) = _float_columns(table, [table.header.index(column)])
+    dates = _plain_dates(cells)
+    backward = np.zeros(len(dates), dtype=bool)
+    backward[1:] = dates[1:] <= dates[:-1]
+
+    def not_plain(row):
+        try:
+            day = np.datetime64(cells[row], "D")
+        except ValueError:
+            return "unparseable date"
+        if np.isnat(day):
+            return "missing date"
+        return f"date {cells[row]!r} not in YYYY-MM-DD form"
+
+    def not_after(row):
+        what = "duplicate" if dates[row] == dates[row - 1] else "unsorted"
+        return f"{what} date {dates[row]}"
+
+    (values,), checks = _numbers(table, [table.header.index(column)])
+    table.check([(not_plain, np.isnat(dates)), (not_after, backward), *checks])
     return ProbabilitySeries(dates, values)
 
 
@@ -408,17 +426,23 @@ def write_matrix_csv(path, nodes, values, provenance: str = "") -> Path:
 
 
 def read_matrix_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
+    """Read a matrix written by :func:`write_matrix_csv`. A bad row raises
+    ConfigurationError naming the first bad line, with the first check that
+    fails on it, in the order cell count, row label (the header's node at
+    that position), leftmost missing or unparseable value."""
     table = _read_table(path)
     width = len(table.header)
-    for row, cells in enumerate(table.widths):
-        if cells != width:
-            raise table.fail(row, f"{cells} cells where the header has {width}")
-    for row, (label, node) in enumerate(zip(table.column(0), table.header[1:])):
-        if label != node:
-            raise table.fail(row, f"row {label!r} where the header has {node!r}")
-    values = _float_columns(table, range(1, width))
-    matrix = np.column_stack(values) if values else np.empty((len(table.linenos), 0))
-    return tuple(table.header[1:]), matrix
+    labels, nodes = table.column(0), table.header[1:]
+    values, checks = _numbers(table, range(1, width))
+    table.check([
+        (lambda row: f"{table.widths[row]} cells where the header has {width}",
+         table.widths != width),
+        (lambda row: f"row {labels[row]!r} where the header has {nodes[row]!r}",
+         np.fromiter(map(str.__ne__, labels, nodes), dtype=bool)),
+        *checks,
+    ])
+    matrix = np.column_stack(values) if values else np.empty((len(labels), 0))
+    return tuple(nodes), matrix
 
 
 def write_table_csv(path, header: list[str], rows: list[list], provenance: str = "") -> Path:
@@ -443,7 +467,8 @@ def read_indicators_csv(path):
     for name in ALL_INDICATORS:
         if name not in table.header:
             raise ConfigurationError(f"{path}: missing indicator column {name!r}")
-    values = _float_columns(table, [table.header.index(name) for name in ALL_INDICATORS])
+    values, checks = _numbers(table, [table.header.index(name) for name in ALL_INDICATORS])
+    table.check(checks)
     return IndicatorTable(tuple(table.column(0)), dict(zip(ALL_INDICATORS, values)))
 
 
@@ -451,7 +476,8 @@ def read_losses_csv(path) -> dict[str, float]:
     table = _read_table(path)
     if table.header[:2] != ["node", "max_loss_pct"]:
         raise ConfigurationError(f"{path}: expected columns node,max_loss_pct")
-    (losses,) = _float_columns(table, [1])
+    (losses,), checks = _numbers(table, [1])
+    table.check(checks)
     return dict(zip(table.column(0), losses.tolist()))
 
 
@@ -462,9 +488,7 @@ def read_groups_csv(path):
     table = _read_table(path)
     if table.header[:2] != ["node", "group"]:
         raise ConfigurationError(f"{path}: expected columns node,group[,subsector]")
-    for row, cells in enumerate(table.widths):
-        if cells < 2:
-            raise table.fail(row, "missing group")
+    table.check([("missing group", table.widths < 2)])
     nodes = table.column(0)
     groups = dict(zip(nodes, table.column(1)))
     subsectors = {}

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from sinet import pipeline
 from sinet.cli import main
+from sinet.errors import NumericalFailureError
 from sinet.synthetic import write_corpus
 
 
@@ -201,3 +203,28 @@ class TestMalformedInput:
         assert capsys.readouterr().err == (
             f"error: {matrix}: row 'MAT' where the header has 'ENE' on line 2\n"
         )
+
+
+class TestRuntimeFailure:
+    """Failures of the computation or of the output exit with 2."""
+
+    def test_out_dir_that_is_a_file_exits_two(self, corpus_dir, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        rc = main(["calibrate", "--input", str(corpus_dir / "ENE.csv"),
+                   "--max-iterations", "1", "--out-dir", str(taken)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 17] File exists: ")
+
+    def test_numerical_failure_exits_two(self, corpus_dir, tmp_path, monkeypatch, capsys):
+        def em_fit(series, config=None):
+            raise NumericalFailureError(7, "EM iteration 3: filter normaliser nan at step 7")
+
+        monkeypatch.setattr(pipeline, "em_fit", em_fit)
+        rc = main(["calibrate", "--input", str(corpus_dir / "ENE.csv"),
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: EM iteration 3: filter normaliser nan at step 7\n"
+        )
+        assert not (tmp_path / "o").exists()

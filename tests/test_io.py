@@ -1,6 +1,7 @@
 import hashlib
 import re
 from datetime import date, timedelta
+from functools import partial
 
 import numpy as np
 import pytest
@@ -163,6 +164,7 @@ class TestTableRoundTrips:
         ("2007", "date '2007' not in YYYY-MM-DD form"),
         (" 2008-03-04", "date ' 2008-03-04' not in YYYY-MM-DD form"),
         ("+006-01-02", "date '+006-01-02' not in YYYY-MM-DD form"),
+        ("-006-01-02", "date '-006-01-02' not in YYYY-MM-DD form"),
         ("2006-01-03", "duplicate date 2006-01-03"),
         ("2006-01-02", "unsorted date 2006-01-02"),
     ])
@@ -264,6 +266,7 @@ class TestMalformedRows:
         ("b,0.1", "2 cells where the header has 3"),
         ("b,0.1,0.0,0.3", "4 cells where the header has 3"),
         ("b,0.1,x", "unparseable b"),
+        ("c,0.1,x", "row 'c' where the header has 'b'"),
     ])
     def test_matrix_ragged_or_bad_row(self, tmp_path, row, what):
         p = write(tmp_path / "m.csv", f"# prov\nnode,a,b\na,0.0,0.2\n{row}\n")
@@ -274,6 +277,26 @@ class TestMalformedRows:
         p = write(tmp_path / "m.csv", "node,a,b\nb,0.1,0.0\na,0.0,0.2\n")
         with raises_exactly(ConfigurationError, p, "row 'b' where the header has 'a' on line 2"):
             sio.read_matrix_csv(p)
+
+    def test_probabilities_bad_value_before_bad_date(self, tmp_path):
+        p = write(tmp_path / "p.csv", "date,filtering,smoothing\n"
+                  "2000-01-03,0.5,0.5\n2000-01-04,abc,0.5\n2000-01,0.5,0.5\n")
+        with raises_exactly(ConfigurationError, p, "unparseable filtering on line 3"):
+            sio.read_probabilities_csv(p)
+
+    @pytest.mark.parametrize("later", ["b,0.1,0.0,0.3", "c,0.1,0.0"])
+    def test_matrix_bad_cell_before_bad_row(self, tmp_path, later):
+        # a ragged row or a wrong label on line 3 does not hide line 2
+        p = write(tmp_path / "m.csv", f"node,a,b\na,0.0,x\n{later}\n")
+        with raises_exactly(ConfigurationError, p, "unparseable b on line 2"):
+            sio.read_matrix_csv(p)
+
+    def test_probabilities_date_outranks_value_on_one_line(self, tmp_path):
+        p = write(tmp_path / "p.csv", "date,filtering,smoothing\n"
+                  "2000-01-03,0.5,0.5\n2000-01,abc,0.5\n")
+        with raises_exactly(ConfigurationError, p,
+                            "date '2000-01' not in YYYY-MM-DD form on line 3"):
+            sio.read_probabilities_csv(p)
 
     def test_indicators_bad_cell(self, tmp_path):
         header = ",".join(("node",) + ALL_INDICATORS)
@@ -418,6 +441,148 @@ class TestPriceTableParity:
         path = write(tmp_path / "a.csv", f"date,price\n2006-01-04,1.0\n{cell},2.0\n")
         want = _outcome(oracles.read_price_table_rows, path, None)
         assert _outcome(sio.read_price_table, path, None) == want
+
+
+# ---------------------------------------------------------------------------
+# The first bad line decides, whatever follows it
+
+def _case(draw, read, header, rows, faults):
+    """A reader, the lines of a valid table for it and, by line index, the
+    corrupted versions of each data row; a provenance line and blank or
+    comment lines are drawn in."""
+    lines, bad = (["# provenance"] if draw(st.booleans()) else []) + [header], {}
+    for row, row_faults in zip(rows, faults):
+        lines.append(row)
+        bad[len(lines) - 1] = row_faults
+        if draw(st.integers(0, 3)) == 0:
+            lines.append(draw(st.sampled_from(["", "# note"])))
+    return read, lines, bad
+
+
+NAMES = st.lists(st.integers(0, 99), min_size=2, max_size=5, unique=True).map(
+    lambda ks: [f"N{k}" for k in ks])
+NUMBER = st.floats(-1e6, 1e6).map(repr)
+PROBABILITY = st.floats(0.0, 1.0).map(repr)
+
+
+@st.composite
+def price_cases(draw):
+    text, column_map, fields = draw(price_tables())
+    lines = text.splitlines()
+    rows = [k for k, line in enumerate(lines) if k and line.replace(",", "").strip()]
+    checked = max(fields.index(f) for f in fields if f != "volume")
+    bad = {}
+    for k in rows:
+        cells = lines[k].split(",")
+        options = [
+            cells[:j] + [value] + cells[j + 1:]
+            for j, field in enumerate(fields) for value in CORRUPTIONS.get(field, [])
+        ]
+        # cut before a checked cell, keeping the row from looking blank
+        options += [cells[:m] for m in range(1, checked + 1)
+                    if any(c.strip(' \t"') for c in cells[:m])]
+        d = fields.index("date")
+        options += [cells[:d] + [lines[e].split(",")[d]] + cells[d + 1:] for e in rows if e < k]
+        bad[k] = [",".join(option) for option in options]
+    return partial(sio.read_price_table, column_map=column_map), lines, bad
+
+
+@st.composite
+def probability_cases(draw):
+    n = draw(st.integers(2, 8))
+    offsets = sorted(draw(st.lists(st.integers(1, 20_000), min_size=n, max_size=n, unique=True)))
+    days = [date(1970, 1, 1) + timedelta(days=d) for d in offsets]
+    column = draw(st.sampled_from(["filtering", "smoothing"]))
+    j = 1 if column == "filtering" else 2
+    rows, faults = [], []
+    for r, day in enumerate(days):
+        cells = [day.isoformat(), draw(PROBABILITY), draw(PROBABILITY)]
+        dates = ["2006-02", "not-a-date", "", "NaT", "2006-13-01", f" {cells[0]}", "-006-01-02"]
+        if r:
+            dates += [days[r - 1].isoformat(), (days[r - 1] - timedelta(days=1)).isoformat()]
+        options = [[d] + cells[1:] for d in dates] + [cells[:j]]
+        options += [cells[:j] + [v] + cells[j + 1:] for v in ("abc", "")]
+        rows.append(",".join(cells))
+        faults.append([",".join(option) for option in options])
+    read = partial(sio.read_probabilities_csv, column=column)
+    return _case(draw, read, "date,filtering,smoothing", rows, faults)
+
+
+@st.composite
+def matrix_cases(draw):
+    nodes = draw(NAMES)
+    rows, faults = [], []
+    for r, node in enumerate(nodes):
+        cells = [node] + [draw(NUMBER) for _ in nodes]
+        options = [cells[:-1], cells + ["0.5"], [nodes[r - 1]] + cells[1:], ["Z_"] + cells[1:]]
+        options += [cells[:m] + [v] + cells[m + 1:] for m in range(1, len(cells)) for v in ("x", "")]
+        rows.append(",".join(cells))
+        faults.append([",".join(option) for option in options])
+    return _case(draw, sio.read_matrix_csv, "node," + ",".join(nodes), rows, faults)
+
+
+@st.composite
+def indicator_cases(draw):
+    header = ["node"] + list(draw(st.permutations(ALL_INDICATORS)))
+    rows, faults = [], []
+    for node in draw(NAMES):
+        cells = [node] + [draw(NUMBER) for _ in ALL_INDICATORS]
+        options = [cells[:m] for m in range(1, len(cells))]
+        options += [cells[:m] + [v] + cells[m + 1:] for m in range(1, len(cells)) for v in ("?", "")]
+        rows.append(",".join(cells))
+        faults.append([",".join(option) for option in options])
+    return _case(draw, sio.read_indicators_csv, ",".join(header), rows, faults)
+
+
+@st.composite
+def loss_cases(draw):
+    nodes = draw(NAMES)
+    rows = [f"{node},{draw(NUMBER)}" for node in nodes]
+    faults = [[node, f"{node},abc", f"{node},"] for node in nodes]
+    return _case(draw, sio.read_losses_csv, "node,max_loss_pct", rows, faults)
+
+
+@st.composite
+def group_cases(draw):
+    nodes = draw(NAMES)
+    sub = draw(st.booleans())
+    rows = [f"{node},industrial" + (",bank" if sub else "") for node in nodes]
+    faults = [[node] for node in nodes]
+    header = "node,group" + (",subsector" if sub else "")
+    return _case(draw, sio.read_groups_csv, header, rows, faults)
+
+
+def _failure(read, path, lines):
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        read(path)
+    except ValueError as err:
+        return type(err), str(err)
+    return None
+
+
+class TestFirstBadLine:
+    @pytest.mark.parametrize("cases", [
+        price_cases, probability_cases, matrix_cases, indicator_cases, loss_cases, group_cases,
+    ])
+    @settings(FUZZ, max_examples=75)
+    @given(data=st.data())
+    def test_later_bad_row_changes_nothing(self, tmp_path, cases, data):
+        """With rows i < j corrupted, a read fails exactly as with row i alone."""
+        read, lines, faults = data.draw(cases())
+        rows = sorted(faults)
+        if len(rows) < 2:
+            return
+        i, j = sorted(data.draw(st.lists(st.sampled_from(rows), min_size=2, max_size=2,
+                                         unique=True)))
+        first = list(lines)
+        first[i] = data.draw(st.sampled_from(faults[i]))
+        both = list(first)
+        both[j] = data.draw(st.sampled_from(faults[j]))
+        path = tmp_path / "t.csv"
+        want = _failure(read, path, first)
+        assert want is not None and want[1].endswith(f" on line {i + 1}")
+        assert _failure(read, path, both) == want
 
 
 class TestProbabilitiesWriter:
