@@ -8,10 +8,12 @@ series v to a target series u reduces to
          log_s [ p(u_t, u_{t-1}, v_{t-1}) p(u_{t-1}) /
                  (p(u_t, u_{t-1}) p(u_{t-1}, v_{t-1})) ]
 
-over occupied triples, all four tables estimated by counting. The pairwise
-matrix of these values over a basket of assets is the raw material of the
-influence network; one batched kernel computes it, and a single pair is
-its one-by-one case.
+over occupied triples, all four tables estimated by counting. That is the
+conditional mutual information H(v_{t-1} | u_{t-1}) - H(v_{t-1} | u_t, u_{t-1}),
+and it is computed as such, from the entropies of the integer count tables
+(see ``_te_kernel``). The pairwise matrix of these values over a basket of
+assets is the raw material of the influence network; one batched kernel
+computes it, and a single pair is its one-by-one case.
 """
 from __future__ import annotations
 
@@ -112,9 +114,18 @@ def _te_kernel(
     Targets are taken in blocks of at most ``TE_BLOCK`` elements, counting
     both the block's triples (targets x steps) and its cells (targets x
     B^3), and one bincount per source counts the triples of the whole
-    block. Each pair's value is still bit for bit what counting it alone
-    gives: its tables are the same integer counts over the same divisions,
-    and its sum is one ``np.dot`` over its occupied cells in C order.
+    block. A pair's value then comes from its integer count tables alone,
+    with h(k) = k ln k read from one table (h(0) = 0, so empty cells add
+    nothing):
+
+        n ln(base) TE = sum_(u_t, u_prev) [sum_v h(c3) - h(tp)]
+                        - sum_u_prev [sum_v h(lp) - h(lag)]
+
+    Each group's terms are summed over v_prev before the group's own total
+    is subtracted, so a constant source or target cancels term by term to
+    exactly 0.0. The block keeps v_prev and u_t as its leading axes and
+    every sum runs over a leading axis or a run of B cells of one pair, so
+    a pair's value does not depend on the block it is counted in.
     """
     B = bin_count
     cells = B**3
@@ -124,15 +135,9 @@ def _te_kernel(
     log_base = float(np.log(base))
     values = np.empty((len(sources), len(targets)))
     sizes = np.empty((len(sources), len(targets)), dtype=np.int64)
-    ones = np.ones(B, dtype=np.int64)
+    h = np.arange(steps + 1, dtype=float)  # no count exceeds the steps
+    h[1:] *= np.log(h[1:])
     block = min(len(targets), max(1, TE_BLOCK // max(steps, cells)))
-    # where each cell of a block (r, u_t, u_prev, v_prev) falls in the
-    # pair tables; a shorter last block uses a prefix of each map
-    grid = np.arange(block * cells)
-    row = grid // cells
-    target_pair = grid // B                                  # (r, u_t, u_prev)
-    lagged_pair = row * (B * B) + grid % (B * B)             # (r, u_prev, v_prev)
-    lagged = row * B + target_pair % B                       # (r, u_prev)
     # buffers for a block's target codes and triple codes, reused per block
     target_codes = np.empty((block, steps), dtype=np.int64)
     triple_codes = np.empty_like(target_codes)
@@ -140,33 +145,25 @@ def _te_kernel(
         u = targets[lo:lo + block]
         rows = len(u)
         size = rows * cells
-        bounds = np.arange(rows + 1) * cells
-        # cell r*B^3 + (u_t*B + u_prev)*B + v_prev for target r of the block
+        # cell ((v_prev*B + u_t)*rows + r)*B + u_prev for target r of the block
         target_code, code = target_codes[:rows], triple_codes[:rows]
-        np.multiply(u[:, 1:], B, out=target_code)
-        target_code += u[:, :-1]
+        np.multiply(u[:, 1:], rows, out=target_code)
+        target_code += np.arange(rows)[:, None]
         target_code *= B
-        target_code += np.arange(rows)[:, None] * cells
+        target_code += u[:, :-1]
         for i, v in enumerate(v_prev):
-            np.add(target_code, v, out=code)
+            np.add(target_code, v * (size // B), out=code)
             if masked:  # dropped triples land in a discard cell past the block
                 code[~(target_days[lo:lo + rows] & source_days[i])] = size
-            counts = np.bincount(code.ravel(), minlength=size)[:size]
-            # integer marginals, as exact as the triple counts
-            n = counts.reshape(rows, cells).sum(axis=1)
-            tp = counts.reshape(-1, B) @ ones
-            lp = counts.reshape(rows, B, B * B).sum(axis=1).ravel()
-            lag = tp.reshape(rows, B, B).sum(axis=1).ravel()
-            cell = np.flatnonzero(counts > 0)                   # C order within each pair
-            pair_n = n[row[cell]]
-            p3 = counts[cell] / pair_n
-            ratio = p3 * (lag[lagged[cell]] / pair_n)
-            ratio /= (tp[target_pair[cell]] / pair_n) * (lp[lagged_pair[cell]] / pair_n)
-            logs = np.log(ratio)
-            ends = np.searchsorted(cell, bounds).tolist()
-            for j in range(rows):
-                a, b = ends[j], ends[j + 1]
-                values[i, lo + j] = float(np.dot(p3[a:b], logs[a:b])) / log_base
+            counts = np.bincount(code.ravel(), minlength=size)[:size].reshape(B, B, -1)
+            tp = counts.sum(axis=0)   # (u_t, (r, u_prev))
+            lp = counts.sum(axis=1)   # (v_prev, (r, u_prev))
+            lag = lp.sum(axis=0)      # (r, u_prev)
+            pair = (h[counts].sum(axis=0) - h[tp]).sum(axis=0).reshape(rows, B).sum(axis=1)
+            own = (h[lp].sum(axis=0) - h[lag]).reshape(rows, B).sum(axis=1)
+            n = lag.reshape(rows, B).sum(axis=1)
+            # a pair without triples is 0.0 here; _clamped rejects its size
+            values[i, lo:lo + rows] = (pair - own) / (np.maximum(n, 1) * log_base)
             sizes[i, lo:lo + rows] = n
     return values, sizes
 
@@ -264,6 +261,9 @@ def sii_matrix(
 
     Series must be aligned (equal timestamps). Every pair is counted by one
     batched kernel, and each entry equals ``sii`` of its pair bit for bit.
+    Pairs are checked in (source, target) order: a negative rounding residue
+    is clamped to zero (with a warning below -``NEGATIVE_RESIDUE_WARN``), and
+    the first pair whose mask keeps fewer than two triples raises.
     """
     if len(assets) < 2:
         raise ValueError("need at least 2 assets")
@@ -285,10 +285,10 @@ def sii_matrix(
         np.stack([_bubble_days(assets[name], bubble_level) for name in names])
         if bubble_only else None
     )
-    raw, sizes = _te_kernel(bins, bins, bin_count, base, days, days)
-    values = np.zeros(raw.shape)
-    for i, (row, row_sizes) in enumerate(zip(raw.tolist(), sizes.tolist())):
-        for j, (value, size) in enumerate(zip(row, row_sizes)):
-            if i != j:
-                values[i, j] = _clamped(value, size)
+    values, sizes = _te_kernel(bins, bins, bin_count, base, days, days)
+    off = ~np.eye(len(names), dtype=bool)
+    values[~off] = 0.0
+    # only the pairs _clamped rejects or changes, in (source, target) order
+    for k in np.flatnonzero(off & ((sizes < 2) | (values < 0.0))).tolist():
+        values.flat[k] = _clamped(float(values.flat[k]), int(sizes.flat[k]))
     return SIIMatrix(tuple(names), values, window=window)

@@ -385,7 +385,8 @@ def read_probabilities_csv(path, column: str = "filtering") -> ProbabilitySeries
     numpy alone would also read ``2006-02`` as 2006-02-01. A bad row raises
     ConfigurationError naming the first bad line, with the first check that
     fails on it, in the order unparseable, missing or not-YYYY-MM-DD date,
-    duplicate or unsorted date, missing or unparseable probability.
+    duplicate or unsorted date, missing or unparseable probability,
+    probability outside [0, 1] (NaN included).
     """
     table = _read_table(path)
     if column not in table.header:
@@ -409,7 +410,8 @@ def read_probabilities_csv(path, column: str = "filtering") -> ProbabilitySeries
         return f"{what} date {dates[row]}"
 
     (values,), checks = _numbers(table, [table.header.index(column)])
-    table.check([(not_plain, np.isnat(dates)), (not_after, backward), *checks])
+    table.check([(not_plain, np.isnat(dates)), (not_after, backward), *checks,
+                 ("probability outside [0, 1]", ~((values >= 0.0) & (values <= 1.0)))])
     return ProbabilitySeries(dates, values)
 
 
@@ -429,18 +431,29 @@ def read_matrix_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
     """Read a matrix written by :func:`write_matrix_csv`. A bad row raises
     ConfigurationError naming the first bad line, with the first check that
     fails on it, in the order cell count, row label (the header's node at
-    that position), leftmost missing or unparseable value."""
+    that position; a row past the last node has none), leftmost missing or
+    unparseable value. A matrix with fewer rows than nodes raises after
+    that."""
     table = _read_table(path)
     width = len(table.header)
     labels, nodes = table.column(0), table.header[1:]
     values, checks = _numbers(table, range(1, width))
+    mislabelled = np.ones(len(labels), dtype=bool)
+    mislabelled[:len(nodes)] = np.fromiter(map(str.__ne__, labels, nodes), dtype=bool)
+
+    def wrong_label(row):
+        has = repr(nodes[row]) if row < len(nodes) else "no node"
+        return f"row {labels[row]!r} where the header has {has}"
+
     table.check([
         (lambda row: f"{table.widths[row]} cells where the header has {width}",
          table.widths != width),
-        (lambda row: f"row {labels[row]!r} where the header has {nodes[row]!r}",
-         np.fromiter(map(str.__ne__, labels, nodes), dtype=bool)),
+        (wrong_label, mislabelled),
         *checks,
     ])
+    if len(labels) < len(nodes):
+        raise ConfigurationError(
+            f"{path}: {len(labels)} rows where the header has {len(nodes)} nodes")
     matrix = np.column_stack(values) if values else np.empty((len(labels), 0))
     return tuple(nodes), matrix
 

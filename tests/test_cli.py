@@ -194,6 +194,19 @@ class TestMalformedInput:
             f"error: {matrix}: 2 cells where the header has 3 on line 3\n"
         )
 
+    @pytest.mark.parametrize("rows, what", [
+        ("ENE,0.0,0.1\nMAT,0.2,0.0\nSEC,0.1,0.1\n",
+         "row 'SEC' where the header has no node on line 4"),
+        ("ENE,0.0,0.1\n", "1 rows where the header has 2 nodes"),
+    ], ids=["extra-row", "missing-row"])
+    def test_network_row_count_off_exits_one(self, tmp_path, groups_file, capsys, rows, what):
+        matrix = tmp_path / "m.csv"
+        matrix.write_text(f"node,ENE,MAT\n{rows}")
+        rc = main(["network", "--matrix", str(matrix), "--groups", str(groups_file),
+                   "--threshold", "0.05", "--out-dir", str(tmp_path / "net")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {matrix}: {what}\n"
+
     def test_network_rows_out_of_header_order_exit_one(self, tmp_path, groups_file, capsys):
         matrix = tmp_path / "m.csv"
         matrix.write_text("node,ENE,MAT\nMAT,0.2,0.0\nENE,0.0,0.1\n")

@@ -195,7 +195,15 @@ class TestTableRoundTrips:
     def test_probabilities_csv_nan_rejected(self, tmp_path):
         path = write(tmp_path / "p.csv", "date,filtering,smoothing\n"
                      "2006-01-02,0.5,0.5\n2006-01-03,nan,0.5\n")
-        with pytest.raises(ValueError, match=r"^probability values must lie in \[0, 1\]$"):
+        with raises_exactly(ValueError, path, "probability outside [0, 1] on line 3"):
+            sio.read_probabilities_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "1.5", "-0.25", "inf"])
+    def test_probabilities_csv_out_of_range_before_unparseable(self, tmp_path, cell):
+        # a later unparseable cell does not hide the bad probability
+        path = write(tmp_path / "p.csv", "date,filtering,smoothing\n2006-01-02,0.5,0.5\n"
+                     f"2006-01-03,{cell},0.5\n2006-01-04,abc,0.5\n")
+        with raises_exactly(ConfigurationError, path, "probability outside [0, 1] on line 3"):
             sio.read_probabilities_csv(path)
 
     def test_matrix_csv(self, tmp_path):
@@ -273,6 +281,18 @@ class TestMalformedRows:
         with raises_exactly(ConfigurationError, p, f"{what} on line 4"):
             sio.read_matrix_csv(p)
 
+    def test_matrix_row_past_the_last_node(self, tmp_path):
+        p = write(tmp_path / "m.csv", "# prov\nnode,a,b\na,0.0,0.2\nb,0.1,0.0\nc,0.3,0.4\n")
+        with raises_exactly(ConfigurationError, p, "row 'c' where the header has no node on line 5"):
+            sio.read_matrix_csv(p)
+
+    @pytest.mark.parametrize("rows, count", [("a,0.0,0.2\n", 1), ("", 0)],
+                             ids=["one-row", "no-rows"])
+    def test_matrix_missing_rows(self, tmp_path, rows, count):
+        p = write(tmp_path / "m.csv", f"node,a,b\n{rows}")
+        with raises_exactly(ConfigurationError, p, f"{count} rows where the header has 2 nodes"):
+            sio.read_matrix_csv(p)
+
     def test_matrix_rows_out_of_header_order(self, tmp_path):
         p = write(tmp_path / "m.csv", "node,a,b\nb,0.1,0.0\na,0.0,0.2\n")
         with raises_exactly(ConfigurationError, p, "row 'b' where the header has 'a' on line 2"):
@@ -284,9 +304,10 @@ class TestMalformedRows:
         with raises_exactly(ConfigurationError, p, "unparseable filtering on line 3"):
             sio.read_probabilities_csv(p)
 
-    @pytest.mark.parametrize("later", ["b,0.1,0.0,0.3", "c,0.1,0.0"])
+    @pytest.mark.parametrize("later", ["b,0.1,0.0,0.3", "c,0.1,0.0", "b,0.1,0.0\nc,0.3,0.4"])
     def test_matrix_bad_cell_before_bad_row(self, tmp_path, later):
-        # a ragged row or a wrong label on line 3 does not hide line 2
+        # a ragged row, a wrong label or a row past the last node does not
+        # hide line 2
         p = write(tmp_path / "m.csv", f"node,a,b\na,0.0,x\n{later}\n")
         with raises_exactly(ConfigurationError, p, "unparseable b on line 2"):
             sio.read_matrix_csv(p)
@@ -501,7 +522,7 @@ def probability_cases(draw):
         if r:
             dates += [days[r - 1].isoformat(), (days[r - 1] - timedelta(days=1)).isoformat()]
         options = [[d] + cells[1:] for d in dates] + [cells[:j]]
-        options += [cells[:j] + [v] + cells[j + 1:] for v in ("abc", "")]
+        options += [cells[:j] + [v] + cells[j + 1:] for v in ("abc", "", "nan", "1.5", "-0.5")]
         rows.append(",".join(cells))
         faults.append([",".join(option) for option in options])
     read = partial(sio.read_probabilities_csv, column=column)

@@ -1,6 +1,6 @@
-"""Bitwise parity of the batched transfer-entropy kernel with the per-pair
-histograms in ``oracles``: the same influence matrix bit for bit, and the
-same errors and warnings in the same order."""
+"""Parity of the batched transfer-entropy kernel with the per-pair
+histograms in ``oracles``: every value within ``TOL`` of the reference, the
+same sample sizes, and the same errors and warnings in the same order."""
 import warnings
 from unittest import mock
 
@@ -20,6 +20,9 @@ from sinet import (
 
 PARITY = settings(max_examples=200, deadline=None, database=None)
 LEVELS = [0.0, 0.5, 0.9, 1.0]
+# the kernel sums entropies of count tables and the reference sums the
+# logs of ratios of frequencies: their rounding differs by about 1e-15
+TOL = 1e-13
 
 
 def dates(n):
@@ -27,15 +30,47 @@ def dates(n):
 
 
 def outcome(fn, *args, **kwargs):
-    """The value as bytes, or the ValueError raised, with every warning
-    emitted on the way."""
+    """The value, or the ValueError raised, with every warning emitted on
+    the way."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            result = np.asarray(fn(*args, **kwargs), dtype=float).tobytes()
+            result = np.asarray(fn(*args, **kwargs), dtype=float)
         except ValueError as err:
             result = ("ValueError", str(err))
     return result, [(w.category, str(w.message)) for w in caught]
+
+
+def assert_same_outcome(got, want):
+    """Equal errors and warnings, and values within TOL."""
+    (value, warned), (expected, expected_warned) = got, want
+    assert warned == expected_warned
+    if isinstance(expected, tuple):
+        assert value == expected
+    else:
+        assert isinstance(value, np.ndarray) and value.shape == expected.shape
+        assert np.abs(value - expected).max(initial=0.0) <= TOL
+
+
+def kernel_raw(series, bins, bubble_only=False, level=0.5):
+    """The kernel's unclamped values and sample sizes for a basket."""
+    rows = np.array([np.minimum(np.floor(np.asarray(x) * bins).astype(np.int64), bins - 1)
+                     for x in series])
+    days = None
+    if bubble_only:
+        high = np.array(series) >= level
+        days = high[:, 1:] & high[:, :-1]
+    return entropy_module._te_kernel(rows, rows, bins, 10.0, days, days)
+
+
+def assert_sizes_match(series, bins, bubble_only, level):
+    """The kernel's sample size of every pair is the reference's count of
+    kept triples."""
+    _, sizes = kernel_raw(series, bins, bubble_only, level)
+    T = len(series[0])
+    want = [[int(oracles.bubble_day_mask(x, y, level).sum()) if bubble_only else T - 1
+             for y in series] for x in series]
+    assert sizes.tolist() == want
 
 
 def library_matrix(series, bins, base, bubble_only, level):
@@ -46,7 +81,9 @@ def library_matrix(series, bins, base, bubble_only, level):
 def assert_matrix_parity(series, bins, base=10.0, bubble_only=False, level=0.5):
     got = outcome(library_matrix, series, bins, base, bubble_only, level)
     want = outcome(oracles.sii_matrix_pairwise, series, bins, base, bubble_only, level)
-    assert got == want
+    assert_same_outcome(got, want)
+    if len(series[0]) >= 3:
+        assert_sizes_match(series, bins, bubble_only, level)
 
 
 def series_of(kind, rng, T):
@@ -85,14 +122,14 @@ def baskets(draw):
 
 @PARITY
 @given(baskets())
-def test_matrix_matches_pairwise_reference_bitwise(case):
+def test_matrix_matches_pairwise_reference(case):
     with mock.patch.object(entropy_module, "TE_BLOCK", case.pop("block")):
         assert_matrix_parity(**case)
 
 
 @PARITY
 @given(baskets())
-def test_sii_matches_pairwise_reference_bitwise(case):
+def test_sii_matches_pairwise_reference(case):
     x, y = case["series"][:2]
     got = outcome(sii, ProbabilitySeries(dates(len(x)), x), ProbabilitySeries(dates(len(y)), y),
                   case["bins"], case["base"], case["bubble_only"], case["level"])
@@ -101,11 +138,11 @@ def test_sii_matches_pairwise_reference_bitwise(case):
     mask = oracles.bubble_day_mask(x, y, case["level"]) if case["bubble_only"] else None
     want = outcome(oracles.transfer_entropy_pairwise, binned[1], binned[0],
                    case["bins"], case["base"], mask)
-    assert got == want
+    assert_same_outcome(got, want)
 
 
 @pytest.mark.parametrize("bubble_only", [False, True])
-def test_wide_basket_matches_pairwise_reference_bitwise(bubble_only):
+def test_wide_basket_matches_pairwise_reference(bubble_only):
     # the size of the benchmark's series, with lag-coupled logistic latents
     rng = np.random.default_rng(40)
     leader = np.cumsum(rng.normal(0.0, 0.1, 2_921))
@@ -143,11 +180,11 @@ def test_bad_base_raises_like_reference():
     assert_matrix_parity(series, 10, base=1.0)
 
 
-# two (source, target) pairs of binary series whose transfer entropy rounds
-# to a tiny negative value, found by a search over random series
+# two (source, target) pairs of binary series whose transfer entropy the
+# kernel rounds to a tiny negative value, found by a search over random series
 RESIDUE_PAIRS = [
-    ([1, 1, 1, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0], [1, 1, 1, 1, 1, 0, 1, 1, 0, 0, 1, 1, 0, 0]),
-    ([1, 1, 0, 0, 0, 1, 1, 0, 0, 0, 1, 0, 1, 0], [1, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0]),
+    ([1, 1, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0], [1, 0, 1, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0]),
+    ([0, 1, 0, 1, 1, 1, 0, 1, 1, 1, 0, 0, 0, 1], [1, 0, 1, 0, 1, 1, 1, 1, 0, 0, 1, 1, 1, 1]),
 ]
 
 
@@ -155,32 +192,52 @@ def residue_series(bits):
     return 0.25 + 0.5 * np.array(bits, dtype=float)
 
 
+def residue_warnings(raw, sizes):
+    """The warnings the kernel's own unclamped values call for with the
+    threshold at 0, in (source, target) order up to the first pair that
+    keeps fewer than 2 triples."""
+    out = []
+    for i, j in np.argwhere(~np.eye(len(raw), dtype=bool)).tolist():
+        if sizes[i, j] < 2:
+            break
+        if raw[i, j] < 0.0:
+            out.append((RuntimeWarning,
+                        f"transfer entropy rounding residue {raw[i, j]:.3e} clamped to 0"))
+    return out
+
+
 def test_negative_residues_warn_in_pair_order(monkeypatch):
     # with the warning threshold at 0 every negative residue warns: the
-    # kernel must warn for the same pairs, in the same order and with the
-    # same values as the pair loop, and clamp them to zero
+    # kernel must warn for exactly the pairs whose own unclamped value is
+    # negative, in pair order, and clamp them to zero
     series = [residue_series(bits) for pair in RESIDUE_PAIRS for bits in pair]
     assert_matrix_parity(series, 2)
+    raw, sizes = kernel_raw(series, 2)
+    assert raw[0, 1] < 0.0 and raw[2, 3] < 0.0
     assert library_matrix(series, 2, 10.0, False, 0.5)[0, 1] == 0.0
     monkeypatch.setattr(entropy_module, "NEGATIVE_RESIDUE_WARN", 0.0)
-    got = outcome(library_matrix, series, 2, 10.0, False, 0.5)
-    want = outcome(oracles.sii_matrix_pairwise, series, 2, 10.0, False, 0.5, 0.0)
-    assert len(want[1]) >= 2
-    assert got == want
+    value, warned = outcome(library_matrix, series, 2, 10.0, False, 0.5)
+    assert len(warned) >= 2
+    assert warned == residue_warnings(raw, sizes)
+    np.testing.assert_array_equal(
+        value, np.where(np.eye(len(series), dtype=bool) | (raw < 0.0), 0.0, raw))
 
 
 def test_overtight_mask_raises_after_earlier_warnings(monkeypatch):
     # pair (0, 1) keeps all its triples and warns; pair (0, 2) keeps one
     # triple and must raise only after that warning
-    monkeypatch.setattr(entropy_module, "NEGATIVE_RESIDUE_WARN", 0.0)
     source, target = (residue_series(bits) for bits in RESIDUE_PAIRS[0])
     late = np.concatenate([[0.95, 0.95], np.full(12, 0.1)])
     series = [source, target, late]
+    assert_matrix_parity(series, 2, bubble_only=True, level=0.25)
+    raw, sizes = kernel_raw(series, 2, True, 0.25)
+    assert raw[0, 1] < 0.0 and sizes[0, 2] == 1
+    monkeypatch.setattr(entropy_module, "NEGATIVE_RESIDUE_WARN", 0.0)
+    error = ("ValueError", "mask keeps fewer than 2 triples")
     got = outcome(library_matrix, series, 2, 10.0, True, 0.25)
-    want = outcome(oracles.sii_matrix_pairwise, series, 2, 10.0, True, 0.25, 0.0)
-    assert want[0] == ("ValueError", "mask keeps fewer than 2 triples")
-    assert len(want[1]) == 1
-    assert got == want
+    assert got == (error, residue_warnings(raw, sizes))
+    assert len(got[1]) == 1
+    assert outcome(oracles.sii_matrix_pairwise, series, 2, 10.0, True, 0.25, 0.0)[0] == error
 
 
 def binned(seq, bins=10):
