@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, stats
 
 from .errors import CollinearityError, InsufficientDataError, UndefinedCorrelationError
 
@@ -97,6 +96,10 @@ def ols_regress(y, X, include_intercept: bool = True) -> RegressionResult:
     the (intercept-augmented) design is rank deficient, and
     :class:`InsufficientDataError` when there are too few rows.
     """
+    # imported here, not with the module, so that `import sinet` loads no scipy
+    from scipy.linalg import qr
+    from scipy.special import stdtr
+
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
@@ -111,7 +114,7 @@ def ols_regress(y, X, include_intercept: bool = True) -> RegressionResult:
     p = design.shape[1]
 
     # Pivoted QR exposes the first column that adds no new direction.
-    _, r, piv = linalg.qr(design, mode="economic", pivoting=True)
+    _, r, piv = qr(design, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     tol = diag.max() * max(n, p) * np.finfo(float).eps if diag.size else 0.0
     rank = int((diag > tol).sum())
@@ -143,7 +146,7 @@ def ols_regress(y, X, include_intercept: bool = True) -> RegressionResult:
         f_stat = float("inf")
 
     t_all = np.divide(beta, se, out=np.zeros_like(beta), where=se > 0)
-    p_all = 2.0 * stats.t.sf(np.abs(t_all), dof)
+    p_all = 2.0 * stdtr(dof, -np.abs(t_all))  # what 2 * stats.t.sf(|t|, dof) evaluates
 
     if include_intercept:
         coefs, errs, tv, pv = beta[1:], se[1:], t_all[1:], p_all[1:]

@@ -194,8 +194,8 @@ def transfer_entropy(
     negative rounding residue is clamped to zero. ``mask`` restricts the
     histogram to selected triples.
     """
-    if base <= 1.0:
-        raise ValueError("log base must exceed 1")
+    if not 1.0 < base < np.inf:
+        raise ValueError(f"base must be finite and exceed 1, got {base!r}")
     if len(u) != len(v):
         raise ValueError(f"series lengths differ: {len(u)} vs {len(v)}")
     if len(u) < 3:
@@ -277,8 +277,8 @@ def sii_matrix(
     bins = np.empty((len(names), len(first)), dtype=np.int32)  # symbols < bin_count
     for row, name in zip(bins, names):
         row[:] = discretize(assets[name], bin_count).bins
-    if base <= 1.0:
-        raise ValueError("log base must exceed 1")
+    if not 1.0 < base < np.inf:
+        raise ValueError(f"base must be finite and exceed 1, got {base!r}")
     if len(first) < 3:
         raise ValueError("need at least 3 observations to form lagged triples")
     days = (

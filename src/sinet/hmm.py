@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .bubble import (
     EXP_CLAMP,
@@ -145,13 +144,17 @@ class EMConfig:
     def __post_init__(self):
         if self.average_window < 1:
             raise ValueError("average_window must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         lo, hi = self.n_search
-        if not (0 < lo < hi):
-            raise ValueError("n_search must be an increasing positive interval")
+        if not 0 < lo < hi < np.inf:
+            raise ValueError(
+                f"n_search must be a finite increasing positive interval, got {self.n_search!r}"
+            )
+        if not 0.0 < self.kappa < np.inf:
+            raise ValueError(f"kappa must be finite and positive, got {self.kappa!r}")
         for name in ("q00_init", "q11_init"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
@@ -494,6 +497,8 @@ def solve_feedback_exponent(
     objective. The search assumes the objective is unimodal in n; where it
     is not, the step may miss the global maximiser but still never descends.
     """
+    from scipy.optimize import minimize_scalar  # here, so `import sinet` loads no scipy
+
     w11 = smoother.pairwise_smoothed[:, 1, 1]
     if w11.sum() <= 0.0:
         raise DegenerateRegimeError(1)

@@ -182,8 +182,8 @@ def build_sin(
     their group; financial node sizes rank NSII-on-Fin minus SI-from-IX.
     Color values rank the supplied losses within each group.
     """
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
+    if not 0.0 <= threshold < np.inf:
+        raise ValueError(f"threshold must be finite and nonnegative, got {threshold!r}")
     table = compute_indicators(m, groups)
     nodes = m.nodes
 

@@ -150,12 +150,14 @@ class PipelineConfig:
                     raise ConfigurationError(f"{label} window is not well-ordered")
         if self.te_bins < 2:
             raise ConfigurationError("te_bins must be >= 2")
-        if self.te_base <= 1:
-            raise ConfigurationError("te_base must exceed 1")
+        if not 1.0 < self.te_base < np.inf:
+            raise ConfigurationError(f"te_base must be finite and exceed 1, got {self.te_base!r}")
         if not 0.0 <= self.te_bubble_level <= 1.0:
             raise ConfigurationError("te_bubble_level must lie in [0, 1]")
-        if self.nsii_threshold < 0:
-            raise ConfigurationError("nsii_threshold must be nonnegative")
+        if not 0.0 <= self.nsii_threshold < np.inf:
+            raise ConfigurationError(
+                f"nsii_threshold must be finite and nonnegative, got {self.nsii_threshold!r}"
+            )
         if self.probability_source not in ("filtering", "smoothing"):
             raise ConfigurationError("probability_source must be filtering or smoothing")
 

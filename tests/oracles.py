@@ -377,8 +377,8 @@ def joint_counts(u, v, bin_count, mask=None):
 
 def transfer_entropy_pairwise(u, v, bin_count, base=10.0, mask=None, warn_below=1e-9):
     """Transfer entropy from v to u by one histogram of the pair."""
-    if base <= 1.0:
-        raise ValueError("log base must exceed 1")
+    if not 1.0 < base < math.inf:
+        raise ValueError(f"base must be finite and exceed 1, got {base!r}")
     triple = joint_counts(u, v, bin_count, mask)
     n = int(triple.sum())
     p3 = triple / n

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import oracles
@@ -202,3 +203,60 @@ class TestOlsNoIntercept:
         assert mine.r_squared == pytest.approx(r2, abs=1e-10)
         assert mine.adj_r_squared == pytest.approx(adj, abs=1e-10)
         assert mine.f_statistic == pytest.approx(f_stat, abs=1e-8)
+
+
+def assert_p_values_are_t_sf(res, dof):
+    """``ols_regress`` p-values equal 2 t.sf(|t|, dof) bit for bit."""
+    want = 2.0 * stats.t.sf(np.abs(res.t_values), dof)
+    assert res.p_values.tobytes() == want.tobytes(), (res.p_values, want)
+
+
+@st.composite
+def regressions(draw):
+    k = draw(st.integers(1, 4))
+    intercept = draw(st.booleans())
+    n = draw(st.integers(k + 2, 60))  # dof = 1 with an intercept at the minimum
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(0, 1, (n, k))
+    y = X @ rng.normal(0, draw(st.sampled_from([0.0, 0.1, 1.0, 100.0])), k)
+    y = y + draw(st.sampled_from([0.0, 1e-12, 1e-3, 1.0])) * rng.normal(0, 1, n)
+    return y, X, intercept
+
+
+class TestOlsPValues:
+    def test_zero_t_gives_one(self):
+        res = ols_regress(np.zeros(5), np.arange(5.0))
+        assert res.t_values[0] == 0.0 and res.p_values[0] == 1.0
+        assert_p_values_are_t_sf(res, 3)
+
+    def test_one_degree_of_freedom(self):
+        res = ols_regress(np.array([1.0, 3.1, 4.9]), np.array([0.0, 1.0, 2.0]))
+        assert 0.0 < res.p_values[0] < 0.05
+        assert_p_values_are_t_sf(res, 1)
+
+    def test_huge_t(self):
+        x = np.arange(10.0)
+        res = ols_regress(2.0 * x + 1.0, x)  # residuals at rounding level
+        assert res.t_values[0] > 1e12
+        assert 0.0 < res.p_values[0] < 1e-100
+        assert_p_values_are_t_sf(res, 8)
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=30)
+        res = ols_regress(3.0 * x + 1e-13 * rng.normal(size=30), x)
+        assert res.t_values[0] > 1e13 and res.p_values[0] == 0.0
+        assert_p_values_are_t_sf(res, 28)
+
+    def test_fixed_designs(self):
+        rng = np.random.default_rng(13)
+        for n, k, intercept in [(6, 1, True), (6, 4, False), (20, 3, True), (200, 2, False)]:
+            X = rng.normal(0, 1, (n, k))
+            y = X @ rng.normal(0, 0.5, k) + rng.normal(0, 1, n)
+            res = ols_regress(y, X, include_intercept=intercept)
+            assert_p_values_are_t_sf(res, n - k - intercept)
+
+    @settings(max_examples=200, deadline=None)
+    @given(regressions())
+    def test_matches_t_sf(self, case):
+        y, X, intercept = case
+        res = ols_regress(y, X, include_intercept=intercept)
+        assert_p_values_are_t_sf(res, len(y) - X.shape[1] - intercept)

@@ -59,6 +59,33 @@ class TestRun:
         rc = main(["run", "--config", str(tmp_path / "none.cfg")])
         assert rc == 1
 
+    @pytest.mark.parametrize("key, value, setting", [
+        ("te_base", "nan", "te_base"),
+        ("te_base", "inf", "te_base"),
+        ("nsii_threshold", "nan", "nsii_threshold"),
+        ("nsii_threshold", "inf", "nsii_threshold"),
+        ("em_tol", "nan", "tol"),
+        ("kappa", "nan", "kappa"),
+        ("kappa", "inf", "kappa"),
+        ("n_max", "inf", "n_search"),
+    ])
+    def test_non_finite_setting_exits_one_before_calibration(
+        self, corpus_dir, tmp_path, monkeypatch, capsys, key, value, setting
+    ):
+        def calibrate_asset(*args, **kwargs):
+            raise AssertionError("calibration started")
+
+        monkeypatch.setattr(pipeline, "calibrate_asset", calibrate_asset)
+        lines = [line for line in (corpus_dir / "corpus.cfg").read_text().splitlines()
+                 if not line.startswith(f"{key} =")]
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("\n".join(lines).replace("data_dir = .", f"data_dir = {corpus_dir}")
+                       + f"\n{key} = {value}\n")
+        rc = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {setting} must be")
+        assert not (tmp_path / "o").exists()
+
 
 class TestSimulate:
     def test_writes_path_csv(self, tmp_path):
@@ -90,6 +117,39 @@ class TestStageCommands:
         entry = next(row for row in rows if row[0] == "ENE")[rows[0].index("MAT")]
         assert capsys.readouterr().out == entry + "\n"
         assert float(entry) > 0.0
+
+    def test_te_non_finite_base_exits_one(self, run_dir, capsys):
+        rc = main([
+            "te", "--base", "nan",
+            "--source", str(run_dir / "probabilities_ENE.csv"),
+            "--target", str(run_dir / "probabilities_MAT.csv"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: base must be finite and exceed 1, got nan\n"
+
+    def test_network_non_finite_threshold_exits_one(self, run_dir, groups_file, tmp_path, capsys):
+        rc = main([
+            "network", "--matrix", str(run_dir / "sii_matrix.csv"),
+            "--groups", str(groups_file), "--threshold", "nan",
+            "--out-dir", str(tmp_path / "net"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: threshold must be finite and nonnegative, got nan\n"
+        )
+        assert not (tmp_path / "net").exists()
+
+    @pytest.mark.parametrize("flag, value, setting", [
+        ("--tol", "nan", "tol"), ("--kappa", "nan", "kappa"), ("--kappa", "inf", "kappa"),
+    ])
+    def test_calibrate_non_finite_setting_exits_one(
+        self, corpus_dir, tmp_path, capsys, flag, value, setting
+    ):
+        rc = main(["calibrate", "--input", str(corpus_dir / "ENE.csv"), flag, value,
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {setting} must be finite")
+        assert not (tmp_path / "o").exists()
 
     def test_network_and_indicators(self, run_dir, groups_file, tmp_path, capsys):
         rc = main([

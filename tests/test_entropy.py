@@ -54,6 +54,12 @@ class TestJointHistogram:
 
 
 class TestTransferEntropy:
+    @pytest.mark.parametrize("base", [1.0, np.nan, np.inf, -np.inf])
+    def test_base_must_be_finite_and_exceed_one(self, base):
+        u = binned(np.arange(20) % 10)
+        with pytest.raises(ValueError, match=f"base must be finite and exceed 1, got {base!r}"):
+            transfer_entropy(u, u, base=base)
+
     def test_constant_target_is_zero(self):
         rng = np.random.default_rng(0)
         u = binned(np.zeros(50, dtype=int))
@@ -165,6 +171,13 @@ class TestNsii:
 
 
 class TestSiiMatrix:
+    @pytest.mark.parametrize("base", [1.0, np.nan, np.inf, -np.inf])
+    def test_base_must_be_finite_and_exceed_one(self, make_probs, base):
+        # a NaN or infinite base used to give an all-NaN or all-zero matrix
+        assets = {name: make_probs(np.linspace(0.1, 0.9, 20)) for name in "ab"}
+        with pytest.raises(ValueError, match=f"base must be finite and exceed 1, got {base!r}"):
+            sii_matrix(assets, base=base)
+
     def test_constant_series_give_zero_matrix(self, make_probs):
         assets = {
             "a": make_probs(np.full(60, 0.3)),

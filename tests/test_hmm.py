@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 import oracles
@@ -360,9 +361,9 @@ class TestSolveFeedbackExponent:
         weights[:, 1, 1] = 1.0
         smth = smoother_from_weights(weights, s.timestamps)
         searches = []
-        brent = hmm_module.minimize_scalar
+        brent = scipy.optimize.minimize_scalar
         monkeypatch.setattr(
-            hmm_module, "minimize_scalar",
+            scipy.optimize, "minimize_scalar",
             lambda *args, **kwargs: searches.append(args) or brent(*args, **kwargs),
         )
         assert solve_feedback_exponent(smth, s, 0.2, 0.05, 1e-4) == 1e-4
@@ -483,6 +484,17 @@ class TestEMConfig:
             EMConfig(n_search=(1.0, 0.5))
         with pytest.raises(ValueError):
             EMConfig(q00_init=1.0)
+
+    @pytest.mark.parametrize("setting, value", [
+        ("tol", np.nan), ("tol", np.inf), ("tol", -np.inf),
+        ("kappa", np.nan), ("kappa", np.inf), ("kappa", -np.inf), ("kappa", 0.0),
+        ("n_search", (1e-4, np.inf)), ("n_search", (1e-4, np.nan)),
+        ("n_search", (np.nan, 10.0)), ("n_search", (-np.inf, 10.0)),
+    ])
+    def test_rejects_non_finite_values(self, setting, value):
+        # a NaN tol can never be met, so EM would always run max_iterations
+        with pytest.raises(ValueError, match=f"^{setting} must be .*finite"):
+            EMConfig(**{setting: value})
 
 
 class TestDegenerateSeries:

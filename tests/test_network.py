@@ -160,6 +160,12 @@ class TestBuildSin:
         with pytest.raises(ValueError):
             build_sin(hand_matrix, hand_groups, threshold=-0.1)
 
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
+    def test_non_finite_threshold_rejected(self, hand_matrix, hand_groups, threshold):
+        # NaN fails every comparison, so a NaN threshold used to keep no edge
+        with pytest.raises(ValueError, match=f"threshold must be finite.*got {threshold!r}"):
+            build_sin(hand_matrix, hand_groups, threshold=threshold)
+
 
 class TestNodeGroup:
     def test_unknown_label_rejected(self):

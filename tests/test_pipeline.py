@@ -241,3 +241,19 @@ class TestBubbleOnlyFlag:
         config.te_bubble_level = 1.5
         with pytest.raises(ConfigurationError, match="te_bubble_level"):
             run_pipeline(config)
+
+
+class TestNonFiniteSettings:
+    @pytest.mark.parametrize("setting, value", [
+        ("te_base", float("nan")), ("te_base", float("inf")), ("te_base", float("-inf")),
+        ("nsii_threshold", float("nan")), ("nsii_threshold", float("inf")),
+        ("nsii_threshold", float("-inf")),
+        ("te_bubble_level", float("nan")), ("te_bubble_level", float("inf")),
+    ])
+    def test_validate_names_the_setting(self, corpus_dir, tmp_path, setting, value):
+        # a NaN te_base or nsii_threshold used to pass and give an all-zero
+        # matrix or a graph with no edges
+        config = corpus_config(corpus_dir, tmp_path / "out")
+        setattr(config, setting, value)
+        with pytest.raises(ConfigurationError, match=f"^{setting} must"):
+            config.validate()

@@ -177,7 +177,8 @@ def test_too_short_basket_raises_like_reference(T):
 
 def test_bad_base_raises_like_reference():
     series = [np.linspace(0.0, 1.0, 20), np.linspace(1.0, 0.0, 20)]
-    assert_matrix_parity(series, 10, base=1.0)
+    for base in (1.0, np.nan, np.inf, -np.inf):
+        assert_matrix_parity(series, 10, base=base)
 
 
 # two (source, target) pairs of binary series whose transfer entropy the
