@@ -118,6 +118,30 @@ def gbm_transition_logdensity(y_t, y_prev, mu0: float, sigma0: float):
     return out if out.ndim else float(out)
 
 
+def _check_bubble_params(mu1: float, sigma1: float, n: float) -> None:
+    if not sigma1 > 0:
+        raise ValueError(f"sigma1 must be positive, got {sigma1}")
+    if not n > 0:
+        raise ValueError(f"n must be positive, got {n}")
+    _check_finite(mu1=mu1)
+
+
+def _exp_neg_n_y(y, n: float):
+    """u = p^{-n} = e^{-n y}, with the exponent clamped at +/-EXP_CLAMP."""
+    return np.exp(np.clip(-n * y, -EXP_CLAMP, EXP_CLAMP))
+
+
+def _bubble_path_logdensity(y: np.ndarray, mu1: float, sigma1: float, n: float):
+    """Bubble log density of each step along the first axis of ``y``, with
+    one exponential per point and no input checks."""
+    u = _exp_neg_n_y(y, n)
+    with np.errstate(all="ignore"):  # an overflowing square, or inf - inf, gives -inf
+        z = (u[1:] - u[:-1] + n * mu1) / (n * sigma1 * np.sqrt(2.0))
+        out = -n * y[1:] - z * z
+        out += np.log(n) - 0.5 * LOG_2PI - np.log(n * sigma1)
+    return np.fmax(out, -np.inf)
+
+
 def bubble_transition_logdensity(y_t, y_prev, mu1: float, sigma1: float, n: float):
     """Log density of y_t | y_{t-1} under the bubble regime.
 
@@ -125,43 +149,47 @@ def bubble_transition_logdensity(y_t, y_prev, mu1: float, sigma1: float, n: floa
     back to y contributes the ln(n) - n*y_t terms. Exponents are clamped at
     +/-700 so extreme arguments saturate to -inf rather than producing NaN.
     """
-    if not sigma1 > 0:
-        raise ValueError(f"sigma1 must be positive, got {sigma1}")
-    if not n > 0:
-        raise ValueError(f"n must be positive, got {n}")
-    y_t = np.asarray(y_t, dtype=float)
-    y_prev = np.asarray(y_prev, dtype=float)
-    _check_finite(y_t=y_t, y_prev=y_prev, mu1=mu1)
-    u_t = np.exp(np.clip(-n * y_t, -EXP_CLAMP, EXP_CLAMP))
-    u_prev = np.exp(np.clip(-n * y_prev, -EXP_CLAMP, EXP_CLAMP))
-    z = (u_t - u_prev + n * mu1) / (n * sigma1)
-    with np.errstate(over="ignore"):
-        out = -0.5 * LOG_2PI - np.log(n * sigma1) - 0.5 * z * z + np.log(n) - n * y_t
-    out = np.where(np.isnan(out), -np.inf, out)
+    _check_bubble_params(mu1, sigma1, n)
+    y_t, y_prev = np.broadcast_arrays(np.asarray(y_t, float), np.asarray(y_prev, float))
+    _check_finite(y_t=y_t, y_prev=y_prev)
+    out = _bubble_path_logdensity(np.stack([y_prev, y_t]), mu1, sigma1, n)[0]
     return out if out.ndim else float(out)
 
 
-def switch_logdensity(y_t: float, y_prev: float, direction: str, params: RegimeParams) -> float:
+def switch_logdensity(y_t, y_prev, direction: str, params: RegimeParams):
     """Log density of y_t | y_{t-1} across a regime switch.
 
     ``direction`` is "bubble_end" (bubble -> normal: the price drops, bounded
     below by -kappa) or "bubble_start" (normal -> bubble: the price rises,
     bounded above by kappa). The densities are flat with height |1/mu0| resp.
-    |1/mu1| on their indicator set and zero elsewhere.
+    |1/mu1| on their indicator set and zero elsewhere. Accepts scalars or
+    broadcastable arrays; returns the same shape.
     """
     if direction == "bubble_end":
-        if params.mu0 == 0:
-            raise ValueError("mu0 must be nonzero for the bubble_end density")
-        if -params.kappa <= y_t < y_prev:
-            return float(-np.log(abs(params.mu0)))
-        return -np.inf
-    if direction == "bubble_start":
-        if params.mu1 == 0:
-            raise ValueError("mu1 must be nonzero for the bubble_start density")
-        if y_prev <= y_t <= params.kappa:
-            return float(-np.log(abs(params.mu1)))
-        return -np.inf
-    raise ValueError(f"unknown switch direction {direction!r}")
+        name, mu, band = "mu0", params.mu0, (-params.kappa <= y_t) & (y_t < y_prev)
+    elif direction == "bubble_start":
+        name, mu, band = "mu1", params.mu1, (y_prev <= y_t) & (y_t <= params.kappa)
+    else:
+        raise ValueError(f"unknown switch direction {direction!r}")
+    if mu == 0:
+        raise ValueError(f"{name} must be nonzero for the {direction} density")
+    out = np.where(band, -np.log(abs(mu)), -np.inf)
+    return out if out.ndim else float(out)
+
+
+def emission_logdensities(y, regime: RegimeParams) -> np.ndarray:
+    """Log densities of every step of the log-price path ``y`` for each
+    state pair (s_{t-1}, s_t), as a (2, 2, len(y) - 1) array: GBM on (0, 0),
+    the bubble density on (1, 1), the switch densities on (1, 0) and (0, 1),
+    -inf off their bands."""
+    y = np.asarray(y, dtype=float)
+    y_t, y_prev, r = y[1:], y[:-1], regime
+    return np.array([
+        [gbm_transition_logdensity(y_t, y_prev, r.mu0, r.sigma0),
+         switch_logdensity(y_t, y_prev, "bubble_start", r)],
+        [switch_logdensity(y_t, y_prev, "bubble_end", r),
+         _bubble_path_logdensity(y, r.mu1, r.sigma1, r.n)],
+    ])
 
 
 def critical_time(p0: float, mu: float, n: float) -> float:

@@ -14,7 +14,8 @@ products of 2x2 operators, one per step, and both take every prefix of that
 product by cyclic (odd/even) reduction: O(T) work in about log2 T vectorised
 passes. The filter reduces in log domain, the smoother, whose operators are
 column-stochastic, in linear domain. ``tests/test_kernel_parity.py`` holds
-them to exact rational recursions over the same inputs.
+them to step-by-step recursions in 50-digit and exact rational arithmetic
+over the same inputs.
 """
 from __future__ import annotations
 
@@ -24,22 +25,20 @@ from typing import Optional
 import numpy as np
 
 from .bubble import (
-    EXP_CLAMP,
     RegimeParams,
-    bubble_transition_logdensity,
-    gbm_transition_logdensity,
+    _bubble_path_logdensity,
+    _check_bubble_params,
+    _exp_neg_n_y,
+    emission_logdensities,
 )
 from .errors import DegenerateRegimeError, InsufficientDataError, NumericalFailureError
 from .series import LogPriceSeries, ProbabilitySeries
 
-# Emission densities are floored here (in linear space) before the filter
-# normalises over the four state pairs, so a dead switch indicator cannot
-# zero out the normaliser.
-DENSITY_FLOOR = 1e-300
-
 # Absolute x tolerance of the Brent search for n. scipy's step tolerance is
 # 1.5e-8 |n| + N_XATOL / 3, so the relative term rules above n = 2e-3.
 N_XATOL = 1e-10
+
+_MAX = float(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -209,37 +208,16 @@ def geometric_average_filter(series: LogPriceSeries, window: int = 100) -> LogPr
     return LogPriceSeries(series.asset_id, series.timestamps[window - 1 :], means)
 
 
-def _emission_densities(y: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Per-step emission densities, shape (T, 2, 2) indexed [t-1, i, j]."""
-    r = params.regime
-    if r.mu0 == 0:
-        raise ValueError("mu0 must be nonzero (bubble_end switch density)")
-    if r.mu1 == 0:
-        raise ValueError("mu1 must be nonzero (bubble_start switch density)")
-    y_t, y_prev = y[1:], y[:-1]
-    dens = np.empty((len(y) - 1, 2, 2))
-    # overflow to inf is allowed here; the filter reports it as a
-    # numerical failure at the offending step
-    with np.errstate(over="ignore"):
-        dens[:, 0, 0] = np.exp(gbm_transition_logdensity(y_t, y_prev, r.mu0, r.sigma0))
-        dens[:, 1, 1] = np.exp(
-            bubble_transition_logdensity(y_t, y_prev, r.mu1, r.sigma1, r.n)
-        )
-    dens[:, 1, 0] = np.where((y_t >= -r.kappa) & (y_t < y_prev), 1.0 / abs(r.mu0), 0.0)
-    dens[:, 0, 1] = np.where((y_t >= y_prev) & (y_t <= r.kappa), 1.0 / abs(r.mu1), 0.0)
-    return np.maximum(dens, DENSITY_FLOOR)
-
-
 def _prefixes(first: np.ndarray, ops: np.ndarray, product) -> np.ndarray:
     """Every prefix ``first * ops[0] * ... * ops[t]`` by cyclic reduction.
 
-    Time is the last axis: ``first`` is a (1, 2, 1) row vector, ``ops`` a
-    (2, 2, T) stack and ``product(a, b)`` the batched product of two stacks.
+    Time is the last axis: ``first`` is a (1, C, 1) row vector, ``ops`` a
+    (2, C, T) stack and ``product(a, b)`` the batched product of two stacks.
     Adjacent operators are multiplied in pairs until none are left (about
     log2 T levels); going back down, each level's odd prefixes are the next
     level's results and its even ones take one more product. That is O(T)
     products in O(log T) vectorised passes, and prefix t only ever combines
-    ``ops[0..t]``. Returns the (1, 2, T) prefixes.
+    ``ops[0..t]``. Returns the (1, C, T) prefixes.
     """
     levels = []
     while ops.shape[-1]:
@@ -248,7 +226,7 @@ def _prefixes(first: np.ndarray, ops: np.ndarray, product) -> np.ndarray:
     out = first[..., :0]
     for ops in reversed(levels):
         T = ops.shape[-1]
-        merged = np.empty((1, 2, T))
+        merged = np.empty(first.shape[:-1] + (T,))
         merged[..., 1::2] = out
         before = np.concatenate([first, out[..., : (T - 1) // 2]], axis=-1)
         merged[..., 0::2] = product(before, ops[..., 0::2])
@@ -257,18 +235,34 @@ def _prefixes(first: np.ndarray, ops: np.ndarray, product) -> np.ndarray:
 
 
 def _log_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched product of log-domain stacks: each entry is the log of a sum
-    of two products, taken as hi + log1p(exp(lo - hi)). A sum of two zeros
-    (-inf) stays -inf, and each result is shifted so that the largest entry
-    of its first row is 0 (the filter only needs directions)."""
-    terms = a[:, :, None] + b
-    hi = np.maximum(terms[:, 0], terms[:, 1])
-    gap = np.minimum(terms[:, 0], terms[:, 1])
-    gap -= hi
-    np.fmax(gap, -np.inf, out=gap)
-    hi += np.log1p(np.exp(gap, out=gap), out=gap)
-    hi -= np.maximum(hi[0, 0], hi[0, 1])
-    return hi
+    """Batched product of log-domain stacks: ``a`` is a (1, 2, T) row vector
+    or a (2, 3, T) operator, ``b`` an operator. An operator's row i carries
+    a log scale in column 2, with a largest scale of 0 (the filter only needs
+    directions). b's row scales join a's entries, and the largest joined
+    entry of each row moves into the product's scale, so the dominant term
+    is summed exactly however far below the other row's a row's scale lies.
+    A row's largest entry stays within ln 2 above b's, so needs no shift."""
+    joined = a[:, :2] + b[:, 2]  # [i, k]
+    top = np.maximum(np.maximum(joined[:, 0], joined[:, 1]), -_MAX)  # a dead row stays dead
+    joined -= top[:, None]
+    x, y = joined[:, 0, None] + b[0, :2], joined[:, 1, None] + b[1, :2]  # k = 0, 1
+    out = np.empty(a.shape[:-1] + b.shape[-1:])
+    hi = out[:, :2]
+    # log(e^x + e^y), -inf for two zeros (-inf): by numpy's logaddexp where
+    # call overhead rules, as hi + log1p(exp(lo - hi)) by vectorised exp and
+    # log1p on long arrays
+    if x.size < 320:
+        np.logaddexp(x, y, out=hi)
+    else:
+        np.maximum(x, y, out=hi)
+        lo = np.minimum(x, y, out=x)
+        lo -= hi
+        np.fmax(lo, -np.inf, out=lo)
+        hi += np.log1p(np.exp(lo, out=lo), out=lo)
+    if len(a) == 2:
+        top += a[:, 2]
+        np.subtract(top, np.maximum(top[0], top[1]), out=out[:, 2])
+    return out
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -290,10 +284,13 @@ def hamilton_filter(
     The unnormalised forward vector after step t is ``initial`` times the
     product of the operators q * D_1, ..., q * D_t, where D_t holds the
     emission densities of step t. Those prefix products are taken by cyclic
-    reduction in log domain, so factors as small as 1e-300 * 1e-300 keep
-    their weight; the filtered prior of each step then gives its pairwise
-    table and normaliser in one vectorised pass. The first normaliser outside
-    (0, inf) -- an infinite or NaN density -- is a numerical failure at that
+    reduction in log domain, on the table of :func:`emission_logdensities`
+    plus log q, and each row of a product carries its own scale: no density
+    underflows or overflows, and a path keeps its weight and its precision
+    however unlikely it is. The filtered prior of each step then gives its
+    pairwise table and normaliser in one vectorised pass. A step with no
+    live state pair (a dead switch band, a zero transition probability or an
+    unreachable state on each) has normaliser 0, a numerical failure at that
     step; prefixes before it never involve the offending operator.
     """
     y = series.log_prices
@@ -303,15 +300,20 @@ def hamilton_filter(
     if pi.shape != (2,) or np.any(pi < 0) or abs(pi.sum() - 1.0) > 1e-9:
         raise ValueError("initial must be a length-2 distribution summing to 1")
 
-    # log 0 = -inf marks a dead transition and log inf = inf an overflowing
-    # density; whatever they make of later prefixes is never reported,
-    # because the normaliser of the step that holds them fails first
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ops = np.log(_emission_densities(y, params).transpose(1, 2, 0), order="C")  # [i, j, t]
+    ops = emission_logdensities(y, params.regime)  # [i, j, t]
+    # log 0 = -inf marks a dead transition; whatever dead steps make of
+    # later prefixes is never reported, because the normaliser of the first
+    # step with no live state pair fails first
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ops += np.log(params.q)[:, :, None]
         log_pi = np.log(pi)[:, None]
-        log_forward = _prefixes(log_pi[None], ops, _log_product)[0]
-        forward = np.exp(log_forward)  # the larger entry of each column is exp(0) = 1
+        # rows shifted to a largest entry of 0, with the shifts as scales
+        top = np.maximum(np.maximum(ops[:, 0], ops[:, 1]), -_MAX)
+        steps = np.empty((2, 3, len(y) - 1))
+        np.subtract(ops, top[:, None], out=steps[:, :2])
+        np.subtract(top, np.maximum(top[0], top[1]), out=steps[:, 2])
+        log_forward = _prefixes((log_pi - log_pi.max())[None], steps, _log_product)[0]
+        forward = np.exp(log_forward)  # each column's larger entry is 1 to 4T
         total = forward[0] + forward[1]
         forward /= total
         log_forward -= np.log(total)
@@ -389,10 +391,6 @@ def kim_smoother(filt: FilterOutput) -> SmootherOutput:
     probs = ProbabilitySeries(filt.filtering.timestamps, np.clip(smoothing, 0.0, 1.0),
                               label=filt.filtering.label.replace("filtering", "smoothing"))
     return SmootherOutput(probs, back.transpose(2, 0, 1))
-
-
-def _exp_neg_n_y(y: np.ndarray, n: float) -> np.ndarray:
-    return np.exp(np.clip(-n * y, -EXP_CLAMP, EXP_CLAMP))
 
 
 def m_step(
@@ -473,10 +471,13 @@ def _bubble_block_objective(
     y: np.ndarray, w11: np.ndarray, mu1: float, sigma1: float, n: float
 ) -> float:
     """Expected bubble-regime log-likelihood: the only part of the E-step
-    objective that depends on n."""
-    logf = bubble_transition_logdensity(y[1:], y[:-1], mu1, sigma1, n)
-    live = w11 > 0.0
-    return float(np.dot(w11[live], np.asarray(logf)[live]))
+    objective that depends on n. A step of zero weight adds nothing."""
+    logf = _bubble_path_logdensity(y, mu1, sigma1, n)
+    value = float(np.dot(w11, logf))
+    if np.isnan(value):  # 0 * -inf
+        live = w11 > 0.0
+        value = float(np.dot(w11[live], logf[live]))
+    return value
 
 
 def solve_feedback_exponent(
@@ -504,8 +505,9 @@ def solve_feedback_exponent(
         raise DegenerateRegimeError(1)
     y = series.log_prices
     lo, hi = search
-    if not (0 < lo < hi):
-        raise ValueError("search must be an increasing positive interval")
+    if not 0 < lo < hi < np.inf:
+        raise ValueError(f"search must be a finite increasing positive interval, got {search!r}")
+    _check_bubble_params(mu1, sigma1, n_current)
 
     found = minimize_scalar(
         lambda n: -_bubble_block_objective(y, w11, mu1, sigma1, n),

@@ -260,10 +260,13 @@ class PipelineConfig:
                 pair[int(index)] = value
                 value = tuple(pair)
             em_fields[name] = value
-        return cls(
-            assets=assets, output_dir=out_dir, column_map=column_map,
-            em=EMConfig(**em_fields), **fields,
-        )
+        try:
+            em = EMConfig(**em_fields)
+        except ValueError as err:  # name the config keys, not the EMConfig field
+            name, _, rest = str(err).partition(" ")
+            keys = [key for key, path, *_ in _CONFIG_KEYS if path.split(".")[:2] == ["em", name]]
+            raise ConfigurationError(f"{'/'.join(keys)} {rest}") from None
+        return cls(assets=assets, output_dir=out_dir, column_map=column_map, em=em, **fields)
 
 
 @dataclass

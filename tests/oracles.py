@@ -12,15 +12,13 @@ import math
 import warnings
 from collections import Counter
 from datetime import date
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from sinet.errors import ConfigurationError
-
-DENSITY_FLOOR = 1e-300
 
 
 # ---------------------------------------------------------------------------
@@ -48,15 +46,13 @@ def switch_density(y_t: float, y_prev: float, i: int, j: int, mu0, mu1, kappa) -
 
 
 def emission(y_t, y_prev, i, j, theta) -> float:
-    """Floored emission density for the pair (s_{t-1}=i, s_t=j)."""
+    """Emission density for the pair (s_{t-1}=i, s_t=j); 0 off a switch band."""
     mu0, sigma0, mu1, sigma1, n, kappa = theta
     if (i, j) == (0, 0):
-        d = gbm_density(y_t, y_prev, mu0, sigma0)
-    elif (i, j) == (1, 1):
-        d = bubble_density(y_t, y_prev, mu1, sigma1, n)
-    else:
-        d = switch_density(y_t, y_prev, i, j, mu0, mu1, kappa)
-    return max(d, DENSITY_FLOOR)
+        return gbm_density(y_t, y_prev, mu0, sigma0)
+    if (i, j) == (1, 1):
+        return bubble_density(y_t, y_prev, mu1, sigma1, n)
+    return switch_density(y_t, y_prev, i, j, mu0, mu1, kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -114,10 +110,10 @@ def enumerate_posteriors(y, q, initial, theta):
 
 
 # ---------------------------------------------------------------------------
-# Step-by-step filter and smoother recursions, on numpy scalars and in exact
-# rational arithmetic. The library's cyclic-reduction kernels must fail where
-# the float loops fail and otherwise match the exact recursions within
-# tolerance (tests/test_kernel_parity.py).
+# Filter and smoother recursions: the forward one in high-precision log-domain
+# arithmetic, the backward one on numpy scalars and in exact rational
+# arithmetic. The library's cyclic-reduction kernels must fail where these
+# fail and otherwise match them within tolerance (tests/test_kernel_parity.py).
 
 class RecursionFailure(ArithmeticError):
     def __init__(self, step, message):
@@ -125,76 +121,53 @@ class RecursionFailure(ArithmeticError):
         super().__init__(message)
 
 
-def hamilton_filter_steps(dens, q, initial):
-    """Forward recursion over floored emission densities ``dens`` (T, 2, 2).
+def _log_sum_exp(terms):
+    top = max(terms)
+    return top + sum((x - top).exp() for x in terms).ln()
 
-    Returns (filtering, pairwise_filtered, loglik); filtering is unclipped.
+
+def hamilton_filter_exact(logdens, q, initial, digits=50):
+    """Forward recursion over the float log emission table ``logdens``
+    (2, 2, T), indexed [i, j, t], in ``digits``-digit decimal arithmetic
+    with an unbounded exponent range, rounded once at the end.
+
+    A state pair (i, j) of step t is live when state i has weight, q_ij > 0
+    and its log density is finite; every other pair weighs exactly 0. Each
+    step works on the logarithms of the live weights and renormalises, so no
+    weight underflows however small it is. A step with no live pair raises
+    :class:`RecursionFailure` with the normaliser 0.0. Returns (filtering,
+    pairwise_filtered, loglik).
     """
-    pi = np.asarray(initial, dtype=float)
-    q00, q01, q10, q11 = q[0, 0], q[0, 1], q[1, 0], q[1, 1]
-    T = len(dens)
-    pairwise = np.empty((T, 2, 2))
-    filtering = np.empty(T + 1)
-    filtering[0] = pi[1]
-    f0, f1 = float(pi[0]), float(pi[1])
-    loglik = 0.0
-    for t in range(T):
-        d = dens[t]
-        w00 = q00 * f0 * d[0, 0]
-        w01 = q01 * f0 * d[0, 1]
-        w10 = q10 * f1 * d[1, 0]
-        w11 = q11 * f1 * d[1, 1]
-        norm = w00 + w01 + w10 + w11
-        if not (norm > 0.0 and math.isfinite(norm)):
-            raise RecursionFailure(t + 1, f"filter normaliser {float(norm)!r} at step {t + 1}")
-        pairwise[t, 0, 0] = w00 / norm
-        pairwise[t, 0, 1] = w01 / norm
-        pairwise[t, 1, 0] = w10 / norm
-        pairwise[t, 1, 1] = w11 / norm
-        f0 = pairwise[t, 0, 0] + pairwise[t, 1, 0]
-        f1 = pairwise[t, 0, 1] + pairwise[t, 1, 1]
-        filtering[t + 1] = f1
-        loglik += math.log(norm)
-    return filtering, pairwise, loglik
-
-
-def hamilton_filter_exact(dens, q, initial):
-    """The forward recursion of :func:`hamilton_filter_steps` in exact
-    rational arithmetic over the same float inputs, rounded once at the end.
-
-    The unnormalised forward vector alpha_t = alpha_{t-1} (q * D_t) starts
-    from ``initial`` as given, so the product of the step normalisers is
-    sum(alpha_T) and the log-likelihood is its logarithm, taken here to 50
-    significant digits. Returns (filtering, pairwise_filtered, loglik).
-
-    A step with a non-finite density raises :class:`RecursionFailure` with
-    the IEEE value of its normaliser: nan if a density is NaN or an infinite
-    one meets a path of exact weight zero, inf otherwise.
-    """
-    q = [[Fraction(float(v)) for v in row] for row in q]
-    alpha = [Fraction(float(v)) for v in initial]
-    T = len(dens)
+    T = logdens.shape[-1]
     filtering = np.empty(T + 1)
     filtering[0] = float(initial[1])
-    pairwise = np.empty((T, 2, 2))
-    for t in range(T):
-        d = [[float(dens[t, i, j]) for j in range(2)] for i in range(2)]
-        if not all(math.isfinite(v) for row in d for v in row):
-            norm = sum(d[i][j] if alpha[i] * q[i][j] > 0 else 0.0 * d[i][j]
-                       for i in range(2) for j in range(2))
-            raise RecursionFailure(t + 1, f"filter normaliser {norm!r} at step {t + 1}")
-        w = [[alpha[i] * q[i][j] * Fraction(d[i][j]) for j in range(2)] for i in range(2)]
-        alpha = [w[0][0] + w[1][0], w[0][1] + w[1][1]]
-        total = alpha[0] + alpha[1]
-        for i in range(2):
-            for j in range(2):
-                pairwise[t, i, j] = w[i][j] / total
-        filtering[t + 1] = alpha[1] / total
-    total = alpha[0] + alpha[1]
+    pairwise = np.zeros((T, 2, 2))
     with localcontext() as ctx:
-        ctx.prec = 50
-        loglik = Decimal(total.numerator).ln() - Decimal(total.denominator).ln()
-    return filtering, pairwise, float(loglik)
+        ctx.prec, ctx.Emin, ctx.Emax = digits, MIN_EMIN, MAX_EMAX
+        log_q = [[Decimal(float(v)).ln() if v > 0 else None for v in row] for row in q]
+        alpha = [Decimal(float(v)).ln() if v > 0 else None for v in initial]
+        loglik = Decimal(0)
+        for t in range(T):
+            cells = {}
+            for i in range(2):
+                for j in range(2):
+                    d = float(logdens[i, j, t])
+                    assert not (math.isnan(d) or d == math.inf), "log density must be < inf"
+                    if alpha[i] is not None and log_q[i][j] is not None and d > -math.inf:
+                        cells[i, j] = alpha[i] + log_q[i][j] + Decimal(d)
+            if not cells:
+                raise RecursionFailure(t + 1, f"filter normaliser 0.0 at step {t + 1}")
+            norm = _log_sum_exp(list(cells.values()))
+            loglik += norm
+            for (i, j), cell in cells.items():
+                pairwise[t, i, j] = float((cell - norm).exp())
+            alpha = [None, None]
+            for j in range(2):
+                into = [cell for (_, k), cell in cells.items() if k == j]
+                if into:
+                    alpha[j] = _log_sum_exp(into) - norm
+            filtering[t + 1] = float(alpha[1].exp()) if alpha[1] is not None else 0.0
+        return filtering, pairwise, float(loglik)
 
 
 def kim_smoother_steps(filtering, pairwise_filtered):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sinet import (
     RegimeParams,
@@ -13,6 +14,7 @@ from sinet import (
     simulate_sa_path,
     switch_logdensity,
 )
+from sinet.bubble import emission_logdensities
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -114,6 +116,64 @@ class TestSwitchDensity:
     def test_unknown_direction(self, params):
         with pytest.raises(ValueError):
             switch_logdensity(0.0, 0.0, "sideways", params)
+
+
+@st.composite
+def paths_with_band_edges(draw):
+    """Regime parameters and a log-price path whose steps are random moves,
+    flat steps (y_t == y_prev) or landings on +kappa or -kappa."""
+    regime = RegimeParams(
+        mu0=draw(st.floats(-0.05, 0.05).filter(lambda v: v != 0.0)),
+        sigma0=draw(st.floats(1e-3, 0.5)),
+        mu1=draw(st.floats(-0.5, 0.5).filter(lambda v: v != 0.0)),
+        sigma1=draw(st.floats(1e-3, 0.5)),
+        n=draw(st.floats(0.05, 3.0)),
+        kappa=draw(st.floats(0.05, 3.0)),
+    )
+    y = [draw(st.floats(-3.0, 3.0))]
+    for step in draw(st.lists(st.one_of(st.floats(-0.5, 0.5), st.sampled_from("=+-")),
+                              min_size=1, max_size=30)):
+        edges = {"=": y[-1], "+": regime.kappa, "-": -regime.kappa}
+        y.append(edges[step] if isinstance(step, str) else y[-1] + step)
+    return regime, np.array(y)
+
+
+class TestEmissionLogdensities:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(paths_with_band_edges())
+    def test_cells_match_public_densities(self, instance):
+        r, y = instance
+        table = emission_logdensities(y, r)
+        assert table.shape == (2, 2, len(y) - 1)
+        for t in range(len(y) - 1):
+            y_t, y_prev = float(y[t + 1]), float(y[t])
+            want = {
+                (0, 0): gbm_transition_logdensity(y_t, y_prev, r.mu0, r.sigma0),
+                (1, 1): bubble_transition_logdensity(y_t, y_prev, r.mu1, r.sigma1, r.n),
+                (1, 0): switch_logdensity(y_t, y_prev, "bubble_end", r),
+                (0, 1): switch_logdensity(y_t, y_prev, "bubble_start", r),
+            }
+            for (i, j), value in want.items():
+                assert math.isclose(table[i, j, t], value, rel_tol=1e-12), (i, j, t)
+            # off its band a switch cell is exactly -inf, on it the flat height
+            on_end = -r.kappa <= y_t < y_prev
+            on_start = y_prev <= y_t <= r.kappa
+            assert (table[1, 0, t] == -np.inf) == (not on_end)
+            assert (table[0, 1, t] == -np.inf) == (not on_start)
+            if on_end:
+                assert table[1, 0, t] == -math.log(abs(r.mu0))
+            if on_start:
+                assert table[0, 1, t] == -math.log(abs(r.mu1))
+
+    def test_switch_densities_need_nonzero_drifts(self):
+        r = RegimeParams(mu0=0.0, sigma0=0.1, mu1=0.25, sigma1=0.1, n=1.0, kappa=1.0)
+        with pytest.raises(ValueError, match="mu0 must be nonzero"):
+            emission_logdensities(np.array([0.0, 0.1]), r)
+
+    def test_rejects_non_finite_path(self):
+        r = RegimeParams(mu0=0.1, sigma0=0.1, mu1=0.25, sigma1=0.1, n=1.0, kappa=1.0)
+        with pytest.raises(ValueError, match="must be finite"):
+            emission_logdensities(np.array([0.0, np.nan, 0.1]), r)
 
 
 class TestDeterministicPrice:

@@ -64,10 +64,11 @@ class TestRun:
         ("te_base", "inf", "te_base"),
         ("nsii_threshold", "nan", "nsii_threshold"),
         ("nsii_threshold", "inf", "nsii_threshold"),
-        ("em_tol", "nan", "tol"),
+        ("em_tol", "nan", "em_tol"),
         ("kappa", "nan", "kappa"),
         ("kappa", "inf", "kappa"),
-        ("n_max", "inf", "n_search"),
+        ("n_max", "inf", "n_min/n_max"),
+        ("n_min", "nan", "n_min/n_max"),
     ])
     def test_non_finite_setting_exits_one_before_calibration(
         self, corpus_dir, tmp_path, monkeypatch, capsys, key, value, setting

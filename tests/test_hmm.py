@@ -118,7 +118,7 @@ class TestHamiltonFilter:
         # with all four emission factors equal the likelihood cancels in the
         # normalisation, leaving the pure chain prediction
         monkeypatch.setattr(
-            hmm_module, "_emission_densities", lambda y, params: np.ones((len(y) - 1, 2, 2))
+            hmm_module, "emission_logdensities", lambda y, regime: np.zeros((2, 2, len(y) - 1))
         )
         rng = np.random.default_rng(1)
         s = make_series(rng.normal(0, 1, 12))
@@ -144,16 +144,17 @@ class TestHamiltonFilter:
             assert out.loglik == pytest.approx(loglik, abs=1e-8)
 
     def test_nonfinite_normaliser_names_step(self, make_series):
-        # a flat step with subnormal mu1, sigma1 makes the bubble density
-        # overflow: the quadratic term vanishes while -ln(n*sigma1) > 709
-        y = np.array([0.0, 0.0, 0.1])
+        # the chain alternates: step 1 falls, so a bubble end takes it from
+        # state 1 to 0; from there only a bubble start goes on, and y_2 >
+        # kappa is off its band, so no state pair of step 2 is live
+        y = np.array([0.2, 0.1, 1.5])
         s = make_series(y)
-        regime = RegimeParams(0.001, 0.1, 1e-310, 1e-309, 1.0, kappa=1.0)
-        params = ModelParams(regime, np.array([[0.5, 0.5], [0.5, 0.5]]))
+        regime = RegimeParams(0.001, 0.1, 0.1, 0.1, 1.0, kappa=1.0)
+        params = ModelParams(regime, np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(NumericalFailureError) as err:
-            hamilton_filter(s, params, initial=[0.5, 0.5])
-        assert err.value.step == 1
-        assert "filter normaliser inf at step 1" in str(err.value)
+            hamilton_filter(s, params, initial=[0.0, 1.0])
+        assert err.value.step == 2
+        assert "filter normaliser 0.0 at step 2" in str(err.value)
 
 
 class TestKimSmoother:
@@ -389,6 +390,20 @@ class TestSolveFeedbackExponent:
         smth = smoother_from_weights(weights, s.timestamps)
         with pytest.raises(DegenerateRegimeError):
             solve_feedback_exponent(smth, s, 0.1, 0.1, 0.5)
+
+    @pytest.mark.parametrize("search", [(1e-4, np.inf), (np.nan, 10.0), (1e-4, np.nan),
+                                        (0.0, 10.0), (2.0, 1.0)])
+    def test_bad_search_interval_rejected(self, search):
+        s, _, smth, r = exact_path_bubble_fit()
+        with pytest.raises(ValueError, match="search must be a finite increasing positive"):
+            solve_feedback_exponent(smth, s, r.mu1, r.sigma1, 0.5, search=search)
+
+    @pytest.mark.parametrize("mu1, sigma1, n_current", [(np.nan, 0.1, 0.5), (0.1, 0.0, 0.5),
+                                                        (0.1, 0.1, -1.0)])
+    def test_bad_bubble_parameters_rejected(self, mu1, sigma1, n_current):
+        s, _, smth, _ = exact_path_bubble_fit()
+        with pytest.raises(ValueError, match="must be"):
+            solve_feedback_exponent(smth, s, mu1, sigma1, n_current)
 
 
 def two_segment_series(seed, y0=0.0, t_gbm=1400, t_bub=600, mu0=2e-4, sigma0=0.008,
