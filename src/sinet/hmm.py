@@ -236,29 +236,19 @@ def _prefixes(first: np.ndarray, ops: np.ndarray, product) -> np.ndarray:
 
 def _log_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Batched product of log-domain stacks: ``a`` is a (1, 2, T) row vector
-    or a (2, 3, T) operator, ``b`` an operator. An operator's row i carries
-    a log scale in column 2, with a largest scale of 0 (the filter only needs
-    directions). b's row scales join a's entries, and the largest joined
-    entry of each row moves into the product's scale, so the dominant term
-    is summed exactly however far below the other row's a row's scale lies.
-    A row's largest entry stays within ln 2 above b's, so needs no shift."""
+    or a (2, 3, T) operator, ``b`` an operator. Column 2 of an operator holds
+    its row log scales, the largest of them 0 (the filter only needs
+    directions); each row of a product keeps its own scale."""
     joined = a[:, :2] + b[:, 2]  # [i, k]
     top = np.maximum(np.maximum(joined[:, 0], joined[:, 1]), -_MAX)  # a dead row stays dead
     joined -= top[:, None]
     x, y = joined[:, 0, None] + b[0, :2], joined[:, 1, None] + b[1, :2]  # k = 0, 1
     out = np.empty(a.shape[:-1] + b.shape[-1:])
-    hi = out[:, :2]
-    # log(e^x + e^y), -inf for two zeros (-inf): by numpy's logaddexp where
-    # call overhead rules, as hi + log1p(exp(lo - hi)) by vectorised exp and
-    # log1p on long arrays
-    if x.size < 320:
-        np.logaddexp(x, y, out=hi)
-    else:
-        np.maximum(x, y, out=hi)
-        lo = np.minimum(x, y, out=x)
-        lo -= hi
-        np.fmax(lo, -np.inf, out=lo)
-        hi += np.log1p(np.exp(lo, out=lo), out=lo)
+    hi = np.maximum(x, y, out=out[:, :2])  # log(e^x + e^y); two zeros (-inf) stay -inf
+    lo = np.minimum(x, y, out=x)
+    lo -= hi
+    np.fmax(lo, -np.inf, out=lo)
+    hi += np.log1p(np.exp(lo, out=lo), out=lo)
     if len(a) == 2:
         top += a[:, 2]
         np.subtract(top, np.maximum(top[0], top[1]), out=out[:, 2])
@@ -284,14 +274,12 @@ def hamilton_filter(
     The unnormalised forward vector after step t is ``initial`` times the
     product of the operators q * D_1, ..., q * D_t, where D_t holds the
     emission densities of step t. Those prefix products are taken by cyclic
-    reduction in log domain, on the table of :func:`emission_logdensities`
-    plus log q, and each row of a product carries its own scale: no density
-    underflows or overflows, and a path keeps its weight and its precision
-    however unlikely it is. The filtered prior of each step then gives its
-    pairwise table and normaliser in one vectorised pass. A step with no
-    live state pair (a dead switch band, a zero transition probability or an
-    unreachable state on each) has normaliser 0, a numerical failure at that
-    step; prefixes before it never involve the offending operator.
+    reduction in log domain, on :func:`emission_logdensities` plus log q,
+    with a log scale per row of each product, so a path keeps its weight and
+    its precision however unlikely it is; the filtered prior of each step
+    then gives its pairwise table and normaliser in one vectorised pass. The
+    first step with no live state pair (normaliser 0) is a numerical failure
+    at that step; prefixes before it never involve the offending operator.
     """
     y = series.log_prices
     if initial is None:
@@ -301,9 +289,7 @@ def hamilton_filter(
         raise ValueError("initial must be a length-2 distribution summing to 1")
 
     ops = emission_logdensities(y, params.regime)  # [i, j, t]
-    # log 0 = -inf marks a dead transition; whatever dead steps make of
-    # later prefixes is never reported, because the normaliser of the first
-    # step with no live state pair fails first
+    # log 0 = -inf marks a dead transition; a dead row's scale may overflow to -inf
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ops += np.log(params.q)[:, :, None]
         log_pi = np.log(pi)[:, None]
@@ -313,7 +299,7 @@ def hamilton_filter(
         np.subtract(ops, top[:, None], out=steps[:, :2])
         np.subtract(top, np.maximum(top[0], top[1]), out=steps[:, 2])
         log_forward = _prefixes((log_pi - log_pi.max())[None], steps, _log_product)[0]
-        forward = np.exp(log_forward)  # each column's larger entry is 1 to 4T
+        forward = np.exp(log_forward)  # larger entry 1 to 2T: <= ln 2 more per level
         total = forward[0] + forward[1]
         forward /= total
         log_forward -= np.log(total)
@@ -468,16 +454,13 @@ def m_step(
 
 
 def _bubble_block_objective(
-    y: np.ndarray, w11: np.ndarray, mu1: float, sigma1: float, n: float
+    y: np.ndarray, w11: np.ndarray, live: np.ndarray, mu1: float, sigma1: float, n: float
 ) -> float:
     """Expected bubble-regime log-likelihood: the only part of the E-step
-    objective that depends on n. A step of zero weight adds nothing."""
+    objective that depends on n. ``w11`` holds the weights of the ``live``
+    steps, the steps of nonzero weight."""
     logf = _bubble_path_logdensity(y, mu1, sigma1, n)
-    value = float(np.dot(w11, logf))
-    if np.isnan(value):  # 0 * -inf
-        live = w11 > 0.0
-        value = float(np.dot(w11[live], logf[live]))
-    return value
+    return float(np.dot(w11, logf[live]))
 
 
 def solve_feedback_exponent(
@@ -503,6 +486,8 @@ def solve_feedback_exponent(
     w11 = smoother.pairwise_smoothed[:, 1, 1]
     if w11.sum() <= 0.0:
         raise DegenerateRegimeError(1)
+    live = w11 > 0.0
+    w11 = w11[live]
     y = series.log_prices
     lo, hi = search
     if not 0 < lo < hi < np.inf:
@@ -510,10 +495,10 @@ def solve_feedback_exponent(
     _check_bubble_params(mu1, sigma1, n_current)
 
     found = minimize_scalar(
-        lambda n: -_bubble_block_objective(y, w11, mu1, sigma1, n),
+        lambda n: -_bubble_block_objective(y, w11, live, mu1, sigma1, n),
         bounds=(lo, hi), method="bounded", options={"xatol": N_XATOL},
     )
-    keep = _bubble_block_objective(y, w11, mu1, sigma1, n_current)
+    keep = _bubble_block_objective(y, w11, live, mu1, sigma1, n_current)
     return float(found.x) if -found.fun > keep else float(n_current)
 
 

@@ -244,7 +244,10 @@ class PipelineConfig:
 
         fields: dict = {}
         em_fields: dict = {}
+        em_keys: dict = {}  # EMConfig field -> the config keys that set it
         for key, field_path, parse, _ in _CONFIG_KEYS:
+            if field_path.startswith("em."):
+                em_keys.setdefault(field_path.split(".")[1], []).append(key)
             if key not in kv:
                 continue
             try:
@@ -263,9 +266,12 @@ class PipelineConfig:
         try:
             em = EMConfig(**em_fields)
         except ValueError as err:  # name the config keys, not the EMConfig field
-            name, _, rest = str(err).partition(" ")
-            keys = [key for key, path, *_ in _CONFIG_KEYS if path.split(".")[:2] == ["em", name]]
-            raise ConfigurationError(f"{'/'.join(keys)} {rest}") from None
+            message = str(err)
+            for name, keys in em_keys.items():
+                if message.startswith(f"{name} "):
+                    message = "/".join(keys) + message[len(name):]
+                    break
+            raise ConfigurationError(message) from None
         return cls(assets=assets, output_dir=out_dir, column_map=column_map, em=em, **fields)
 
 

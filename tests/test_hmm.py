@@ -329,8 +329,9 @@ class TestSolveFeedbackExponent:
         smth = smoother_from_weights(weights, s.timestamps)
         n = solve_feedback_exponent(smth, s, mu1, sigma1, n_current)
         assert 1e-4 <= n <= 10.0
+        live = weights[:, 1, 1] > 0.0
         objective = lambda v: hmm_module._bubble_block_objective(
-            s.log_prices, weights[:, 1, 1], mu1, sigma1, v
+            s.log_prices, weights[live, 1, 1], live, mu1, sigma1, v
         )
         assert objective(n) >= objective(n_current)
 

@@ -160,6 +160,11 @@ def assert_same_smoother(got, want):
 @example((ModelParams(RegimeParams(0.03125, 0.5, 0.03125, 0.03125, 1.0, 1.0),
                       np.array([[0.0, 1.0], [0.5, 0.5]])),
           np.array([1.0, 0.0]), np.array([0.0, 0.0, -5.0, 0.0, -3.90625e-03])))
+# the same start padded to 300 steps: nine reduction levels on long arrays
+@example((ModelParams(RegimeParams(0.03125, 0.5, 0.03125, 0.03125, 1.0, 1.0),
+                      np.array([[0.0, 1.0], [0.5, 0.5]])),
+          np.array([1.0, 0.0]),
+          np.concatenate([[0.0, 0.0, -5.0], 0.05 * np.sin(np.arange(298))])))
 def test_filter_and_smoother_match_exact_recursions(instance):
     params, initial, y = instance
     series = LogPriceSeries("syn", dates(len(y)), y)

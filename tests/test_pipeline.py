@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from sinet import ConfigurationError
+from sinet import pipeline as pipeline_module
 from sinet.pipeline import PipelineConfig, _parse_combo, _parse_model_specs, run_pipeline
 from sinet.synthetic import bundled_corpus_config, write_corpus
 
@@ -78,6 +79,19 @@ class TestConfigParsing:
         )
         with pytest.raises(ConfigurationError, match=f"^{message}"):
             PipelineConfig.from_file(tmp_path / "bad.cfg")
+
+    def test_em_error_without_a_field_name_passes_unchanged(self, tmp_path, corpus_dir,
+                                                           monkeypatch):
+        def reject(**_):
+            raise ValueError("settings out of range")
+
+        monkeypatch.setattr(pipeline_module, "EMConfig", reject)
+        (tmp_path / "ok.cfg").write_text(
+            f"data_dir = {corpus_dir}\nassets = ENE, MAT\n"
+            "asset.ENE.group = industrial\nasset.MAT.group = financial\nem_tol = 1e-6\n"
+        )
+        with pytest.raises(ConfigurationError, match="^settings out of range$"):
+            PipelineConfig.from_file(tmp_path / "ok.cfg")
 
     def test_key_values_round_trip(self, tmp_path, corpus_dir):
         config = corpus_config(corpus_dir, tmp_path / "out")
