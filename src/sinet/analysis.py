@@ -24,12 +24,11 @@ class RegressionResult:
     t_values: np.ndarray
     p_values: np.ndarray
     markers: tuple[str, ...]
-    intercept: float | None
-    intercept_std_error: float | None
+    intercept: float
+    intercept_std_error: float
     r_squared: float
     adj_r_squared: float
     f_statistic: float
-    n_obs: int
 
     def __post_init__(self):
         if not -1e-12 <= self.r_squared <= 1.0 + 1e-12:
@@ -89,11 +88,13 @@ def rank_transform(values) -> np.ndarray:
     return ranks
 
 
-def ols_regress(y, X, include_intercept: bool = True) -> RegressionResult:
-    """Least squares via QR, with classical errors and significance markers.
+def ols_regress(y, X) -> RegressionResult:
+    """Least squares with an intercept via QR, with classical errors and
+    significance markers.
 
-    Raises :class:`CollinearityError` naming the first dependent column when
-    the (intercept-augmented) design is rank deficient, and
+    Raises ValueError naming ``y`` or ``X`` when it holds a non-finite value,
+    :class:`CollinearityError` naming the first dependent column when the
+    intercept-augmented design is rank deficient, and
     :class:`InsufficientDataError` when there are too few rows.
     """
     # imported here, not with the module, so that `import sinet` loads no scipy
@@ -107,23 +108,23 @@ def ols_regress(y, X, include_intercept: bool = True) -> RegressionResult:
     n, k = X.shape
     if len(y) != n:
         raise ValueError("y and X must have the same number of rows")
+    for name, values in (("y", y), ("X", X)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} holds a non-finite value")
     if n <= k + 1:
         raise InsufficientDataError(f"need more than {k + 1} observations, got {n}")
 
-    design = np.column_stack([np.ones(n), X]) if include_intercept else X
-    p = design.shape[1]
+    design = np.column_stack([np.ones(n), X])
+    p = k + 1
 
     # Pivoted QR exposes the first column that adds no new direction.
     _, r, piv = qr(design, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
-    tol = diag.max() * max(n, p) * np.finfo(float).eps if diag.size else 0.0
+    tol = diag.max() * max(n, p) * np.finfo(float).eps
     rank = int((diag > tol).sum())
     if rank < p:
         offender = int(piv[rank])
-        name = "intercept" if include_intercept and offender == 0 else (
-            offender - 1 if include_intercept else offender
-        )
-        raise CollinearityError(name)
+        raise CollinearityError("intercept" if offender == 0 else offender - 1)
 
     q_mat, r_mat = np.linalg.qr(design)
     beta = np.linalg.solve(r_mat, q_mat.T @ y)
@@ -135,42 +136,33 @@ def ols_regress(y, X, include_intercept: bool = True) -> RegressionResult:
     se = np.sqrt(np.diag(cov))
 
     ss_res = float(resid @ resid)
-    ss_tot = float(((y - y.mean()) ** 2).sum()) if include_intercept else float(y @ y)
+    ss_tot = float(((y - y.mean()) ** 2).sum())
     r2 = 0.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
-    n_regressors = k
-    adj = 1.0 - (1.0 - r2) * (n - 1) / dof if include_intercept else 1.0 - (1.0 - r2) * n / dof
+    adj = 1.0 - (1.0 - r2) * (n - 1) / dof
     f_stat = 0.0
-    if n_regressors > 0 and r2 < 1.0:
-        f_stat = (r2 / n_regressors) / ((1.0 - r2) / dof)
+    if k > 0 and r2 < 1.0:
+        f_stat = (r2 / k) / ((1.0 - r2) / dof)
     elif r2 >= 1.0:
         f_stat = float("inf")
 
     t_all = np.divide(beta, se, out=np.zeros_like(beta), where=se > 0)
     p_all = 2.0 * stdtr(dof, -np.abs(t_all))  # what 2 * stats.t.sf(|t|, dof) evaluates
 
-    if include_intercept:
-        coefs, errs, tv, pv = beta[1:], se[1:], t_all[1:], p_all[1:]
-        intercept, intercept_se = float(beta[0]), float(se[0])
-    else:
-        coefs, errs, tv, pv = beta, se, t_all, p_all
-        intercept = intercept_se = None
-
     markers = tuple(
         next((mark for level, mark in SIGNIFICANCE_LEVELS if pval < level), "")
-        for pval in pv
+        for pval in p_all[1:]
     )
     return RegressionResult(
-        coefficients=coefs,
-        std_errors=errs,
-        t_values=tv,
-        p_values=pv,
+        coefficients=beta[1:],
+        std_errors=se[1:],
+        t_values=t_all[1:],
+        p_values=p_all[1:],
         markers=markers,
-        intercept=intercept,
-        intercept_std_error=intercept_se,
+        intercept=float(beta[0]),
+        intercept_std_error=float(se[0]),
         r_squared=r2,
         adj_r_squared=adj,
         f_statistic=f_stat,
-        n_obs=n,
     )
 
 

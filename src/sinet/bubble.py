@@ -28,7 +28,7 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 EXP_CLAMP = 700.0
 
 # Denominator floor at which a simulated path is declared critical.
-DEFAULT_DENOMINATOR_FLOOR = 1e-12
+DENOMINATOR_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -233,13 +233,12 @@ def simulate_sa_path(
     dt: float,
     max_steps: int,
     seed: int,
-    denominator_floor: float = DEFAULT_DENOMINATOR_FLOOR,
 ) -> SimulatedPath:
     """Simulate one bubble path from the exact solution on a Brownian grid.
 
     The denominator n*mu*(t_c - t_k) - n*sigma*W_{t_k} is evaluated on the
     grid t_k = k*dt; the path terminates at the first k where it falls to
-    ``denominator_floor`` or below, with the final price evaluated at the
+    ``DENOMINATOR_FLOOR`` or below, with the final price evaluated at the
     clamped floor. For n = 0 the geometric-random-walk limit
     p0*exp(mu*t + sigma*W_t) is returned and no termination occurs.
 
@@ -280,10 +279,10 @@ def simulate_sa_path(
         w = w_last + np.cumsum(rng.standard_normal(m) * sqrt_dt)
         t = dt * np.arange(step + 1, step + m + 1)
         denom = level - n * mu * t - n * sigma * w
-        hit = denom <= denominator_floor
+        hit = denom <= DENOMINATOR_FLOOR
         if hit.any():
             k = int(np.argmax(hit))
-            denom = np.maximum(denom[: k + 1], denominator_floor)
+            denom = np.maximum(denom[: k + 1], DENOMINATOR_FLOOR)
             log_prices.append(-np.log(denom) / n)
             return SimulatedPath(
                 np.concatenate(log_prices),

@@ -162,7 +162,8 @@ class EMConfig:
 
 @dataclass
 class EMTrace:
-    """Per-iteration record of the fit. Log-likelihood must not decrease.
+    """Log-likelihood of the start and of each accepted iteration, which
+    must not decrease, and how the fit stopped.
 
     ``stalled`` is set when the monotonicity safeguard could not find an
     ascent step, i.e. the closed-form update family cannot improve further.
@@ -170,9 +171,7 @@ class EMTrace:
     log-likelihood change reached the tolerance.
     """
 
-    params: list[ModelParams] = field(default_factory=list)
     logliks: list[float] = field(default_factory=list)
-    deltas: list[float] = field(default_factory=list)
     converged: bool = False
     stalled: bool = False
 
@@ -190,7 +189,9 @@ class EMTrace:
             )
 
 
-def geometric_average_filter(series: LogPriceSeries, window: int = 100) -> LogPriceSeries:
+def geometric_average_filter(
+    series: LogPriceSeries, window: int = EMConfig.average_window
+) -> LogPriceSeries:
     """Smooth a series by the trailing arithmetic mean of its log prices.
 
     Equivalent to replacing each price by the geometric mean of the last
@@ -320,8 +321,7 @@ def hamilton_filter(
     loglik = float(log_norms.sum())
 
     filtering = np.concatenate([pi[1:], forward[1]])
-    probs = ProbabilitySeries(series.timestamps, np.clip(filtering, 0.0, 1.0),
-                              label=f"{series.asset_id}:filtering")
+    probs = ProbabilitySeries(series.timestamps, np.clip(filtering, 0.0, 1.0))
     return FilterOutput(probs, pairwise.transpose(2, 0, 1), loglik)
 
 
@@ -374,8 +374,7 @@ def kim_smoother(filt: FilterOutput) -> SmootherOutput:
         )
     back *= landed
     smoothing = np.concatenate([later[1], [s]])
-    probs = ProbabilitySeries(filt.filtering.timestamps, np.clip(smoothing, 0.0, 1.0),
-                              label=filt.filtering.label.replace("filtering", "smoothing"))
+    probs = ProbabilitySeries(filt.filtering.timestamps, np.clip(smoothing, 0.0, 1.0))
     return SmootherOutput(probs, back.transpose(2, 0, 1))
 
 
@@ -384,7 +383,7 @@ def m_step(
     series: LogPriceSeries,
     current_n: float,
     *,
-    kappa: float = 0.6,
+    kappa: float = EMConfig.kappa,
     freeze: Optional[ModelParams] = None,
 ) -> ModelParams:
     """Closed-form posterior-weighted parameter updates.
@@ -469,7 +468,7 @@ def solve_feedback_exponent(
     mu1: float,
     sigma1: float,
     n_current: float,
-    search: tuple[float, float] = (1e-4, 10.0),
+    search: tuple[float, float] = EMConfig.n_search,
 ) -> float:
     """Conditional-maximisation step for the feedback exponent n.
 
@@ -519,9 +518,7 @@ def _initial_params(y: np.ndarray, config: EMConfig) -> ModelParams:
     start = int(np.argmax(gains))
     rally = np.zeros(len(dy), dtype=bool)
     rally[start : start + w] = True
-    rest = ~rally
-    if not rest.any():
-        rest = np.ones_like(rally)
+    rest = ~rally  # keeps at least one step: the rally spans at most len(dy) - 1
 
     mu0 = float(dy[rest].mean())
     if mu0 == 0.0:
@@ -596,9 +593,7 @@ def em_fit(
         filt = hamilton_filter(series, params, initial=pi0)
     except NumericalFailureError as err:
         raise NumericalFailureError(err.step, f"EM iteration 0: {err}") from err
-    trace.params.append(params)
     trace.logliks.append(filt.loglik)
-    trace.deltas.append(float("nan"))
 
     for iteration in range(1, config.max_iterations + 1):
         try:
@@ -631,9 +626,7 @@ def em_fit(
 
         params, filt = accepted
         delta = abs(filt.loglik - trace.logliks[-1]) / max(abs(trace.logliks[-1]), 1e-300)
-        trace.params.append(params)
         trace.logliks.append(filt.loglik)
-        trace.deltas.append(delta)
         if delta <= config.tol:
             trace.converged = True
             break
@@ -649,13 +642,9 @@ def bubble_time_fraction(probs: ProbabilitySeries) -> float:
     return 100.0 * float(probs.values.mean())
 
 
-def threshold_fractions(
-    probs: ProbabilitySeries, hi: float = 0.9, lo: float = 0.1
-) -> tuple[float, float]:
-    """Percentages of values strictly above ``hi`` and strictly below ``lo``."""
-    if not 0.0 <= lo < hi <= 1.0:
-        raise ValueError("need 0 <= lo < hi <= 1")
+def threshold_fractions(probs: ProbabilitySeries) -> tuple[float, float]:
+    """Percentages of values strictly above 0.9 and strictly below 0.1."""
     if len(probs) == 0:
         raise InsufficientDataError("cannot threshold an empty probability series")
     v = probs.values
-    return (100.0 * float((v > hi).mean()), 100.0 * float((v < lo).mean()))
+    return (100.0 * float((v > 0.9).mean()), 100.0 * float((v < 0.1).mean()))

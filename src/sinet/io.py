@@ -168,6 +168,15 @@ def _numbers(table: _Table, columns) -> tuple[list[np.ndarray], list]:
     return [parsed[j][0] for j in columns], checks
 
 
+def _repeated_nodes(table: _Table) -> tuple:
+    """The check ``duplicate node <name>`` on the first column: it flags each
+    row whose node an earlier row already names."""
+    nodes = table.column(0)
+    repeated = np.ones(len(nodes), dtype=bool)
+    repeated[np.unique(nodes, return_index=True)[1]] = False
+    return (lambda row: f"duplicate node {nodes[row]!r}", repeated)
+
+
 def _plain(text: str, n: int) -> bool:
     """Whether ``text`` is ``n`` DDDD-DD-DD cells joined by commas: a comma
     after every 10 characters, dashes at offsets 4 and 7 and 8n ASCII digits
@@ -433,10 +442,13 @@ def read_matrix_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
     fails on it, in the order cell count, row label (the header's node at
     that position; a row past the last node has none), leftmost missing or
     unparseable value. A matrix with fewer rows than nodes raises after
-    that."""
+    that; a header that names a node twice raises before any row check."""
     table = _read_table(path)
     width = len(table.header)
     labels, nodes = table.column(0), table.header[1:]
+    if len(set(nodes)) < len(nodes):
+        twice = next(node for k, node in enumerate(nodes) if node in nodes[:k])
+        raise ConfigurationError(f"{path}: duplicate node {twice!r} in the header")
     values, checks = _numbers(table, range(1, width))
     mislabelled = np.ones(len(labels), dtype=bool)
     mislabelled[:len(nodes)] = np.fromiter(map(str.__ne__, labels, nodes), dtype=bool)
@@ -471,7 +483,9 @@ def write_table_csv(path, header: list[str], rows: list[list], provenance: str =
 
 
 def read_indicators_csv(path):
-    """Read an indicator table written by the pipeline."""
+    """Read an indicator table written by the pipeline. A bad row raises
+    ConfigurationError naming the first bad line: a duplicate node, then the
+    leftmost missing or unparseable value."""
     from .network import ALL_INDICATORS, IndicatorTable
 
     table = _read_table(path)
@@ -481,27 +495,33 @@ def read_indicators_csv(path):
         if name not in table.header:
             raise ConfigurationError(f"{path}: missing indicator column {name!r}")
     values, checks = _numbers(table, [table.header.index(name) for name in ALL_INDICATORS])
-    table.check(checks)
+    table.check([_repeated_nodes(table), *checks])
     return IndicatorTable(tuple(table.column(0)), dict(zip(ALL_INDICATORS, values)))
 
 
 def read_losses_csv(path) -> dict[str, float]:
+    """Read node,max_loss_pct rows. A bad row raises ConfigurationError
+    naming the first bad line: a duplicate node, then a missing, unparseable
+    or non-finite loss."""
     table = _read_table(path)
     if table.header[:2] != ["node", "max_loss_pct"]:
         raise ConfigurationError(f"{path}: expected columns node,max_loss_pct")
     (losses,), checks = _numbers(table, [1])
-    table.check(checks)
+    table.check([_repeated_nodes(table), *checks,
+                 ("non-finite max_loss_pct", ~np.isfinite(losses))])
     return dict(zip(table.column(0), losses.tolist()))
 
 
 def read_groups_csv(path):
-    """Read node-group assignments: node,group[,subsector] per line."""
+    """Read node-group assignments: node,group[,subsector] per line. A bad
+    row raises ConfigurationError naming the first bad line: a duplicate
+    node, then a missing group."""
     from .network import NodeGroup
 
     table = _read_table(path)
     if table.header[:2] != ["node", "group"]:
         raise ConfigurationError(f"{path}: expected columns node,group[,subsector]")
-    table.check([("missing group", table.widths < 2)])
+    table.check([_repeated_nodes(table), ("missing group", table.widths < 2)])
     nodes = table.column(0)
     groups = dict(zip(nodes, table.column(1)))
     subsectors = {}

@@ -53,14 +53,6 @@ class NodeGroup:
         except KeyError:
             raise ConfigurationError(f"node {node!r} has no group label") from None
 
-    @property
-    def industrial(self) -> set[str]:
-        return {n for n, g in self.groups.items() if g == INDUSTRIAL}
-
-    @property
-    def financial(self) -> set[str]:
-        return {n for n, g in self.groups.items() if g == FINANCIAL}
-
 
 @dataclass(frozen=True)
 class IndicatorTable:
@@ -128,9 +120,6 @@ def compute_indicators(m: SIIMatrix, groups: NodeGroup) -> IndicatorTable:
     Sums exclude the diagonal. Net indicators are exact differences of the
     gross ones, so NSII-on-All sums to zero over all nodes.
     """
-    for node in m.nodes:
-        groups.group_of(node)
-
     v = m.values
     nodes = m.nodes
     fin = np.array([groups.group_of(n) == FINANCIAL for n in nodes])

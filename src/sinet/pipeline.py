@@ -285,10 +285,6 @@ class RunReport:
     artifacts: list[str] = field(default_factory=list)
     summary: dict[str, dict] = field(default_factory=dict)
 
-    @property
-    def ok(self) -> bool:
-        return bool(self.processed)
-
 
 def _parse_model_specs(raw: str) -> list[list[str]]:
     models = []

@@ -5,7 +5,7 @@ shared between threads without defensive copies.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,7 +66,6 @@ class ProbabilitySeries:
 
     timestamps: np.ndarray
     values: np.ndarray
-    label: str = field(default="", compare=False)
 
     def __post_init__(self):
         ts = _as_dates(self.timestamps)

@@ -20,9 +20,9 @@ def make_series():
 def make_probs():
     """Build a ProbabilitySeries on consecutive dates."""
 
-    def _make(values, start="2006-01-02", label=""):
+    def _make(values, start="2006-01-02"):
         values = np.asarray(values, dtype=float)
         ts = np.datetime64(start, "D") + np.arange(len(values))
-        return ProbabilitySeries(ts, values, label=label)
+        return ProbabilitySeries(ts, values)
 
     return _make

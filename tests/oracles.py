@@ -417,13 +417,13 @@ def sii_matrix_pairwise(series, bin_count=10, base=10.0, bubble_only=False,
 # ---------------------------------------------------------------------------
 # OLS by normal equations.
 
-def ols_normal_equations(y, X, include_intercept: bool = True):
+def ols_normal_equations(y, X):
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
     n = len(y)
-    design = np.column_stack([np.ones(n), X]) if include_intercept else X
+    design = np.column_stack([np.ones(n), X])
     p = design.shape[1]
     xtx = design.T @ design
     beta = np.linalg.solve(xtx, design.T @ y)
@@ -433,10 +433,10 @@ def ols_normal_equations(y, X, include_intercept: bool = True):
     cov = s2 * np.linalg.inv(xtx)
     se = np.sqrt(np.diag(cov))
     ss_res = float(resid @ resid)
-    ss_tot = float(((y - y.mean()) ** 2).sum()) if include_intercept else float(y @ y)
+    ss_tot = float(((y - y.mean()) ** 2).sum())
     r2 = 1.0 - ss_res / ss_tot
     k = X.shape[1]
-    adj = 1.0 - (1.0 - r2) * (n - 1) / dof if include_intercept else 1.0 - (1.0 - r2) * n / dof
+    adj = 1.0 - (1.0 - r2) * (n - 1) / dof
     f_stat = (r2 / k) / ((1.0 - r2) / dof)
     return beta, se, r2, adj, f_stat
 

@@ -141,6 +141,15 @@ class TestOlsRegress:
         with pytest.raises(InsufficientDataError):
             ols_regress(np.ones(4), np.ones((4, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["y", "X"])
+    def test_non_finite_input_named(self, name, bad):
+        rng = np.random.default_rng(9)
+        args = {"y": rng.normal(0, 1, 10), "X": rng.normal(0, 1, (10, 2))}
+        args[name].flat[3] = bad
+        with pytest.raises(ValueError, match=f"^{name} holds a non-finite value$"):
+            ols_regress(args["y"], args["X"])
+
 
 class TestCorrelations:
     def test_identical_vectors(self):
@@ -188,23 +197,6 @@ class TestCorrelations:
             correlations([1.0], [2.0])
 
 
-class TestOlsNoIntercept:
-    def test_matches_normal_equations_without_intercept(self):
-        rng = np.random.default_rng(11)
-        X = rng.normal(0, 1, (25, 2))
-        y = X @ np.array([1.5, -0.7]) + rng.normal(0, 0.3, 25)
-        mine = ols_regress(y, X, include_intercept=False)
-        beta, se, r2, adj, f_stat = oracles.ols_normal_equations(
-            y, X, include_intercept=False
-        )
-        np.testing.assert_allclose(mine.coefficients, beta, atol=1e-10)
-        np.testing.assert_allclose(mine.std_errors, se, atol=1e-10)
-        assert mine.intercept is None
-        assert mine.r_squared == pytest.approx(r2, abs=1e-10)
-        assert mine.adj_r_squared == pytest.approx(adj, abs=1e-10)
-        assert mine.f_statistic == pytest.approx(f_stat, abs=1e-8)
-
-
 def assert_p_values_are_t_sf(res, dof):
     """``ols_regress`` p-values equal 2 t.sf(|t|, dof) bit for bit."""
     want = 2.0 * stats.t.sf(np.abs(res.t_values), dof)
@@ -214,13 +206,12 @@ def assert_p_values_are_t_sf(res, dof):
 @st.composite
 def regressions(draw):
     k = draw(st.integers(1, 4))
-    intercept = draw(st.booleans())
-    n = draw(st.integers(k + 2, 60))  # dof = 1 with an intercept at the minimum
+    n = draw(st.integers(k + 2, 61))  # dof = n - k - 1, from 1 to 60 - k
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     X = rng.normal(0, 1, (n, k))
     y = X @ rng.normal(0, draw(st.sampled_from([0.0, 0.1, 1.0, 100.0])), k)
     y = y + draw(st.sampled_from([0.0, 1e-12, 1e-3, 1.0])) * rng.normal(0, 1, n)
-    return y, X, intercept
+    return y, X
 
 
 class TestOlsPValues:
@@ -248,15 +239,15 @@ class TestOlsPValues:
 
     def test_fixed_designs(self):
         rng = np.random.default_rng(13)
-        for n, k, intercept in [(6, 1, True), (6, 4, False), (20, 3, True), (200, 2, False)]:
+        for n, k in [(6, 1), (6, 3), (20, 3), (200, 1)]:  # dof 4, 2, 16, 198
             X = rng.normal(0, 1, (n, k))
             y = X @ rng.normal(0, 0.5, k) + rng.normal(0, 1, n)
-            res = ols_regress(y, X, include_intercept=intercept)
-            assert_p_values_are_t_sf(res, n - k - intercept)
+            res = ols_regress(y, X)
+            assert_p_values_are_t_sf(res, n - k - 1)
 
     @settings(max_examples=200, deadline=None)
     @given(regressions())
     def test_matches_t_sf(self, case):
-        y, X, intercept = case
-        res = ols_regress(y, X, include_intercept=intercept)
-        assert_p_values_are_t_sf(res, len(y) - X.shape[1] - intercept)
+        y, X = case
+        res = ols_regress(y, X)
+        assert_p_values_are_t_sf(res, len(y) - X.shape[1] - 1)

@@ -278,6 +278,24 @@ class TestMalformedInput:
             f"error: {matrix}: row 'MAT' where the header has 'ENE' on line 2\n"
         )
 
+    @pytest.mark.parametrize("table, text, what", [
+        ("groups", "node,group\nENE,industrial\nENE,financial\n", "duplicate node 'ENE' on line 3"),
+        ("losses", "node,max_loss_pct\nENE,nan\n", "non-finite max_loss_pct on line 2"),
+    ])
+    def test_regress_bad_node_table_exits_one(
+        self, run_dir, groups_file, tmp_path, capsys, table, text, what
+    ):
+        paths = {"groups": groups_file, "losses": run_dir / "losses.csv"}
+        paths[table] = tmp_path / f"{table}.csv"
+        paths[table].write_text(text)
+        out = tmp_path / "reports"
+        rc = main(["regress", "--indicators", str(run_dir / "indicators.csv"),
+                   "--groups", str(paths["groups"]), "--losses", str(paths["losses"]),
+                   "--out-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {paths[table]}: {what}\n"
+        assert not out.exists()
+
 
 class TestRuntimeFailure:
     """Failures of the computation or of the output exit with 2."""

@@ -487,10 +487,6 @@ class TestFractions:
         assert threshold_fractions(make_probs([0.5] * 4)) == (0.0, 0.0)
         assert threshold_fractions(make_probs([0.95, 0.05, 0.5, 0.95])) == (50.0, 25.0)
 
-    def test_threshold_validation(self, make_probs):
-        with pytest.raises(ValueError):
-            threshold_fractions(make_probs([0.5]), hi=0.1, lo=0.9)
-
 
 class TestEMConfig:
     def test_rejects_bad_values(self):

@@ -149,8 +149,8 @@ class TestGraphExport:
 
 class TestTableRoundTrips:
     def test_probabilities_csv(self, tmp_path, make_probs):
-        filt = make_probs([0.1, 0.5, 0.9], label="f")
-        smth = make_probs([0.2, 0.6, 0.8], label="s")
+        filt = make_probs([0.1, 0.5, 0.9])
+        smth = make_probs([0.2, 0.6, 0.8])
         path = sio.write_probabilities_csv(tmp_path / "p.csv", filt, smth, "config=x")
         assert path.read_text().startswith("# config=x\n")
         back_f = sio.read_probabilities_csv(path, "filtering")
@@ -336,6 +336,34 @@ class TestMalformedRows:
         p = write(tmp_path / "g.csv", "node,group\na,industrial\n\nb\n")
         with raises_exactly(ConfigurationError, p, "missing group on line 4"):
             sio.read_groups_csv(p)
+
+    @pytest.mark.parametrize("read, header, cells", [
+        (sio.read_groups_csv, "node,group", ["financial", "industrial", "financial"]),
+        (sio.read_losses_csv, "node,max_loss_pct", ["1.0", "12.5", "50.0"]),
+        (sio.read_indicators_csv, ",".join(("node",) + ALL_INDICATORS),
+         [",".join(["0.5"] * len(ALL_INDICATORS))] * 3),
+    ], ids=["groups", "losses", "indicators"])
+    def test_duplicate_node(self, tmp_path, read, header, cells):
+        b, a, again = (f"{node},{rest}" for node, rest in zip("BAA", cells))
+        p = write(tmp_path / "t.csv", f"{header}\n{b}\n# note\n{a}\n{again}\n")
+        with raises_exactly(ConfigurationError, p, "duplicate node 'A' on line 5"):
+            read(p)
+
+    def test_duplicate_node_before_missing_group(self, tmp_path):
+        p = write(tmp_path / "g.csv", "node,group\nA,industrial\nA\nB\n")
+        with raises_exactly(ConfigurationError, p, "duplicate node 'A' on line 3"):
+            sio.read_groups_csv(p)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_losses_non_finite(self, tmp_path, cell):
+        p = write(tmp_path / "l.csv", f"node,max_loss_pct\na,{cell}\nb,abc\n")
+        with raises_exactly(ConfigurationError, p, "non-finite max_loss_pct on line 2"):
+            sio.read_losses_csv(p)
+
+    def test_matrix_header_names_a_node_twice(self, tmp_path):
+        p = write(tmp_path / "m.csv", "node,a,b,a\na,0.0,0.1,0.0\nb,0.2,0.0,0.2\na,0.0,0.1,0.0\n")
+        with raises_exactly(ConfigurationError, p, "duplicate node 'a' in the header"):
+            sio.read_matrix_csv(p)
 
     def test_comment_rows(self, tmp_path):
         # '#' lines are skipped in the pipeline's tables but are data in price files
@@ -546,10 +574,12 @@ def matrix_cases(draw):
 def indicator_cases(draw):
     header = ["node"] + list(draw(st.permutations(ALL_INDICATORS)))
     rows, faults = [], []
-    for node in draw(NAMES):
+    nodes = draw(NAMES)
+    for r, node in enumerate(nodes):
         cells = [node] + [draw(NUMBER) for _ in ALL_INDICATORS]
         options = [cells[:m] for m in range(1, len(cells))]
         options += [cells[:m] + [v] + cells[m + 1:] for m in range(1, len(cells)) for v in ("?", "")]
+        options += [[earlier] + cells[1:] for earlier in nodes[:r]]
         rows.append(",".join(cells))
         faults.append([",".join(option) for option in options])
     return _case(draw, sio.read_indicators_csv, ",".join(header), rows, faults)
@@ -559,7 +589,8 @@ def indicator_cases(draw):
 def loss_cases(draw):
     nodes = draw(NAMES)
     rows = [f"{node},{draw(NUMBER)}" for node in nodes]
-    faults = [[node, f"{node},abc", f"{node},"] for node in nodes]
+    faults = [[node, f"{node},abc", f"{node},", f"{node},nan", f"{node},-inf"]
+              + [f"{earlier},1.0" for earlier in nodes[:r]] for r, node in enumerate(nodes)]
     return _case(draw, sio.read_losses_csv, "node,max_loss_pct", rows, faults)
 
 
@@ -568,7 +599,8 @@ def group_cases(draw):
     nodes = draw(NAMES)
     sub = draw(st.booleans())
     rows = [f"{node},industrial" + (",bank" if sub else "") for node in nodes]
-    faults = [[node] for node in nodes]
+    faults = [[node] + [f"{earlier},financial" for earlier in nodes[:r]]
+              for r, node in enumerate(nodes)]
     header = "node,group" + (",subsector" if sub else "")
     return _case(draw, sio.read_groups_csv, header, rows, faults)
 

@@ -38,8 +38,8 @@ from sinet.bubble import emission_logdensities
 from sinet.hmm import FilterOutput, SmootherOutput
 import sinet.hmm as hmm_module
 
-PARITY = settings(max_examples=300, deadline=None, database=None)
-PROPERTY = settings(max_examples=100, deadline=None, database=None)
+PARITY = settings(max_examples=300, deadline=None, database=None, print_blob=True)
+PROPERTY = settings(max_examples=100, deadline=None, database=None, print_blob=True)
 
 # probabilities at and next to the ends of [0, 1] as well as inside it
 probability = st.one_of(

@@ -234,7 +234,7 @@ class TestRunPipeline:
         config = corpus_config(corpus_dir, tmp_path / "out")
         config.probability_source = "smoothing"
         report = run_pipeline(config)
-        assert report.ok
+        assert report.processed
 
 
 class TestBubbleOnlyFlag:

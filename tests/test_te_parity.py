@@ -18,7 +18,7 @@ from sinet import (
     transfer_entropy,
 )
 
-PARITY = settings(max_examples=200, deadline=None, database=None)
+PARITY = settings(max_examples=200, deadline=None, database=None, print_blob=True)
 LEVELS = [0.0, 0.5, 0.9, 1.0]
 # the kernel sums entropies of count tables and the reference sums the
 # logs of ratios of frequencies: their rounding differs by about 1e-15

@@ -13,7 +13,7 @@ import sinet.entropy as entropy_module
 from sinet import BinnedSeries, ProbabilitySeries, sii_matrix, transfer_entropy
 from test_te_parity import TOL, baskets, dates
 
-PROPERTY = settings(max_examples=200, deadline=None, database=None)
+PROPERTY = settings(max_examples=200, deadline=None, database=None, print_blob=True)
 
 
 def binned(probs, bins):
