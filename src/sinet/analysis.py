@@ -76,15 +76,12 @@ def rank_transform(values) -> np.ndarray:
     if v.ndim != 1 or len(v) == 0:
         raise ValueError("rank_transform needs a non-empty 1-d vector")
     order = np.argsort(v, kind="stable")
-    ranks = np.empty(len(v))
     sorted_v = v[order]
-    i = 0
-    while i < len(v):
-        j = i
-        while j + 1 < len(v) and sorted_v[j + 1] == sorted_v[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # each run of equal sorted values [first, last] gets their mean rank
+    first = np.flatnonzero(np.concatenate([[True], sorted_v[1:] != sorted_v[:-1]]))
+    last = np.append(first[1:], len(v)) - 1
+    ranks = np.empty(len(v))
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     return ranks
 
 

@@ -102,15 +102,16 @@ def _cmd_simulate(args) -> int:
     else:
         print(f"no singularity within {args.steps} steps")
     if args.out is not None:
-        lines = ["t,log_price"]
-        for k, y in enumerate(path.log_prices):
-            lines.append(f"{repr(k * args.dt)},{repr(float(y))}")
-        args.out.write_text("\n".join(lines) + "\n")
+        sio.write_table_csv(args.out, ["t", "log_price"], [
+            [k * args.dt, y] for k, y in enumerate(path.log_prices.tolist())])
         print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_calibrate(args) -> int:
+    for option, value in (("--start", args.start), ("--end", args.end)):
+        if value is not None:
+            sio.plain_date(value, option)
     config = EMConfig(average_window=args.window, tol=args.tol,
                       max_iterations=args.max_iterations, kappa=args.kappa)
     fit = pipeline.calibrate_asset(

@@ -88,8 +88,6 @@ def discretize(probs: ProbabilitySeries, bin_count: int = 10) -> BinnedSeries:
     Bins are left-closed and right-open except the last, which also contains
     the value 1.0 exactly.
     """
-    if bin_count < 2:
-        raise ValueError("bin_count must be >= 2")
     v = probs.values  # in [0, 1]: ProbabilitySeries rejects anything else, NaN too
     bins = np.minimum(np.floor(v * bin_count).astype(np.int64), bin_count - 1)
     return BinnedSeries(bins, bin_count)
@@ -226,7 +224,9 @@ def sii(
     bubble_only: bool = False,
     bubble_level: float = 0.5,
 ) -> float:
-    """Speculative influence intensity of asset x on asset y.
+    """Speculative influence intensity of asset x on asset y: the (source,
+    target) entry of :func:`sii_matrix` over the basket of x as "source"
+    and y as "target", so both series must have the same dates.
 
     This is the transfer entropy with x's bubble-probability series as the
     source and y's as the target, over the full window by default.
@@ -234,14 +234,9 @@ def sii(
     bubble probabilities reach ``bubble_level`` (an alternative reading of
     conditioning on the joint bubble state; not the default).
     """
-    mask = (
-        _bubble_days(x_probs, bubble_level) & _bubble_days(y_probs, bubble_level)
-        if bubble_only else None
-    )
-    return transfer_entropy(
-        discretize(y_probs, bin_count), discretize(x_probs, bin_count),
-        base=base, mask=mask,
-    )
+    m = sii_matrix({"source": x_probs, "target": y_probs}, bin_count, base,
+                   bubble_only=bubble_only, bubble_level=bubble_level)
+    return m["source", "target"]
 
 
 def nsii(x: str, y: str, m: SIIMatrix) -> float:
@@ -260,7 +255,7 @@ def sii_matrix(
     """All ordered-pair influence intensities for a basket of assets.
 
     Series must be aligned (equal timestamps). Every pair is counted by one
-    batched kernel, and each entry equals ``sii`` of its pair bit for bit.
+    batched kernel, and an entry is bit for bit the same in any basket.
     Pairs are checked in (source, target) order: a negative rounding residue
     is clamped to zero (with a warning below -``NEGATIVE_RESIDUE_WARN``), and
     the first pair whose mask keeps fewer than two triples raises.

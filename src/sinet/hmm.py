@@ -20,7 +20,6 @@ over the same inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 import numpy as np
 
@@ -383,8 +382,7 @@ def m_step(
     series: LogPriceSeries,
     current_n: float,
     *,
-    kappa: float = EMConfig.kappa,
-    freeze: Optional[ModelParams] = None,
+    freeze: ModelParams,
 ) -> ModelParams:
     """Closed-form posterior-weighted parameter updates.
 
@@ -394,8 +392,7 @@ def m_step(
     ratios of summed pair weights to summed origin-state weights.
 
     A regime (or q row) whose total weight is zero has no update; its values
-    are taken from ``freeze`` when provided, otherwise
-    :class:`DegenerateRegimeError` is raised.
+    are taken from ``freeze``, as is kappa, which no update changes.
     """
     w = smoother.pairwise_smoothed
     y = series.log_prices
@@ -409,10 +406,8 @@ def m_step(
         if mu0 == 0.0:
             mu0 = 1e-12  # exact zero would undefine the 1/|mu0| switch height
         sigma0 = float(np.sqrt(np.dot(w00, (dy - mu0) ** 2) / tot0))
-    elif freeze is not None:
-        mu0, sigma0 = freeze.regime.mu0, freeze.regime.sigma0
     else:
-        raise DegenerateRegimeError(0)
+        mu0, sigma0 = freeze.regime.mu0, freeze.regime.sigma0
 
     tot1 = w11.sum()
     if tot1 > 0.0:
@@ -424,10 +419,8 @@ def m_step(
         sigma1 = float(
             np.sqrt(np.dot(w11, (du + current_n * mu1) ** 2) / (current_n**2 * tot1))
         )
-    elif freeze is not None:
-        mu1, sigma1 = freeze.regime.mu1, freeze.regime.sigma1
     else:
-        raise DegenerateRegimeError(1)
+        mu1, sigma1 = freeze.regime.mu1, freeze.regime.sigma1
 
     q = np.empty((2, 2))
     for i in range(2):
@@ -436,10 +429,8 @@ def m_step(
             q[i, 0] = w[:, i, 0].sum() / origin
             q[i, 1] = w[:, i, 1].sum() / origin
             q[i] /= q[i].sum()
-        elif freeze is not None:
-            q[i] = freeze.q[i]
         else:
-            raise DegenerateRegimeError(i)
+            q[i] = freeze.q[i]
 
     regime = RegimeParams(
         mu0=mu0,
@@ -447,7 +438,7 @@ def m_step(
         mu1=mu1,
         sigma1=max(sigma1, 1e-12),
         n=current_n,
-        kappa=kappa,
+        kappa=freeze.regime.kappa,
     )
     return ModelParams(regime, q)
 
@@ -539,8 +530,9 @@ def _initial_params(y: np.ndarray, config: EMConfig) -> ModelParams:
     return ModelParams(regime, q)
 
 
-def _blend_params(a: ModelParams, b: ModelParams, lam: float, kappa: float) -> ModelParams:
-    """Convex combination (1-lam)*a + lam*b; rows of q stay stochastic."""
+def _blend_params(a: ModelParams, b: ModelParams, lam: float) -> ModelParams:
+    """Convex combination (1-lam)*a + lam*b, with a's kappa; rows of q stay
+    stochastic."""
     ra, rb = a.regime, b.regime
     regime = RegimeParams(
         mu0=(1 - lam) * ra.mu0 + lam * rb.mu0,
@@ -548,7 +540,7 @@ def _blend_params(a: ModelParams, b: ModelParams, lam: float, kappa: float) -> M
         mu1=(1 - lam) * ra.mu1 + lam * rb.mu1,
         sigma1=(1 - lam) * ra.sigma1 + lam * rb.sigma1,
         n=(1 - lam) * ra.n + lam * rb.n,
-        kappa=kappa,
+        kappa=ra.kappa,
     )
     return ModelParams(regime, (1 - lam) * a.q + lam * b.q)
 
@@ -589,16 +581,13 @@ def em_fit(
     pi0 = params.stationary_distribution()
     trace = EMTrace()
 
+    iteration = 0
     try:
         filt = hamilton_filter(series, params, initial=pi0)
-    except NumericalFailureError as err:
-        raise NumericalFailureError(err.step, f"EM iteration 0: {err}") from err
-    trace.logliks.append(filt.loglik)
-
-    for iteration in range(1, config.max_iterations + 1):
-        try:
+        trace.logliks.append(filt.loglik)
+        for iteration in range(1, config.max_iterations + 1):
             smth = kim_smoother(filt)
-            updated = m_step(smth, series, params.regime.n, kappa=config.kappa, freeze=params)
+            updated = m_step(smth, series, params.regime.n, freeze=params)
             n_new = params.regime.n
             if smth.pairwise_smoothed[:, 1, 1].sum() > 0.0:
                 n_new = solve_feedback_exponent(
@@ -607,29 +596,25 @@ def em_fit(
                 )
             candidate = ModelParams(replace(updated.regime, n=n_new), updated.q)
 
-            accepted = None
             lam = 1.0
             for _ in range(12):
-                trial = _blend_params(params, candidate, lam, config.kappa)
+                trial = _blend_params(params, candidate, lam)
                 trial_filt = hamilton_filter(series, trial, initial=pi0)
                 if trial_filt.loglik >= filt.loglik:
-                    accepted = (trial, trial_filt)
                     break
                 lam *= 0.5
-        except NumericalFailureError as err:
-            raise NumericalFailureError(
-                err.step, f"EM iteration {iteration}: {err}"
-            ) from err
-        if accepted is None:
-            trace.stalled = True
-            break
+            else:
+                trace.stalled = True
+                break
 
-        params, filt = accepted
-        delta = abs(filt.loglik - trace.logliks[-1]) / max(abs(trace.logliks[-1]), 1e-300)
-        trace.logliks.append(filt.loglik)
-        if delta <= config.tol:
-            trace.converged = True
-            break
+            params, filt = trial, trial_filt
+            delta = abs(filt.loglik - trace.logliks[-1]) / max(abs(trace.logliks[-1]), 1e-300)
+            trace.logliks.append(filt.loglik)
+            if delta <= config.tol:
+                trace.converged = True
+                break
+    except NumericalFailureError as err:
+        raise NumericalFailureError(err.step, f"EM iteration {iteration}: {err}") from err
 
     smth = kim_smoother(filt)
     return params, trace, filt, smth

@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .network import SINGraph
+from .network import ALL_INDICATORS, FINANCIAL, INDUSTRIAL, IndicatorTable, NodeGroup, SINGraph
 from .series import ProbabilitySeries
 
 GRAPH_SCHEMA = "sin-graph/1"
@@ -177,6 +177,15 @@ def _repeated_nodes(table: _Table) -> tuple:
     return (lambda row: f"duplicate node {nodes[row]!r}", repeated)
 
 
+def _non_finite(table: _Table, columns, values: np.ndarray) -> tuple:
+    """The check ``non-finite <column>`` on the parsed ``columns``, one per
+    column of ``values``: it flags each row holding a NaN or an infinity,
+    naming the leftmost such column."""
+    bad = ~np.isfinite(values)
+    return (lambda row: f"non-finite {table.header[columns[int(np.argmax(bad[row]))]]}",
+            bad.any(axis=1))
+
+
 def _plain(text: str, n: int) -> bool:
     """Whether ``text`` is ``n`` DDDD-DD-DD cells joined by commas: a comma
     after every 10 characters, dashes at offsets 4 and 7 and 8n ASCII digits
@@ -208,6 +217,15 @@ def _plain_dates(cells: list[str]) -> np.ndarray:
             except ValueError:
                 pass
     return dates
+
+
+def plain_date(text: str, what: str) -> np.datetime64:
+    """``text`` as a day, by the YYYY-MM-DD rule of the table readers; a
+    ConfigurationError naming ``what`` when it is not one."""
+    day = _plain_dates([text])[0]
+    if np.isnat(day):
+        raise ConfigurationError(f"{what}: date {text!r} not in YYYY-MM-DD form")
+    return day
 
 
 def read_price_table(path, column_map=None) -> dict:
@@ -368,22 +386,26 @@ def import_graph_json(path) -> tuple[SINGraph, str]:
 # ---------------------------------------------------------------------------
 # Tabular writers
 
+def _write_csv(path, header: list[str], rows, provenance: str) -> Path:
+    """Write an optional ``# provenance`` line, the header and the rows,
+    each already joined by commas."""
+    path = Path(path)
+    lines = [f"# {provenance}"] if provenance else []
+    lines.append(",".join(header))
+    lines.extend(rows)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 def write_probabilities_csv(
     path, filtering: ProbabilitySeries, smoothing: ProbabilitySeries, provenance: str = ""
 ) -> Path:
-    path = Path(path)
-    lines = []
-    if provenance:
-        lines.append(f"# {provenance}")
-    lines.append("date,filtering,smoothing")
-    lines.extend(map(
+    return _write_csv(path, ["date", "filtering", "smoothing"], map(
         "{},{!r},{!r}".format,
         np.datetime_as_string(filtering.timestamps).tolist(),
         filtering.values.tolist(),
         smoothing.values.tolist(),
-    ))
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    ), provenance)
 
 
 def read_probabilities_csv(path, column: str = "filtering") -> ProbabilitySeries:
@@ -425,15 +447,10 @@ def read_probabilities_csv(path, column: str = "filtering") -> ProbabilitySeries
 
 
 def write_matrix_csv(path, nodes, values, provenance: str = "") -> Path:
-    path = Path(path)
-    lines = []
-    if provenance:
-        lines.append(f"# {provenance}")
-    lines.append("node," + ",".join(nodes))
-    for name, row in zip(nodes, np.asarray(values, dtype=float)):
-        lines.append(name + "," + ",".join(_fmt(float(v)) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    rows = np.asarray(values, dtype=float).tolist()
+    return _write_csv(path, ["node", *nodes], (
+        ",".join([name, *map(repr, row)]) for name, row in zip(nodes, rows)
+    ), provenance)
 
 
 def read_matrix_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
@@ -441,15 +458,19 @@ def read_matrix_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
     ConfigurationError naming the first bad line, with the first check that
     fails on it, in the order cell count, row label (the header's node at
     that position; a row past the last node has none), leftmost missing or
-    unparseable value. A matrix with fewer rows than nodes raises after
-    that; a header that names a node twice raises before any row check."""
+    unparseable value, leftmost non-finite value, nonzero diagonal. A
+    matrix with fewer rows than nodes raises after that; a header that
+    names a node twice raises before any row check."""
     table = _read_table(path)
     width = len(table.header)
     labels, nodes = table.column(0), table.header[1:]
     if len(set(nodes)) < len(nodes):
         twice = next(node for k, node in enumerate(nodes) if node in nodes[:k])
         raise ConfigurationError(f"{path}: duplicate node {twice!r} in the header")
-    values, checks = _numbers(table, range(1, width))
+    columns = range(1, width)
+    values, checks = _numbers(table, columns)
+    matrix = np.column_stack(values) if values else np.empty((len(labels), 0))
+    diagonal = np.arange(min(len(labels), len(nodes)))
     mislabelled = np.ones(len(labels), dtype=bool)
     mislabelled[:len(nodes)] = np.fromiter(map(str.__ne__, labels, nodes), dtype=bool)
 
@@ -462,40 +483,34 @@ def read_matrix_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
          table.widths != width),
         (wrong_label, mislabelled),
         *checks,
+        _non_finite(table, columns, matrix),
+        ("nonzero diagonal", matrix[diagonal, diagonal] != 0.0),
     ])
     if len(labels) < len(nodes):
         raise ConfigurationError(
             f"{path}: {len(labels)} rows where the header has {len(nodes)} nodes")
-    matrix = np.column_stack(values) if values else np.empty((len(labels), 0))
     return tuple(nodes), matrix
 
 
 def write_table_csv(path, header: list[str], rows: list[list], provenance: str = "") -> Path:
-    path = Path(path)
-    lines = []
-    if provenance:
-        lines.append(f"# {provenance}")
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return _write_csv(path, header, (",".join(map(_fmt, row)) for row in rows), provenance)
 
 
 def read_indicators_csv(path):
     """Read an indicator table written by the pipeline. A bad row raises
     ConfigurationError naming the first bad line: a duplicate node, then the
-    leftmost missing or unparseable value."""
-    from .network import ALL_INDICATORS, IndicatorTable
-
+    leftmost missing or unparseable value, then the leftmost non-finite
+    one."""
     table = _read_table(path)
     if table.header[0] != "node":
         raise ConfigurationError(f"{path}: first column must be 'node'")
     for name in ALL_INDICATORS:
         if name not in table.header:
             raise ConfigurationError(f"{path}: missing indicator column {name!r}")
-    values, checks = _numbers(table, [table.header.index(name) for name in ALL_INDICATORS])
-    table.check([_repeated_nodes(table), *checks])
+    columns = [table.header.index(name) for name in ALL_INDICATORS]
+    values, checks = _numbers(table, columns)
+    table.check([_repeated_nodes(table), *checks,
+                 _non_finite(table, columns, np.column_stack(values))])
     return IndicatorTable(tuple(table.column(0)), dict(zip(ALL_INDICATORS, values)))
 
 
@@ -507,23 +522,24 @@ def read_losses_csv(path) -> dict[str, float]:
     if table.header[:2] != ["node", "max_loss_pct"]:
         raise ConfigurationError(f"{path}: expected columns node,max_loss_pct")
     (losses,), checks = _numbers(table, [1])
-    table.check([_repeated_nodes(table), *checks,
-                 ("non-finite max_loss_pct", ~np.isfinite(losses))])
+    table.check([_repeated_nodes(table), *checks, _non_finite(table, [1], losses[:, None])])
     return dict(zip(table.column(0), losses.tolist()))
 
 
 def read_groups_csv(path):
     """Read node-group assignments: node,group[,subsector] per line. A bad
     row raises ConfigurationError naming the first bad line: a duplicate
-    node, then a missing group."""
-    from .network import NodeGroup
-
+    node, then a missing group, then a group other than industrial and
+    financial."""
     table = _read_table(path)
     if table.header[:2] != ["node", "group"]:
         raise ConfigurationError(f"{path}: expected columns node,group[,subsector]")
-    table.check([_repeated_nodes(table), ("missing group", table.widths < 2)])
+    labels = table.column(1)
+    table.check([_repeated_nodes(table), ("missing group", table.widths < 2),
+                 (lambda row: f"unknown group {labels[row]!r}",
+                  ~np.isin(labels, [INDUSTRIAL, FINANCIAL]))])
     nodes = table.column(0)
-    groups = dict(zip(nodes, table.column(1)))
+    groups = dict(zip(nodes, labels))
     subsectors = {}
     if table.width > 2:
         subsectors = {node: sub for node, sub in zip(nodes, table.column(2)) if sub}

@@ -175,53 +175,42 @@ def build_sin(
         raise ValueError(f"threshold must be finite and nonnegative, got {threshold!r}")
     table = compute_indicators(m, groups)
     nodes = m.nodes
+    labels = [groups.group_of(n) for n in nodes]
+    fin = np.array([label == FINANCIAL for label in labels], dtype=bool)
 
-    candidates: list[tuple[str, str, float]] = []
-    for i, x in enumerate(nodes):
-        for j in range(i + 1, len(nodes)):
-            y = nodes[j]
-            net = float(m.values[i, j] - m.values[j, i])
-            if net > 0.0:
-                candidates.append((x, y, net))
-            elif net < 0.0:
-                candidates.append((y, x, -net))
+    # the positive net direction of each pair i < j, in row-major order
+    i, j = np.triu_indices(len(nodes), 1)
+    net = m.values[i, j] - m.values[j, i]
+    live = net != 0.0
+    forward = net[live] > 0.0
+    src = np.where(forward, i[live], j[live])
+    dst = np.where(forward, j[live], i[live])
+    raw = np.abs(net[live])
+    edges = []
+    if len(raw):
+        kept = raw >= threshold
+        edges = [(nodes[a], nodes[b], w) for a, b, w in
+                 zip(src[kept].tolist(), dst[kept].tolist(), _rescale(raw)[kept].tolist())]
 
-    edges: list[tuple[str, str, float]] = []
-    if candidates:
-        raw = np.array([c[2] for c in candidates])
-        weights = _rescale(raw)
-        for (src, dst, net), w in zip(candidates, weights):
-            if net >= threshold:
-                edges.append((src, dst, float(w)))
-
+    size_score = np.where(fin, table.column("NSII-on-Fin") - table.column("SI-from-IX"),
+                          table.column("NSII-on-IX"))
     size_values: dict[str, float] = {}
-    ind_nodes = [n for n in nodes if groups.group_of(n) == INDUSTRIAL]
-    fin_nodes = [n for n in nodes if groups.group_of(n) == FINANCIAL]
-    if ind_nodes:
-        score = np.array([table.value(n, "NSII-on-IX") for n in ind_nodes])
-        for n, r in zip(ind_nodes, rank_transform(score)):
-            size_values[n] = float(r)
-    if fin_nodes:
-        score = np.array(
-            [table.value(n, "NSII-on-Fin") - table.value(n, "SI-from-IX") for n in fin_nodes]
-        )
-        for n, r in zip(fin_nodes, rank_transform(score)):
-            size_values[n] = float(r)
-
     color_values: dict[str, Optional[float]] = {n: None for n in nodes}
     if losses is not None:
         missing = [n for n in nodes if n not in losses]
         if missing:
             raise ConfigurationError(f"losses missing for nodes: {missing}")
-        for members in (ind_nodes, fin_nodes):
-            if members:
-                ranks = rank_transform(np.array([losses[n] for n in members]))
-                for n, r in zip(members, ranks):
-                    color_values[n] = float(r)
+        loss = np.array([losses[n] for n in nodes], dtype=float)
+    for mask in (~fin, fin):
+        members = [n for n, member in zip(nodes, mask) if member]
+        if members:
+            size_values.update(zip(members, rank_transform(size_score[mask]).tolist()))
+            if losses is not None:
+                color_values.update(zip(members, rank_transform(loss[mask]).tolist()))
 
     return SINGraph(
         nodes=nodes,
-        groups={n: groups.group_of(n) for n in nodes},
+        groups=dict(zip(nodes, labels)),
         size_values=size_values,
         color_values=color_values,
         edges=tuple(edges),

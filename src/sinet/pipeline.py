@@ -141,13 +141,13 @@ class PipelineConfig:
                 )
             if not Path(a.path).exists():
                 raise ConfigurationError(f"asset file {a.path} does not exist")
-        for start, end, label in (
-            (self.analysis_start, self.analysis_end, "analysis"),
-            (self.loss_start, self.loss_end, "loss"),
-        ):
-            if start is not None and end is not None:
-                if np.datetime64(start, "D") > np.datetime64(end, "D"):
-                    raise ConfigurationError(f"{label} window is not well-ordered")
+        days = {key: sio.plain_date(getattr(self, key), key)
+                for key in ("analysis_start", "analysis_end", "loss_start", "loss_end")
+                if getattr(self, key) is not None}
+        for label in ("analysis", "loss"):
+            start, end = days.get(f"{label}_start"), days.get(f"{label}_end")
+            if start is not None and end is not None and start > end:
+                raise ConfigurationError(f"{label} window is not well-ordered")
         if self.te_bins < 2:
             raise ConfigurationError("te_bins must be >= 2")
         if not 1.0 < self.te_base < np.inf:
@@ -160,6 +160,16 @@ class PipelineConfig:
             )
         if self.probability_source not in ("filtering", "smoothing"):
             raise ConfigurationError("probability_source must be filtering or smoothing")
+        for key, specs in (
+            ("regressions", [name for names in _parse_model_specs(self.regressions)
+                             for name in names]),
+            ("correlations", _parse_correlation_specs(self.correlation_specs)),
+        ):
+            for spec in specs:
+                try:
+                    _parse_combo(spec)
+                except ConfigurationError as err:
+                    raise ConfigurationError(f"{key}: {err}") from None
 
     # -- serialisation ------------------------------------------------------
 
@@ -295,8 +305,13 @@ def _parse_model_specs(raw: str) -> list[list[str]]:
     return models
 
 
+def _parse_correlation_specs(raw: str) -> list[str]:
+    return [spec.strip() for spec in raw.split("|") if spec.strip()]
+
+
 def _parse_combo(raw: str) -> list[tuple[float, str]]:
-    """Parse 'A - B + C' into signed indicator terms.
+    """Parse 'A - B + C' into signed indicator terms, rejecting a name that
+    is not an indicator.
 
     Operators must be space-padded; hyphens inside indicator names (like
     SI-to-Fin) are left alone.
@@ -308,14 +323,15 @@ def _parse_combo(raw: str) -> list[tuple[float, str]]:
     for k in range(1, len(parts), 2):
         sign = 1.0 if parts[k] == "+" else -1.0
         terms.append((sign, parts[k + 1].strip()))
+    for _, name in terms:
+        if name not in ALL_INDICATORS:
+            raise ConfigurationError(f"unknown indicator {name!r} in {raw!r}")
     return terms
 
 
 def _combo_values(spec: str, table, nodes) -> np.ndarray:
     values = np.zeros(len(nodes))
     for sign, name in _parse_combo(spec):
-        if name not in ALL_INDICATORS:
-            raise ConfigurationError(f"unknown indicator {name!r} in {spec!r}")
         values += sign * np.array([table.value(n, name) for n in nodes])
     return values
 
@@ -524,15 +540,19 @@ def loss_analytics(table, node_order, groups, losses, regressions: str,
     doc = {"provenance": provenance, "regressions": [], "correlations": []}
     text = [f"# {provenance}", ""]
 
+    def skip(entry: dict, label: str, reason: str) -> None:
+        entry["skipped"] = reason
+        text.append(f"  {label}: skipped ({reason})")
+
     for scope, nodes in scopes.items():
         y = np.array([losses[n] for n in nodes])
         text.append(f"== regressions: {scope} ({len(nodes)} nodes) ==")
         for names in _parse_model_specs(regressions):
+            label = " + ".join(names)
             entry = {"scope": scope, "model": names, "n_obs": len(nodes)}
+            doc["regressions"].append(entry)
             if len(nodes) <= len(names) + 1:
-                entry["skipped"] = "too few observations"
-                doc["regressions"].append(entry)
-                text.append(f"  {' + '.join(names)}: skipped (too few observations)")
+                skip(entry, label, "too few observations")
                 continue
             X = np.column_stack([
                 rank_transform(_combo_values(name, table, nodes)) for name in names
@@ -540,9 +560,7 @@ def loss_analytics(table, node_order, groups, losses, regressions: str,
             try:
                 res = ols_regress(y, X)
             except (SinetError, ValueError) as err:
-                entry["skipped"] = str(err)
-                doc["regressions"].append(entry)
-                text.append(f"  {' + '.join(names)}: skipped ({err})")
+                skip(entry, label, str(err))
                 continue
             entry.update(
                 coefficients=[float(c) for c in res.coefficients],
@@ -555,35 +573,30 @@ def loss_analytics(table, node_order, groups, losses, regressions: str,
                 adj_r_squared=res.adj_r_squared,
                 f_statistic=res.f_statistic,
             )
-            doc["regressions"].append(entry)
             coefs = ", ".join(
                 f"{name}={c:.2f}{m}({s:.2f})"
                 for name, c, s, m in zip(names, res.coefficients, res.std_errors, res.markers)
             )
             text.append(
-                f"  {' + '.join(names)}: {coefs} | R2={res.r_squared:.2f} "
+                f"  {label}: {coefs} | R2={res.r_squared:.2f} "
                 f"adjR2={res.adj_r_squared:.2f} F={res.f_statistic:.2f}"
             )
         text.append("")
 
         text.append(f"== correlations: {scope} ==")
-        for spec in [s.strip() for s in correlation_specs.split("|") if s.strip()]:
+        for spec in _parse_correlation_specs(correlation_specs):
             entry = {"scope": scope, "indicator": spec, "n_obs": len(nodes)}
+            doc["correlations"].append(entry)
             if len(nodes) < 2:
-                entry["skipped"] = "too few observations"
-                doc["correlations"].append(entry)
-                text.append(f"  {spec}: skipped (too few observations)")
+                skip(entry, spec, "too few observations")
                 continue
             values = _combo_values(spec, table, nodes)
             try:
                 rep = correlations(values, y)
             except (SinetError, ValueError) as err:
-                entry["skipped"] = str(err)
-                doc["correlations"].append(entry)
-                text.append(f"  {spec}: skipped ({err})")
+                skip(entry, spec, str(err))
                 continue
             entry.update(pearson=rep.pearson, spearman=rep.spearman, kendall=rep.kendall)
-            doc["correlations"].append(entry)
             text.append(
                 f"  {spec}: pearson={rep.pearson:.2f} spearman={rep.spearman:.2f} "
                 f"kendall={rep.kendall:.2f}"

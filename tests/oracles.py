@@ -442,6 +442,54 @@ def ols_normal_equations(y, X):
 
 
 # ---------------------------------------------------------------------------
+# Ranks and the influence network, one element at a time.
+
+def average_tie_ranks(values):
+    """Ascending ranks from 1, each run of equal sorted values given the
+    mean of the positions it covers."""
+    v = np.asarray(values, dtype=float)
+    order = np.argsort(v, kind="stable")
+    ranks = np.empty(len(v))
+    i = 0
+    while i < len(v):
+        j = i
+        while j + 1 < len(v) and v[order[j + 1]] == v[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def sin_by_pairs(nodes, values, groups, table, threshold, losses=None):
+    """Edges, size values and color values of the network, pair by pair and
+    node by node: each unordered pair in row-major order gives its positive
+    net direction, and each group ranks its own nodes."""
+    candidates = []
+    for i, x in enumerate(nodes):
+        for j in range(i + 1, len(nodes)):
+            net = float(values[i, j] - values[j, i])
+            if net > 0.0:
+                candidates.append((x, nodes[j], net))
+            elif net < 0.0:
+                candidates.append((nodes[j], x, -net))
+    nets = [c[2] for c in candidates]
+    lo, hi = min(nets, default=0.0), max(nets, default=0.0)
+    edges = [(src, dst, 1.0 if hi == lo else (net - lo) / (hi - lo))
+             for src, dst, net in candidates if net >= threshold]
+    sizes, colors = {}, {n: None for n in nodes}
+    for group in ("industrial", "financial"):
+        members = [n for n in nodes if groups[n] == group]
+        if group == "industrial":
+            score = [table.value(n, "NSII-on-IX") for n in members]
+        else:
+            score = [table.value(n, "NSII-on-Fin") - table.value(n, "SI-from-IX") for n in members]
+        sizes.update(zip(members, average_tie_ranks(score).tolist()))
+        if losses is not None:
+            colors.update(zip(members, average_tie_ranks([losses[n] for n in members]).tolist()))
+    return edges, sizes, colors
+
+
+# ---------------------------------------------------------------------------
 # Synthetic two-regime data generators (u-space simulation of the bubble leg).
 
 def gen_gbm_log_prices(T, mu, sigma, seed, y0=0.0):

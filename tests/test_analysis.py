@@ -69,6 +69,13 @@ class TestRankTransform:
             values = rng.integers(0, 10, n).astype(float)
             assert rank_transform(values).sum() == pytest.approx(n * (n + 1) / 2)
 
+    def test_matches_tie_loop_bitwise(self):
+        rng = np.random.default_rng(5)
+        levels = [0.0, -0.0, 1.0, 2.5, np.nan, np.inf, -np.inf]
+        for _ in range(300):
+            values = rng.choice(levels, int(rng.integers(1, 30)))
+            assert rank_transform(values).tobytes() == oracles.average_tie_ranks(values).tobytes()
+
     def test_matches_scipy_convention(self):
         rng = np.random.default_rng(4)
         values = rng.integers(0, 6, 50).astype(float)

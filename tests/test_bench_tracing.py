@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from sinet import EMConfig, LogPriceSeries, hmm, pipeline
+from sinet.synthetic import bundled_corpus_config
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -67,3 +68,22 @@ def test_pipeline_calls_em_fit_through_its_module_global(tmp_path, monkeypatch):
         f"{d},{p!r}\n" for d, p in zip(series.timestamps, np.exp(series.log_prices).tolist())))
     pipeline.calibrate_asset("A", path, {}, EMConfig(max_iterations=1), average=False)
     assert fitted == ["A"]
+
+
+def test_no_writer_span_nests_in_another(tracing, tmp_path):
+    # io.write.s sums the writer spans, so a writer that calls another
+    # traced writer would count the inner write twice
+    writers = tuple(tracing.IO_WRITERS)
+    config = pipeline.PipelineConfig.from_file(bundled_corpus_config())
+    config.output_dir = tmp_path / "out"
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        pipeline.run_pipeline(config)
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans
+    written = [span for span in spans if span[0] in writers]
+    assert {span[0] for span in written} == set(writers)
+    for name, _, _, parent, _, _ in written:
+        assert parent < 0 or spans[parent][0] not in writers, name

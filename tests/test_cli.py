@@ -87,6 +87,32 @@ class TestRun:
         assert capsys.readouterr().err.startswith(f"error: {setting} must be")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key, value, what", [
+        ("analysis_start", "2006-02", "date '2006-02' not in YYYY-MM-DD form"),
+        ("analysis_end", "today", "date 'today' not in YYYY-MM-DD form"),
+        ("loss_start", "2006-13-01", "date '2006-13-01' not in YYYY-MM-DD form"),
+        ("loss_end", "20081231", "date '20081231' not in YYYY-MM-DD form"),
+        ("regressions", "SI-to-All | SI-to-Al", "unknown indicator 'SI-to-Al' in 'SI-to-Al'"),
+        ("correlations", "NSII-on-Fin - SI-frm-IX",
+         "unknown indicator 'SI-frm-IX' in 'NSII-on-Fin - SI-frm-IX'"),
+    ])
+    def test_loose_date_or_unknown_indicator_exits_one_before_calibration(
+        self, corpus_dir, tmp_path, monkeypatch, capsys, key, value, what
+    ):
+        def calibrate_asset(*args, **kwargs):
+            raise AssertionError("calibration started")
+
+        monkeypatch.setattr(pipeline, "calibrate_asset", calibrate_asset)
+        lines = [line for line in (corpus_dir / "corpus.cfg").read_text().splitlines()
+                 if not line.startswith(f"{key} =")]
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("\n".join(lines).replace("data_dir = .", f"data_dir = {corpus_dir}")
+                       + f"\n{key} = {value}\n")
+        rc = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {key}: {what}\n"
+        assert not (tmp_path / "o").exists()
+
 
 class TestSimulate:
     def test_writes_path_csv(self, tmp_path):
@@ -102,6 +128,16 @@ class TestSimulate:
 
     def test_bad_arguments_exit_one(self, tmp_path):
         assert main(["simulate", "--p0", "-1"]) == 1
+
+    def test_out_bytes_are_pinned(self, tmp_path):
+        out = tmp_path / "path.csv"
+        rc = main(["simulate", "--p0", "1", "--mu", "0.5", "--sigma", "0.2", "--n", "1",
+                   "--dt", "0.1", "--steps", "4", "--seed", "7", "--out", str(out)])
+        assert rc == 0
+        assert out.read_text() == (
+            "t,log_price\n0.0,0.0\n0.1,0.051375194298750454\n0.2,0.12666601735610963\n"
+            "0.30000000000000004,0.1644432836448151\n0.4,0.15701428984012292\n"
+        )
 
 
 class TestStageCommands:
@@ -150,6 +186,15 @@ class TestStageCommands:
                    "--out-dir", str(tmp_path / "o")])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {setting} must be finite")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag", ["--start", "--end"])
+    @pytest.mark.parametrize("value", ["2006-02", "today", "2006-13-01"])
+    def test_calibrate_loose_date_exits_one(self, corpus_dir, tmp_path, capsys, flag, value):
+        rc = main(["calibrate", "--input", str(corpus_dir / "ENE.csv"), flag, value,
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {flag}: date '{value}' not in YYYY-MM-DD form\n"
         assert not (tmp_path / "o").exists()
 
     def test_network_and_indicators(self, run_dir, groups_file, tmp_path, capsys):
@@ -295,6 +340,35 @@ class TestMalformedInput:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {paths[table]}: {what}\n"
         assert not out.exists()
+
+    def test_te_misaligned_files_exit_one(self, tmp_path, capsys):
+        # equal lengths, different dates: the pair has no common day
+        paths = []
+        probabilities = [0.1, 0.9, 0.2, 0.8, 0.3, 0.7, 0.4, 0.6, 0.5, 0.1]
+        for year in (2006, 2007):
+            path = tmp_path / f"p{year}.csv"
+            path.write_text("date,filtering,smoothing\n" + "".join(
+                f"{year}-01-{day:02d},{p!r},0.5\n" for day, p in enumerate(probabilities, 2)))
+            paths.append(path)
+        rc = main(["te", "--source", str(paths[0]), "--target", str(paths[1])])
+        assert rc == 1
+        assert capsys.readouterr() == (
+            "", "error: series 'target' is not aligned with 'source'\n")
+
+    @pytest.mark.parametrize("text, what", [
+        ("node,ENE,MAT\nENE,0.0,0.1\nMAT,inf,0.0\n", "non-finite ENE on line 3"),
+        ("node,ENE,MAT\nENE,0.0,0.1\nMAT,0.2,0.5\n", "nonzero diagonal on line 3"),
+    ], ids=["non-finite", "diagonal"])
+    def test_network_bad_matrix_cell_exits_one_naming_line(
+        self, tmp_path, groups_file, capsys, text, what
+    ):
+        matrix = tmp_path / "m.csv"
+        matrix.write_text(text)
+        rc = main(["network", "--matrix", str(matrix), "--groups", str(groups_file),
+                   "--out-dir", str(tmp_path / "net")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {matrix}: {what}\n"
+        assert not (tmp_path / "net").exists()
 
 
 class TestRuntimeFailure:

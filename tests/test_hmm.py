@@ -226,7 +226,7 @@ class TestMStep:
         s = make_series(np.linspace(0.0, 0.1, 13))
         weights = np.full((12, 2, 2), 0.25)
         smth = smoother_from_weights(weights, s.timestamps)
-        upd = m_step(smth, s, 0.5)
+        upd = m_step(smth, s, 0.5, freeze=FREEZE)
         np.testing.assert_allclose(upd.q, 0.5)
 
     def test_q_rows_remain_stochastic(self, make_series):
@@ -235,17 +235,21 @@ class TestMStep:
             y = np.cumsum(rng.normal(0, 0.1, 30))
             s = make_series(y)
             weights = consistent_random_weights(rng, len(y) - 1)
-            upd = m_step(smoother_from_weights(weights, s.timestamps), s, 0.7)
+            upd = m_step(smoother_from_weights(weights, s.timestamps), s, 0.7, freeze=FREEZE)
             np.testing.assert_allclose(upd.q.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_degenerate_regime_raises_without_freeze(self, make_series):
+    def test_weightless_regime_and_row_keep_freeze_values(self, make_series):
         s = make_series(np.linspace(0, 0.2, 11))
         weights = np.zeros((10, 2, 2))
         weights[:, 0, 0] = 1.0
         smth = smoother_from_weights(weights, s.timestamps)
-        with pytest.raises(DegenerateRegimeError) as err:
-            m_step(smth, s, 0.5)
-        assert err.value.regime == 1
+        freeze = ModelParams(RegimeParams(0.3, 0.2, 0.04, 0.05, 0.5, kappa=1.7),
+                             np.array([[0.9, 0.1], [0.25, 0.75]]))
+        upd = m_step(smth, s, 0.8, freeze=freeze)
+        r = upd.regime
+        assert (r.mu1, r.sigma1, r.n, r.kappa) == (0.04, 0.05, 0.8, 1.7)
+        assert r.mu0 == pytest.approx(0.02)
+        np.testing.assert_array_equal(upd.q, [[1.0, 0.0], [0.25, 0.75]])
 
     def test_updates_match_coordinate_maximisers(self, make_series):
         rng = np.random.default_rng(2024)
@@ -254,7 +258,7 @@ class TestMStep:
         weights = consistent_random_weights(rng, 50)
         smth = smoother_from_weights(weights, s.timestamps)
         current_n = 0.6
-        upd = m_step(smth, s, current_n)
+        upd = m_step(smth, s, current_n, freeze=FREEZE)
         r = upd.regime
 
         def q_of(**kw):

@@ -360,6 +360,38 @@ class TestMalformedRows:
         with raises_exactly(ConfigurationError, p, "non-finite max_loss_pct on line 2"):
             sio.read_losses_csv(p)
 
+    @pytest.mark.parametrize("row, what", [
+        ("b,nan,0.0,0.3", "non-finite a on line 4"),
+        ("b,0.1,-inf,0.3", "non-finite b on line 4"),
+        ("b,inf,nan,0.3", "non-finite a on line 4"),
+        ("b,0.1,0.5,0.3", "nonzero diagonal on line 4"),
+        ("b,0.1,-0.0,0.3", "non-finite a on line 5"),
+    ])
+    def test_matrix_non_finite_or_diagonal_cell(self, tmp_path, row, what):
+        # the later bad line 5 does not hide line 4
+        p = write(tmp_path / "m.csv", f"# prov\nnode,a,b,c\na,0.0,0.2,0.1\n{row}\n"
+                  "c,nan,0.1,7.0\n")
+        with raises_exactly(ConfigurationError, p, what):
+            sio.read_matrix_csv(p)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_indicators_non_finite(self, tmp_path, cell):
+        header = ",".join(("node",) + ALL_INDICATORS)
+        good = ",".join(["a"] + ["0.0"] * len(ALL_INDICATORS))
+        bad = ",".join(["b"] + ["0.0"] * (len(ALL_INDICATORS) - 2) + [cell, "?"])
+        p = write(tmp_path / "i.csv", f"{header}\n{good}\n{bad}\n")
+        with raises_exactly(ConfigurationError, p, f"unparseable {ALL_INDICATORS[-1]} on line 3"):
+            sio.read_indicators_csv(p)
+        p = write(tmp_path / "i.csv", f"{header}\n{good}\n{bad.replace('?', '0.0')}\n")
+        with raises_exactly(ConfigurationError, p,
+                            f"non-finite {ALL_INDICATORS[-2]} on line 3"):
+            sio.read_indicators_csv(p)
+
+    def test_groups_unknown_group(self, tmp_path):
+        p = write(tmp_path / "g.csv", "node,group\nA,industrial\n# note\nB,finacial\nC\n")
+        with raises_exactly(ConfigurationError, p, "unknown group 'finacial' on line 4"):
+            sio.read_groups_csv(p)
+
     def test_matrix_header_names_a_node_twice(self, tmp_path):
         p = write(tmp_path / "m.csv", "node,a,b,a\na,0.0,0.1,0.0\nb,0.2,0.0,0.2\na,0.0,0.1,0.0\n")
         with raises_exactly(ConfigurationError, p, "duplicate node 'a' in the header"):
@@ -563,8 +595,11 @@ def matrix_cases(draw):
     rows, faults = [], []
     for r, node in enumerate(nodes):
         cells = [node] + [draw(NUMBER) for _ in nodes]
+        cells[r + 1] = draw(st.sampled_from(["0.0", "-0.0", "0"]))
         options = [cells[:-1], cells + ["0.5"], [nodes[r - 1]] + cells[1:], ["Z_"] + cells[1:]]
-        options += [cells[:m] + [v] + cells[m + 1:] for m in range(1, len(cells)) for v in ("x", "")]
+        options += [cells[:m] + [v] + cells[m + 1:] for m in range(1, len(cells))
+                    for v in ("x", "", "nan", "-inf")]
+        options += [cells[:r + 1] + ["0.25"] + cells[r + 2:]]
         rows.append(",".join(cells))
         faults.append([",".join(option) for option in options])
     return _case(draw, sio.read_matrix_csv, "node," + ",".join(nodes), rows, faults)
@@ -578,7 +613,8 @@ def indicator_cases(draw):
     for r, node in enumerate(nodes):
         cells = [node] + [draw(NUMBER) for _ in ALL_INDICATORS]
         options = [cells[:m] for m in range(1, len(cells))]
-        options += [cells[:m] + [v] + cells[m + 1:] for m in range(1, len(cells)) for v in ("?", "")]
+        options += [cells[:m] + [v] + cells[m + 1:] for m in range(1, len(cells))
+                    for v in ("?", "", "nan", "inf")]
         options += [[earlier] + cells[1:] for earlier in nodes[:r]]
         rows.append(",".join(cells))
         faults.append([",".join(option) for option in options])
@@ -599,8 +635,8 @@ def group_cases(draw):
     nodes = draw(NAMES)
     sub = draw(st.booleans())
     rows = [f"{node},industrial" + (",bank" if sub else "") for node in nodes]
-    faults = [[node] + [f"{earlier},financial" for earlier in nodes[:r]]
-              for r, node in enumerate(nodes)]
+    faults = [[node, f"{node},finance", f"{node},"]
+              + [f"{earlier},financial" for earlier in nodes[:r]] for r, node in enumerate(nodes)]
     header = "node,group" + (",subsector" if sub else "")
     return _case(draw, sio.read_groups_csv, header, rows, faults)
 
@@ -654,3 +690,39 @@ class TestProbabilitiesWriter:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "1a838e0790bc1c51f3c95befa16f4781fe761e21e09f11504a4b92d29fa49956"
         )
+
+
+class TestWriterBytes:
+    """Each CSV writer's exact output: provenance line, header, and
+    ``repr`` text of every float."""
+
+    def test_probabilities(self, tmp_path):
+        dates = np.datetime64("2006-01-02", "D") + np.arange(3)
+        path = sio.write_probabilities_csv(
+            tmp_path / "p.csv",
+            ProbabilitySeries(dates, [0.0, 0.1, 1 / 3]),
+            ProbabilitySeries(dates, [1.0, 5e-324, 0.5]),
+            "config=abc window=x..y",
+        )
+        assert path.read_text() == (
+            "# config=abc window=x..y\n"
+            "date,filtering,smoothing\n"
+            "2006-01-02,0.0,1.0\n"
+            "2006-01-03,0.1,5e-324\n"
+            "2006-01-04,0.3333333333333333,0.5\n"
+        )
+
+    def test_matrix(self, tmp_path):
+        path = sio.write_matrix_csv(tmp_path / "m.csv", ("a", "b"),
+                                    np.array([[0.0, 0.1], [1 / 3, 0.0]]), "config=abc")
+        assert path.read_text() == "# config=abc\nnode,a,b\na,0.0,0.1\nb,0.3333333333333333,0.0\n"
+        path = sio.write_matrix_csv(tmp_path / "m.csv", ("a", "b"),
+                                    np.array([[0.0, 2e-17], [1e22, 0.0]]))
+        assert path.read_text() == "node,a,b\na,0.0,2e-17\nb,1e+22,0.0\n"
+
+    def test_table(self, tmp_path):
+        path = sio.write_table_csv(tmp_path / "t.csv", ["node", "x", "n"],
+                                   [["a", 0.1, 3], ["b", 1e-300, -0.0]], "config=abc")
+        assert path.read_text() == "# config=abc\nnode,x,n\na,0.1,3\nb,1e-300,-0.0\n"
+        path = sio.write_table_csv(tmp_path / "t.csv", ["node", "max_loss_pct"], [])
+        assert path.read_text() == "node,max_loss_pct\n"

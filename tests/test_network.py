@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from sinet import (
     ConfigurationError,
     NodeGroup,
@@ -127,6 +128,25 @@ class TestBuildSin:
             if last_count is not None:
                 assert g.edge_count <= last_count
             last_count = g.edge_count
+
+    def test_matches_pair_loop(self):
+        # zero and tied nets, one-group baskets and tied losses included
+        rng = np.random.default_rng(59)
+        for k in range(200):
+            K = int(rng.integers(1, 9))
+            nodes = tuple(f"n{i}" for i in range(K))
+            levels = [0.0, 0.1, 0.2, 0.35, 0.5]
+            values = rng.choice(levels, (K, K)) if k % 2 else rng.random((K, K))
+            np.fill_diagonal(values, 0.0)
+            labels = dict(zip(nodes, rng.choice(["industrial", "financial"], K).tolist()))
+            losses = dict(zip(nodes, rng.choice([5.0, 10.0, 12.5], K).tolist()))
+            m, groups = SIIMatrix(nodes, values), NodeGroup(labels)
+            threshold = float(rng.choice([0.0, 0.1, 0.3]))
+            g = build_sin(m, groups, threshold, losses if k % 3 else None)
+            want = oracles.sin_by_pairs(nodes, values, labels, compute_indicators(m, groups),
+                                        threshold, losses if k % 3 else None)
+            assert (list(g.edges), g.size_values, g.color_values) == want
+            assert g.groups == labels
 
     def test_weights_rescaled_to_unit_interval(self):
         rng = np.random.default_rng(53)

@@ -3,9 +3,10 @@ import shutil
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sinet import ConfigurationError
+from sinet import ConfigurationError, NodeGroup, SIIMatrix, compute_indicators
 from sinet import pipeline as pipeline_module
 from sinet.pipeline import PipelineConfig, _parse_combo, _parse_model_specs, run_pipeline
 from sinet.synthetic import bundled_corpus_config, write_corpus
@@ -140,6 +141,28 @@ class TestConfigParsing:
         assert not (tmp_path / "out").exists()  # validation precedes computation
 
 
+    @pytest.mark.parametrize("key", ["analysis_start", "analysis_end", "loss_start", "loss_end"])
+    @pytest.mark.parametrize("value", ["2006-02", "today", "2006-13-01", " 2006-01-02"])
+    def test_loose_date_names_key(self, corpus_dir, tmp_path, key, value):
+        config = corpus_config(corpus_dir, tmp_path / "out")
+        setattr(config, key, value)
+        with pytest.raises(ConfigurationError,
+                           match=rf"^{key}: date '{value}' not in YYYY-MM-DD form$"):
+            config.validate()
+
+    @pytest.mark.parametrize("setting, key, value, what", [
+        ("regressions", "regressions", "SI-to-All, SI-to-Al",
+         "unknown indicator 'SI-to-Al' in 'SI-to-Al'"),
+        ("correlation_specs", "correlations", "NSII-on-All | NSII-on-Fn",
+         "unknown indicator 'NSII-on-Fn' in 'NSII-on-Fn'"),
+    ])
+    def test_unknown_indicator_names_key(self, corpus_dir, tmp_path, setting, key, value, what):
+        config = corpus_config(corpus_dir, tmp_path / "out")
+        setattr(config, setting, value)
+        with pytest.raises(ConfigurationError, match=f"^{key}: {what}$"):
+            config.validate()
+
+
 class TestComboParsing:
     def test_single_indicator(self):
         assert _parse_combo("NSII-on-IX") == [(1.0, "NSII-on-IX")]
@@ -271,3 +294,55 @@ class TestNonFiniteSettings:
         setattr(config, setting, value)
         with pytest.raises(ConfigurationError, match=f"^{setting} must"):
             config.validate()
+
+
+class TestLossAnalyticsSkips:
+    """Entries that no fit fills keep their place, their keys and their
+    reason in both outputs."""
+
+    def test_skip_entries_and_lines_are_pinned(self):
+        m = SIIMatrix(("A", "B", "C", "D"), np.array([
+            [0.0, 0.1, 0.2, 0.3], [0.05, 0.0, 0.4, 0.1],
+            [0.3, 0.2, 0.0, 0.0], [0.1, 0.6, 0.2, 0.0],
+        ]))
+        groups = NodeGroup({"A": "industrial", "B": "industrial", "C": "industrial",
+                            "D": "financial"})
+        doc, text = pipeline_module.loss_analytics(
+            compute_indicators(m, groups), m.nodes, groups,
+            {"A": 10.0, "B": 20.0, "C": 35.0, "D": 5.0},
+            "SI-to-All, SI-to-All", "NSII-on-All - NSII-on-All", "config=abc",
+        )
+        model, combo = ["SI-to-All", "SI-to-All"], "NSII-on-All - NSII-on-All"
+        undefined = "pearson correlation undefined for this input"
+        assert json.dumps(doc) == json.dumps({
+            "provenance": "config=abc",
+            "regressions": [
+                {"scope": "all", "model": model, "n_obs": 4,
+                 "skipped": "regressor column 1 is collinear"},
+                {"scope": "industrial", "model": model, "n_obs": 3,
+                 "skipped": "too few observations"},
+                {"scope": "financial", "model": model, "n_obs": 1,
+                 "skipped": "too few observations"},
+            ],
+            "correlations": [
+                {"scope": "all", "indicator": combo, "n_obs": 4, "skipped": undefined},
+                {"scope": "industrial", "indicator": combo, "n_obs": 3, "skipped": undefined},
+                {"scope": "financial", "indicator": combo, "n_obs": 1,
+                 "skipped": "too few observations"},
+            ],
+        })
+        assert text == (
+            "# config=abc\n\n"
+            "== regressions: all (4 nodes) ==\n"
+            "  SI-to-All + SI-to-All: skipped (regressor column 1 is collinear)\n\n"
+            "== correlations: all ==\n"
+            f"  {combo}: skipped ({undefined})\n\n"
+            "== regressions: industrial (3 nodes) ==\n"
+            "  SI-to-All + SI-to-All: skipped (too few observations)\n\n"
+            "== correlations: industrial ==\n"
+            f"  {combo}: skipped ({undefined})\n\n"
+            "== regressions: financial (1 nodes) ==\n"
+            "  SI-to-All + SI-to-All: skipped (too few observations)\n\n"
+            "== correlations: financial ==\n"
+            f"  {combo}: skipped (too few observations)\n\n"
+        )
