@@ -36,7 +36,8 @@ def _fmt(x) -> str:
 # ---------------------------------------------------------------------------
 # CSV ingestion
 #
-# Every table reader goes through ``_read_table``: the file is read once, all
+# Every table reader goes through ``_read_table`` (the probabilities reader
+# only when numpy's tokenizer refuses a file): the file is read once, all
 # data rows are cut into cells in one ``split``, and each column a reader
 # needs is converted by one numpy call. Each reader then lists its checks as
 # row masks, in the order they rank within one line, and ``_Table.check``
@@ -408,6 +409,54 @@ def write_probabilities_csv(
     ), provenance)
 
 
+# The line breaks of str.splitlines() other than \n and \r: the line reader
+# splits on them, numpy's tokenizer does not, and its float parser strips
+# them as whitespace.
+_OTHER_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _loadtxt_probabilities(path: Path, column: str) -> Optional[ProbabilitySeries]:
+    """What :func:`read_probabilities_csv` returns for a valid table, read
+    by numpy's C tokenizer; None when the line reader has to decide.
+
+    The file is taken only when its suffix is ``.csv`` (numpy opens a
+    ``.gz``, ``.bz2``, ``.xz`` or ``.lzma`` path through a decompressor),
+    it splits into the line reader's lines (none of
+    ``_OTHER_LINE_BREAKS``) and it has data rows. '#' lines below the
+    header are not skipped: their date cell fails the YYYY-MM-DD proof.
+    numpy's float parser reads a subset of what ``float()`` reads (no '_',
+    no non-ASCII digits), to the same value.
+    """
+    if path.suffix != ".csv":
+        return None
+    text = path.read_text()
+    if any(c in text for c in _OTHER_LINE_BREAKS):
+        return None
+    end, skip = -1, 0
+    while True:  # the header is the first line neither empty nor a comment
+        start, end = end + 1, text.find("\n", end + 1)
+        if end < 0:
+            return None
+        skip += 1
+        if start < end and text[start] != "#":
+            break
+    header = text[start:end].split(",")
+    if column not in header or not text[end + 1:].strip():
+        return None
+    try:
+        rows = np.loadtxt(path, delimiter=",", comments=None, skiprows=skip,
+                          usecols=(0, header.index(column)), ndmin=1,
+                          dtype=[("d", "U11"), ("p", float)])
+    except ValueError:
+        return None
+    dates = _plain_dates(rows["d"].tolist())  # U11: a longer cell is not plain
+    values = rows["p"].copy()
+    if (np.isnat(dates).any() or (dates[1:] <= dates[:-1]).any()
+            or not ((values >= 0.0) & (values <= 1.0)).all()):
+        return None
+    return ProbabilitySeries(dates, values)
+
+
 def read_probabilities_csv(path, column: str = "filtering") -> ProbabilitySeries:
     """Read one probability column of a table written by
     :func:`write_probabilities_csv`.
@@ -418,7 +467,14 @@ def read_probabilities_csv(path, column: str = "filtering") -> ProbabilitySeries
     fails on it, in the order unparseable, missing or not-YYYY-MM-DD date,
     duplicate or unsorted date, missing or unparseable probability,
     probability outside [0, 1] (NaN included).
+
+    A table is read by numpy's C tokenizer first; only when that read or
+    its checks refuse the file does the line reader read it again, to
+    return what it reads or to name the bad line.
     """
+    series = _loadtxt_probabilities(Path(path), column)
+    if series is not None:
+        return series
     table = _read_table(path)
     if column not in table.header:
         raise ConfigurationError(f"{path}: no column {column!r}")

@@ -174,7 +174,9 @@ class PipelineConfig:
     # -- serialisation ------------------------------------------------------
 
     def key_values(self) -> dict[str, str]:
-        """Canonical flat key-value image (used for hashing and echoing)."""
+        """Canonical flat key-value image (used for hashing and echoing); an
+        unset window end has no key, so the echo reads back as the same
+        config."""
         kv: dict[str, str] = {}
         kv["assets"] = ", ".join(a.asset_id for a in self.assets)
         for a in self.assets:
@@ -185,7 +187,9 @@ class PipelineConfig:
         for logical, actual in sorted(self.column_map.items()):
             kv[f"column.{logical}"] = actual
         for key, field_path, _, fmt in _CONFIG_KEYS:
-            kv[key] = fmt(_field_value(self, field_path))
+            value = _field_value(self, field_path)
+            if value is not None:
+                kv[key] = fmt(value)
         kv["output_dir"] = str(self.output_dir)
         return kv
 

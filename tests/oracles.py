@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import re
 import warnings
 from collections import Counter
 from datetime import date
@@ -577,3 +578,53 @@ def read_price_table_rows(path, column_map=None) -> dict:
     if cap_idx is not None:
         table["caps"] = np.asarray(caps, dtype=float)[order]
     return table
+
+
+def read_probabilities_rows(path, column: str = "filtering") -> dict:
+    """Read one probability column of a pipeline table one line at a time,
+    so the first failing check names its 1-based line.
+
+    Lines are ``str.splitlines()`` of the text; empty lines and lines
+    starting with '#' are skipped, and the first other line is the header.
+    On each data line the date is checked (plain YYYY-MM-DD that numpy
+    reads, after the previous row's), then the probability (present,
+    ``float()`` reads it, in [0, 1]). Returns ``dates`` and ``values``.
+    """
+    rows = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if line and line[0] != "#":
+            rows.append((lineno, line.split(",")))
+    if not rows:
+        raise ConfigurationError(f"{path}: empty table")
+    header = rows.pop(0)[1]
+    if column not in header:
+        raise ConfigurationError(f"{path}: no column {column!r}")
+    j = header.index(column)
+
+    dates, values = [], []
+    for lineno, cells in rows:
+        def fail(what):
+            return ConfigurationError(f"{path}: {what} on line {lineno}")
+
+        try:
+            day = np.datetime64(cells[0], "D")
+        except ValueError:
+            raise fail("unparseable date") from None
+        if np.isnat(day):
+            raise fail("missing date")
+        if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", cells[0]):
+            raise fail(f"date {cells[0]!r} not in YYYY-MM-DD form")
+        if dates and day <= dates[-1]:
+            raise fail(f"{'duplicate' if day == dates[-1] else 'unsorted'} date {day}")
+        if len(cells) <= j:
+            raise fail(f"missing {column}")
+        try:
+            value = float(cells[j])
+        except ValueError:
+            raise fail(f"unparseable {column}") from None
+        if not 0.0 <= value <= 1.0:
+            raise fail("probability outside [0, 1]")
+        dates.append(day)
+        values.append(value)
+    return {"dates": np.array(dates, dtype="datetime64[D]"),
+            "values": np.array(values, dtype=float)}

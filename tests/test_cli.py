@@ -55,6 +55,22 @@ class TestRun:
         assert "'em_tolerance'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_echo_of_a_windowless_run_runs_again(self, corpus_dir, tmp_path):
+        lines = [line for line in (corpus_dir / "corpus.cfg").read_text().splitlines()
+                 if not line.startswith(("analysis_", "loss_"))]
+        cfg = tmp_path / "windowless.cfg"
+        cfg.write_text("\n".join(lines).replace("data_dir = .", f"data_dir = {corpus_dir}") + "\n")
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "a")]) == 0
+        echo = tmp_path / "a" / "config_echo.cfg"
+        assert main(["run", "--config", str(echo), "--out-dir", str(tmp_path / "b")]) == 0
+
+        def settings(out):
+            return [line for line in (out / "config_echo.cfg").read_text().splitlines()
+                    if not line.startswith("output_dir =")]
+
+        assert settings(tmp_path / "b") == settings(tmp_path / "a")
+        assert not [line for line in settings(tmp_path / "a") if line.endswith("= None")]
+
     def test_missing_config_file_exits_one(self, tmp_path):
         rc = main(["run", "--config", str(tmp_path / "none.cfg")])
         assert rc == 1

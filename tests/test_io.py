@@ -409,11 +409,15 @@ class TestMalformedRows:
 # ---------------------------------------------------------------------------
 # The columnar price reader against the row-by-row reader it replaced
 
-def _outcome(read, path, column_map):
+def _outcome(read, path, arg):
+    """What ``read(path, arg)`` gives: the exception's type and message, or
+    each array's dtype, shape and bytes."""
     try:
-        table = read(path, column_map)
+        table = read(path, arg)
     except Exception as err:  # noqa: BLE001 - the exception itself is compared
         return type(err), str(err)
+    if isinstance(table, ProbabilitySeries):
+        table = {"dates": table.timestamps, "values": table.values}
     return {k: (v.dtype.str, v.shape, v.tobytes()) for k, v in table.items()}
 
 
@@ -522,6 +526,144 @@ class TestPriceTableParity:
         path = write(tmp_path / "a.csv", f"date,price\n2006-01-04,1.0\n{cell},2.0\n")
         want = _outcome(oracles.read_price_table_rows, path, None)
         assert _outcome(sio.read_price_table, path, None) == want
+
+
+# ---------------------------------------------------------------------------
+# The probabilities reader, numpy's tokenizer first, against a line reader
+
+def _underscored(value: float) -> str:
+    text = repr(value)
+    at = re.search(r"[0-9][0-9]", text)
+    return text if at is None else f"{text[:at.start() + 1]}_{text[at.start() + 1:]}"
+
+
+FULLWIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+# texts float() reads as the value; numpy's parser refuses the last two
+PROBABILITY_STYLES = (repr, lambda v: f" {v!r}\t", lambda v: f"{v:.17e}",
+                      _underscored, lambda v: repr(v).translate(FULLWIDTH))
+
+
+@st.composite
+def probability_tables(draw):
+    """A valid probabilities table: its lines (text, or the cells of a data
+    row), the column to read, the line ending and whether the last line
+    ends with it."""
+    fields = ["date", *draw(st.permutations(["filtering", "smoothing"]))]
+    fields += draw(st.sampled_from([[], ["note"]]))
+    column = draw(st.sampled_from(["filtering", "smoothing"]))
+    j = fields.index(column)
+    styles = draw(st.sampled_from([(repr,), PROBABILITY_STYLES]))
+    n = draw(st.integers(0, 12))
+    days = sorted(draw(st.lists(st.integers(0, 3_000_000), min_size=n, max_size=n, unique=True)))
+    gap = st.sampled_from(["", "# provenance", "#", "#a,b"])
+    lines = [draw(gap) for _ in range(draw(st.integers(0, 2)))] + [",".join(fields)]
+    for d in days:
+        cells = [(date(1000, 1, 1) + timedelta(days=d)).isoformat()]
+        cells += [draw(st.sampled_from(styles))(draw(st.floats(0.0, 1.0))) for _ in fields[1:]]
+        cells = cells[:draw(st.integers(j + 1, len(cells)))]
+        cells += draw(st.lists(st.sampled_from(["", "x", "7"]), max_size=2))
+        lines.append(cells)
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(gap))
+    return lines, column, draw(st.sampled_from(["\n", "\r\n", "\r"])), draw(st.booleans())
+
+
+def _render(lines, newline, trailing) -> bytes:
+    text = newline.join(line if isinstance(line, str) else ",".join(line) for line in lines)
+    return (text + (newline if trailing else "")).encode()
+
+
+PROBABILITY_CORRUPTIONS = {
+    "date": ["2006-02", "not-a-date", "", "NaT", "2006-13-01", " 2006-01-02", "-006-01-02",
+             "2006-01-0212", "20060102", "２００６-01-02"],
+    "value": ["abc", "", "nan", "1.5", "-0.5", "inf", "1_0", "0.5#x", "２", "0x1"],
+}
+
+
+class TestProbabilitiesTableParity:
+    @FUZZ
+    @given(table=probability_tables())
+    def test_valid_tables_match_row_reader(self, tmp_path, table):
+        lines, column, newline, trailing = table
+        path = tmp_path / "p.csv"
+        path.write_bytes(_render(lines, newline, trailing))
+        want = _outcome(oracles.read_probabilities_rows, path, column)
+        assert isinstance(want, dict)
+        assert _outcome(sio.read_probabilities_csv, path, column) == want
+
+    @FUZZ
+    @given(table=probability_tables(), data=st.data())
+    def test_one_corrupted_row_fails_like_row_reader(self, tmp_path, table, data):
+        lines, column, newline, trailing = table
+        rows = [k for k, line in enumerate(lines) if isinstance(line, list)]
+        if not rows:
+            return
+        k = data.draw(st.sampled_from(rows))
+        cells = list(lines[k])
+        j = lines[rows[0] - 1].split(",").index(column)  # the header precedes the rows
+        how = data.draw(st.sampled_from(["date", "value", "cut", "break", "blank"]
+                                        + (["copy"] if len(rows) > 1 else [])))
+        if how in PROBABILITY_CORRUPTIONS:
+            cells[0 if how == "date" else j] = data.draw(
+                st.sampled_from(PROBABILITY_CORRUPTIONS[how]))
+        elif how == "copy":  # a duplicate, and maybe an unsorted, date
+            cells[0] = lines[data.draw(st.sampled_from([r for r in rows if r != k]))][0]
+        elif how == "cut":
+            cells = cells[:j]
+        elif how == "break":  # a line break only str.splitlines() knows
+            cells[-1] += data.draw(st.sampled_from(["\x0c ", "\x0b\x0bx", "\x1c2006",
+                                                          "\x85 ", "\u2029\t"]))
+        lines = lines[:k] + [cells] + ([" \t"] if how == "blank" else []) + lines[k + 1:]
+        path = tmp_path / "p.csv"
+        path.write_bytes(_render(lines, newline, trailing))
+        want = _outcome(oracles.read_probabilities_rows, path, column)
+        assert isinstance(want, tuple)
+        assert _outcome(sio.read_probabilities_csv, path, column) == want
+
+    @pytest.mark.parametrize("name, text, want", [
+        ("p.csv", "date,filtering\n2006-01-02,1_0\n", "probability outside [0, 1] on line 2"),
+        ("p.csv", "date,filtering\n2006-01-02,0.2_5\n", [0.25]),
+        ("p.csv", "date,filtering\n2006-01-02,１\n", [1.0]),
+        ("p.csv", "date,filtering\n2006-01-02, 0.5\n", [0.5]),
+        ("p.csv", "date,filtering\n2006-01-02,0.5#x\n", "unparseable filtering on line 2"),
+        ("p.csv", "date,filtering\n2006-01-02,0.5\n \t\n2006-01-03,0.25\n",
+         "unparseable date on line 3"),
+        ("p.csv", "# p\r\ndate,filtering\r\n2006-01-02,0.5\r\n\r\n2006-01-03,0.25\r\n",
+         [0.5, 0.25]),
+        ("p.csv", "# p\ndate,filtering,smoothing\n", []),
+        ("p.csv", "date,filtering,smoothing\n2006-01-02,0.5,0.1,x,\n2006-01-03,0.25\n",
+         [0.5, 0.25]),
+        ("p.csv", "date,filtering\n2006-01-0212,0.5\n", "unparseable date on line 2"),
+        ("p.csv", "date,filtering\n2006-01-02,0.5\x0c \x0c\n", "unparseable date on line 3"),
+        ("p.csv", "date,filtering,smoothing\n2006-01-02,0.5,0.1\u2028x\n",
+         "unparseable date on line 3"),
+        ("p.csv.gz", "date,filtering\n2006-01-02,0.5\n", [0.5]),
+    ])
+    def test_cells_float_and_numpy_read_apart(self, tmp_path, name, text, want):
+        path = tmp_path / name
+        path.write_bytes(text.encode())
+        got = _outcome(sio.read_probabilities_csv, path, "filtering")
+        assert got == _outcome(oracles.read_probabilities_rows, path, "filtering")
+        if isinstance(want, str):
+            assert got == (ConfigurationError, f"{path}: {want}")
+        else:
+            assert got["values"] == ("<f8", (len(want),), np.array(want).tobytes())
+
+    def test_writer_output_skips_the_line_reader(self, tmp_path, monkeypatch, make_probs):
+        filtering = make_probs([0.0, 0.25, 1 / 3, 1.0, 5e-324])
+        smoothing = make_probs([1.0, 0.5, 0.1, 0.0, 0.75])
+        path = sio.write_probabilities_csv(tmp_path / "p.csv", filtering, smoothing,
+                                           "config=abc window=x..y")
+
+        def line_reader(*args, **kwargs):
+            raise AssertionError("the line reader ran")
+
+        monkeypatch.setattr(sio, "_read_table", line_reader)
+        for column, series in (("filtering", filtering), ("smoothing", smoothing)):
+            back = sio.read_probabilities_csv(path, column)
+            assert back.timestamps.tobytes() == series.timestamps.tobytes()
+            assert back.values.tobytes() == series.values.tobytes()
+            assert back.values.base is None  # not a view that keeps the date cells alive
 
 
 # ---------------------------------------------------------------------------
