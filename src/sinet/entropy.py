@@ -280,10 +280,9 @@ def sii_matrix(
         np.stack([_bubble_days(assets[name], bubble_level) for name in names])
         if bubble_only else None
     )
+    # a series against itself cancels term by term: the diagonal is exactly 0.0
     values, sizes = _te_kernel(bins, bins, bin_count, base, days, days)
-    off = ~np.eye(len(names), dtype=bool)
-    values[~off] = 0.0
     # only the pairs _clamped rejects or changes, in (source, target) order
-    for k in np.flatnonzero(off & ((sizes < 2) | (values < 0.0))).tolist():
+    for k in np.flatnonzero((sizes < 2) | (values < 0.0)).tolist():
         values.flat[k] = _clamped(float(values.flat[k]), int(sizes.flat[k]))
     return SIIMatrix(tuple(names), values, window=window)

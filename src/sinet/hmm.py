@@ -320,7 +320,7 @@ def hamilton_filter(
     loglik = float(log_norms.sum())
 
     filtering = np.concatenate([pi[1:], forward[1]])
-    probs = ProbabilitySeries(series.timestamps, np.clip(filtering, 0.0, 1.0))
+    probs = ProbabilitySeries(series.timestamps, filtering)
     return FilterOutput(probs, pairwise.transpose(2, 0, 1), loglik)
 
 
@@ -373,7 +373,7 @@ def kim_smoother(filt: FilterOutput) -> SmootherOutput:
         )
     back *= landed
     smoothing = np.concatenate([later[1], [s]])
-    probs = ProbabilitySeries(filt.filtering.timestamps, np.clip(smoothing, 0.0, 1.0))
+    probs = ProbabilitySeries(filt.filtering.timestamps, smoothing)
     return SmootherOutput(probs, back.transpose(2, 0, 1))
 
 

@@ -87,14 +87,15 @@ class _Table(NamedTuple):
 
 
 def _read_table(path, price_file: bool = False) -> _Table:
-    """Cut a CSV file into a header and data rows.
+    """Cut a CSV file, read as UTF-8 without a leading byte-order mark, into
+    a header and data rows.
 
     Pipeline tables skip empty lines and lines starting with '#' and split
     on every comma. Price files honour csv quoting, strip the header names
     and skip rows whose cells are all blank; '#' has no special meaning.
     """
     path = Path(path)
-    text = path.read_text()
+    text = path.read_text(encoding="utf-8-sig")
     quoted = price_file and '"' in text
     if price_file:
         lines = text.split("\n")  # read_text() turns \r\n and \r into \n
@@ -104,27 +105,19 @@ def _read_table(path, price_file: bool = False) -> _Table:
             raise ConfigurationError(f"{path}: empty file")
         if quoted:
             lines = list(csv.reader(lines))
-            rows = [r for r in lines[1:] if any(c.strip() for c in r)]
             header = [h.strip() for h in lines[0]]
+            kept = [k for k, r in enumerate(lines) if k and any(c.strip() for c in r)]
         else:
-            rows = [r for r in lines[1:] if r.replace(",", "").strip()]
             header = [h.strip() for h in lines[0].split(",")]
-        first = 0
+            kept = [k for k, r in enumerate(lines) if k and r.replace(",", "").strip()]
     else:
         lines = text.splitlines()
-        rows = [line for line in lines if line and line[0] != "#"]
-        if not rows:
+        kept = [k for k, line in enumerate(lines) if line and line[0] != "#"]
+        if not kept:
             raise ConfigurationError(f"{path}: empty table")
-        first = lines.index(rows[0])
-        header = rows.pop(0).split(",")
-    linenos = range(first + 2, first + 2 + len(rows))
-    if len(lines) > first + 1 + len(rows):  # skipped lines among the rows
-        linenos, k = [], first + 1
-        for row in rows:
-            while lines[k] != row:
-                k += 1
-            k += 1
-            linenos.append(k)
+        header = lines[kept.pop(0)].split(",")
+    rows = [lines[k] for k in kept]
+    linenos = [k + 1 for k in kept]
 
     if rows and not quoted:
         commas = list(map(str.count, rows, repeat(",")))
@@ -286,7 +279,8 @@ def read_price_table(path, column_map=None) -> dict:
 def read_key_values(path) -> dict[str, str]:
     """Parse ``key = value`` lines; '#' starts a comment, blanks ignored."""
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -305,6 +299,12 @@ def read_key_values(path) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 # Graph export / import
 
+def _dot_id(text: str) -> str:
+    """``text`` as a quoted DOT id, with backslashes and double quotes
+    escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_graph(g: SINGraph, fmt: str, path, provenance: str = "") -> Path:
     """Write a network to ``path`` as 'dot' or 'graph-json'. Returns the path."""
     path = Path(path)
@@ -315,18 +315,17 @@ def export_graph(g: SINGraph, fmt: str, path, provenance: str = "") -> Path:
         lines.append("digraph SIN {")
         lines.append(f"  // threshold={_fmt(float(g.threshold))}")
         for node in g.nodes:
-            attrs = [f'group="{g.groups[node]}"']
+            attrs = [f"group={_dot_id(g.groups[node])}"]
             if node in g.size_values:
                 attrs.append(f"size_value={_fmt(g.size_values[node])}")
             color = g.color_values.get(node)
             if color is not None:
                 attrs.append(f"color_value={_fmt(color)}")
-            lines.append(f'  "{node}" [{", ".join(attrs)}];')
+            lines.append(f'  {_dot_id(node)} [{", ".join(attrs)}];')
         for src, dst, weight in g.edges:
             pen = 0.5 + 4.5 * weight
-            lines.append(
-                f'  "{src}" -> "{dst}" [weight={_fmt(weight)}, penwidth={_fmt(pen)}];'
-            )
+            lines.append(f"  {_dot_id(src)} -> {_dot_id(dst)} "
+                         f"[weight={_fmt(weight)}, penwidth={_fmt(pen)}];")
         lines.append("}")
         path.write_text("\n".join(lines) + "\n")
         return path
@@ -354,34 +353,58 @@ def export_graph(g: SINGraph, fmt: str, path, provenance: str = "") -> Path:
     raise ValueError(f"unknown graph format {fmt!r} (expected 'dot' or 'graph-json')")
 
 
+_NUMBER = (int, float)
+_JSON_KINDS = {str: "a string", list: "a list", _NUMBER: "a number"}
+
+
 def import_graph_json(path) -> tuple[SINGraph, str]:
-    """Read a graph-JSON file back into a :class:`SINGraph` plus provenance."""
-    doc = json.loads(Path(path).read_text())
-    if doc.get("schema") != GRAPH_SCHEMA:
-        raise ConfigurationError(
-            f"{path}: unsupported graph schema {doc.get('schema')!r}"
-        )
-    nodes = tuple(n["id"] for n in doc["nodes"])
-    groups = {n["id"]: n["group"] for n in doc["nodes"]}
-    size_values = {
-        n["id"]: float(n["size_value"]) for n in doc["nodes"] if n["size_value"] is not None
-    }
-    color_values = {
-        n["id"]: (None if n["color_value"] is None else float(n["color_value"]))
-        for n in doc["nodes"]
-    }
+    """Read a graph-JSON file back into a :class:`SINGraph` plus provenance.
+
+    A file that is not such a graph raises ConfigurationError naming it:
+    invalid JSON, a missing key, a value of the wrong type (a number is
+    never a bool), a repeated node or an edge to a node it does not list.
+    """
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    except json.JSONDecodeError as err:
+        raise ConfigurationError(f"{path}: {err}") from None
+
+    def get(obj, key, kind, where, nullable=False):
+        if not isinstance(obj, dict):
+            raise ConfigurationError(f"{path}: {where} is not an object")
+        if key not in obj:
+            raise ConfigurationError(f"{path}: {where} has no {key!r}")
+        value = obj[key]
+        if not (nullable and value is None
+                or isinstance(value, kind) and not isinstance(value, bool)):
+            raise ConfigurationError(f"{path}: {key!r} of {where} is not {_JSON_KINDS[kind]}")
+        return value
+
+    schema = get(doc, "schema", str, "the document")
+    if schema != GRAPH_SCHEMA:
+        raise ConfigurationError(f"{path}: unsupported graph schema {schema!r}")
+    nodes, groups, size_values, color_values = [], {}, {}, {}
+    for k, n in enumerate(get(doc, "nodes", list, "the document")):
+        node = get(n, "id", str, f"nodes[{k}]")
+        nodes.append(node)
+        groups[node] = get(n, "group", str, f"nodes[{k}]")
+        size = get(n, "size_value", _NUMBER, f"nodes[{k}]", nullable=True)
+        if size is not None:
+            size_values[node] = float(size)
+        color = get(n, "color_value", _NUMBER, f"nodes[{k}]", nullable=True)
+        color_values[node] = None if color is None else float(color)
     edges = tuple(
-        (e["source"], e["target"], float(e["weight"])) for e in doc["edges"]
+        (get(e, "source", str, f"edges[{k}]"), get(e, "target", str, f"edges[{k}]"),
+         float(get(e, "weight", _NUMBER, f"edges[{k}]")))
+        for k, e in enumerate(get(doc, "edges", list, "the document"))
     )
-    graph = SINGraph(
-        nodes=nodes,
-        groups=groups,
-        size_values=size_values,
-        color_values=color_values,
-        edges=edges,
-        threshold=float(doc["threshold"]),
-    )
-    return graph, doc.get("provenance", "")
+    threshold = float(get(doc, "threshold", _NUMBER, "the document"))
+    provenance = get(doc, "provenance", str, "the document") if "provenance" in doc else ""
+    try:
+        graph = SINGraph(tuple(nodes), groups, size_values, color_values, edges, threshold)
+    except ValueError as err:
+        raise ConfigurationError(f"{path}: {err}") from None
+    return graph, provenance
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +452,7 @@ def _loadtxt_probabilities(path: Path, column: str) -> Optional[ProbabilitySerie
     """
     if path.suffix != ".csv":
         return None
-    text = path.read_text()
+    text = path.read_text(encoding="utf-8-sig")
     if any(c in text for c in _OTHER_LINE_BREAKS):
         return None
     end, skip = -1, 0

@@ -89,6 +89,7 @@ class SINGraph:
     ``nodes`` maps node id to display attributes (group, size value, color
     value); ``edges`` are (source, target, weight) with weight the rescaled
     net intensity in [0, 1]. ``threshold`` applies to raw net intensities.
+    Node ids are distinct, and every edge joins two of them.
     """
 
     nodes: tuple[str, ...]
@@ -99,8 +100,15 @@ class SINGraph:
     threshold: float
 
     def __post_init__(self):
+        known = set()
+        for node in self.nodes:
+            if node in known:
+                raise ValueError(f"repeated node {node!r}")
+            known.add(node)
         seen_pairs = set()
         for src, dst, w in self.edges:
+            if src not in known or dst not in known:
+                raise ValueError(f"edge ({src!r}, {dst!r}) has an endpoint that is not a node")
             if src == dst:
                 raise ValueError("self-edges are not allowed")
             if (src, dst) in seen_pairs or (dst, src) in seen_pairs:

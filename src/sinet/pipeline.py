@@ -36,8 +36,10 @@ from .hmm import (
     geometric_average_filter,
     threshold_fractions,
 )
-from .network import ALL_INDICATORS, NodeGroup, build_sin, compute_indicators
-from .series import LogPriceSeries
+from .network import (
+    ALL_INDICATORS, FINANCIAL, INDUSTRIAL, NodeGroup, build_sin, compute_indicators,
+)
+from .series import LogPriceSeries, in_window
 
 DEFAULT_REGRESSIONS = (
     "SI-to-All | SI-from-All | SI-to-Fin | SI-from-Fin | SI-to-IX | SI-from-IX"
@@ -135,7 +137,7 @@ class PipelineConfig:
         if len(set(ids)) != len(ids):
             raise ConfigurationError("duplicate asset ids")
         for a in self.assets:
-            if a.group not in ("industrial", "financial"):
+            if a.group not in (INDUSTRIAL, FINANCIAL):
                 raise ConfigurationError(
                     f"asset {a.asset_id!r} has unknown group {a.group!r}"
                 )
@@ -234,14 +236,10 @@ class PipelineConfig:
                 "unknown config key(s): " + ", ".join(map(repr, unknown))
             )
 
-        data_dir = Path(kv.get("data_dir", "."))
-        if not data_dir.is_absolute():
-            data_dir = base / data_dir
+        data_dir = base / kv.get("data_dir", ".")
         assets = []
         for name in names:
-            path = Path(kv.get(f"asset.{name}.path", f"{name}.csv"))
-            if not path.is_absolute():
-                path = data_dir / path
+            path = data_dir / kv.get(f"asset.{name}.path", f"{name}.csv")
             group = kv.get(f"asset.{name}.group")
             if group is None:
                 raise ConfigurationError(f"asset.{name}.group is required")
@@ -252,9 +250,7 @@ class PipelineConfig:
             logical: kv[f"column.{logical}"]
             for logical in sio.DEFAULT_COLUMNS if f"column.{logical}" in kv
         }
-        out_dir = Path(kv.get("output_dir", cls.output_dir))
-        if not out_dir.is_absolute():
-            out_dir = base / out_dir
+        out_dir = base / kv.get("output_dir", cls.output_dir)
 
         fields: dict = {}
         em_fields: dict = {}
@@ -333,10 +329,11 @@ def _parse_combo(raw: str) -> list[tuple[float, str]]:
     return terms
 
 
-def _combo_values(spec: str, table, nodes) -> np.ndarray:
-    values = np.zeros(len(nodes))
+def _combo_values(spec: str, table, rows: np.ndarray) -> np.ndarray:
+    """The indicator combination ``spec`` at the given rows of ``table``."""
+    values = np.zeros(len(rows))
     for sign, name in _parse_combo(spec):
-        values += sign * np.array([table.value(n, name) for n in nodes])
+        values += sign * table.column(name)[rows]
     return values
 
 
@@ -401,10 +398,8 @@ def write_asset_fit(out: Path, fit: AssetFit, provenance: str) -> list[Path]:
 
 def write_indicators(path: Path, table, provenance: str = "") -> Path:
     """Write an indicator table as ``node`` plus one column per indicator."""
-    rows = [
-        [node] + [float(table.value(node, name)) for name in ALL_INDICATORS]
-        for node in table.nodes
-    ]
+    columns = [table.column(name).tolist() for name in ALL_INDICATORS]
+    rows = list(zip(table.nodes, *columns))
     return sio.write_table_csv(path, ["node", *ALL_INDICATORS], rows, provenance)
 
 
@@ -462,12 +457,7 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
             )
 
             if config.loss_start is not None or config.loss_end is not None:
-                dates = fit.table["dates"]
-                mask = np.ones(len(dates), dtype=bool)
-                if config.loss_start is not None:
-                    mask &= dates >= np.datetime64(config.loss_start, "D")
-                if config.loss_end is not None:
-                    mask &= dates <= np.datetime64(config.loss_end, "D")
+                mask = in_window(fit.table["dates"], config.loss_start, config.loss_end)
                 values = fit.table.get("caps", fit.table["prices"])[mask]
                 if len(values) >= 2:
                     losses[spec.asset_id] = max_loss(values)
@@ -534,13 +524,14 @@ def loss_analytics(table, node_order, groups, losses, regressions: str,
     statistics re-rank internally). Returns (json document, text summary);
     the text rounds to two decimals, the document keeps full precision.
     """
-    scopes = {
-        "all": [n for n in node_order if n in losses],
-        "industrial": [n for n in node_order
-                       if n in losses and groups.group_of(n) == "industrial"],
-        "financial": [n for n in node_order
-                      if n in losses and groups.group_of(n) == "financial"],
-    }
+    row_of = {node: k for k, node in enumerate(table.nodes)}
+    nodes = [n for n in node_order if n in losses]
+    rows = np.array([row_of[n] for n in nodes], dtype=int)
+    labels = np.array([groups.group_of(n) for n in nodes], dtype=object)
+    all_losses = np.array([losses[n] for n in nodes])
+    scopes = {"all": np.ones(len(nodes), dtype=bool),
+              INDUSTRIAL: labels == INDUSTRIAL, FINANCIAL: labels == FINANCIAL}
+    models, specs = _parse_model_specs(regressions), _parse_correlation_specs(correlation_specs)
     doc = {"provenance": provenance, "regressions": [], "correlations": []}
     text = [f"# {provenance}", ""]
 
@@ -548,18 +539,18 @@ def loss_analytics(table, node_order, groups, losses, regressions: str,
         entry["skipped"] = reason
         text.append(f"  {label}: skipped ({reason})")
 
-    for scope, nodes in scopes.items():
-        y = np.array([losses[n] for n in nodes])
-        text.append(f"== regressions: {scope} ({len(nodes)} nodes) ==")
-        for names in _parse_model_specs(regressions):
+    for scope, mask in scopes.items():
+        y, scope_rows, n_obs = all_losses[mask], rows[mask], int(mask.sum())
+        text.append(f"== regressions: {scope} ({n_obs} nodes) ==")
+        for names in models:
             label = " + ".join(names)
-            entry = {"scope": scope, "model": names, "n_obs": len(nodes)}
+            entry = {"scope": scope, "model": names, "n_obs": n_obs}
             doc["regressions"].append(entry)
-            if len(nodes) <= len(names) + 1:
+            if n_obs <= len(names) + 1:
                 skip(entry, label, "too few observations")
                 continue
             X = np.column_stack([
-                rank_transform(_combo_values(name, table, nodes)) for name in names
+                rank_transform(_combo_values(name, table, scope_rows)) for name in names
             ])
             try:
                 res = ols_regress(y, X)
@@ -588,13 +579,13 @@ def loss_analytics(table, node_order, groups, losses, regressions: str,
         text.append("")
 
         text.append(f"== correlations: {scope} ==")
-        for spec in _parse_correlation_specs(correlation_specs):
-            entry = {"scope": scope, "indicator": spec, "n_obs": len(nodes)}
+        for spec in specs:
+            entry = {"scope": scope, "indicator": spec, "n_obs": n_obs}
             doc["correlations"].append(entry)
-            if len(nodes) < 2:
+            if n_obs < 2:
                 skip(entry, spec, "too few observations")
                 continue
-            values = _combo_values(spec, table, nodes)
+            values = _combo_values(spec, table, scope_rows)
             try:
                 rep = correlations(values, y)
             except (SinetError, ValueError) as err:

@@ -19,6 +19,16 @@ def _as_dates(timestamps) -> np.ndarray:
     return ts
 
 
+def in_window(dates: np.ndarray, start=None, end=None) -> np.ndarray:
+    """Mask of the dates in [start, end], inclusive; either end may be None."""
+    mask = np.ones(len(dates), dtype=bool)
+    if start is not None:
+        mask &= dates >= np.datetime64(start, "D")
+    if end is not None:
+        mask &= dates <= np.datetime64(end, "D")
+    return mask
+
+
 @dataclass(frozen=True)
 class LogPriceSeries:
     """Log prices of one asset on strictly increasing calendar dates."""
@@ -48,11 +58,7 @@ class LogPriceSeries:
 
     def window(self, start=None, end=None) -> "LogPriceSeries":
         """Restrict to timestamps in [start, end] (inclusive, either side optional)."""
-        mask = np.ones(len(self), dtype=bool)
-        if start is not None:
-            mask &= self.timestamps >= np.datetime64(start, "D")
-        if end is not None:
-            mask &= self.timestamps <= np.datetime64(end, "D")
+        mask = in_window(self.timestamps, start, end)
         if mask.sum() < 2:
             raise InsufficientDataError(
                 f"window [{start}, {end}] keeps fewer than 2 points of {self.asset_id!r}"

@@ -252,7 +252,7 @@ class TestOlsPValues:
             res = ols_regress(y, X)
             assert_p_values_are_t_sf(res, n - k - 1)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, database=None, print_blob=True)
     @given(regressions())
     def test_matches_t_sf(self, case):
         y, X = case

@@ -280,6 +280,22 @@ class TestExport:
         ])
         assert rc == 1
 
+    @pytest.mark.parametrize("edit, what", [
+        (lambda doc: {k: v for k, v in doc.items() if k != "nodes"},
+         "the document has no 'nodes'"),
+        (lambda doc: [doc], "the document is not an object"),
+        (lambda doc: {**doc, "edges": [{"source": "ENE", "target": "XYZ", "weight": 0.5}]},
+         "edge ('ENE', 'XYZ') has an endpoint that is not a node"),
+    ], ids=["no-nodes", "list", "unlisted-endpoint"])
+    def test_malformed_graph_exits_one(self, run_dir, tmp_path, capsys, edit, what):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(edit(json.loads((run_dir / "sin.json").read_text()))))
+        out = tmp_path / "g.dot"
+        rc = main(["export", "--graph", str(bad), "--format", "dot", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {bad}: {what}\n"
+        assert not out.exists()
+
 
 class TestTeOptions:
     def test_smoothing_column(self, run_dir, capsys):

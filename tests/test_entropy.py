@@ -281,3 +281,28 @@ class TestBubbleDayMask:
         y = make_probs([0.1, 0.1, 0.1, 0.1])
         with pytest.raises(ValueError, match="fewer than 2"):
             sii(x, y, bubble_only=True, bubble_level=0.9)
+
+
+class TestKernelDiagonal:
+    """A series counted against itself gives exactly 0.0: H(v_prev | u_prev)
+    and H(v_prev | u_t, u_prev) cancel term by term when v is u, with or
+    without a bubble-day mask."""
+
+    @pytest.mark.parametrize("seed, length, bins", [(3, 40, 2), (5, 300, 10), (7, 1000, 4)])
+    def test_unmasked(self, make_probs, seed, length, bins):
+        rng = np.random.default_rng(seed)
+        rows = np.array([discretize(make_probs(rng.random(length) ** k), bins).bins
+                         for k in (1, 2, 3, 5)])
+        values, sizes = entropy_module._te_kernel(rows, rows, bins, 10.0, None, None)
+        assert (np.diag(values) == 0.0).all()
+        assert (np.diag(sizes) == length - 1).all()
+
+    @pytest.mark.parametrize("level", [0.0, 0.3, 0.5, 0.8])
+    def test_bubble_only_masks(self, make_probs, level):
+        rng = np.random.default_rng(11)
+        series = [make_probs(rng.random(500) ** k) for k in (0.5, 1, 2, 3)]
+        rows = np.array([discretize(s, 10).bins for s in series])
+        days = np.stack([entropy_module._bubble_days(s, level) for s in series])
+        values, sizes = entropy_module._te_kernel(rows, rows, 10, 10.0, days, days)
+        assert (np.diag(values) == 0.0).all()
+        assert (np.diag(sizes) == days.sum(axis=1)).all()

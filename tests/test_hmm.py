@@ -317,7 +317,7 @@ class TestSolveFeedbackExponent:
         assert 1e-4 < want < 10.0
         assert n_hat == pytest.approx(want, abs=1e-6)
 
-    @settings(max_examples=60, deadline=None, database=None)
+    @settings(max_examples=60, deadline=None, database=None, print_blob=True)
     @given(
         seed=st.integers(0, 2**32 - 1),
         T=st.integers(5, 60),

@@ -147,6 +147,114 @@ class TestGraphExport:
             sio.import_graph_json(p)
 
 
+    def test_dot_ids_are_escaped(self, tmp_path):
+        m = SIIMatrix(('A"x', "B\\y", "C"), np.array(
+            [[0.0, 0.5, 0.0], [0.25, 0.0, 0.0], [0.0, 0.75, 0.0]]))
+        g = build_sin(m, NodeGroup({'A"x': "industrial", "B\\y": "financial", "C": "industrial"}),
+                      0.1)
+        path = sio.export_graph(g, "dot", tmp_path / "g.dot", "config=abc")
+        assert path.read_bytes() == (
+            b'// config=abc\n'
+            b'digraph SIN {\n'
+            b'  // threshold=0.1\n'
+            b'  "A\\"x" [group="industrial", size_value=1.5];\n'
+            b'  "B\\\\y" [group="financial", size_value=1.0];\n'
+            b'  "C" [group="industrial", size_value=1.5];\n'
+            b'  "A\\"x" -> "B\\\\y" [weight=0.0, penwidth=0.5];\n'
+            b'  "C" -> "B\\\\y" [weight=1.0, penwidth=5.0];\n'
+            b'}\n'
+        )
+
+
+GRAPH_HEAD = '"schema": "sin-graph/1", "provenance": "p", "threshold": 0.3'
+NODE_A = '{"id": "a", "group": "industrial", "size_value": 1.0, "color_value": null}'
+NODE_INT_ID = NODE_A.replace('"a"', "3")
+NODE_BOOL_SIZE = NODE_A.replace("1.0", "true")
+
+
+class TestGraphImportErrors:
+    """A graph-JSON file that is not a graph of the schema fails naming
+    the file and what is wrong, never with a bare KeyError or TypeError."""
+
+    @pytest.mark.parametrize("text, what", [
+        ("[1, 2]", "the document is not an object"),
+        ("{", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        ('{"nodes": [], "edges": []}', "the document has no 'schema'"),
+        (f'{{{GRAPH_HEAD}, "edges": []}}', "the document has no 'nodes'"),
+        (f'{{{GRAPH_HEAD}, "nodes": {{}}, "edges": []}}', "'nodes' of the document is not a list"),
+        (f'{{{GRAPH_HEAD}, "nodes": [7], "edges": []}}', "nodes[0] is not an object"),
+        (f'{{{GRAPH_HEAD}, "nodes": [{NODE_A}, {{"id": "b"}}], "edges": []}}',
+         "nodes[1] has no 'group'"),
+        (f'{{{GRAPH_HEAD}, "nodes": [{NODE_INT_ID}], "edges": []}}',
+         "'id' of nodes[0] is not a string"),
+        (f'{{{GRAPH_HEAD}, "nodes": [{NODE_BOOL_SIZE}], "edges": []}}',
+         "'size_value' of nodes[0] is not a number"),
+        (f'{{{GRAPH_HEAD}, "nodes": [{NODE_A}], '
+         '"edges": [{"source": "a", "target": "a", "weight": "1"}]}',
+         "'weight' of edges[0] is not a number"),
+        (f'{{{GRAPH_HEAD}, "nodes": [{NODE_A}], "edges": []}}'.replace('"p"', "5"),
+         "'provenance' of the document is not a string"),
+        (f'{{{GRAPH_HEAD}, "nodes": [{NODE_A}, {NODE_A}], "edges": []}}',
+         "repeated node 'a'"),
+        (f'{{{GRAPH_HEAD}, "nodes": [{NODE_A}], '
+         '"edges": [{"source": "a", "target": "b", "weight": 1.0}]}',
+         "edge ('a', 'b') has an endpoint that is not a node"),
+    ], ids=["list", "invalid", "no-schema", "no-nodes", "nodes-object", "node-number",
+            "no-group", "int-id", "bool-size", "string-weight", "int-provenance",
+            "repeated-node", "unlisted-endpoint"])
+    def test_names_the_fault(self, tmp_path, text, what):
+        p = write(tmp_path / "g.json", text)
+        with raises_exactly(ConfigurationError, p, what):
+            sio.import_graph_json(p)
+
+
+BOM = "\ufeff"
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark, as spreadsheet "CSV UTF-8" exports write it,
+    is not part of the first line."""
+
+    def test_price_table(self, tmp_path):
+        p = write(tmp_path / "p.csv", BOM + "date,price\n2006-01-02,1.5\n2006-01-03,2.0\n")
+        assert sio.read_price_table(p)["prices"].tolist() == [1.5, 2.0]
+
+    def test_quoted_price_table(self, tmp_path):
+        p = write(tmp_path / "p.csv", BOM + '"date","price"\n"2006-01-02","1.5"\n')
+        assert sio.read_price_table(p)["prices"].tolist() == [1.5]
+
+    @pytest.mark.parametrize("suffix", [".csv", ".txt"])
+    def test_probabilities_table(self, tmp_path, suffix):
+        p = write(tmp_path / f"p{suffix}",
+                  BOM + "# note\ndate,filtering,smoothing\n2006-01-02,0.25,0.5\n")
+        assert sio.read_probabilities_csv(p).values.tolist() == [0.25]
+
+    def test_matrix(self, tmp_path):
+        p = write(tmp_path / "m.csv", BOM + "# note\nnode,a,b\na,0.0,0.5\nb,0.25,0.0\n")
+        assert sio.read_matrix_csv(p)[0] == ("a", "b")
+
+    def test_indicator_table(self, tmp_path):
+        header = ",".join(["node", *ALL_INDICATORS])
+        p = write(tmp_path / "i.csv", BOM + f"# note\n{header}\na" + ",0.0" * 9 + "\n")
+        assert sio.read_indicators_csv(p).nodes == ("a",)
+
+    def test_loss_table(self, tmp_path):
+        p = write(tmp_path / "l.csv", BOM + "# note\nnode,max_loss_pct\na,12.5\n")
+        assert sio.read_losses_csv(p) == {"a": 12.5}
+
+    def test_group_table(self, tmp_path):
+        p = write(tmp_path / "g.csv", BOM + "node,group\na,industrial\nb,financial\n")
+        assert sio.read_groups_csv(p).groups == {"a": "industrial", "b": "financial"}
+
+    def test_config_file(self, tmp_path):
+        p = write(tmp_path / "c.cfg", BOM + "alpha = 1\n")
+        assert sio.read_key_values(p) == {"alpha": "1"}
+
+    def test_graph_json(self, tmp_path):
+        p = write(tmp_path / "g.json", BOM + f'{{{GRAPH_HEAD}, "nodes": [{NODE_A}], "edges": []}}')
+        assert sio.import_graph_json(p)[0].nodes == ("a",)
+
+
 class TestTableRoundTrips:
     def test_probabilities_csv(self, tmp_path, make_probs):
         filt = make_probs([0.1, 0.5, 0.9])
@@ -478,7 +586,7 @@ CORRUPTIONS = {
     "price": ["0", "-1.5", "inf", "nan", "abc", ""],
     "market_cap": ["0", "-2", "-inf", "nan", "1e", ""],
 }
-FUZZ = settings(max_examples=150, deadline=None, database=None,
+FUZZ = settings(max_examples=150, deadline=None, database=None, print_blob=True,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 

@@ -6,6 +6,7 @@ from sinet import (
     ConfigurationError,
     NodeGroup,
     SIIMatrix,
+    SINGraph,
     build_sin,
     compute_indicators,
 )
@@ -200,3 +201,18 @@ class TestNodeGroup:
         g = NodeGroup({"a": "financial", "b": "industrial", "c": "financial"},
                       subsectors={"a": "bank", "c": "insurance"})
         assert [g.group_of(n) for n in "abc"] == ["financial", "industrial", "financial"]
+
+
+class TestSINGraph:
+    def graph(self, nodes, edges):
+        return SINGraph(nodes=nodes, groups={n: "industrial" for n in nodes},
+                        size_values={}, color_values={}, edges=edges, threshold=0.0)
+
+    def test_repeated_node_rejected(self):
+        with pytest.raises(ValueError, match=r"^repeated node 'a'$"):
+            self.graph(("a", "b", "a"), ())
+
+    @pytest.mark.parametrize("edge", [("a", "q", 0.5), ("q", "a", 0.5)])
+    def test_edge_to_unlisted_node_rejected(self, edge):
+        with pytest.raises(ValueError, match=r"^edge \('.', '.'\) has an endpoint that is not a node$"):
+            self.graph(("a", "b"), (edge,))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 from dataclasses import replace
@@ -345,4 +346,79 @@ class TestLossAnalyticsSkips:
             "  SI-to-All + SI-to-All: skipped (too few observations)\n\n"
             "== correlations: financial ==\n"
             f"  {combo}: skipped (too few observations)\n\n"
+        )
+
+
+class TestPinnedOutputs:
+    """The indicator writer's bytes and the loss analytics outputs, pinned
+    for a fixed table."""
+
+    def test_write_indicators_bytes(self, tmp_path):
+        m = SIIMatrix(("a", "b", "c"), np.array([
+            [0.0, 0.1, 0.25], [1 / 3, 0.0, 0.5], [0.2, 0.125, 0.0],
+        ]))
+        groups = NodeGroup({"a": "industrial", "b": "financial", "c": "industrial"})
+        path = pipeline_module.write_indicators(
+            tmp_path / "indicators.csv", compute_indicators(m, groups), "config=abc")
+        assert path.read_text() == (
+            "# config=abc\n"
+            "node,SI-to-All,SI-from-All,SI-to-Fin,SI-from-Fin,SI-to-IX,SI-from-IX,"
+            "NSII-on-All,NSII-on-Fin,NSII-on-IX\n"
+            "a,0.35,0.5333333333333333,0.1,0.3333333333333333,0.25,0.2,"
+            "-0.18333333333333335,-0.2333333333333333,0.04999999999999999\n"
+            "b,0.8333333333333333,0.225,0.0,0.0,0.8333333333333333,0.225,"
+            "0.6083333333333333,0.0,0.6083333333333333\n"
+            "c,0.325,0.75,0.125,0.5,0.2,0.25,-0.425,-0.375,-0.04999999999999999\n"
+        )
+
+    def test_loss_analytics_document_and_text(self):
+        names = tuple(f"n{k}" for k in range(9))
+        m = SIIMatrix(names, np.array([
+            [0.0 if i == j else ((i * 37 + j * 11) % 29) / 29 for j in range(9)]
+            for i in range(9)
+        ]))
+        groups = NodeGroup({n: "financial" if k in (1, 4, 6, 8) else "industrial"
+                            for k, n in enumerate(names)})
+        # n5 has no loss, so every scope leaves it out
+        losses = {n: 10 + (k * 13) % 17 + k / 8 for k, n in enumerate(names) if k != 5}
+        doc, text = pipeline_module.loss_analytics(
+            compute_indicators(m, groups), m.nodes, groups, losses,
+            "SI-to-All | NSII-on-Fin - SI-from-IX, SI-to-IX | SI-from-Fin, SI-to-IX, NSII-on-All",
+            "NSII-on-All | NSII-on-Fin - SI-from-IX + SI-to-All", "config=abc",
+        )
+        assert [(e["scope"], e["n_obs"]) for e in doc["correlations"]] == [
+            ("all", 8), ("all", 8), ("industrial", 4), ("industrial", 4),
+            ("financial", 4), ("financial", 4)]
+        assert doc["regressions"][0]["coefficients"] == [0.004464285714286397]
+        assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == (
+            "0a47ca8a8acc059370459dbef7d7daa71a59f3531df4e8fc75d8520a3c206462")
+        two, three = "NSII-on-Fin - SI-from-IX + SI-to-IX", "SI-from-Fin + SI-to-IX + NSII-on-All"
+        combo = "NSII-on-Fin - SI-from-IX + SI-to-All"
+        assert text == (
+            "# config=abc\n\n"
+            "== regressions: all (8 nodes) ==\n"
+            "  SI-to-All: SI-to-All=0.00(0.77) | R2=0.00 adjR2=-0.17 F=0.00\n"
+            f"  {two}: NSII-on-Fin - SI-from-IX=1.00(0.71), SI-to-IX=-0.13(0.71)"
+            " | R2=0.29 adjR2=0.00 F=1.01\n"
+            f"  {three}: SI-from-Fin=-0.05(0.94), SI-to-IX=-0.65(1.19),"
+            " NSII-on-All=0.73(1.17) | R2=0.10 adjR2=-0.58 F=0.15\n\n"
+            "== correlations: all ==\n"
+            "  NSII-on-All: pearson=0.21 spearman=0.19 kendall=0.00\n"
+            f"  {combo}: pearson=0.30 spearman=0.33 kendall=0.21\n\n"
+            "== regressions: industrial (4 nodes) ==\n"
+            "  SI-to-All: SI-to-All=2.45(1.27) | R2=0.65 adjR2=0.48 F=3.72\n"
+            f"  {two}: NSII-on-Fin - SI-from-IX=2.43(2.20), SI-to-IX=-1.45(2.20)"
+            " | R2=0.56 adjR2=-0.32 F=0.64\n"
+            f"  {three}: skipped (too few observations)\n\n"
+            "== correlations: industrial ==\n"
+            "  NSII-on-All: pearson=0.20 spearman=0.20 kendall=0.00\n"
+            f"  {combo}: pearson=0.86 spearman=0.40 kendall=0.33\n\n"
+            "== regressions: financial (4 nodes) ==\n"
+            "  SI-to-All: SI-to-All=0.21(3.12) | R2=0.00 adjR2=-0.50 F=0.00\n"
+            f"  {two}: NSII-on-Fin - SI-from-IX=2.96(3.76), SI-to-IX=0.62(3.76)"
+            " | R2=0.39 adjR2=-0.82 F=0.32\n"
+            f"  {three}: skipped (too few observations)\n\n"
+            "== correlations: financial ==\n"
+            "  NSII-on-All: pearson=0.38 spearman=0.20 kendall=0.00\n"
+            f"  {combo}: pearson=0.27 spearman=0.40 kendall=0.33\n\n"
         )
