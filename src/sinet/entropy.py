@@ -94,20 +94,14 @@ def discretize(probs: ProbabilitySeries, bin_count: int = 10) -> BinnedSeries:
 
 
 def _te_kernel(
-    sources: np.ndarray,
-    targets: np.ndarray,
-    bin_count: int,
-    base: float,
-    source_days: np.ndarray | None = None,
-    target_days: np.ndarray | None = None,
+    bins: np.ndarray, bin_count: int, base: float, days: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Unclamped transfer entropy from every row of ``sources`` to every row
-    of ``targets`` (bin symbols, one series per row, all of length T >= 3).
+    """Unclamped transfer entropy from every row to every row of one stack
+    ``bins`` (bin symbols, one series per row, all of length T >= 3).
 
     Returns the values and the sample sizes, both indexed [source, target].
-    With day flags (given for both sides, one row of length T-1 per
-    series), pair (i, r) counts only the triples where
-    ``source_days[i] & target_days[r]``.
+    With day flags (one row of length T-1 per series), pair (i, r) counts
+    only the triples where ``days[i] & days[r]``.
 
     Targets are taken in blocks of at most ``TE_BLOCK`` elements, counting
     both the block's triples (targets x steps) and its cells (targets x
@@ -127,20 +121,19 @@ def _te_kernel(
     """
     B = bin_count
     cells = B**3
-    steps = targets.shape[1] - 1
-    v_prev = sources[:, :-1]
-    masked = source_days is not None
+    steps = bins.shape[1] - 1
+    v_prev = bins[:, :-1]
     log_base = float(np.log(base))
-    values = np.empty((len(sources), len(targets)))
-    sizes = np.empty((len(sources), len(targets)), dtype=np.int64)
+    values = np.empty((len(bins), len(bins)))
+    sizes = np.empty((len(bins), len(bins)), dtype=np.int64)
     h = np.arange(steps + 1, dtype=float)  # no count exceeds the steps
     h[1:] *= np.log(h[1:])
-    block = min(len(targets), max(1, TE_BLOCK // max(steps, cells)))
+    block = min(len(bins), max(1, TE_BLOCK // max(steps, cells)))
     # buffers for a block's target codes and triple codes, reused per block
     target_codes = np.empty((block, steps), dtype=np.int64)
     triple_codes = np.empty_like(target_codes)
-    for lo in range(0, len(targets), block):
-        u = targets[lo:lo + block]
+    for lo in range(0, len(bins), block):
+        u = bins[lo:lo + block]
         rows = len(u)
         size = rows * cells
         # cell ((v_prev*B + u_t)*rows + r)*B + u_prev for target r of the block
@@ -151,8 +144,8 @@ def _te_kernel(
         target_code += u[:, :-1]
         for i, v in enumerate(v_prev):
             np.add(target_code, v * (size // B), out=code)
-            if masked:  # dropped triples land in a discard cell past the block
-                code[~(target_days[lo:lo + rows] & source_days[i])] = size
+            if days is not None:  # dropped triples land in a discard cell past the block
+                code[~(days[lo:lo + rows] & days[i])] = size
             counts = np.bincount(code.ravel(), minlength=size)[:size].reshape(B, B, -1)
             tp = counts.sum(axis=0)   # (u_t, (r, u_prev))
             lp = counts.sum(axis=1)   # (v_prev, (r, u_prev))
@@ -202,11 +195,12 @@ def transfer_entropy(
         raise ValueError("series must share the same bin count")
     days = None
     if mask is not None:
-        days = np.asarray(mask, dtype=bool)[None]
-        if days.shape != (1, len(u) - 1):
+        days = np.array([mask, mask], dtype=bool)  # the pair's mask on both rows
+        if days.shape != (2, len(u) - 1):
             raise ValueError("mask must align with the lagged triples")
-    values, sizes = _te_kernel(v.bins[None], u.bins[None], u.bin_count, base, days, days)
-    return _clamped(values.item(), sizes.item())
+    # row 0 is the source v and row 1 the target u: only entry (0, 1) is read
+    values, sizes = _te_kernel(np.stack([v.bins, u.bins]), u.bin_count, base, days)
+    return _clamped(float(values[0, 1]), int(sizes[0, 1]))
 
 
 def _bubble_days(probs: ProbabilitySeries, level: float) -> np.ndarray:
@@ -281,7 +275,7 @@ def sii_matrix(
         if bubble_only else None
     )
     # a series against itself cancels term by term: the diagonal is exactly 0.0
-    values, sizes = _te_kernel(bins, bins, bin_count, base, days, days)
+    values, sizes = _te_kernel(bins, bin_count, base, days)
     # only the pairs _clamped rejects or changes, in (source, target) order
     for k in np.flatnonzero((sizes < 2) | (values < 0.0)).tolist():
         values.flat[k] = _clamped(float(values.flat[k]), int(sizes.flat[k]))

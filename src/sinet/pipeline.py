@@ -162,16 +162,7 @@ class PipelineConfig:
             )
         if self.probability_source not in ("filtering", "smoothing"):
             raise ConfigurationError("probability_source must be filtering or smoothing")
-        for key, specs in (
-            ("regressions", [name for names in _parse_model_specs(self.regressions)
-                             for name in names]),
-            ("correlations", _parse_correlation_specs(self.correlation_specs)),
-        ):
-            for spec in specs:
-                try:
-                    _parse_combo(spec)
-                except ConfigurationError as err:
-                    raise ConfigurationError(f"{key}: {err}") from None
+        _parse_analytics(self.regressions, self.correlation_specs)
 
     # -- serialisation ------------------------------------------------------
 
@@ -296,19 +287,6 @@ class RunReport:
     summary: dict[str, dict] = field(default_factory=dict)
 
 
-def _parse_model_specs(raw: str) -> list[list[str]]:
-    models = []
-    for chunk in raw.split("|"):
-        names = [n.strip() for n in chunk.split(",") if n.strip()]
-        if names:
-            models.append(names)
-    return models
-
-
-def _parse_correlation_specs(raw: str) -> list[str]:
-    return [spec.strip() for spec in raw.split("|") if spec.strip()]
-
-
 def _parse_combo(raw: str) -> list[tuple[float, str]]:
     """Parse 'A - B + C' into signed indicator terms, rejecting a name that
     is not an indicator.
@@ -329,10 +307,30 @@ def _parse_combo(raw: str) -> list[tuple[float, str]]:
     return terms
 
 
-def _combo_values(spec: str, table, rows: np.ndarray) -> np.ndarray:
-    """The indicator combination ``spec`` at the given rows of ``table``."""
+def _parse_analytics(regressions: str, correlation_specs: str):
+    """Parse the loss-analytics specification once: ``|`` separates
+    entries and ``,`` the regressors of one model. Returns the models, each
+    a list of ``(text, terms)``, and the correlations, each ``(text,
+    terms)``. A bad expression raises ConfigurationError prefixed with its
+    config key."""
+    def split(raw: str, sep: str) -> list[str]:
+        return [text.strip() for text in raw.split(sep) if text.strip()]
+
+    def parse(key: str, texts: list[str]) -> list[tuple[str, list]]:
+        try:
+            return [(text, _parse_combo(text)) for text in texts]
+        except ConfigurationError as err:
+            raise ConfigurationError(f"{key}: {err}") from None
+
+    models = [parse("regressions", split(chunk, ",")) for chunk in regressions.split("|")]
+    return [m for m in models if m], parse("correlations", split(correlation_specs, "|"))
+
+
+def _combo_values(terms, table, rows: np.ndarray) -> np.ndarray:
+    """The parsed indicator combination ``terms`` at the given rows of
+    ``table``."""
     values = np.zeros(len(rows))
-    for sign, name in _parse_combo(spec):
+    for sign, name in terms:
         values += sign * table.column(name)[rows]
     return values
 
@@ -523,7 +521,10 @@ def loss_analytics(table, node_order, groups, losses, regressions: str,
     correlation statistics take the indicator combinations raw (the rank
     statistics re-rank internally). Returns (json document, text summary);
     the text rounds to two decimals, the document keeps full precision.
+    The specification is parsed first: an unknown indicator raises
+    ConfigurationError before any fit.
     """
+    models, specs = _parse_analytics(regressions, correlation_specs)
     row_of = {node: k for k, node in enumerate(table.nodes)}
     nodes = [n for n in node_order if n in losses]
     rows = np.array([row_of[n] for n in nodes], dtype=int)
@@ -531,7 +532,6 @@ def loss_analytics(table, node_order, groups, losses, regressions: str,
     all_losses = np.array([losses[n] for n in nodes])
     scopes = {"all": np.ones(len(nodes), dtype=bool),
               INDUSTRIAL: labels == INDUSTRIAL, FINANCIAL: labels == FINANCIAL}
-    models, specs = _parse_model_specs(regressions), _parse_correlation_specs(correlation_specs)
     doc = {"provenance": provenance, "regressions": [], "correlations": []}
     text = [f"# {provenance}", ""]
 
@@ -542,7 +542,8 @@ def loss_analytics(table, node_order, groups, losses, regressions: str,
     for scope, mask in scopes.items():
         y, scope_rows, n_obs = all_losses[mask], rows[mask], int(mask.sum())
         text.append(f"== regressions: {scope} ({n_obs} nodes) ==")
-        for names in models:
+        for model in models:
+            names = [name for name, _ in model]
             label = " + ".join(names)
             entry = {"scope": scope, "model": names, "n_obs": n_obs}
             doc["regressions"].append(entry)
@@ -550,7 +551,7 @@ def loss_analytics(table, node_order, groups, losses, regressions: str,
                 skip(entry, label, "too few observations")
                 continue
             X = np.column_stack([
-                rank_transform(_combo_values(name, table, scope_rows)) for name in names
+                rank_transform(_combo_values(terms, table, scope_rows)) for _, terms in model
             ])
             try:
                 res = ols_regress(y, X)
@@ -579,13 +580,13 @@ def loss_analytics(table, node_order, groups, losses, regressions: str,
         text.append("")
 
         text.append(f"== correlations: {scope} ==")
-        for spec in specs:
+        for spec, terms in specs:
             entry = {"scope": scope, "indicator": spec, "n_obs": n_obs}
             doc["correlations"].append(entry)
             if n_obs < 2:
                 skip(entry, spec, "too few observations")
                 continue
-            values = _combo_values(spec, table, scope_rows)
+            values = _combo_values(terms, table, scope_rows)
             try:
                 rep = correlations(values, y)
             except (SinetError, ValueError) as err:

@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from sinet import pipeline
+from sinet import NodeGroup, SIIMatrix, compute_indicators, pipeline
 from sinet.cli import main
 from sinet.errors import NumericalFailureError
 from sinet.synthetic import write_corpus
@@ -371,6 +372,28 @@ class TestMalformedInput:
                    "--out-dir", str(out)])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {paths[table]}: {what}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, key, value", [
+        ("--models", "regressions", "SI-to-Al"),
+        ("--correlations", "correlations", "NSII-on-Al"),
+    ])
+    def test_regress_unknown_indicator_exits_one(self, tmp_path, capsys, flag, key, value):
+        # two nodes: no scope has enough observations to fit a model
+        matrix = SIIMatrix(("ENE", "BNK"), np.array([[0.0, 0.1], [0.2, 0.0]]))
+        groups = NodeGroup({"ENE": "industrial", "BNK": "financial"})
+        indicators = pipeline.write_indicators(
+            tmp_path / "ind.csv", compute_indicators(matrix, groups))
+        (tmp_path / "groups.csv").write_text("node,group\nENE,industrial\nBNK,financial\n")
+        (tmp_path / "losses.csv").write_text("node,max_loss_pct\nENE,10.0\nBNK,20.0\n")
+        out = tmp_path / "reports"
+        rc = main(["regress", "--indicators", str(indicators),
+                   "--groups", str(tmp_path / "groups.csv"),
+                   "--losses", str(tmp_path / "losses.csv"), flag, value,
+                   "--out-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {key}: unknown indicator {value!r} in {value!r}\n")
         assert not out.exists()
 
     def test_te_misaligned_files_exit_one(self, tmp_path, capsys):

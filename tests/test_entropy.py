@@ -293,7 +293,7 @@ class TestKernelDiagonal:
         rng = np.random.default_rng(seed)
         rows = np.array([discretize(make_probs(rng.random(length) ** k), bins).bins
                          for k in (1, 2, 3, 5)])
-        values, sizes = entropy_module._te_kernel(rows, rows, bins, 10.0, None, None)
+        values, sizes = entropy_module._te_kernel(rows, bins, 10.0)
         assert (np.diag(values) == 0.0).all()
         assert (np.diag(sizes) == length - 1).all()
 
@@ -303,6 +303,6 @@ class TestKernelDiagonal:
         series = [make_probs(rng.random(500) ** k) for k in (0.5, 1, 2, 3)]
         rows = np.array([discretize(s, 10).bins for s in series])
         days = np.stack([entropy_module._bubble_days(s, level) for s in series])
-        values, sizes = entropy_module._te_kernel(rows, rows, 10, 10.0, days, days)
+        values, sizes = entropy_module._te_kernel(rows, 10, 10.0, days)
         assert (np.diag(values) == 0.0).all()
         assert (np.diag(sizes) == days.sum(axis=1)).all()

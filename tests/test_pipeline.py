@@ -9,7 +9,7 @@ import pytest
 
 from sinet import ConfigurationError, NodeGroup, SIIMatrix, compute_indicators
 from sinet import pipeline as pipeline_module
-from sinet.pipeline import PipelineConfig, _parse_combo, _parse_model_specs, run_pipeline
+from sinet.pipeline import PipelineConfig, _parse_analytics, _parse_combo, run_pipeline
 from sinet.synthetic import bundled_corpus_config, write_corpus
 
 
@@ -176,7 +176,12 @@ class TestComboParsing:
         ]
 
     def test_model_specs(self):
-        assert _parse_model_specs("A | B, C |") == [["A"], ["B", "C"]]
+        models, specs = _parse_analytics("SI-to-All | SI-to-Fin, SI-from-Fin |", "")
+        assert models == [
+            [("SI-to-All", [(1.0, "SI-to-All")])],
+            [("SI-to-Fin", [(1.0, "SI-to-Fin")]), ("SI-from-Fin", [(1.0, "SI-from-Fin")])],
+        ]
+        assert specs == []
 
 
 class TestRunPipeline:
@@ -297,19 +302,58 @@ class TestNonFiniteSettings:
             config.validate()
 
 
+def four_node_table():
+    m = SIIMatrix(("A", "B", "C", "D"), np.array([
+        [0.0, 0.1, 0.2, 0.3], [0.05, 0.0, 0.4, 0.1],
+        [0.3, 0.2, 0.0, 0.0], [0.1, 0.6, 0.2, 0.0],
+    ]))
+    groups = NodeGroup({"A": "industrial", "B": "industrial", "C": "industrial",
+                        "D": "financial"})
+    return compute_indicators(m, groups), m.nodes, groups
+
+
+class TestLossAnalyticsSpecification:
+    """loss_analytics parses its specification once, on entry, and rejects
+    a bad expression with the message ``run`` gives, fit or no fit."""
+
+    @pytest.mark.parametrize("regressions, correlations, message", [
+        ("SI-to-Al", "NSII-on-All", "regressions: unknown indicator 'SI-to-Al' in 'SI-to-Al'"),
+        ("SI-to-All", "NSII-on-Al", "correlations: unknown indicator 'NSII-on-Al' in 'NSII-on-Al'"),
+    ])
+    def test_unknown_name_raises_when_no_scope_fits(self, regressions, correlations, message):
+        table, nodes, groups = four_node_table()
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            # one loss: every scope has too few observations to fit anything
+            pipeline_module.loss_analytics(table, nodes, groups, {"A": 10.0},
+                                           regressions, correlations)
+
+    def test_each_expression_is_parsed_once(self, monkeypatch):
+        parsed = []
+
+        def counting_parse_combo(raw):
+            parsed.append(raw)
+            return _parse_combo(raw)
+
+        monkeypatch.setattr(pipeline_module, "_parse_combo", counting_parse_combo)
+        table, nodes, groups = four_node_table()
+        pipeline_module.loss_analytics(
+            table, nodes, groups, {"A": 10.0, "B": 20.0, "C": 35.0, "D": 5.0},
+            pipeline_module.DEFAULT_REGRESSIONS, pipeline_module.DEFAULT_CORRELATIONS,
+        )
+        regressors = [text.strip() for chunk in pipeline_module.DEFAULT_REGRESSIONS.split("|")
+                      for text in chunk.split(",")]
+        specs = [text.strip() for text in pipeline_module.DEFAULT_CORRELATIONS.split("|")]
+        assert parsed == regressors + specs
+
+
 class TestLossAnalyticsSkips:
     """Entries that no fit fills keep their place, their keys and their
     reason in both outputs."""
 
     def test_skip_entries_and_lines_are_pinned(self):
-        m = SIIMatrix(("A", "B", "C", "D"), np.array([
-            [0.0, 0.1, 0.2, 0.3], [0.05, 0.0, 0.4, 0.1],
-            [0.3, 0.2, 0.0, 0.0], [0.1, 0.6, 0.2, 0.0],
-        ]))
-        groups = NodeGroup({"A": "industrial", "B": "industrial", "C": "industrial",
-                            "D": "financial"})
+        table, nodes, groups = four_node_table()
         doc, text = pipeline_module.loss_analytics(
-            compute_indicators(m, groups), m.nodes, groups,
+            table, nodes, groups,
             {"A": 10.0, "B": 20.0, "C": 35.0, "D": 5.0},
             "SI-to-All, SI-to-All", "NSII-on-All - NSII-on-All", "config=abc",
         )

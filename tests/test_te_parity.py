@@ -60,7 +60,7 @@ def kernel_raw(series, bins, bubble_only=False, level=0.5):
     if bubble_only:
         high = np.array(series) >= level
         days = high[:, 1:] & high[:, :-1]
-    return entropy_module._te_kernel(rows, rows, bins, 10.0, days, days)
+    return entropy_module._te_kernel(rows, bins, 10.0, days)
 
 
 def assert_sizes_match(series, bins, bubble_only, level):
