@@ -15,7 +15,9 @@ product by cyclic (odd/even) reduction: O(T) work in about log2 T vectorised
 passes. The filter reduces in log domain, the smoother, whose operators are
 column-stochastic, in linear domain. ``tests/test_kernel_parity.py`` holds
 them to step-by-step recursions in 50-digit and exact rational arithmetic
-over the same inputs.
+over the same inputs. The filter's reduction takes a batch axis of parameter
+sets on one series, which the EM line search uses to score its shorter step
+lengths in one call.
 """
 from __future__ import annotations
 
@@ -211,13 +213,15 @@ def geometric_average_filter(
 def _prefixes(first: np.ndarray, ops: np.ndarray, product) -> np.ndarray:
     """Every prefix ``first * ops[0] * ... * ops[t]`` by cyclic reduction.
 
-    Time is the last axis: ``first`` is a (1, C, 1) row vector, ``ops`` a
-    (2, C, T) stack and ``product(a, b)`` the batched product of two stacks.
-    Adjacent operators are multiplied in pairs until none are left (about
-    log2 T levels); going back down, each level's odd prefixes are the next
-    level's results and its even ones take one more product. That is O(T)
-    products in O(log T) vectorised passes, and prefix t only ever combines
-    ``ops[0..t]``. Returns the (1, C, T) prefixes.
+    Time is the last axis: ``first`` is a (1, C, ..., 1) row vector, ``ops``
+    a (2, C, ..., T) stack and ``product(a, b)`` the batched product of two
+    stacks. Any axes between the columns and time are a batch of independent
+    products, which every pass takes at once. Adjacent operators are
+    multiplied in pairs until none are left (about log2 T levels); going
+    back down, each level's odd prefixes are the next level's results and
+    its even ones take one more product. That is O(T) products in O(log T)
+    vectorised passes, and prefix t only ever combines ``ops[0..t]`` of its
+    own batch member. Returns the (1, C, ..., T) prefixes.
     """
     levels = []
     while ops.shape[-1]:
@@ -235,10 +239,13 @@ def _prefixes(first: np.ndarray, ops: np.ndarray, product) -> np.ndarray:
 
 
 def _log_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched product of log-domain stacks: ``a`` is a (1, 2, T) row vector
-    or a (2, 3, T) operator, ``b`` an operator. Column 2 of an operator holds
+    """Batched product of log-domain stacks: ``a`` is a (1, 2, ..., T) row
+    vector or a (2, 3, ..., T) operator, ``b`` an operator, with the same
+    batch axes between the columns and time. Column 2 of an operator holds
     its row log scales, the largest of them 0 (the filter only needs
-    directions); each row of a product keeps its own scale."""
+    directions); each row of a product keeps its own scale. Every element
+    takes the same operations whatever the batch, so a member's product
+    does not depend on the members beside it."""
     joined = a[:, :2] + b[:, 2]  # [i, k]
     top = np.maximum(np.maximum(joined[:, 0], joined[:, 1]), -_MAX)  # a dead row stays dead
     joined -= top[:, None]
@@ -280,48 +287,83 @@ def hamilton_filter(
     then gives its pairwise table and normaliser in one vectorised pass. The
     first step with no live state pair (normaliser 0) is a numerical failure
     at that step; prefixes before it never involve the offending operator.
+
+    This is the one-member case of :func:`_filter_batch`, which filters one
+    series under several parameter sets at once.
     """
-    y = series.log_prices
     if initial is None:
         initial = params.stationary_distribution()
     pi = np.asarray(initial, dtype=float)
     if pi.shape != (2,) or np.any(pi < 0) or abs(pi.sum() - 1.0) > 1e-9:
         raise ValueError("initial must be a length-2 distribution summing to 1")
+    return next(_filter_batch(series, [params], pi))[1]
 
-    ops = emission_logdensities(y, params.regime)  # [i, j, t]
+
+def _filter_batch(series: LogPriceSeries, params, pi: np.ndarray):
+    """The Hamilton filter of ``series`` under each parameter set of the
+    non-empty iterable ``params``, from the initial distribution ``pi``:
+    yields each member's parameters and :class:`FilterOutput`, in order.
+
+    Members are drawn from ``params`` and their emission tables built in
+    order. The first whose parameters or table raise ``ValueError`` ends
+    the batch, and its error is raised once the members before it have been
+    yielded. The reduction, the normalisers and the pairwise tables of the
+    members are computed together, along a batch axis just before time (so
+    one member has the memory layout of an unbatched filter). Each member's
+    output is built and validated only when it is asked for, and a member
+    with a failing step raises its :class:`NumericalFailureError` then; a
+    caller that stops early thus never builds, validates or raises for the
+    members after it. A member's output equals :func:`hamilton_filter` of
+    its parameters bit for bit.
+    """
+    y = series.log_prices
+    members, tables, rejected = [], [], None
+    try:
+        for p in params:
+            tables.append(emission_logdensities(y, p.regime))
+            members.append(p)
+    except ValueError as err:
+        rejected = err
+    if not tables:
+        raise rejected
+    # [i, j, b, t]; a lone member's table is used in place, not copied
+    ops = np.stack(tables, axis=2) if len(tables) > 1 else tables[0][:, :, None]
     # log 0 = -inf marks a dead transition; a dead row's scale may overflow to -inf
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ops += np.log(params.q)[:, :, None]
-        log_pi = np.log(pi)[:, None]
+        ops += np.log([p.q for p in members]).transpose(1, 2, 0)[..., None]
+        log_pi = np.log(pi)[:, None, None]
         # rows shifted to a largest entry of 0, with the shifts as scales
         top = np.maximum(np.maximum(ops[:, 0], ops[:, 1]), -_MAX)
-        steps = np.empty((2, 3, len(y) - 1))
+        steps = np.empty((2, 3) + ops.shape[2:])
         np.subtract(ops, top[:, None], out=steps[:, :2])
         np.subtract(top, np.maximum(top[0], top[1]), out=steps[:, 2])
-        log_forward = _prefixes((log_pi - log_pi.max())[None], steps, _log_product)[0]
+        first = np.repeat((log_pi - log_pi.max())[None], len(members), axis=2)
+        log_forward = _prefixes(first, steps, _log_product)[0]  # [i, b, t]
         forward = np.exp(log_forward)  # larger entry 1 to 2T: <= ln 2 more per level
         total = forward[0] + forward[1]
         forward /= total
         log_forward -= np.log(total)
         cells = ops  # log P(s_{t-1}=i, s_t=j, y_t | y_0..y_{t-1}) from here on
         cells[..., 0] += log_pi
-        cells[..., 1:] += log_forward[:, None, :-1]
+        cells[..., 1:] += log_forward[:, None, :, :-1]
         top = np.maximum(np.maximum(cells[0, 0], cells[0, 1]),
                          np.maximum(cells[1, 0], cells[1, 1]))
         pairwise = np.exp(cells - top)
         norms = pairwise.sum(axis=(0, 1))
         log_norms = top + np.log(norms)
         bad = ~np.isfinite(log_norms)
-        if bad.any():
-            step = int(np.argmax(bad)) + 1
-            norm = float(np.exp(cells[..., step - 1]).sum())
+        pairwise /= norms
+    for b, member_bad in enumerate(bad):
+        if member_bad.any():
+            step = int(np.argmax(member_bad)) + 1
+            norm = float(np.exp(cells[:, :, b, step - 1]).sum())
             raise NumericalFailureError(step, f"filter normaliser {norm!r} at step {step}")
-    pairwise /= norms
-    loglik = float(log_norms.sum())
-
-    filtering = np.concatenate([pi[1:], forward[1]])
-    probs = ProbabilitySeries(series.timestamps, filtering)
-    return FilterOutput(probs, pairwise.transpose(2, 0, 1), loglik)
+        filtering = np.concatenate([pi[1:], forward[1, b]])
+        probs = ProbabilitySeries(series.timestamps, filtering)
+        pairs = pairwise[:, :, b].transpose(2, 0, 1)
+        yield members[b], FilterOutput(probs, pairs, float(log_norms[b].sum()))
+    if rejected is not None:
+        raise rejected
 
 
 def kim_smoother(filt: FilterOutput) -> SmootherOutput:
@@ -545,6 +587,24 @@ def _blend_params(a: ModelParams, b: ModelParams, lam: float) -> ModelParams:
     return ModelParams(regime, (1 - lam) * a.q + lam * b.q)
 
 
+def _damped_trials(
+    series: LogPriceSeries, params: ModelParams, candidate: ModelParams, initial: np.ndarray
+):
+    """The trials of the EM line search, in order: each step length lam =
+    1, 1/2, ..., 2^-11 from ``params`` towards ``candidate``, with its
+    filter output.
+
+    lam = 1 is scored alone, by :func:`hamilton_filter`; the shorter steps
+    are scored together in one :func:`_filter_batch` call, made only when
+    the first of them is asked for. Each shorter step is blended, built,
+    validated or raised for only when it is reached.
+    """
+    trial = _blend_params(params, candidate, 1.0)
+    yield trial, hamilton_filter(series, trial, initial=initial)
+    halved = (_blend_params(params, candidate, 0.5**k) for k in range(1, 12))
+    yield from _filter_batch(series, halved, initial)
+
+
 def em_fit(
     series: LogPriceSeries, config: EMConfig | None = None
 ) -> tuple[ModelParams, EMTrace, FilterOutput, SmootherOutput]:
@@ -564,6 +624,12 @@ def em_fit(
     the log-likelihood, halving towards the current parameters as needed; if
     no step length helps, the fit stops and the trace is marked ``stalled``.
     The recorded log-likelihoods are thus non-decreasing by construction.
+    The full step is scored alone; only when it is rejected are the eleven
+    halved steps scored, in one batched filter call (:func:`_damped_trials`).
+    The first of them, in step order, that is accepted or fails decides,
+    exactly as in a one-step-at-a-time search: a failure raises only when
+    no longer step was accepted, and the steps after the deciding one are
+    never validated or raised for.
 
     Stops when the relative log-likelihood change drops to ``config.tol``
     (non-convergence within ``max_iterations`` is flagged on the trace, not
@@ -596,13 +662,9 @@ def em_fit(
                 )
             candidate = ModelParams(replace(updated.regime, n=n_new), updated.q)
 
-            lam = 1.0
-            for _ in range(12):
-                trial = _blend_params(params, candidate, lam)
-                trial_filt = hamilton_filter(series, trial, initial=pi0)
+            for trial, trial_filt in _damped_trials(series, params, candidate, pi0):
                 if trial_filt.loglik >= filt.loglik:
                     break
-                lam *= 0.5
             else:
                 trace.stalled = True
                 break

@@ -424,6 +424,16 @@ def _write_csv(path, header: list[str], rows, provenance: str) -> Path:
 def write_probabilities_csv(
     path, filtering: ProbabilitySeries, smoothing: ProbabilitySeries, provenance: str = ""
 ) -> Path:
+    """One row per date of the two series, which must be on the same dates."""
+    dates, other = filtering.timestamps, smoothing.timestamps
+    if len(dates) != len(other):
+        raise ValueError(
+            f"filtering has {len(dates)} rows and smoothing {len(other)}: they must be equal")
+    differ = np.flatnonzero(dates != other)
+    if differ.size:
+        k = differ[0]
+        raise ValueError(f"filtering and smoothing dates differ at row {k + 1}: "
+                         f"{dates[k]} and {other[k]}")
     return _write_csv(path, ["date", "filtering", "smoothing"], map(
         "{},{!r},{!r}".format,
         np.datetime_as_string(filtering.timestamps).tolist(),

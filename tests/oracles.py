@@ -243,6 +243,64 @@ def feedback_equation(y, w11, mu1, sigma1, n):
 
 
 # ---------------------------------------------------------------------------
+# The EM line search the library ran before it scored its shorter steps in
+# batched filter calls, kept as the reference that batching must match bit
+# for bit (tests/test_em_line_search.py).
+
+def em_fit_sequential(series, config):
+    """``sinet.hmm.em_fit`` with a one-step-at-a-time line search: the
+    library's own E, M and n steps, and each damped step length lam = 1,
+    1/2, ..., 2^-11 scored by a ``hamilton_filter`` call of its own, in
+    turn, until one does not lower the log-likelihood. This is the line
+    search as it was before the shorter steps were scored in batches, kept
+    as the reference for that batching. Returns ``em_fit``'s four outputs
+    and the accepted step length of each iteration.
+    """
+    from sinet import hmm
+
+    y = series.log_prices
+    params = hmm._initial_params(y, config)
+    pi0 = params.stationary_distribution()
+    trace = hmm.EMTrace()
+    accepted = []
+    iteration = 0
+    try:
+        filt = hmm.hamilton_filter(series, params, initial=pi0)
+        trace.logliks.append(filt.loglik)
+        for iteration in range(1, config.max_iterations + 1):
+            smth = hmm.kim_smoother(filt)
+            updated = hmm.m_step(smth, series, params.regime.n, freeze=params)
+            n_new = params.regime.n
+            if smth.pairwise_smoothed[:, 1, 1].sum() > 0.0:
+                n_new = hmm.solve_feedback_exponent(
+                    smth, series, updated.regime.mu1, updated.regime.sigma1,
+                    params.regime.n, search=config.n_search,
+                )
+            candidate = hmm.ModelParams(
+                hmm.replace(updated.regime, n=n_new), updated.q)
+            lam = 1.0
+            for _ in range(12):
+                trial = hmm._blend_params(params, candidate, lam)
+                trial_filt = hmm.hamilton_filter(series, trial, initial=pi0)
+                if trial_filt.loglik >= filt.loglik:
+                    break
+                lam *= 0.5
+            else:
+                trace.stalled = True
+                break
+            accepted.append(lam)
+            params, filt = trial, trial_filt
+            delta = abs(filt.loglik - trace.logliks[-1]) / max(abs(trace.logliks[-1]), 1e-300)
+            trace.logliks.append(filt.loglik)
+            if delta <= config.tol:
+                trace.converged = True
+                break
+    except hmm.NumericalFailureError as err:
+        raise hmm.NumericalFailureError(err.step, f"EM iteration {iteration}: {err}") from err
+    return params, trace, filt, hmm.kim_smoother(filt), accepted
+
+
+# ---------------------------------------------------------------------------
 # Expected complete-data log-likelihood over fixed posterior weights.
 #
 # Only the (0,0) and (1,1) emission blocks and the chain term enter; the

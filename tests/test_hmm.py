@@ -476,6 +476,37 @@ class TestEmFit:
         assert not trace.converged
         trace.validate_monotone(1e-9)
 
+    def test_stalled_fit_scores_its_shorter_steps_in_one_batched_call(self, monkeypatch):
+        # SEC (T = 729): the start and each full step take one hamilton_filter
+        # call; the stall's eleven halved steps take one batched call, not
+        # eleven single ones
+        filter_calls, batch_sizes = [], []
+        single, batch = hmm_module.hamilton_filter, hmm_module._filter_batch
+
+        def counting_filter(*args, **kwargs):
+            filter_calls.append(len(batch_sizes))
+            return single(*args, **kwargs)
+
+        def counting_batch(series, params, pi):
+            params = list(params)
+            batch_sizes.append(len(params))
+            return batch(series, params, pi)
+
+        monkeypatch.setattr(hmm_module, "hamilton_filter", counting_filter)
+        monkeypatch.setattr(hmm_module, "_filter_batch", counting_batch)
+        config = PipelineConfig.from_file(bundled_corpus_config())
+        spec = next(a for a in config.assets if a.asset_id == "SEC")
+        fit = calibrate_asset(
+            "SEC", spec.path, config.column_map, config.em, config.average,
+            config.analysis_start, config.analysis_end,
+        )
+        assert len(fit.filt.filtering) == 729
+        assert fit.trace.stalled and fit.trace.iterations == 2
+        # the start, the accepted full step of iteration 1, the rejected one of
+        # iteration 2, each a one-member batch of its own; then the stall
+        assert filter_calls == [0, 1, 2]
+        assert batch_sizes == [1, 1, 1, 11]
+
 
 class TestFractions:
     def test_bubble_time_fraction_extremes(self, make_probs):

@@ -942,6 +942,23 @@ class TestProbabilitiesWriter:
         )
 
 
+    def test_series_of_other_lengths_rejected(self, tmp_path, make_probs):
+        # zipping the columns would write 3 rows and drop 2 without a word
+        with pytest.raises(ValueError, match="^filtering has 5 rows and smoothing 3"):
+            sio.write_probabilities_csv(tmp_path / "p.csv", make_probs([0.5] * 5),
+                                        make_probs([0.5] * 3))
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_series_on_other_dates_rejected(self, tmp_path, make_probs):
+        # the smoothing values would be written against the filtering dates
+        filt = make_probs([0.1, 0.2, 0.3])
+        smth = ProbabilitySeries(np.array(["2006-01-02", "2006-01-03", "2006-01-05"],
+                                          dtype="datetime64[D]"), [0.1, 0.2, 0.3])
+        with pytest.raises(ValueError, match="^filtering and smoothing dates differ at row 3: "
+                                             "2006-01-04 and 2006-01-05$"):
+            sio.write_probabilities_csv(tmp_path / "p.csv", filt, smth)
+        assert not (tmp_path / "p.csv").exists()
+
 class TestWriterBytes:
     """Each CSV writer's exact output: provenance line, header, and
     ``repr`` text of every float."""
