@@ -103,6 +103,13 @@ def _check_finite(**values):
             raise ValueError(f"{name} must be finite")
 
 
+def _check_positive(**values):
+    """Each scalar argument must be finite and positive; NaN fails."""
+    for name, value in values.items():
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 def gbm_transition_logdensity(y_t, y_prev, mu0: float, sigma0: float):
     """Log density of y_t | y_{t-1} under the geometric Brownian motion regime.
 
@@ -194,8 +201,7 @@ def emission_logdensities(y, regime: RegimeParams) -> np.ndarray:
 
 def critical_time(p0: float, mu: float, n: float) -> float:
     """Deterministic critical time t_c = p0^{-n} / (n*mu)."""
-    if p0 <= 0 or mu <= 0 or n <= 0:
-        raise ValueError("p0, mu and n must be positive")
+    _check_positive(p0=p0, mu=mu, n=n)
     return p0 ** (-n) / (n * mu)
 
 
@@ -219,8 +225,7 @@ def ig_params(p0: float, mu: float, sigma: float, n: float) -> tuple[float, floa
 
     Returns (p0^{-n}/(n*mu), [p0^{-n}/(n*sigma)]^2).
     """
-    if p0 <= 0 or mu <= 0 or sigma <= 0 or n <= 0:
-        raise ValueError("all arguments must be positive")
+    _check_positive(p0=p0, mu=mu, sigma=sigma, n=n)
     scale = p0 ** (-n)
     return scale / (n * mu), (scale / (n * sigma)) ** 2
 
@@ -245,14 +250,13 @@ def simulate_sa_path(
     Sampling the exact solution (rather than Euler-stepping the SDE) keeps
     the first-passage time free of integration bias near the singularity.
     """
-    if p0 <= 0:
-        raise ValueError(f"p0 must be positive, got {p0}")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    _check_positive(p0=p0, dt=dt)
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    if sigma < 0 or n < 0:
-        raise ValueError("sigma and n must be nonnegative")
+    for name, value in (("sigma", sigma), ("n", n)):
+        if not 0.0 <= value < np.inf:
+            raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+    _check_finite(mu=mu)
     if n > 0 and mu <= 0:
         raise ValueError("mu must be positive when n > 0")
 

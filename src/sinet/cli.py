@@ -47,8 +47,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--price-column", default=sio.DEFAULT_COLUMNS["price"])
     p.add_argument("--start", default=None, help="analysis window start (ISO date)")
     p.add_argument("--end", default=None, help="analysis window end (ISO date)")
-    p.add_argument("--no-average", action="store_true")
-    p.add_argument("--window", type=int, default=EMConfig.average_window)
+    p.add_argument("--window", type=int, default=EMConfig.average_window,
+                   help="pre-averaging window in days; 1 calibrates raw prices")
     p.add_argument("--kappa", type=float, default=EMConfig.kappa)
     p.add_argument("--tol", type=float, default=EMConfig.tol)
     p.add_argument("--max-iterations", type=int, default=EMConfig.max_iterations)
@@ -117,7 +117,7 @@ def _cmd_calibrate(args) -> int:
     fit = pipeline.calibrate_asset(
         args.asset_id or args.input.stem, args.input,
         {"date": args.date_column, "price": args.price_column},
-        config, not args.no_average, args.start, args.end,
+        config, start=args.start, end=args.end,
     )
     args.out_dir.mkdir(parents=True, exist_ok=True)
     provenance = f"input={args.input.name} window={args.start}..{args.end}"

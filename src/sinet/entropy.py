@@ -215,21 +215,21 @@ def sii(
     y_probs: ProbabilitySeries,
     bin_count: int = 10,
     base: float = 10.0,
-    bubble_only: bool = False,
-    bubble_level: float = 0.5,
+    *,
+    bubble_level: float = 0.0,
 ) -> float:
     """Speculative influence intensity of asset x on asset y: the (source,
     target) entry of :func:`sii_matrix` over the basket of x as "source"
     and y as "target", so both series must have the same dates.
 
     This is the transfer entropy with x's bubble-probability series as the
-    source and y's as the target, over the full window by default.
-    ``bubble_only`` restricts the histogram to days on which both assets'
-    bubble probabilities reach ``bubble_level`` (an alternative reading of
-    conditioning on the joint bubble state; not the default).
+    source and y's as the target, over every day of the window at the
+    default ``bubble_level`` of 0. A level above 0 restricts the histogram
+    to days on which both assets' bubble probabilities reach it (a reading
+    of conditioning on the joint bubble state).
     """
     m = sii_matrix({"source": x_probs, "target": y_probs}, bin_count, base,
-                   bubble_only=bubble_only, bubble_level=bubble_level)
+                   bubble_level=bubble_level)
     return m["source", "target"]
 
 
@@ -243,8 +243,8 @@ def sii_matrix(
     bin_count: int = 10,
     base: float = 10.0,
     window: str = "",
-    bubble_only: bool = False,
-    bubble_level: float = 0.5,
+    *,
+    bubble_level: float = 0.0,
 ) -> SIIMatrix:
     """All ordered-pair influence intensities for a basket of assets.
 
@@ -253,6 +253,10 @@ def sii_matrix(
     Pairs are checked in (source, target) order: a negative rounding residue
     is clamped to zero (with a warning below -``NEGATIVE_RESIDUE_WARN``), and
     the first pair whose mask keeps fewer than two triples raises.
+
+    A ``bubble_level`` above 0 keeps only the triples of a pair on whose two
+    days both assets' probabilities reach it. At 0 every triple qualifies,
+    and the kernel counts them without a mask.
     """
     if len(assets) < 2:
         raise ValueError("need at least 2 assets")
@@ -268,11 +272,13 @@ def sii_matrix(
         row[:] = discretize(assets[name], bin_count).bins
     if not 1.0 < base < np.inf:
         raise ValueError(f"base must be finite and exceed 1, got {base!r}")
+    if not 0.0 <= bubble_level <= 1.0:
+        raise ValueError(f"bubble_level must lie in [0, 1], got {bubble_level!r}")
     if len(first) < 3:
         raise ValueError("need at least 3 observations to form lagged triples")
     days = (
         np.stack([_bubble_days(assets[name], bubble_level) for name in names])
-        if bubble_only else None
+        if bubble_level > 0.0 else None
     )
     # a series against itself cancels term by term: the diagonal is exactly 0.0
     values, sizes = _te_kernel(bins, bin_count, base, days)

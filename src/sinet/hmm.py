@@ -56,9 +56,10 @@ class ModelParams:
         q = np.asarray(self.q, dtype=float)
         if q.shape != (2, 2):
             raise ValueError(f"q must be 2x2, got shape {q.shape}")
-        if np.any(q < 0) or np.any(q > 1):
+        # written so that NaN fails each check
+        if not np.all((q >= 0) & (q <= 1)):
             raise ValueError("transition probabilities must lie in [0, 1]")
-        if np.any(np.abs(q.sum(axis=1) - 1.0) > 1e-12):
+        if not np.all(np.abs(q.sum(axis=1) - 1.0) <= 1e-12):
             raise ValueError("each row of q must sum to 1")
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
@@ -131,7 +132,11 @@ class SmootherOutput:
 
 @dataclass(frozen=True)
 class EMConfig:
-    """Settings for :func:`em_fit` and the preprocessing stage."""
+    """Settings for :func:`em_fit` and the preprocessing stage.
+
+    ``average_window`` is the window of :func:`geometric_average_filter`;
+    1 calibrates the raw prices.
+    """
 
     average_window: int = 100
     tol: float = 1e-4
@@ -197,7 +202,9 @@ def geometric_average_filter(
 
     Equivalent to replacing each price by the geometric mean of the last
     ``window`` prices. Output timestamps align with the window's right edge,
-    so the result is ``window - 1`` points shorter.
+    so the result is ``window - 1`` points shorter. A window of 1 returns
+    ``series`` itself: the running-sum difference would move the raw log
+    prices in their last bits.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -205,6 +212,8 @@ def geometric_average_filter(
         raise InsufficientDataError(
             f"series of length {len(series)} is shorter than window {window}"
         )
+    if window == 1:
+        return series
     cs = np.concatenate([[0.0], np.cumsum(series.log_prices)])
     means = (cs[window:] - cs[:-window]) / window
     return LogPriceSeries(series.asset_id, series.timestamps[window - 1 :], means)
@@ -294,7 +303,7 @@ def hamilton_filter(
     if initial is None:
         initial = params.stationary_distribution()
     pi = np.asarray(initial, dtype=float)
-    if pi.shape != (2,) or np.any(pi < 0) or abs(pi.sum() - 1.0) > 1e-9:
+    if pi.shape != (2,) or not (np.all(pi >= 0) and abs(pi.sum() - 1.0) <= 1e-9):
         raise ValueError("initial must be a length-2 distribution summing to 1")
     return next(_filter_batch(series, [params], pi))[1]
 

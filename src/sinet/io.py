@@ -616,20 +616,15 @@ def read_losses_csv(path) -> dict[str, float]:
 
 
 def read_groups_csv(path):
-    """Read node-group assignments: node,group[,subsector] per line. A bad
-    row raises ConfigurationError naming the first bad line: a duplicate
-    node, then a missing group, then a group other than industrial and
-    financial."""
+    """Read node-group assignments: node,group per line (later columns are
+    ignored). A bad row raises ConfigurationError naming the first bad line:
+    a duplicate node, then a missing group, then a group other than
+    industrial and financial."""
     table = _read_table(path)
     if table.header[:2] != ["node", "group"]:
-        raise ConfigurationError(f"{path}: expected columns node,group[,subsector]")
+        raise ConfigurationError(f"{path}: expected columns node,group")
     labels = table.column(1)
     table.check([_repeated_nodes(table), ("missing group", table.widths < 2),
                  (lambda row: f"unknown group {labels[row]!r}",
                   ~np.isin(labels, [INDUSTRIAL, FINANCIAL]))])
-    nodes = table.column(0)
-    groups = dict(zip(nodes, labels))
-    subsectors = {}
-    if table.width > 2:
-        subsectors = {node: sub for node, sub in zip(nodes, table.column(2)) if sub}
-    return NodeGroup(groups, subsectors)
+    return NodeGroup(dict(zip(table.column(0), labels)))

@@ -8,7 +8,7 @@ rescales the survivors' weights into [0, 1].
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -34,18 +34,14 @@ ALL_INDICATORS = GROSS_INDICATORS + NET_INDICATORS
 
 @dataclass(frozen=True)
 class NodeGroup:
-    """Group labels (and optional sub-sector) for every node."""
+    """Group label of every node."""
 
     groups: dict[str, str]
-    subsectors: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         bad = {n: g for n, g in self.groups.items() if g not in (INDUSTRIAL, FINANCIAL)}
         if bad:
             raise ConfigurationError(f"unknown group labels: {bad}")
-        unknown = set(self.subsectors) - set(self.groups)
-        if unknown:
-            raise ConfigurationError(f"sub-sector given for unlabeled nodes: {sorted(unknown)}")
 
     def group_of(self, node: str) -> str:
         try:

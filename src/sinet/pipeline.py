@@ -55,19 +55,6 @@ class AssetSpec:
     asset_id: str
     path: Path
     group: str
-    subsector: Optional[str] = None
-
-
-def _parse_bool(raw: str) -> bool:
-    if raw.lower() in ("true", "yes", "1", "on"):
-        return True
-    if raw.lower() in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
-def _format_bool(value: bool) -> str:
-    return str(value).lower()
 
 
 # Flat config key -> (field, parser, formatter), in echo order. A field under
@@ -78,7 +65,6 @@ _CONFIG_KEYS = (
     ("analysis_end", "analysis_end", str, str),
     ("loss_start", "loss_start", str, str),
     ("loss_end", "loss_end", str, str),
-    ("average", "average", _parse_bool, _format_bool),
     ("average_window", "em.average_window", int, str),
     ("em_tol", "em.tol", float, repr),
     ("em_max_iterations", "em.max_iterations", int, str),
@@ -89,7 +75,6 @@ _CONFIG_KEYS = (
     ("q11_init", "em.q11_init", float, repr),
     ("te_bins", "te_bins", int, str),
     ("te_base", "te_base", float, repr),
-    ("te_bubble_only", "te_bubble_only", _parse_bool, _format_bool),
     ("te_bubble_level", "te_bubble_level", float, repr),
     ("nsii_threshold", "nsii_threshold", float, repr),
     ("probability_source", "probability_source", str, str),
@@ -119,12 +104,10 @@ class PipelineConfig:
     analysis_end: Optional[str] = None
     loss_start: Optional[str] = None
     loss_end: Optional[str] = None
-    average: bool = True
     em: EMConfig = field(default_factory=EMConfig)
     te_bins: int = 10
     te_base: float = 10.0
-    te_bubble_only: bool = False
-    te_bubble_level: float = 0.5
+    te_bubble_level: float = 0.0
     nsii_threshold: float = 0.3
     probability_source: str = "filtering"
     regressions: str = DEFAULT_REGRESSIONS
@@ -175,8 +158,6 @@ class PipelineConfig:
         for a in self.assets:
             kv[f"asset.{a.asset_id}.path"] = str(a.path)
             kv[f"asset.{a.asset_id}.group"] = a.group
-            if a.subsector:
-                kv[f"asset.{a.asset_id}.subsector"] = a.subsector
         for logical, actual in sorted(self.column_map.items()):
             kv[f"column.{logical}"] = actual
         for key, field_path, _, fmt in _CONFIG_KEYS:
@@ -219,7 +200,7 @@ class PipelineConfig:
         if not names:
             raise ConfigurationError("config must list assets")
         known = {key for key, *_ in _CONFIG_KEYS} | {"data_dir", "assets", "output_dir"}
-        known |= {f"asset.{n}.{a}" for n in names for a in ("path", "group", "subsector")}
+        known |= {f"asset.{n}.{a}" for n in names for a in ("path", "group")}
         known |= {f"column.{logical}" for logical in sio.DEFAULT_COLUMNS}
         unknown = [key for key in kv if key not in known]
         if unknown:
@@ -234,9 +215,7 @@ class PipelineConfig:
             group = kv.get(f"asset.{name}.group")
             if group is None:
                 raise ConfigurationError(f"asset.{name}.group is required")
-            assets.append(
-                AssetSpec(name, path, group.strip(), kv.get(f"asset.{name}.subsector"))
-            )
+            assets.append(AssetSpec(name, path, group.strip()))
         column_map = {
             logical: kv[f"column.{logical}"]
             for logical in sio.DEFAULT_COLUMNS if f"column.{logical}" in kv
@@ -367,15 +346,14 @@ class AssetFit:
         }
 
 
-def calibrate_asset(asset_id: str, path, column_map: dict, em: EMConfig,
-                    average: bool = True, start: Optional[str] = None,
-                    end: Optional[str] = None) -> AssetFit:
-    """Read one price CSV, optionally pre-average it, restrict it to the
-    analysis window [start, end] and fit the regime model by EM."""
+def calibrate_asset(asset_id: str, path, column_map: dict, em: EMConfig, *,
+                    start: Optional[str] = None, end: Optional[str] = None) -> AssetFit:
+    """Read one price CSV, pre-average it over ``em.average_window`` days
+    (1 keeps the raw prices), restrict it to the analysis window
+    [start, end] and fit the regime model by EM."""
     table = sio.read_price_table(path, column_map)
     series = LogPriceSeries(asset_id, table["dates"], np.log(table["prices"]))
-    if average:
-        series = geometric_average_filter(series, em.average_window)
+    series = geometric_average_filter(series, em.average_window)
     series = series.window(start, end)
     params, trace, filt, smth = em_fit(series, em)
     return AssetFit(asset_id, table, params, trace, filt, smth)
@@ -445,7 +423,7 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
         try:
             fit = calibrate_asset(
                 spec.asset_id, spec.path, config.column_map, config.em,
-                config.average, config.analysis_start, config.analysis_end,
+                start=config.analysis_start, end=config.analysis_end,
             )
             report.artifacts += [p.name for p in write_asset_fit(out, fit, provenance)]
             report.summary[spec.asset_id] = fit.summary()
@@ -477,16 +455,12 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
     window_label = f"{config.analysis_start}..{config.analysis_end}"
     matrix = sii_matrix(
         probs, config.te_bins, config.te_base, window=window_label,
-        bubble_only=config.te_bubble_only, bubble_level=config.te_bubble_level,
+        bubble_level=config.te_bubble_level,
     )
     path = sio.write_matrix_csv(out / "sii_matrix.csv", matrix.nodes, matrix.values, provenance)
     report.artifacts.append(path.name)
 
-    groups = NodeGroup(
-        {s.asset_id: s.group for s in config.assets if s.asset_id in probs},
-        {s.asset_id: s.subsector for s in config.assets
-         if s.asset_id in probs and s.subsector},
-    )
+    groups = NodeGroup({s.asset_id: s.group for s in config.assets if s.asset_id in probs})
     table = compute_indicators(matrix, groups)
     report.artifacts.append(write_indicators(out / "indicators.csv", table, provenance).name)
 

@@ -18,14 +18,14 @@ N_DAYS = 1095  # 2006-01-02 plus three years of consecutive calendar days
 ANALYSIS_DAYS = 730
 FEEDBACK_EXPONENT = 0.5
 
-# (asset, group, subsector, episodes as [start, end) day indices,
+# (asset, group, episodes as [start, end) day indices,
 #  lag behind the leader, daily shock coupling to the leader)
 ASSETS = (
-    ("ENE", "industrial", None, ((120, 320), (430, 640)), 0, 0.0),
-    ("MAT", "industrial", None, ((120, 320), (430, 640)), 1, 0.8),
-    ("IND", "industrial", None, ((330, 425),), 0, 0.0),
-    ("BNK", "financial", "bank", ((120, 320), (430, 640)), 1, 0.6),
-    ("SEC", "financial", "securities", (), 0, 0.0),
+    ("ENE", "industrial", ((120, 320), (430, 640)), 0, 0.0),
+    ("MAT", "industrial", ((120, 320), (430, 640)), 1, 0.8),
+    ("IND", "industrial", ((330, 425),), 0, 0.0),
+    ("BNK", "financial", ((120, 320), (430, 640)), 1, 0.6),
+    ("SEC", "financial", (), 0, 0.0),
 )
 
 
@@ -80,7 +80,7 @@ def write_corpus(directory, seed: int = 42) -> list[Path]:
 
     leader_shocks = np.random.default_rng(seed).standard_normal(N_DAYS)
 
-    for idx, (name, group, _, episodes, lag, coupling) in enumerate(ASSETS):
+    for idx, (name, _, episodes, lag, coupling) in enumerate(ASSETS):
         rng = np.random.default_rng(seed + (idx + 1) * 1000)
         own = rng.standard_normal(N_DAYS)
         shocks = own
@@ -117,11 +117,9 @@ def write_corpus(directory, seed: int = 42) -> list[Path]:
         "data_dir = .",
         "assets = " + ", ".join(a[0] for a in ASSETS),
     ]
-    for name, group, subsector, _, _, _ in ASSETS:
+    for name, group, *_ in ASSETS:
         config_lines.append(f"asset.{name}.path = {name}.csv")
         config_lines.append(f"asset.{name}.group = {group}")
-        if subsector:
-            config_lines.append(f"asset.{name}.subsector = {subsector}")
     config_lines += [
         "analysis_start = 2006-01-02",
         "analysis_end = 2007-12-31",
@@ -130,8 +128,7 @@ def write_corpus(directory, seed: int = 42) -> list[Path]:
         # the corpus is generated at daily resolution with drift-dominant
         # episodes, so it is calibrated raw; real price series usually keep
         # the default 100-day pre-averaging
-        "average = false",
-        "average_window = 100",
+        "average_window = 1",
         "kappa = 2.0",
         "nsii_threshold = 0.02",
         "output_dir = sinet-out",

@@ -66,7 +66,7 @@ def test_pipeline_calls_em_fit_through_its_module_global(tmp_path, monkeypatch):
     path = tmp_path / "A.csv"
     path.write_text("date,price\n" + "".join(
         f"{d},{p!r}\n" for d, p in zip(series.timestamps, np.exp(series.log_prices).tolist())))
-    pipeline.calibrate_asset("A", path, {}, EMConfig(max_iterations=1), average=False)
+    pipeline.calibrate_asset("A", path, {}, EMConfig(average_window=1, max_iterations=1))
     assert fitted == ["A"]
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from sinet import (
     simulate_sa_path,
     switch_logdensity,
 )
-from sinet.bubble import emission_logdensities
+from sinet.bubble import critical_time, emission_logdensities
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -202,6 +203,22 @@ class TestDeterministicPrice:
         assert err.value.t_c == pytest.approx(1.0)
 
 
+def assert_rejected(fn, kwargs, name, value, message):
+    """``fn`` with argument ``name`` set to ``value`` raises ``message``."""
+    kwargs[name] = value
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fn(**kwargs)
+
+
+class TestCriticalTime:
+    # NaN fails every comparison, so each check must be one that NaN fails
+    @pytest.mark.parametrize("name", ["p0", "mu", "n"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0])
+    def test_bad_argument_is_named(self, name, value):
+        assert_rejected(critical_time, {"p0": 1.0, "mu": 1.0, "n": 1.0}, name, value,
+                        f"{name} must be finite and positive, got {value!r}")
+
+
 class TestIgParams:
     @pytest.mark.parametrize(
         "args, expected",
@@ -217,6 +234,12 @@ class TestIgParams:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             ig_params(1.0, 0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("name", ["p0", "mu", "sigma", "n"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0])
+    def test_bad_argument_is_named(self, name, value):
+        assert_rejected(ig_params, {"p0": 1.0, "mu": 1.0, "sigma": 0.1, "n": 1.0}, name, value,
+                        f"{name} must be finite and positive, got {value!r}")
 
 
 class TestSimulatePath:
@@ -257,6 +280,23 @@ class TestSimulatePath:
             for s in range(60)
         )
         assert hits == 60
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("p0", np.nan, "p0 must be finite and positive, got nan"),
+        ("p0", np.inf, "p0 must be finite and positive, got inf"),
+        ("dt", np.nan, "dt must be finite and positive, got nan"),
+        ("sigma", np.nan, "sigma must be finite and nonnegative, got nan"),
+        ("sigma", np.inf, "sigma must be finite and nonnegative, got inf"),
+        ("n", np.nan, "n must be finite and nonnegative, got nan"),
+        ("n", np.inf, "n must be finite and nonnegative, got inf"),
+        ("mu", np.nan, "mu must be finite"),
+        ("mu", np.inf, "mu must be finite"),
+        ("mu", -np.inf, "mu must be finite"),
+    ])
+    def test_bad_argument_is_named(self, name, value, message):
+        kwargs = {"p0": 1.0, "mu": 0.05, "sigma": 0.1, "n": 1.0, "dt": 0.01,
+                  "max_steps": 10, "seed": 0}
+        assert_rejected(simulate_sa_path, kwargs, name, value, message)
 
     def test_rejects_invalid_arguments(self):
         with pytest.raises(ValueError):

@@ -146,6 +146,18 @@ class TestSimulate:
     def test_bad_arguments_exit_one(self, tmp_path):
         assert main(["simulate", "--p0", "-1"]) == 1
 
+    def test_non_finite_argument_exits_one_naming_it(self, capsys):
+        assert main(["simulate", "--mu", "nan"]) == 1
+        assert capsys.readouterr().err == "error: mu must be finite\n"
+
+    def test_usage_error_exits_one(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--steps", "many"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: sinet simulate")
+        assert "argument --steps: invalid int value: 'many'" in err
+
     def test_out_bytes_are_pinned(self, tmp_path):
         out = tmp_path / "path.csv"
         rc = main(["simulate", "--p0", "1", "--mu", "0.5", "--sigma", "0.2", "--n", "1",
@@ -238,7 +250,7 @@ class TestStageCommands:
 
     def test_calibrate_single_asset(self, corpus_dir, tmp_path):
         rc = main([
-            "calibrate", "--input", str(corpus_dir / "ENE.csv"), "--no-average",
+            "calibrate", "--input", str(corpus_dir / "ENE.csv"), "--window", "1",
             "--kappa", "2.0", "--end", "2007-12-31", "--out-dir", str(tmp_path),
         ])
         assert rc == 0
@@ -247,7 +259,7 @@ class TestStageCommands:
 
     def test_calibrate_writes_what_run_writes(self, corpus_dir, run_dir, tmp_path):
         rc = main([
-            "calibrate", "--input", str(corpus_dir / "ENE.csv"), "--no-average",
+            "calibrate", "--input", str(corpus_dir / "ENE.csv"), "--window", "1",
             "--kappa", "2.0", "--start", "2006-01-02", "--end", "2007-12-31",
             "--out-dir", str(tmp_path),
         ])

@@ -72,8 +72,7 @@ def corpus_series():
     for spec in config.assets:
         table = sio.read_price_table(spec.path, config.column_map)
         series = LogPriceSeries(spec.asset_id, table["dates"], np.log(table["prices"]))
-        if config.average:
-            series = geometric_average_filter(series, config.em.average_window)
+        series = geometric_average_filter(series, config.em.average_window)
         yield series.window(config.analysis_start, config.analysis_end), config.em
 
 

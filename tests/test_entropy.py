@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -240,19 +241,36 @@ class TestSiiMatrix:
 
 class TestBubbleDayMask:
     def test_all_true_mask_equals_unmasked(self, make_probs):
+        # level 0 counts without a mask, and equals counting under the
+        # all-true mask bit for bit
         rng = np.random.default_rng(61)
         x = make_probs(rng.random(200))
         y = make_probs(rng.random(200))
-        assert sii(x, y, bubble_only=True, bubble_level=0.0) == pytest.approx(
-            sii(x, y), abs=1e-14
-        )
+        masked = transfer_entropy(discretize(y), discretize(x), mask=np.ones(199, dtype=bool))
+        assert sii(x, y, bubble_level=0.0) == masked
+        assert sii(x, y) == masked
+
+    @pytest.mark.parametrize("level", [np.nan, -0.1, 1.5, np.inf])
+    def test_level_outside_unit_interval_rejected(self, make_probs, level):
+        x = make_probs(np.linspace(0.0, 1.0, 20))
+        message = f"bubble_level must lie in [0, 1], got {level!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sii(x, x, bubble_level=level)
+
+    def test_level_is_keyword_only(self, make_probs):
+        # a stale positional call must raise, not bind a flag to the level
+        x = make_probs(np.linspace(0.0, 1.0, 20))
+        with pytest.raises(TypeError):
+            sii(x, x, 10, 10.0, True)
+        with pytest.raises(TypeError):
+            sii_matrix({"a": x, "b": x}, 10, 10.0, "", True)
 
     def test_masked_matches_subsampled_oracle(self, make_probs):
         rng = np.random.default_rng(67)
         x_raw, y_raw = rng.random(300), rng.random(300)
         x, y = make_probs(x_raw), make_probs(y_raw)
         level = 0.3
-        mine = sii(x, y, bubble_only=True, bubble_level=level)
+        mine = sii(x, y, bubble_level=level)
 
         # independent subsampled counting: keep triples where both assets
         # qualify on both involved days
@@ -280,7 +298,7 @@ class TestBubbleDayMask:
         x = make_probs([0.1, 0.1, 0.1, 0.1])
         y = make_probs([0.1, 0.1, 0.1, 0.1])
         with pytest.raises(ValueError, match="fewer than 2"):
-            sii(x, y, bubble_only=True, bubble_level=0.9)
+            sii(x, y, bubble_level=0.9)
 
 
 class TestKernelDiagonal:

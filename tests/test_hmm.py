@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from sinet import (
     threshold_fractions,
 )
 from sinet.hmm import FilterOutput, SmootherOutput
+from sinet.io import read_price_table
 from sinet.pipeline import PipelineConfig, calibrate_asset
 from sinet.synthetic import bundled_corpus_config
 import sinet.hmm as hmm_module
@@ -104,8 +106,41 @@ class TestGeometricAverageFilter:
         with pytest.raises(InsufficientDataError):
             geometric_average_filter(s, window=100)
 
+    def test_window_one_returns_raw_prices(self):
+        # window 1 means raw prices; the running-sum form would move ENE's
+        # log prices by up to 1.1e-13
+        table = read_price_table(bundled_corpus_config().parent / "ENE.csv")
+        s = LogPriceSeries("ENE", table["dates"], np.log(table["prices"]))
+        out = geometric_average_filter(s, window=1)
+        assert out.log_prices.tobytes() == s.log_prices.tobytes()
+        np.testing.assert_array_equal(out.timestamps, s.timestamps)
+
+
+class TestModelParams:
+    # each check is written so that NaN and +-inf fail it
+    @pytest.mark.parametrize("q, message", [
+        ([[np.nan, np.nan], [0.5, 0.5]], "transition probabilities must lie in [0, 1]"),
+        ([[0.5, 0.5], [np.inf, -np.inf]], "transition probabilities must lie in [0, 1]"),
+        ([[1.0, 0.0], [np.nan, 1.0]], "transition probabilities must lie in [0, 1]"),
+        ([[0.5, 0.5], [0.5, 0.6]], "each row of q must sum to 1"),
+    ])
+    def test_bad_transition_matrix_rejected(self, q, message):
+        regime = RegimeParams(0.001, 0.1, 0.1, 0.1, 1.0)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ModelParams(regime, np.array(q))
+
 
 class TestHamiltonFilter:
+    @pytest.mark.parametrize("initial", [
+        [np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0], [-np.inf, np.inf], [0.3, 0.3],
+    ])
+    def test_bad_initial_distribution_rejected(self, make_series, initial):
+        params = ModelParams(RegimeParams(0.001, 0.1, 0.1, 0.1, 1.0),
+                             np.array([[0.9, 0.1], [0.2, 0.8]]))
+        with pytest.raises(ValueError,
+                           match="^initial must be a length-2 distribution summing to 1$"):
+            hamilton_filter(make_series(np.linspace(0.0, 0.3, 12)), params, initial=initial)
+
     def test_absorbing_chain_never_enters_bubble(self, make_series):
         rng = np.random.default_rng(5)
         s = make_series(np.cumsum(rng.normal(0, 0.1, 20)))
@@ -469,8 +504,8 @@ class TestEmFit:
         config = PipelineConfig.from_file(bundled_corpus_config())
         spec = next(a for a in config.assets if a.asset_id == "SEC")
         trace = calibrate_asset(
-            "SEC", spec.path, config.column_map, config.em, config.average,
-            config.analysis_start, config.analysis_end,
+            "SEC", spec.path, config.column_map, config.em,
+            start=config.analysis_start, end=config.analysis_end,
         ).trace
         assert trace.stalled
         assert not trace.converged
@@ -497,8 +532,8 @@ class TestEmFit:
         config = PipelineConfig.from_file(bundled_corpus_config())
         spec = next(a for a in config.assets if a.asset_id == "SEC")
         fit = calibrate_asset(
-            "SEC", spec.path, config.column_map, config.em, config.average,
-            config.analysis_start, config.analysis_end,
+            "SEC", spec.path, config.column_map, config.em,
+            start=config.analysis_start, end=config.analysis_end,
         )
         assert len(fit.filt.filtering) == 729
         assert fit.trace.stalled and fit.trace.iterations == 2

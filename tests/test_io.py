@@ -328,9 +328,8 @@ class TestTableRoundTrips:
             tmp_path / "g.csv",
             "node,group,subsector\na,industrial,\nb,financial,bank\n",
         )
-        groups = sio.read_groups_csv(p)
-        assert groups.group_of("a") == "industrial"
-        assert groups.subsectors == {"b": "bank"}
+        groups = sio.read_groups_csv(p)  # columns after the group are ignored
+        assert groups.groups == {"a": "industrial", "b": "financial"}
 
     def test_losses_csv(self, tmp_path):
         path = sio.write_table_csv(

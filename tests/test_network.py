@@ -193,13 +193,8 @@ class TestNodeGroup:
         with pytest.raises(ConfigurationError):
             NodeGroup({"a": "industrious"})
 
-    def test_subsector_for_unlabeled_node_rejected(self):
-        with pytest.raises(ConfigurationError):
-            NodeGroup({"a": "financial"}, subsectors={"b": "bank"})
-
     def test_group_sets(self):
-        g = NodeGroup({"a": "financial", "b": "industrial", "c": "financial"},
-                      subsectors={"a": "bank", "c": "insurance"})
+        g = NodeGroup({"a": "financial", "b": "industrial", "c": "financial"})
         assert [g.group_of(n) for n in "abc"] == ["financial", "industrial", "financial"]
 
 

@@ -30,7 +30,7 @@ class TestConfigParsing:
     def test_bundled_corpus_config_loads(self):
         config = PipelineConfig.from_file(bundled_corpus_config())
         assert [a.asset_id for a in config.assets] == ["ENE", "MAT", "IND", "BNK", "SEC"]
-        assert config.average is False
+        assert config.em.average_window == 1
         assert config.em.kappa == 2.0
         assert config.nsii_threshold == 0.02
         config.validate()
@@ -43,10 +43,10 @@ class TestConfigParsing:
             "asset.MAT.group = financial\n"
         )
         config = PipelineConfig.from_file(tmp_path / "min.cfg")
-        assert config.average is True
         assert config.em.average_window == 100
         assert config.nsii_threshold == 0.3
         assert config.te_bins == 10
+        assert config.te_bubble_level == 0.0
 
     def test_missing_group_rejected(self, tmp_path, corpus_dir):
         (tmp_path / "bad.cfg").write_text(
@@ -55,9 +55,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError, match="group"):
             PipelineConfig.from_file(tmp_path / "bad.cfg")
 
+    @pytest.mark.parametrize("lines, message", [
+        ("", "config must list assets"),
+        ("assets = ENE\nasset.ENE.group = industrial\n", "need at least 2 assets"),
+        ("assets = ENE, ENE\nasset.ENE.group = industrial\n", "duplicate asset ids"),
+        ("assets = ENE, MAT\nasset.ENE.group = industrial\nasset.MAT.group = insurance\n",
+         "asset 'MAT' has unknown group 'insurance'"),
+    ])
+    def test_bad_asset_list_rejected(self, tmp_path, corpus_dir, lines, message):
+        (tmp_path / "bad.cfg").write_text(f"data_dir = {corpus_dir}\n{lines}")
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            PipelineConfig.from_file(tmp_path / "bad.cfg").validate()
+
     @pytest.mark.parametrize("line", [
         "em_tolerance = 1e-9", "kapa = 2", "seed = 42",
         "asset.XYZ.path = XYZ.csv", "column.volume = vol",
+        # settings that earlier versions accepted
+        "average = false", "te_bubble_only = true", "asset.ENE.subsector = bank",
     ])
     def test_unknown_key_rejected(self, tmp_path, corpus_dir, line):
         (tmp_path / "typo.cfg").write_text(
@@ -71,7 +85,6 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("line, message", [
         ("te_bins = ten", "te_bins: invalid literal for int"),
-        ("average = maybe", "average: expected a boolean, got 'maybe'"),
     ])
     def test_unparseable_value_names_key(self, tmp_path, corpus_dir, line, message):
         (tmp_path / "bad.cfg").write_text(
@@ -98,7 +111,7 @@ class TestConfigParsing:
     def test_key_values_round_trip(self, tmp_path, corpus_dir):
         config = corpus_config(corpus_dir, tmp_path / "out")
         config.em = replace(config.em, n_search=(0.25, 4.0), tol=1e-7)
-        config.te_bubble_only = True
+        config.te_bubble_level = 0.25
         config.column_map = {"price": "close"}
         kv = config.key_values()
         assert "seed" not in kv
@@ -259,6 +272,37 @@ class TestRunPipeline:
         assert "losses.csv" not in names
         assert "sin.json" in names
 
+    def test_asset_without_loss_data_is_noted(self, corpus_dir, tmp_path):
+        # SEC's prices end with the analysis window, before the loss window:
+        # it is calibrated and joins the network, but has no loss, so no
+        # node gets a loss color
+        data = tmp_path / "data"
+        shutil.copytree(corpus_dir, data)
+        sec = data / "SEC.csv"
+        lines = sec.read_text().splitlines()
+        sec.write_text("\n".join([lines[0]] + [line for line in lines[1:]
+                                               if line[:10] <= "2007-12-31"]) + "\n")
+        report = run_pipeline(corpus_config(data, tmp_path / "out"))
+        assert report.processed == ["ENE", "MAT", "IND", "BNK", "SEC"]
+        notes = ["SEC: no data in loss window, loss skipped",
+                 "losses incomplete; node colors omitted"]
+        assert report.skipped == notes
+        text = (tmp_path / "out" / "run_report.txt").read_text()
+        assert "processed: ENE, MAT, IND, BNK, SEC\n" + "".join(
+            f"skipped: {note}\n" for note in notes) + "\nartifacts:\n" in text
+        doc = json.loads((tmp_path / "out" / "sin.json").read_text())
+        assert [node["id"] for node in doc["nodes"]] == report.processed
+        assert all(node["color_value"] is None for node in doc["nodes"])
+        losses = (tmp_path / "out" / "losses.csv").read_text()
+        assert "SEC" not in losses and "BNK" in losses
+
+    def test_calibration_window_is_keyword_only(self, corpus_dir):
+        # a stale positional call must raise, not bind a flag to a date
+        config = PipelineConfig.from_file(corpus_dir / "corpus.cfg")
+        with pytest.raises(TypeError):
+            pipeline_module.calibrate_asset("ENE", corpus_dir / "ENE.csv", {}, config.em,
+                                            False, "2006-01-02", "2007-12-31")
+
     def test_probability_source_smoothing(self, corpus_dir, tmp_path):
         config = corpus_config(corpus_dir, tmp_path / "out")
         config.probability_source = "smoothing"
@@ -270,7 +314,6 @@ class TestBubbleOnlyFlag:
     def test_changes_matrix_and_hash(self, corpus_dir, tmp_path):
         base = corpus_config(corpus_dir, tmp_path / "base")
         masked = corpus_config(corpus_dir, tmp_path / "masked")
-        masked.te_bubble_only = True
         masked.te_bubble_level = 0.2
         assert base.config_hash() != masked.config_hash()
         run_pipeline(base)
@@ -292,6 +335,7 @@ class TestNonFiniteSettings:
         ("nsii_threshold", float("nan")), ("nsii_threshold", float("inf")),
         ("nsii_threshold", float("-inf")),
         ("te_bubble_level", float("nan")), ("te_bubble_level", float("inf")),
+        ("te_bins", 1), ("probability_source", "posterior"),
     ])
     def test_validate_names_the_setting(self, corpus_dir, tmp_path, setting, value):
         # a NaN te_base or nsii_threshold used to pass and give an all-zero

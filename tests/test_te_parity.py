@@ -52,38 +52,39 @@ def assert_same_outcome(got, want):
         assert np.abs(value - expected).max(initial=0.0) <= TOL
 
 
-def kernel_raw(series, bins, bubble_only=False, level=0.5):
-    """The kernel's unclamped values and sample sizes for a basket."""
+def kernel_raw(series, bins, level=0.0):
+    """The kernel's unclamped values and sample sizes for a basket, masked
+    as the library masks it: only at a level above 0."""
     rows = np.array([np.minimum(np.floor(np.asarray(x) * bins).astype(np.int64), bins - 1)
                      for x in series])
     days = None
-    if bubble_only:
+    if level > 0.0:
         high = np.array(series) >= level
         days = high[:, 1:] & high[:, :-1]
     return entropy_module._te_kernel(rows, bins, 10.0, days)
 
 
-def assert_sizes_match(series, bins, bubble_only, level):
+def assert_sizes_match(series, bins, level):
     """The kernel's sample size of every pair is the reference's count of
     kept triples."""
-    _, sizes = kernel_raw(series, bins, bubble_only, level)
-    T = len(series[0])
-    want = [[int(oracles.bubble_day_mask(x, y, level).sum()) if bubble_only else T - 1
-             for y in series] for x in series]
+    _, sizes = kernel_raw(series, bins, level)
+    want = [[int(oracles.bubble_day_mask(x, y, level).sum()) for y in series] for x in series]
     assert sizes.tolist() == want
 
 
-def library_matrix(series, bins, base, bubble_only, level):
+def library_matrix(series, bins, base, level):
     assets = {f"a{k}": ProbabilitySeries(dates(len(x)), x) for k, x in enumerate(series)}
-    return sii_matrix(assets, bins, base, bubble_only=bubble_only, bubble_level=level).values
+    return sii_matrix(assets, bins, base, bubble_level=level).values
 
 
-def assert_matrix_parity(series, bins, base=10.0, bubble_only=False, level=0.5):
-    got = outcome(library_matrix, series, bins, base, bubble_only, level)
-    want = outcome(oracles.sii_matrix_pairwise, series, bins, base, bubble_only, level)
+def assert_matrix_parity(series, bins, base=10.0, level=0.0):
+    """The library at ``level`` against the reference conditioned on
+    ``level``, which at 0 keeps every triple through an all-true mask."""
+    got = outcome(library_matrix, series, bins, base, level)
+    want = outcome(oracles.sii_matrix_pairwise, series, bins, base, True, level)
     assert_same_outcome(got, want)
     if len(series[0]) >= 3:
-        assert_sizes_match(series, bins, bubble_only, level)
+        assert_sizes_match(series, bins, level)
 
 
 def series_of(kind, rng, T):
@@ -111,7 +112,6 @@ def baskets(draw):
         "series": [series_of(kind, rng, T) for kind in kinds],
         "bins": bins,
         "base": draw(st.sampled_from([2.0, np.e, 10.0, 1.5])),
-        "bubble_only": draw(st.booleans()),
         "level": draw(st.sampled_from(LEVELS)),
         # 1 puts every target in a block of its own, the middle value splits
         # the basket into blocks of three targets
@@ -132,24 +132,24 @@ def test_matrix_matches_pairwise_reference(case):
 def test_sii_matches_pairwise_reference(case):
     x, y = case["series"][:2]
     got = outcome(sii, ProbabilitySeries(dates(len(x)), x), ProbabilitySeries(dates(len(y)), y),
-                  case["bins"], case["base"], case["bubble_only"], case["level"])
+                  case["bins"], case["base"], bubble_level=case["level"])
     binned = [np.minimum(np.floor(s * case["bins"]).astype(np.int64), case["bins"] - 1)
               for s in (x, y)]
-    mask = oracles.bubble_day_mask(x, y, case["level"]) if case["bubble_only"] else None
+    mask = oracles.bubble_day_mask(x, y, case["level"])
     want = outcome(oracles.transfer_entropy_pairwise, binned[1], binned[0],
                    case["bins"], case["base"], mask)
     assert_same_outcome(got, want)
 
 
-@pytest.mark.parametrize("bubble_only", [False, True])
-def test_wide_basket_matches_pairwise_reference(bubble_only):
+@pytest.mark.parametrize("masked", [False, True])
+def test_wide_basket_matches_pairwise_reference(masked):
     # the size of the benchmark's series, with lag-coupled logistic latents
     rng = np.random.default_rng(40)
     leader = np.cumsum(rng.normal(0.0, 0.1, 2_921))
     latents = [0.6 * leader[1:] + 0.8 * np.cumsum(rng.normal(0.0, 0.1, 2_920))
                for _ in range(40)]
     series = [1.0 / (1.0 + np.exp(-2.0 * z)) for z in latents]
-    assert_matrix_parity(series, 10, bubble_only=bubble_only, level=0.1)
+    assert_matrix_parity(series, 10, level=0.1 if masked else 0.0)
 
 
 @pytest.mark.parametrize("T", [3, 4])
@@ -158,20 +158,20 @@ def test_shortest_baskets_match(T, level):
     rng = np.random.default_rng(T)
     series = [rng.random(T), np.full(T, 1.0), np.full(T, 0.5), rng.random(T)]
     assert_matrix_parity(series, 10)
-    assert_matrix_parity(series, 3, bubble_only=True, level=level)
+    assert_matrix_parity(series, 3, level=level)
 
 
 def test_constant_basket_is_zero():
     series = [np.full(50, v) for v in (0.0, 0.3, 0.3, 1.0)]
     assert_matrix_parity(series, 10)
-    assert not library_matrix(series, 10, 10.0, False, 0.5).any()
+    assert not library_matrix(series, 10, 10.0, 0.0).any()
 
 
 @pytest.mark.parametrize("T", [0, 1, 2])
 def test_too_short_basket_raises_like_reference(T):
     series = [np.full(T, 0.5), np.full(T, 0.2)]
     assert_matrix_parity(series, 10)
-    assert outcome(library_matrix, series, 10, 10.0, False, 0.5)[0] == (
+    assert outcome(library_matrix, series, 10, 10.0, 0.0)[0] == (
         "ValueError", "need at least 3 observations to form lagged triples")
 
 
@@ -215,9 +215,9 @@ def test_negative_residues_warn_in_pair_order(monkeypatch):
     assert_matrix_parity(series, 2)
     raw, sizes = kernel_raw(series, 2)
     assert raw[0, 1] < 0.0 and raw[2, 3] < 0.0
-    assert library_matrix(series, 2, 10.0, False, 0.5)[0, 1] == 0.0
+    assert library_matrix(series, 2, 10.0, 0.0)[0, 1] == 0.0
     monkeypatch.setattr(entropy_module, "NEGATIVE_RESIDUE_WARN", 0.0)
-    value, warned = outcome(library_matrix, series, 2, 10.0, False, 0.5)
+    value, warned = outcome(library_matrix, series, 2, 10.0, 0.0)
     assert len(warned) >= 2
     assert warned == residue_warnings(raw, sizes)
     np.testing.assert_array_equal(
@@ -230,12 +230,12 @@ def test_overtight_mask_raises_after_earlier_warnings(monkeypatch):
     source, target = (residue_series(bits) for bits in RESIDUE_PAIRS[0])
     late = np.concatenate([[0.95, 0.95], np.full(12, 0.1)])
     series = [source, target, late]
-    assert_matrix_parity(series, 2, bubble_only=True, level=0.25)
-    raw, sizes = kernel_raw(series, 2, True, 0.25)
+    assert_matrix_parity(series, 2, level=0.25)
+    raw, sizes = kernel_raw(series, 2, 0.25)
     assert raw[0, 1] < 0.0 and sizes[0, 2] == 1
     monkeypatch.setattr(entropy_module, "NEGATIVE_RESIDUE_WARN", 0.0)
     error = ("ValueError", "mask keeps fewer than 2 triples")
-    got = outcome(library_matrix, series, 2, 10.0, True, 0.25)
+    got = outcome(library_matrix, series, 2, 10.0, 0.25)
     assert got == (error, residue_warnings(raw, sizes))
     assert len(got[1]) == 1
     assert outcome(oracles.sii_matrix_pairwise, series, 2, 10.0, True, 0.25, 0.0)[0] == error

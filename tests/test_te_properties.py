@@ -28,7 +28,6 @@ def matrix_or_none(case):
     with mock.patch.object(entropy_module, "TE_BLOCK", case["block"]):
         try:
             return sii_matrix(assets, case["bins"], case["base"],
-                              bubble_only=case["bubble_only"],
                               bubble_level=case["level"]).values
         except ValueError as err:
             assert str(err) == "mask keeps fewer than 2 triples"
@@ -100,8 +99,8 @@ def test_transfer_entropy_equals_its_matrix_entry_bitwise(case):
         for j, y in enumerate(series):
             if i == j:
                 continue
-            mask = (oracles.bubble_day_mask(x, y, case["level"])
-                    if case["bubble_only"] else None)
+            # at level 0 the all-true mask: the fold is exact
+            mask = oracles.bubble_day_mask(x, y, case["level"])
             value = transfer_entropy(BinnedSeries(binned(y, bins), bins),
                                      BinnedSeries(binned(x, bins), bins), case["base"], mask)
             assert np.float64(value).tobytes() == values[i, j].tobytes()
