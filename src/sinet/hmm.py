@@ -5,9 +5,10 @@ each log-price step: geometric Brownian motion while (0,0), the nonlinear
 bubble transition while (1,1), and flat bounded switch densities on (0,1) and
 (1,0). Calibration alternates a Hamilton forward filter, a Kim backward
 smoother and closed-form posterior-weighted parameter updates, followed by
-a conditional-maximisation step for the feedback exponent n: a bounded Brent
-search of the bubble block of the E-step objective at the updated mu1 and
-sigma1, which keeps the current n unless it finds a higher value.
+a conditional-maximisation step for the feedback exponent n: safeguarded
+Newton on the closed-form derivative of the bubble block of the E-step
+objective at the updated mu1 and sigma1, which keeps the current n unless
+it finds a higher value.
 
 The filter and the smoother have no per-step loop. Both recursions are
 products of 2x2 operators, one per step, and both take every prefix of that
@@ -26,6 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bubble import (
+    EXP_CLAMP,
     RegimeParams,
     _bubble_path_logdensity,
     _check_bubble_params,
@@ -34,10 +36,6 @@ from .bubble import (
 )
 from .errors import DegenerateRegimeError, InsufficientDataError, NumericalFailureError
 from .series import LogPriceSeries, ProbabilitySeries
-
-# Absolute x tolerance of the Brent search for n. scipy's step tolerance is
-# 1.5e-8 |n| + N_XATOL / 3, so the relative term rules above n = 2e-3.
-N_XATOL = 1e-10
 
 _MAX = float(np.finfo(float).max)
 
@@ -93,12 +91,15 @@ class FilterOutput:
             raise ValueError("pairwise_filtered must have shape (T, 2, 2)")
         if len(self.filtering) != len(pw) + 1:
             raise ValueError("filtering must have one more entry than pairwise_filtered")
-        if np.any(pw < 0) or np.any(pw > 1):
+        # written so that NaN fails each check
+        if not np.all((pw >= 0) & (pw <= 1)):
             raise ValueError("pairwise probabilities must lie in [0, 1]")
-        if np.any(np.abs(pw.sum(axis=(1, 2)) - 1.0) > 1e-10):
+        if not np.all(np.abs(pw.sum(axis=(1, 2)) - 1.0) <= 1e-10):
             raise ValueError("each pairwise table must sum to 1")
-        if np.any(np.abs(pw.sum(axis=1)[:, 1] - self.filtering.values[1:]) > 1e-10):
+        if not np.all(np.abs(pw.sum(axis=1)[:, 1] - self.filtering.values[1:]) <= 1e-10):
             raise ValueError("filtering marginal inconsistent with pairwise tables")
+        if np.isnan(self.loglik):
+            raise ValueError("loglik must not be NaN")
         pw.setflags(write=False)
         object.__setattr__(self, "pairwise_filtered", pw)
 
@@ -121,10 +122,11 @@ class SmootherOutput:
             raise ValueError("pairwise_smoothed must have shape (T, 2, 2)")
         if len(self.smoothing) != len(pw) + 1:
             raise ValueError("smoothing must have one more entry than pairwise_smoothed")
-        if np.any(pw < -1e-15) or np.any(pw > 1 + 1e-15):
+        # written so that NaN fails each check
+        if not np.all((pw >= -1e-15) & (pw <= 1 + 1e-15)):
             raise ValueError("pairwise probabilities must lie in [0, 1]")
         # P(s_t | y_T) must equal the marginal of P(s_{t+1}, s_t | y_T).
-        if np.any(np.abs(pw.sum(axis=2)[:, 1] - self.smoothing.values[:-1]) > 1e-10):
+        if not np.all(np.abs(pw.sum(axis=2)[:, 1] - self.smoothing.values[:-1]) <= 1e-10):
             raise ValueError("smoothing marginal inconsistent with pairwise tables")
         pw.setflags(write=False)
         object.__setattr__(self, "pairwise_smoothed", pw)
@@ -504,6 +506,55 @@ def _bubble_block_objective(
     return float(np.dot(w11, logf[live]))
 
 
+class _BubbleBlock:
+    """The bubble block of the E-step objective as a function of n, at fixed
+    weights, mu1 and sigma1: Q(n) = -sum_t w_t (n y_t + v_t^2 / (2 sigma1^2)),
+    v_t = (u_t - u_{t-1}) / n + mu1 and u = e^{-n y}. It differs from
+    :func:`_bubble_block_objective` by a constant, since the ln n terms of
+    the density cancel. A step of weight <= 0 weighs 0, as a dead one.
+    """
+
+    def __init__(self, y: np.ndarray, w11: np.ndarray, mu1: float, sigma1: float):
+        w = np.maximum(w11, 0.0)
+        self.y, self.root_w, self.mu1 = y, np.sqrt(w), mu1
+        self.inv_var = 1.0 / (sigma1 * sigma1)
+        self.weighted_y = float(np.dot(w, y[1:]))
+        self.y_max = float(np.abs(y).max())
+        self.rows = np.empty((3, len(y)))  # reused by every evaluation
+        self.steps = np.empty((3, len(y) - 1))
+
+    def slopes(self, n: float) -> tuple[float, float]:
+        """Q'(n) and Q''(n), from one exponential over the series.
+
+        With z = y + 1/n, n v_t is the step of u plus n mu1, -n v'_t the
+        step of z u and n v''_t the step of (z^2 + 1/n^2) u. mu1 drops out
+        of v' and v'', so Q' is not a small difference of large sums where
+        the drift dominates. Where the EXP_CLAMP clamp binds, u is flat in
+        n, as in the clamped density, so z there is 1/n. An overflow gives
+        an infinite or NaN result.
+        """
+        y, rows, d = self.y, self.rows, self.steps
+        u, zu, z2u = rows
+        with np.errstate(all="ignore"):
+            np.multiply(y, -n, out=u)
+            np.add(y, 1.0 / n, out=z2u)
+            if n * self.y_max > EXP_CLAMP:
+                z2u[np.abs(u) > EXP_CLAMP] = 1.0 / n
+                np.clip(u, -EXP_CLAMP, EXP_CLAMP, out=u)
+            np.exp(u, out=u)
+            np.multiply(z2u, u, out=zu)
+            z2u *= z2u
+            z2u += 1.0 / (n * n)
+            z2u *= u
+            np.subtract(rows[:, 1:], rows[:, :-1], out=d)
+            d[0] += n * self.mu1
+            d *= self.root_w  # rows: n v, -n v' and n v'', times sqrt(w)
+            c = self.inv_var / (n * n)
+            dq = c * np.dot(d[0], d[1]) - self.weighted_y
+            d2q = -c * (np.dot(d[1], d[1]) + np.dot(d[0], d[2]))
+        return float(dq), float(d2q)
+
+
 def solve_feedback_exponent(
     smoother: SmootherOutput,
     series: LogPriceSeries,
@@ -514,33 +565,67 @@ def solve_feedback_exponent(
 ) -> float:
     """Conditional-maximisation step for the feedback exponent n.
 
-    Maximises the bubble-block expected log-likelihood over n on ``search``
-    by bounded Brent search (golden section with parabolic steps; Brent 1973,
-    ch. 5), with mu1 and sigma1 held fixed, and returns ``n_current`` when
-    the maximiser does not score strictly higher. The step is thus an exact
-    CM step of ECM (Meng & Rubin 1993): it can never lower the E-step
-    objective. The search assumes the objective is unimodal in n; where it
-    is not, the step may miss the global maximiser but still never descends.
+    Maximises the bubble-block expected log-likelihood Q over n inside
+    ``search``, with mu1 and sigma1 held fixed, by safeguarded Newton on Q'
+    (``rtsafe``; Press et al., Numerical Recipes, 3rd ed., sec. 9.4), with
+    the closed-form Q' and Q'' of :meth:`_BubbleBlock.slopes`. It starts at
+    ``n_current`` (at the middle of ``search`` if that is not inside) and
+    shrinks a bracket, whose first ends are those of ``search`` and are
+    never evaluated, to the side where Q climbs. A Newton step is replaced
+    by a bisection when it would leave the bracket, when it is longer than
+    half the step before the last (so Newton must shrink at least as fast
+    as bisection), or when Q is not concave where it starts; a point whose
+    sums overflow counts as lying above the maximiser. It stops after a
+    Newton step below 1e-8 n, since Newton converges quadratically and the
+    next step would be of order 1e-16 n, or once the bracket is a few ulps
+    wide, taking the bound of ``search`` it closed against, if any. The
+    point found is returned only if the bubble block, scored by the emission
+    density's own formula, is strictly higher there than at ``n_current``,
+    so the step is an exact CM step of ECM (Meng & Rubin 1993): it can never
+    lower the E-step objective. Where the objective is not unimodal in n,
+    the step climbs to the maximiser of the basin it starts in, which need
+    not be the global one.
     """
-    from scipy.optimize import minimize_scalar  # here, so `import sinet` loads no scipy
-
     w11 = smoother.pairwise_smoothed[:, 1, 1]
     if w11.sum() <= 0.0:
         raise DegenerateRegimeError(1)
-    live = w11 > 0.0
-    w11 = w11[live]
     y = series.log_prices
     lo, hi = search
     if not 0 < lo < hi < np.inf:
         raise ValueError(f"search must be a finite increasing positive interval, got {search!r}")
     _check_bubble_params(mu1, sigma1, n_current)
 
-    found = minimize_scalar(
-        lambda n: -_bubble_block_objective(y, w11, live, mu1, sigma1, n),
-        bounds=(lo, hi), method="bounded", options={"xatol": N_XATOL},
+    block = _BubbleBlock(y, w11, mu1, sigma1)
+    n = n_current if lo < n_current < hi else 0.5 * (lo + hi)
+    before = last = hi - lo  # the last two step lengths
+    for _ in range(100):  # rtsafe's cap; the keep rule below makes any stop safe
+        dq, d2q = block.slopes(n)
+        if dq > 0.0:
+            lo = n
+        elif dq == 0.0:
+            break
+        else:  # Q' < 0, or NaN after an overflow: the maximiser lies below
+            hi = n
+        newton = n - dq / d2q if d2q < 0.0 else np.nan
+        if abs(newton - n) <= 1e-8 * n:  # the next step would be about 1e-16 n
+            n = min(max(newton, lo), hi)
+            break
+        # Newton while it stays in the bracket and shrinks as fast as bisection
+        if lo < newton < hi and abs(newton - n) <= 0.5 * before:
+            nxt = newton
+        elif hi - lo > 4.0 * np.spacing(hi):
+            nxt = 0.5 * (lo + hi)
+        else:  # closed; against a bound of search, at that bound
+            n = lo if lo == search[0] else hi if hi == search[1] else 0.5 * (lo + hi)
+            break
+        before, last, n = last, abs(nxt - n), nxt
+
+    live = w11 > 0.0
+    w_live = w11[live]
+    found, kept = (
+        _bubble_block_objective(y, w_live, live, mu1, sigma1, v) for v in (n, n_current)
     )
-    keep = _bubble_block_objective(y, w11, live, mu1, sigma1, n_current)
-    return float(found.x) if -found.fun > keep else float(n_current)
+    return float(n) if found > kept else float(n_current)
 
 
 def _initial_params(y: np.ndarray, config: EMConfig) -> ModelParams:
@@ -622,9 +707,9 @@ def em_fit(
     Each iteration runs the filter and smoother at the current parameters,
     applies the closed-form updates, then takes one conditional-maximisation
     step for the feedback exponent (:func:`solve_feedback_exponent`): n
-    maximises the bubble-block objective, by bounded Brent search, at the
-    freshly updated mu1 and sigma1, or stays where it is when no higher
-    value is found.
+    climbs to a maximiser of the bubble-block objective, by safeguarded
+    Newton from its current value, at the freshly updated mu1 and sigma1,
+    or stays where it is when no higher value is found.
 
     The switch-density heights 1/|mu0| and 1/|mu1| tie the likelihood to the
     drift parameters, but the closed-form updates treat them as constants, so

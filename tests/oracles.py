@@ -228,6 +228,31 @@ def kim_smoother_exact(filtering, pairwise_filtered):
     return smoothing, pairwise
 
 
+def bubble_block_slope(y, w11, mu1, sigma1, n):
+    """Q(n) = -sum_t w_t (n y_t + D_t^2 / (2 n^2 sigma1^2)), the bubble block
+    up to a constant, its derivative Q'(n), and the scale of the rounding
+    error of a Q' computed in double precision from differences of
+    exponentials: the magnitudes of its terms, plus their change when each
+    u_t and y_t u_t moves by its own magnitude. D_t = u_t - u_{t-1} + n mu1
+    with u = e^{-n y}, unclamped (for |n y| < 700). Here each step of u is
+    taken as u_{t-1} expm1(-n (y_t - y_{t-1})), which keeps its digits when
+    n (y_t - y_{t-1}) is small, where a difference of exponentials would not.
+    """
+    y = np.asarray(y, dtype=float)
+    u = np.exp(-n * y)
+    dy = np.diff(y)
+    du = u[:-1] * np.expm1(-n * dy)
+    d = du + n * mu1
+    d_n = mu1 - dy * u[1:] - y[:-1] * du  # dD/dn
+    c = 1.0 / (n**3 * sigma1**2)
+    q = -float(np.dot(w11, n * y[1:] + 0.5 * n * c * d * d))
+    slope = -float(np.dot(w11, y[1:] + c * (n * d * d_n - d * d)))
+    u_size, yu_size = u[1:] + u[:-1], np.abs(y[1:] * u[1:]) + np.abs(y[:-1] * u[:-1])
+    terms = np.abs(y[1:]) + c * (n * np.abs(d * d_n) + d * d)
+    moves = c * ((n * np.abs(d_n) + 2.0 * np.abs(d)) * u_size + n * np.abs(d) * yu_size)
+    return q, slope, float(np.dot(np.abs(w11), terms + moves))
+
+
 def feedback_equation(y, w11, mu1, sigma1, n):
     """First-order condition for n with the sigma1 condition substituted:
     the w11-weighted sum over steps of d/dn of the bubble log-density."""

@@ -1,10 +1,10 @@
 """Import hygiene: scipy loads only where sinet uses it.
 
-`import sinet` costs numpy's import alone; `scipy.optimize` loads with the
-first calibration and `scipy.linalg`/`scipy.special` with the first
-regression. `scipy.stats` (1.4-2.1 s and 98 MB peak RSS in a fresh process)
-is never loaded by the library. Each check runs in a fresh interpreter,
-because the test process itself has long imported scipy.
+`import sinet` costs numpy's import alone, and so does a calibration;
+`scipy.linalg`/`scipy.special` load with the first regression.
+`scipy.stats` (1.4-2.1 s and 98 MB peak RSS in a fresh process) and
+`scipy.optimize` are never loaded by the library. Each check runs in a fresh
+interpreter, because the test process itself has long imported scipy.
 """
 import json
 import subprocess
@@ -54,7 +54,12 @@ def test_probe_sees_loaded_modules():
     "from sinet.pipeline import PipelineConfig\n"
     "from sinet.synthetic import bundled_corpus_config\n"
     "PipelineConfig.from_file(bundled_corpus_config()).validate()",
-], ids=["import", "cli", "config"])
+    "import numpy as np\n"
+    "from sinet import EMConfig, LogPriceSeries, em_fit\n"
+    "y = np.cumsum(np.random.default_rng(3).normal(1e-3, 1e-2, 120))\n"
+    "series = LogPriceSeries('A', np.datetime64('2006-01-02') + np.arange(120), y)\n"
+    "assert em_fit(series, EMConfig(average_window=1))[1].iterations > 1",
+], ids=["import", "cli", "config", "em_fit"])
 def test_no_scipy_part_loaded(code):
     assert scipy_loaded_after(code) == []
 
@@ -74,3 +79,8 @@ def test_run_pipeline_never_loads_scipy_stats(bundled_run):
     out, loaded = bundled_run
     assert (out / "regressions.json").exists()
     assert "scipy.stats" not in loaded
+
+
+def test_run_pipeline_never_loads_scipy_optimize(bundled_run):
+    _, loaded = bundled_run
+    assert "scipy.optimize" not in loaded
