@@ -16,8 +16,8 @@ product by cyclic (odd/even) reduction: O(T) work in about log2 T vectorised
 passes. The filter reduces in log domain, the smoother, whose operators are
 column-stochastic, in linear domain. ``tests/test_kernel_parity.py`` holds
 them to step-by-step recursions in 50-digit and exact rational arithmetic
-over the same inputs. The filter's reduction takes a batch axis of parameter
-sets on one series, which the EM line search uses to score its shorter step
+over the same inputs. The filter's reduction takes batch axes of parameter
+sets on one series, which the EM line search uses to score its halved step
 lengths in one call.
 """
 from __future__ import annotations
@@ -287,94 +287,71 @@ def hamilton_filter(
 
     ``initial`` is the distribution of s_0 (defaults to the stationary
     distribution of ``params.q``). The log-likelihood accumulates the log of
-    the per-step normalisers.
-
-    The unnormalised forward vector after step t is ``initial`` times the
-    product of the operators q * D_1, ..., q * D_t, where D_t holds the
-    emission densities of step t. Those prefix products are taken by cyclic
-    reduction in log domain, on :func:`emission_logdensities` plus log q,
-    with a log scale per row of each product, so a path keeps its weight and
-    its precision however unlikely it is; the filtered prior of each step
-    then gives its pairwise table and normaliser in one vectorised pass. The
-    first step with no live state pair (normaliser 0) is a numerical failure
-    at that step; prefixes before it never involve the offending operator.
-
-    This is the one-member case of :func:`_filter_batch`, which filters one
-    series under several parameter sets at once.
+    the per-step normalisers, which :func:`_forward` computes. The first step
+    with no live state pair (normaliser 0) is a numerical failure at that
+    step; prefixes before it never involve the offending operator.
     """
     if initial is None:
         initial = params.stationary_distribution()
     pi = np.asarray(initial, dtype=float)
     if pi.shape != (2,) or not (np.all(pi >= 0) and abs(pi.sum() - 1.0) <= 1e-9):
         raise ValueError("initial must be a length-2 distribution summing to 1")
-    return next(_filter_batch(series, [params], pi))[1]
+    cells = emission_logdensities(series.log_prices, params.regime)
+    log_norms, filtered, pairwise = _forward(cells, params.q, pi)
+    bad = ~np.isfinite(log_norms)
+    if bad.any():
+        step = int(np.argmax(bad)) + 1
+        norm = float(np.exp(cells[..., step - 1]).sum())
+        raise NumericalFailureError(step, f"filter normaliser {norm!r} at step {step}")
+    probs = ProbabilitySeries(series.timestamps, np.concatenate([pi[1:], filtered]))
+    return FilterOutput(probs, pairwise.transpose(2, 0, 1), float(log_norms.sum()))
 
 
-def _filter_batch(series: LogPriceSeries, params, pi: np.ndarray):
-    """The Hamilton filter of ``series`` under each parameter set of the
-    non-empty iterable ``params``, from the initial distribution ``pi``:
-    yields each member's parameters and :class:`FilterOutput`, in order.
+def _forward(ops: np.ndarray, q: np.ndarray, pi: np.ndarray):
+    """The filter's reduction. From the log emission table ``ops`` [i, j,
+    ..., t], the transition matrices ``q`` [i, j, ...] and the initial
+    distribution ``pi``, returns the log normalisers [..., t], the filtered
+    P(s_t = 1 | y_0..y_t) [..., t] and the pairwise tables [i, j, ..., t].
+    Axes between the state pair and time are a batch of parameter sets on
+    one series; a member takes the same operations as an unbatched call, so
+    its results equal that call's bit for bit. ``ops`` is overwritten by the
+    log cells, whose exponentials sum to each step's normaliser; from a step
+    with no live state pair on, the normalisers are not finite.
 
-    Members are drawn from ``params`` and their emission tables built in
-    order. The first whose parameters or table raise ``ValueError`` ends
-    the batch, and its error is raised once the members before it have been
-    yielded. The reduction, the normalisers and the pairwise tables of the
-    members are computed together, along a batch axis just before time (so
-    one member has the memory layout of an unbatched filter). Each member's
-    output is built and validated only when it is asked for, and a member
-    with a failing step raises its :class:`NumericalFailureError` then; a
-    caller that stops early thus never builds, validates or raises for the
-    members after it. A member's output equals :func:`hamilton_filter` of
-    its parameters bit for bit.
+    The forward vector after step t is ``pi`` times the product of the
+    operators q * D_1, ..., q * D_t (D_t the emission densities of step t).
+    Its prefixes are taken by cyclic reduction in log domain with a log
+    scale per row of each product, so a path keeps its weight and precision
+    however unlikely it is; each step's filtered prior then gives its
+    pairwise table and normaliser in one vectorised pass.
     """
-    y = series.log_prices
-    members, tables, rejected = [], [], None
-    try:
-        for p in params:
-            tables.append(emission_logdensities(y, p.regime))
-            members.append(p)
-    except ValueError as err:
-        rejected = err
-    if not tables:
-        raise rejected
-    # [i, j, b, t]; a lone member's table is used in place, not copied
-    ops = np.stack(tables, axis=2) if len(tables) > 1 else tables[0][:, :, None]
+    batch = ops.shape[2:-1]
     # log 0 = -inf marks a dead transition; a dead row's scale may overflow to -inf
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ops += np.log([p.q for p in members]).transpose(1, 2, 0)[..., None]
-        log_pi = np.log(pi)[:, None, None]
+        ops += np.log(q)[..., None]
+        log_pi = np.log(pi).reshape((2, 1) + (1,) * len(batch))
         # rows shifted to a largest entry of 0, with the shifts as scales
         top = np.maximum(np.maximum(ops[:, 0], ops[:, 1]), -_MAX)
         steps = np.empty((2, 3) + ops.shape[2:])
         np.subtract(ops, top[:, None], out=steps[:, :2])
         np.subtract(top, np.maximum(top[0], top[1]), out=steps[:, 2])
-        first = np.repeat((log_pi - log_pi.max())[None], len(members), axis=2)
-        log_forward = _prefixes(first, steps, _log_product)[0]  # [i, b, t]
+        first = np.empty((1, 2) + batch + (1,))
+        first[0] = log_pi - log_pi.max()
+        log_forward = _prefixes(first, steps, _log_product)[0]  # [i, ..., t]
         forward = np.exp(log_forward)  # larger entry 1 to 2T: <= ln 2 more per level
         total = forward[0] + forward[1]
         forward /= total
         log_forward -= np.log(total)
         cells = ops  # log P(s_{t-1}=i, s_t=j, y_t | y_0..y_{t-1}) from here on
         cells[..., 0] += log_pi
-        cells[..., 1:] += log_forward[:, None, :, :-1]
+        cells[..., 1:] += log_forward[:, None, ..., :-1]
         top = np.maximum(np.maximum(cells[0, 0], cells[0, 1]),
                          np.maximum(cells[1, 0], cells[1, 1]))
         pairwise = np.exp(cells - top)
         norms = pairwise.sum(axis=(0, 1))
         log_norms = top + np.log(norms)
-        bad = ~np.isfinite(log_norms)
         pairwise /= norms
-    for b, member_bad in enumerate(bad):
-        if member_bad.any():
-            step = int(np.argmax(member_bad)) + 1
-            norm = float(np.exp(cells[:, :, b, step - 1]).sum())
-            raise NumericalFailureError(step, f"filter normaliser {norm!r} at step {step}")
-        filtering = np.concatenate([pi[1:], forward[1, b]])
-        probs = ProbabilitySeries(series.timestamps, filtering)
-        pairs = pairwise[:, :, b].transpose(2, 0, 1)
-        yield members[b], FilterOutput(probs, pairs, float(log_norms[b].sum()))
-    if rejected is not None:
-        raise rejected
+    return log_norms, forward[1], pairwise
 
 
 def kim_smoother(filt: FilterOutput) -> SmootherOutput:
@@ -681,22 +658,32 @@ def _blend_params(a: ModelParams, b: ModelParams, lam: float) -> ModelParams:
     return ModelParams(regime, (1 - lam) * a.q + lam * b.q)
 
 
-def _damped_trials(
-    series: LogPriceSeries, params: ModelParams, candidate: ModelParams, initial: np.ndarray
-):
-    """The trials of the EM line search, in order: each step length lam =
-    1, 1/2, ..., 2^-11 from ``params`` towards ``candidate``, with its
-    filter output.
-
-    lam = 1 is scored alone, by :func:`hamilton_filter`; the shorter steps
-    are scored together in one :func:`_filter_batch` call, made only when
-    the first of them is asked for. Each shorter step is blended, built,
-    validated or raised for only when it is reached.
+def _halved_step(
+    series: LogPriceSeries, params: ModelParams, candidate: ModelParams,
+    pi: np.ndarray, loglik: float,
+) -> float | None:
+    """The step length that decides the line search after a rejected full
+    step: the first of lam = 1/2, 1/4, ..., 2^-11 from ``params`` towards
+    ``candidate`` whose filter from ``pi`` scores at least ``loglik``, has a
+    non-finite normaliser or whose emission table raises ``ValueError``;
+    None if none does. The steps before the first rejected table are scored
+    in one :func:`_forward` call, each by the sum :func:`hamilton_filter`
+    takes, bit for bit.
     """
-    trial = _blend_params(params, candidate, 1.0)
-    yield trial, hamilton_filter(series, trial, initial=initial)
-    halved = (_blend_params(params, candidate, 0.5**k) for k in range(1, 12))
-    yield from _filter_batch(series, halved, initial)
+    tables, qs = [], []
+    for k in range(1, 12):
+        try:
+            trial = _blend_params(params, candidate, 0.5**k)
+            tables.append(emission_logdensities(series.log_prices, trial.regime))
+        except ValueError:
+            break
+        qs.append(trial.q)
+    if tables:
+        log_norms = _forward(np.stack(tables, axis=2), np.stack(qs, axis=-1), pi)[0]
+        for k, member in enumerate(log_norms, 1):
+            if not np.isfinite(member).all() or float(member.sum()) >= loglik:
+                return 0.5**k
+    return 0.5 ** (len(tables) + 1) if len(tables) < 11 else None
 
 
 def em_fit(
@@ -718,12 +705,12 @@ def em_fit(
     the log-likelihood, halving towards the current parameters as needed; if
     no step length helps, the fit stops and the trace is marked ``stalled``.
     The recorded log-likelihoods are thus non-decreasing by construction.
-    The full step is scored alone; only when it is rejected are the eleven
-    halved steps scored, in one batched filter call (:func:`_damped_trials`).
-    The first of them, in step order, that is accepted or fails decides,
-    exactly as in a one-step-at-a-time search: a failure raises only when
-    no longer step was accepted, and the steps after the deciding one are
-    never validated or raised for.
+    The full step is filtered alone. When it is rejected, the eleven halved
+    steps are scored in one batched call (:func:`_halved_step`), and the
+    first of them that is accepted or fails is filtered alone: that call
+    returns its output or raises its error, so the search ends as a
+    one-step-at-a-time search does, and a step after the deciding one never
+    raises.
 
     Stops when the relative log-likelihood change drops to ``config.tol``
     (non-convergence within ``max_iterations`` is flagged on the trace, not
@@ -756,12 +743,15 @@ def em_fit(
                 )
             candidate = ModelParams(replace(updated.regime, n=n_new), updated.q)
 
-            for trial, trial_filt in _damped_trials(series, params, candidate, pi0):
-                if trial_filt.loglik >= filt.loglik:
+            trial = _blend_params(params, candidate, 1.0)
+            trial_filt = hamilton_filter(series, trial, initial=pi0)
+            if trial_filt.loglik < filt.loglik:
+                lam = _halved_step(series, params, candidate, pi0, filt.loglik)
+                if lam is None:
+                    trace.stalled = True
                     break
-            else:
-                trace.stalled = True
-                break
+                trial = _blend_params(params, candidate, lam)
+                trial_filt = hamilton_filter(series, trial, initial=pi0)
 
             params, filt = trial, trial_filt
             delta = abs(filt.loglik - trace.logliks[-1]) / max(abs(trace.logliks[-1]), 1e-300)

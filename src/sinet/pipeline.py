@@ -452,11 +452,7 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
             "need at least 2 for the influence matrix"
         )
 
-    window_label = f"{config.analysis_start}..{config.analysis_end}"
-    matrix = sii_matrix(
-        probs, config.te_bins, config.te_base, window=window_label,
-        bubble_level=config.te_bubble_level,
-    )
+    matrix = sii_matrix(probs, config.te_bins, config.te_base, bubble_level=config.te_bubble_level)
     path = sio.write_matrix_csv(out / "sii_matrix.csv", matrix.nodes, matrix.values, provenance)
     report.artifacts.append(path.name)
 

@@ -9,7 +9,6 @@ sequential search raises: at a failing step length that comes before any
 accepted one, and never at one after it. That holds both for a filter that
 fails at a step and for a step length whose emission table is rejected.
 """
-import sys
 from dataclasses import replace
 from unittest import mock
 
@@ -104,18 +103,23 @@ def shorter_step_series():
 
 
 def batched_members(series, config):
-    """The trial parameters of each batched call of ``em_fit``'s line
-    search, in order (``hamilton_filter``'s one-member calls left out)."""
-    calls = []
-    batch = hmm_module._filter_batch
+    """The trial parameters of each batched ``_forward`` call of ``em_fit``'s
+    line search, in order: the blends made just before it, one per member
+    (the unbatched calls of ``hamilton_filter`` left out)."""
+    blends, calls = [], []
+    blend, forward = hmm_module._blend_params, hmm_module._forward
 
-    def recording(series, params, pi):
-        params = list(params)
-        if sys._getframe(1).f_code is hmm_module._damped_trials.__code__:
-            calls.append(params)
-        return batch(series, params, pi)
+    def recording_blend(*args):
+        blends.append(blend(*args))
+        return blends[-1]
 
-    with mock.patch.object(hmm_module, "_filter_batch", recording):
+    def recording_forward(ops, q, pi):
+        if ops.ndim == 4:
+            calls.append(blends[-ops.shape[2]:])
+        return forward(ops, q, pi)
+
+    with mock.patch.object(hmm_module, "_blend_params", recording_blend), \
+            mock.patch.object(hmm_module, "_forward", recording_forward):
         em_fit(series, config)
     return calls
 
@@ -153,10 +157,16 @@ def test_accepted_shorter_step_matches_sequential_search():
     assert [len(c) for c in batched_members(series, SHORTER_STEP)] == [11, 11]
 
 
-def test_failure_before_the_accepted_step_raises_as_sequential_search():
+# iteration 2's lam = 1/2 and lam = 1/4, both before the accepted lam = 1/8;
+# a table rejected at lam = 1/2 leaves no step to score in a batch
+BEFORE_ACCEPTED = pytest.mark.parametrize("member", [0, 1], ids=["half", "quarter"])
+
+
+@BEFORE_ACCEPTED
+def test_failure_before_the_accepted_step_raises_as_sequential_search(member):
     series = shorter_step_series()
-    quarter = batched_members(series, SHORTER_STEP)[0][1]  # iteration 2, lam = 1/4
-    with dead_step(quarter, 7):
+    target = batched_members(series, SHORTER_STEP)[0][member]
+    with dead_step(target, 7):
         with pytest.raises(NumericalFailureError) as err:
             oracles.em_fit_sequential(series, SHORTER_STEP)
         assert str(err.value) == "EM iteration 2: filter normaliser 0.0 at step 7"
@@ -173,10 +183,11 @@ def test_failure_after_the_accepted_step_is_never_raised():
                         oracles.em_fit_sequential(series, SHORTER_STEP))
 
 
-def test_rejected_table_before_the_accepted_step_raises_as_sequential_search():
+@BEFORE_ACCEPTED
+def test_rejected_table_before_the_accepted_step_raises_as_sequential_search(member):
     series = shorter_step_series()
-    quarter = batched_members(series, SHORTER_STEP)[0][1]  # iteration 2, lam = 1/4
-    with zero_drift(quarter):
+    target = batched_members(series, SHORTER_STEP)[0][member]
+    with zero_drift(target):
         want = outcome(oracles.em_fit_sequential, series, SHORTER_STEP)
         assert want == (ValueError, "mu1 must be nonzero for the bubble_start density")
         assert outcome(em_fit, series, SHORTER_STEP) == want

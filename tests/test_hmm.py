@@ -613,20 +613,19 @@ class TestEmFit:
         # SEC (T = 729): the start and each full step take one hamilton_filter
         # call; the stall's eleven halved steps take one batched call, not
         # eleven single ones
-        filter_calls, batch_sizes = [], []
-        single, batch = hmm_module.hamilton_filter, hmm_module._filter_batch
+        filter_calls, batches = [], []
+        single, forward = hmm_module.hamilton_filter, hmm_module._forward
 
         def counting_filter(*args, **kwargs):
-            filter_calls.append(len(batch_sizes))
+            filter_calls.append(len(batches))
             return single(*args, **kwargs)
 
-        def counting_batch(series, params, pi):
-            params = list(params)
-            batch_sizes.append(len(params))
-            return batch(series, params, pi)
+        def counting_forward(ops, q, pi):
+            batches.append(ops.shape[2:-1])
+            return forward(ops, q, pi)
 
         monkeypatch.setattr(hmm_module, "hamilton_filter", counting_filter)
-        monkeypatch.setattr(hmm_module, "_filter_batch", counting_batch)
+        monkeypatch.setattr(hmm_module, "_forward", counting_forward)
         config = PipelineConfig.from_file(bundled_corpus_config())
         spec = next(a for a in config.assets if a.asset_id == "SEC")
         fit = calibrate_asset(
@@ -636,9 +635,9 @@ class TestEmFit:
         assert len(fit.filt.filtering) == 729
         assert fit.trace.stalled and fit.trace.iterations == 2
         # the start, the accepted full step of iteration 1, the rejected one of
-        # iteration 2, each a one-member batch of its own; then the stall
+        # iteration 2, each an unbatched reduction of its own; then the stall
         assert filter_calls == [0, 1, 2]
-        assert batch_sizes == [1, 1, 1, 11]
+        assert batches == [(), (), (), (11,)]
 
 
 class TestFractions:

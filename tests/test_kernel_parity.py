@@ -14,8 +14,8 @@ same float inputs:
 * the smoother gives the outcome of the exact backward recursion over the
   filter's own tables, within 1e-13, and on hand-built tables the outcome
   of the float step loop, within 1e-13;
-* a batched filter call, one series under several parameter sets, gives
-  each member it reaches exactly the single filter's outcome, bit for bit.
+* a batched reduction, one series under several parameter sets, gives each
+  member exactly the single filter's outcome, bit for bit.
 
 Property tests follow: invariance of the posteriors under rescaled
 densities, agreement with path enumeration, and normalised pairwise tables.
@@ -179,36 +179,35 @@ def test_filter_and_smoother_match_exact_recursions(instance):
     assert_same_smoother(outcome(kim_smoother, filt), outcome(exact_smoother, filt))
 
 
-def bits(out):
-    if isinstance(out, tuple):
-        return out
-    return (out.filtering.values.tobytes(), out.pairwise_filtered.tobytes(),
-            np.float64(out.loglik).tobytes())
-
-
-def check_member(want, params, out):
-    assert params is want
-    return out
-
-
 @PARITY
 @given(st.lists(instances(), min_size=1, max_size=6), st.integers(0, 5))
 def test_batch_members_equal_single_filters(members, shift):
     # one series under every member's parameters, the batch rotated so that
-    # each member comes first in some example: every member a batch reaches
-    # is its single filter bit for bit, or fails with its step and message
+    # each member comes first in some example: a member whose normalisers are
+    # all finite has a single filter that succeeds with their sum as its
+    # log-likelihood and the member's tables, bit for bit; any other fails at
+    # the member's first non-finite step
     _, initial, y = members[0]
     series = LogPriceSeries("syn", dates(len(y)), y)
     shift %= len(members)
     params = [p for p, _, _ in members[shift:] + members[:shift]]
-    got = []
-    batch = hmm_module._filter_batch(series, params, initial)
-    for p in params:
-        got.append(outcome(lambda: check_member(p, *next(batch))))
-        if isinstance(got[-1], tuple):
-            break
-    want = [outcome(hamilton_filter, series, p, initial) for p in params[:len(got)]]
-    assert [bits(g) for g in got] == [bits(w) for w in want]
+    ops = np.stack([emission_logdensities(y, p.regime) for p in params], axis=2)
+    log_norms, filtered, pairwise = hmm_module._forward(
+        ops, np.stack([p.q for p in params], axis=-1), initial)
+    for b, p in enumerate(params):
+        want = outcome(hamilton_filter, series, p, initial)
+        bad = ~np.isfinite(log_norms[b])
+        if bad.any():
+            # ops now holds the log cells, whose exponentials sum to the normaliser
+            step = int(np.argmax(bad)) + 1
+            norm = float(np.exp(ops[:, :, b, step - 1]).sum())
+            assert want == ("step failure", step, f"filter normaliser {norm!r} at step {step}")
+            continue
+        assert isinstance(want, FilterOutput)
+        assert np.float64(log_norms[b].sum()).tobytes() == np.float64(want.loglik).tobytes()
+        assert np.concatenate([initial[1:], filtered[b]]).tobytes() == \
+            want.filtering.values.tobytes()
+        assert pairwise[:, :, b].transpose(2, 0, 1).tobytes() == want.pairwise_filtered.tobytes()
 
 
 @st.composite
