@@ -47,6 +47,7 @@ from .entropy import (
 from .errors import (
     CollinearityError,
     ConfigurationError,
+    ConvergenceError,
     DegenerateRegimeError,
     InsufficientDataError,
     NumericalFailureError,
@@ -84,6 +85,7 @@ __all__ = [
     "BinnedSeries",
     "CollinearityError",
     "ConfigurationError",
+    "ConvergenceError",
     "CorrelationReport",
     "DegenerateRegimeError",
     "EMConfig",

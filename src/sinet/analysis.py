@@ -6,11 +6,18 @@ regressions/correlations of those losses on the indicators.
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CollinearityError, InsufficientDataError, UndefinedCorrelationError
+from .errors import (
+    CollinearityError,
+    ConvergenceError,
+    InsufficientDataError,
+    UndefinedCorrelationError,
+)
 
 SIGNIFICANCE_LEVELS = ((0.01, "***"), (0.05, "**"), (0.1, "*"))
 
@@ -94,10 +101,6 @@ def ols_regress(y, X) -> RegressionResult:
     intercept-augmented design is rank deficient, and
     :class:`InsufficientDataError` when there are too few rows.
     """
-    # imported here, not with the module, so that `import sinet` loads no scipy
-    from scipy.linalg import qr
-    from scipy.special import stdtr
-
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
@@ -114,16 +117,15 @@ def ols_regress(y, X) -> RegressionResult:
     design = np.column_stack([np.ones(n), X])
     p = k + 1
 
-    # Pivoted QR exposes the first column that adds no new direction.
-    _, r, piv = qr(design, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = diag.max() * max(n, p) * np.finfo(float).eps
-    rank = int((diag > tol).sum())
-    if rank < p:
-        offender = int(piv[rank])
-        raise CollinearityError("intercept" if offender == 0 else offender - 1)
-
+    # |R_jj| is column j's distance from the span of the columns before it,
+    # so the first column that falls within rounding of that span is the
+    # first dependent one. The intercept column comes first and never is.
     q_mat, r_mat = np.linalg.qr(design)
+    tol = np.linalg.norm(design, axis=0) * max(n, p) * np.finfo(float).eps
+    dependent = np.flatnonzero(np.abs(np.diag(r_mat)) <= tol)
+    if len(dependent):
+        raise CollinearityError(int(dependent[0]) - 1)
+
     beta = np.linalg.solve(r_mat, q_mat.T @ y)
     resid = y - design @ beta
     dof = n - p
@@ -143,7 +145,7 @@ def ols_regress(y, X) -> RegressionResult:
         f_stat = float("inf")
 
     t_all = np.divide(beta, se, out=np.zeros_like(beta), where=se > 0)
-    p_all = 2.0 * stdtr(dof, -np.abs(t_all))  # what 2 * stats.t.sf(|t|, dof) evaluates
+    p_all = np.array([_t_two_sided_p(float(t), dof) for t in t_all])
 
     markers = tuple(
         next((mark for level, mark in SIGNIFICANCE_LEVELS if pval < level), "")
@@ -161,6 +163,64 @@ def ols_regress(y, X) -> RegressionResult:
         adj_r_squared=adj,
         f_statistic=f_stat,
     )
+
+
+def _t_two_sided_p(t: float, dof: int) -> float:
+    """P(|T| >= |t|) for Student's t with ``dof`` degrees of freedom.
+
+    That is the regularized incomplete beta function I_x(dof/2, 1/2) at
+    x = dof/(dof + t^2). Its complement 1 - x is formed as t^2/(dof + t^2),
+    not by subtraction, which near t = 0 would cost up to 1e-7 relative.
+    """
+    t2 = t * t
+    if t2 == math.inf:  # |t| > 1.3e154, where p < 1e-154 at any dof
+        return 0.0
+    x, x_c = dof / (dof + t2), t2 / (dof + t2)
+    if x_c == 0.0:  # t^2/dof underflows, and 1 - p is far below rounding
+        return 1.0
+    a, b = 0.5 * dof, 0.5
+    # ln B(a, 1/2) without a difference of lgammas, which cancels to about
+    # a * eps: math.gamma while it is finite, then the asymptotic series of
+    # ln G(a + 1/2) - ln G(a), whose first omitted term is below 1e-18 there
+    if a + b < 171.0:
+        log_beta = math.log(math.gamma(a) * math.gamma(b) / math.gamma(a + b))
+    else:
+        r = 1.0 / a
+        log_beta = 0.5 * math.log(math.pi / a) + r / 8.0 * (1.0 - r * r / 24.0 + r**4 / 80.0)
+    # log x as -log1p(t^2/dof): exact to rounding of t^2/dof, even as x -> 1
+    log_front = -a * math.log1p(t2 / dof) + b * math.log(x_c) - log_beta
+    # the fraction converges fast on the side of the mean (a+1)/(a+b+2)
+    # nearer 0; the other side goes through I_x(a, b) = 1 - I_{1-x}(b, a)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return math.exp(log_front) * _beta_fraction(a, b, x) / a
+    return 1.0 - math.exp(log_front) * _beta_fraction(b, a, x_c) / b
+
+
+_BETA_FRACTION_MAX_TERMS = 10_000
+_EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min / _EPS
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction of I_x(a, b), evaluated by the modified Lentz
+    method (Press et al., *Numerical Recipes* 3rd ed. §6.4, ``betacf``)."""
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) >= _TINY else _TINY)
+    h = d
+    for m in range(1, _BETA_FRACTION_MAX_TERMS + 1):
+        m2 = 2 * m
+        # one even and one odd term of the fraction per pass
+        for coef in (m * (b - m) * x / ((a + m2 - 1.0) * (a + m2)),
+                     -(a + m) * (a + b + m) * x / ((a + m2) * (a + m2 + 1.0))):
+            d = 1.0 + coef * d
+            d = 1.0 / (d if abs(d) >= _TINY else _TINY)
+            c = 1.0 + coef / c
+            c = c if abs(c) >= _TINY else _TINY
+            h *= d * c
+        if abs(d * c - 1.0) <= _EPS:
+            return h
+    raise ConvergenceError(
+        f"incomplete beta fraction: no convergence in {_BETA_FRACTION_MAX_TERMS} terms")
 
 
 def _pearson(x: np.ndarray, y: np.ndarray, statistic: str) -> float:

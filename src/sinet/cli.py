@@ -13,7 +13,7 @@ from pathlib import Path
 from . import io as sio
 from . import pipeline
 from .entropy import SIIMatrix, sii
-from .errors import NumericalFailureError, SinetError
+from .errors import ConvergenceError, NumericalFailureError, SinetError
 from .hmm import EMConfig
 from .network import build_sin, compute_indicators
 from .bubble import simulate_sa_path
@@ -208,7 +208,7 @@ _COMMANDS = {
 # The exit code of each failure, the first matching entry deciding: 1 for
 # bad input, 2 for a failed computation or an unwritable output.
 _EXIT_CODES = (
-    (NumericalFailureError, 2),
+    ((NumericalFailureError, ConvergenceError), 2),
     ((ValueError, SinetError, FileNotFoundError), 1),
     (OSError, 2),
 )

@@ -45,9 +45,13 @@ class DegenerateRegimeError(SinetError, ValueError):
 class CollinearityError(SinetError, ValueError):
     """A regressor matrix is rank deficient. ``column`` names the offender."""
 
-    def __init__(self, column: int | str, message: str | None = None):
+    def __init__(self, column: int, message: str | None = None):
         self.column = column
         super().__init__(message or f"regressor column {column!r} is collinear")
+
+
+class ConvergenceError(SinetError, ArithmeticError):
+    """An iterative evaluation did not converge within its bound."""
 
 
 class UndefinedCorrelationError(SinetError, ValueError):

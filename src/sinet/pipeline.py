@@ -525,7 +525,7 @@ def loss_analytics(table, node_order, groups, losses, regressions: str,
             ])
             try:
                 res = ols_regress(y, X)
-            except (SinetError, ValueError) as err:
+            except ValueError as err:  # the data cannot support the model
                 skip(entry, label, str(err))
                 continue
             entry.update(

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy import stats
+from hypothesis import example, given, settings, strategies as st
+from scipy import special, stats
 
 import oracles
 from sinet import (
     CollinearityError,
+    ConvergenceError,
     InsufficientDataError,
     UndefinedCorrelationError,
     correlations,
@@ -13,6 +14,7 @@ from sinet import (
     ols_regress,
     rank_transform,
 )
+from sinet import analysis as analysis_module
 
 
 class TestMaxLoss:
@@ -144,6 +146,20 @@ class TestOlsRegress:
             ols_regress(rng.normal(0, 1, 25), X)
         assert err.value.column in (0, 1)
 
+    @pytest.mark.parametrize("make, column", [
+        (lambda a, b: [a, 3.0 * a, b], 1),
+        (lambda a, b: [a, 10.0 * b, 5.0 * a], 2),
+        (lambda a, b: [a, b, a + b], 2),
+    ], ids=["[a,3a,b]", "[a,10b,5a]", "[a,b,a+b]"])
+    def test_first_dependent_column_named(self, make, column):
+        # the named column lies in the span of the columns before it, and
+        # no earlier column does
+        rng = np.random.default_rng(14)
+        a, b = rng.normal(0, 1, (2, 25))
+        with pytest.raises(CollinearityError) as err:
+            ols_regress(rng.normal(0, 1, 25), np.column_stack(make(a, b)))
+        assert err.value.column == column
+
     def test_too_few_rows(self):
         with pytest.raises(InsufficientDataError):
             ols_regress(np.ones(4), np.ones((4, 3)))
@@ -204,10 +220,28 @@ class TestCorrelations:
             correlations([1.0], [2.0])
 
 
-def assert_p_values_are_t_sf(res, dof):
-    """``ols_regress`` p-values equal 2 t.sf(|t|, dof) bit for bit."""
-    want = 2.0 * stats.t.sf(np.abs(res.t_values), dof)
-    assert res.p_values.tobytes() == want.tobytes(), (res.p_values, want)
+def t_p_reference(t, dof):
+    """Two-sided Student t p-values to check ``ols_regress`` against.
+
+    At dof = 1 the closed form (2/pi) atan(1/|t|): scipy's ``stdtr`` misses
+    the exact value by up to 1e-9 there at |t| < 3e-5. Otherwise
+    ``2 * scipy.special.stdtr(dof, -|t|)``, which is what
+    ``2 * stats.t.sf(|t|, dof)`` evaluates.
+    """
+    t = np.abs(np.asarray(t, dtype=float))
+    if dof == 1:
+        return (2.0 / np.pi) * np.arctan2(1.0, t)
+    return 2.0 * special.stdtr(dof, -t)
+
+
+def assert_p_values_match(p, t, dof):
+    """Each p-value is within 1e-12 relative of its reference (1e-14 at the
+    closed form) where that is at least 1e-300; below, both are."""
+    p, want = np.asarray(p, dtype=float), t_p_reference(t, dof)
+    rel = 1e-14 if dof == 1 else 1e-12
+    tail = want < 1e-300
+    np.testing.assert_allclose(p[~tail], want[~tail], rtol=rel, atol=0.0)
+    assert (p[tail] < 1e-300).all(), (p[tail], want[tail])
 
 
 @st.composite
@@ -225,24 +259,24 @@ class TestOlsPValues:
     def test_zero_t_gives_one(self):
         res = ols_regress(np.zeros(5), np.arange(5.0))
         assert res.t_values[0] == 0.0 and res.p_values[0] == 1.0
-        assert_p_values_are_t_sf(res, 3)
+        assert_p_values_match(res.p_values, res.t_values, 3)
 
     def test_one_degree_of_freedom(self):
         res = ols_regress(np.array([1.0, 3.1, 4.9]), np.array([0.0, 1.0, 2.0]))
         assert 0.0 < res.p_values[0] < 0.05
-        assert_p_values_are_t_sf(res, 1)
+        assert_p_values_match(res.p_values, res.t_values, 1)
 
     def test_huge_t(self):
         x = np.arange(10.0)
         res = ols_regress(2.0 * x + 1.0, x)  # residuals at rounding level
         assert res.t_values[0] > 1e12
         assert 0.0 < res.p_values[0] < 1e-100
-        assert_p_values_are_t_sf(res, 8)
+        assert_p_values_match(res.p_values, res.t_values, 8)
         rng = np.random.default_rng(0)
         x = rng.normal(size=30)
         res = ols_regress(3.0 * x + 1e-13 * rng.normal(size=30), x)
         assert res.t_values[0] > 1e13 and res.p_values[0] == 0.0
-        assert_p_values_are_t_sf(res, 28)
+        assert_p_values_match(res.p_values, res.t_values, 28)
 
     def test_fixed_designs(self):
         rng = np.random.default_rng(13)
@@ -250,11 +284,41 @@ class TestOlsPValues:
             X = rng.normal(0, 1, (n, k))
             y = X @ rng.normal(0, 0.5, k) + rng.normal(0, 1, n)
             res = ols_regress(y, X)
-            assert_p_values_are_t_sf(res, n - k - 1)
+            assert_p_values_match(res.p_values, res.t_values, n - k - 1)
 
     @settings(max_examples=200, deadline=None, database=None, print_blob=True)
     @given(regressions())
     def test_matches_t_sf(self, case):
         y, X = case
         res = ols_regress(y, X)
-        assert_p_values_are_t_sf(res, len(y) - X.shape[1] - 1)
+        assert_p_values_match(res.p_values, res.t_values, len(y) - X.shape[1] - 1)
+
+    @settings(max_examples=500, deadline=None, database=None, print_blob=True)
+    @given(st.integers(2, 200), st.one_of(st.floats(-10.0, 10.0), st.floats(allow_nan=False)))
+    @example(100, 3e-162)  # t^2 is subnormal and t^2/(dof + t^2) underflows to 0
+    @example(2, -5e-324)
+    def test_matches_stdtr(self, dof, t):
+        assert_p_values_match([analysis_module._t_two_sided_p(t, dof)], [t], dof)
+
+    @pytest.mark.parametrize("dof, closed_form", [
+        (1, lambda t: (2.0 / np.pi) * np.arctan(1.0 / t)),
+        (2, lambda t: 2.0 / (np.sqrt(2.0 + t * t) * (np.sqrt(2.0 + t * t) + t))),
+    ])
+    def test_closed_forms(self, dof, closed_form):
+        # independent of scipy, whose stdtr misses by up to 1e-9 at dof = 1
+        t = np.geomspace(1e-8, 1e8, 1601)
+        for sign in (1.0, -1.0):
+            got = [analysis_module._t_two_sided_p(sign * v, dof) for v in t]
+            np.testing.assert_allclose(got, closed_form(t), rtol=1e-14, atol=0.0)
+
+    def test_series_prefactor_at_large_dof(self):
+        # math.gamma overflows above dof = 341, and a series takes over
+        t = np.array([0.3, 1.0, 1.7, 2.5, 4.0, 10.0, 30.0])
+        for dof in (341, 342, 500, 1000, 5000):
+            p = [analysis_module._t_two_sided_p(v, dof) for v in t]
+            assert_p_values_match(p, t, dof)
+
+    def test_unconverged_fraction_raises(self, monkeypatch):
+        monkeypatch.setattr(analysis_module, "_BETA_FRACTION_MAX_TERMS", 1)
+        with pytest.raises(ConvergenceError, match="^incomplete beta fraction: no convergence"):
+            analysis_module._t_two_sided_p(1.5, 20)

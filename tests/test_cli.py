@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sinet import NodeGroup, SIIMatrix, compute_indicators, pipeline
+from sinet import NodeGroup, SIIMatrix, analysis, compute_indicators, pipeline
 from sinet.cli import main
 from sinet.errors import NumericalFailureError
 from sinet.synthetic import write_corpus
@@ -461,3 +461,16 @@ class TestRuntimeFailure:
             "error: EM iteration 3: filter normaliser nan at step 7\n"
         )
         assert not (tmp_path / "o").exists()
+
+    def test_unconverged_p_value_exits_two(
+        self, run_dir, groups_file, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(analysis, "_BETA_FRACTION_MAX_TERMS", 1)
+        out = tmp_path / "reports"
+        rc = main(["regress", "--indicators", str(run_dir / "indicators.csv"),
+                   "--groups", str(groups_file), "--losses", str(run_dir / "losses.csv"),
+                   "--out-dir", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: incomplete beta fraction: no convergence in 1 terms\n")
+        assert not out.exists()

@@ -479,7 +479,7 @@ class TestPinnedOutputs:
             ("financial", 4), ("financial", 4)]
         assert doc["regressions"][0]["coefficients"] == [0.004464285714286397]
         assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == (
-            "0a47ca8a8acc059370459dbef7d7daa71a59f3531df4e8fc75d8520a3c206462")
+            "8a42fb4b0fbd28e5ac51b7da30b958ce3b64a126d497a3d39e3dde4fb3977915")
         two, three = "NSII-on-Fin - SI-from-IX + SI-to-IX", "SI-from-Fin + SI-to-IX + NSII-on-All"
         combo = "NSII-on-Fin - SI-from-IX + SI-to-All"
         assert text == (
