@@ -38,9 +38,9 @@ class BinnedSeries:
     bin_count: int = 10
 
     def __post_init__(self):
+        if not isinstance(self.bin_count, (int, np.integer)) or self.bin_count < 2:
+            raise ValueError(f"bin_count must be an integer >= 2, got {self.bin_count!r}")
         b = np.asarray(self.bins, dtype=np.int64)
-        if self.bin_count < 2:
-            raise ValueError("bin_count must be >= 2")
         if len(b) and (b.min() < 0 or b.max() >= self.bin_count):
             raise ValueError(f"bins must lie in [0, {self.bin_count - 1}]")
         b.setflags(write=False)

@@ -137,35 +137,29 @@ class EMConfig:
     """Settings for :func:`em_fit` and the preprocessing stage.
 
     ``average_window`` is the window of :func:`geometric_average_filter`;
-    1 calibrates the raw prices.
+    1 calibrates the raw prices. ``n_min``..``n_max`` is the search interval
+    of the feedback exponent n.
     """
 
     average_window: int = 100
     tol: float = 1e-4
     max_iterations: int = 500
-    n_search: tuple[float, float] = (1e-4, 10.0)
+    n_min: float = 1e-4
+    n_max: float = 10.0
     kappa: float = 0.6
-    q00_init: float = 0.95
-    q11_init: float = 0.95
 
     def __post_init__(self):
-        if self.average_window < 1:
-            raise ValueError("average_window must be >= 1")
+        for name in ("average_window", "max_iterations"):
+            v = getattr(self, name)
+            if not isinstance(v, (int, np.integer)) or v < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
         if not 0.0 < self.tol < np.inf:
             raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        lo, hi = self.n_search
-        if not 0 < lo < hi < np.inf:
-            raise ValueError(
-                f"n_search must be a finite increasing positive interval, got {self.n_search!r}"
-            )
+        if not 0 < self.n_min < self.n_max < np.inf:
+            raise ValueError("n_min/n_max must be a finite increasing positive interval, "
+                             f"got ({self.n_min!r}, {self.n_max!r})")
         if not 0.0 < self.kappa < np.inf:
             raise ValueError(f"kappa must be finite and positive, got {self.kappa!r}")
-        for name in ("q00_init", "q11_init"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"{name} must lie strictly inside (0, 1)")
 
 
 @dataclass
@@ -538,7 +532,7 @@ def solve_feedback_exponent(
     mu1: float,
     sigma1: float,
     n_current: float,
-    search: tuple[float, float] = EMConfig.n_search,
+    search: tuple[float, float] = (EMConfig.n_min, EMConfig.n_max),
 ) -> float:
     """Conditional-maximisation step for the feedback exponent n.
 
@@ -633,12 +627,7 @@ def _initial_params(y: np.ndarray, config: EMConfig) -> ModelParams:
     mu1 = max(float(-du[rally].mean() / n0), 1e-6)
     sigma1 = max(float(du[rally].std() / n0), 1e-8)
 
-    q = np.array(
-        [
-            [config.q00_init, 1.0 - config.q00_init],
-            [1.0 - config.q11_init, config.q11_init],
-        ]
-    )
+    q = np.array([[0.95, 1.0 - 0.95], [1.0 - 0.95, 0.95]])  # both regimes stay with 0.95
     regime = RegimeParams(mu0=mu0, sigma0=sigma0, mu1=mu1, sigma1=sigma1, n=n0, kappa=config.kappa)
     return ModelParams(regime, q)
 
@@ -739,11 +728,11 @@ def em_fit(
             if smth.pairwise_smoothed[:, 1, 1].sum() > 0.0:
                 n_new = solve_feedback_exponent(
                     smth, series, updated.regime.mu1, updated.regime.sigma1,
-                    params.regime.n, search=config.n_search,
+                    params.regime.n, search=(config.n_min, config.n_max),
                 )
             candidate = ModelParams(replace(updated.regime, n=n_new), updated.q)
 
-            trial = _blend_params(params, candidate, 1.0)
+            trial = candidate
             trial_filt = hamilton_filter(series, trial, initial=pi0)
             if trial_filt.loglik < filt.loglik:
                 lam = _halved_step(series, params, candidate, pi0, filt.loglik)

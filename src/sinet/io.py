@@ -26,7 +26,7 @@ GRAPH_SCHEMA = "sin-graph/1"
 DEFAULT_COLUMNS = {"date": "date", "price": "price", "market_cap": "market_cap"}
 
 
-def _fmt(x) -> str:
+def format_value(x) -> str:
     """Full-precision decimal text for floats; ints and strings unchanged."""
     if isinstance(x, float):
         return repr(x)
@@ -313,19 +313,19 @@ def export_graph(g: SINGraph, fmt: str, path, provenance: str = "") -> Path:
         if provenance:
             lines.append(f"// {provenance}")
         lines.append("digraph SIN {")
-        lines.append(f"  // threshold={_fmt(float(g.threshold))}")
+        lines.append(f"  // threshold={format_value(float(g.threshold))}")
         for node in g.nodes:
             attrs = [f"group={_dot_id(g.groups[node])}"]
             if node in g.size_values:
-                attrs.append(f"size_value={_fmt(g.size_values[node])}")
+                attrs.append(f"size_value={format_value(g.size_values[node])}")
             color = g.color_values.get(node)
             if color is not None:
-                attrs.append(f"color_value={_fmt(color)}")
+                attrs.append(f"color_value={format_value(color)}")
             lines.append(f'  {_dot_id(node)} [{", ".join(attrs)}];')
         for src, dst, weight in g.edges:
             pen = 0.5 + 4.5 * weight
             lines.append(f"  {_dot_id(src)} -> {_dot_id(dst)} "
-                         f"[weight={_fmt(weight)}, penwidth={_fmt(pen)}];")
+                         f"[weight={format_value(weight)}, penwidth={format_value(pen)}];")
         lines.append("}")
         path.write_text("\n".join(lines) + "\n")
         return path
@@ -582,7 +582,7 @@ def read_matrix_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
 
 
 def write_table_csv(path, header: list[str], rows: list[list], provenance: str = "") -> Path:
-    return _write_csv(path, header, (",".join(map(_fmt, row)) for row in rows), provenance)
+    return _write_csv(path, header, (",".join(map(format_value, row)) for row in rows), provenance)
 
 
 def read_indicators_csv(path):

@@ -57,36 +57,29 @@ class AssetSpec:
     group: str
 
 
-# Flat config key -> (field, parser, formatter), in echo order. A field under
-# ``em.`` belongs to the EMConfig; a trailing ``.0``/``.1`` indexes a pair.
-# Absent keys take the dataclass defaults.
+# Flat config key -> (field, parser), in echo order. A field under ``em.``
+# belongs to the EMConfig. Absent keys take the dataclass defaults.
 _CONFIG_KEYS = (
-    ("analysis_start", "analysis_start", str, str),
-    ("analysis_end", "analysis_end", str, str),
-    ("loss_start", "loss_start", str, str),
-    ("loss_end", "loss_end", str, str),
-    ("average_window", "em.average_window", int, str),
-    ("em_tol", "em.tol", float, repr),
-    ("em_max_iterations", "em.max_iterations", int, str),
-    ("n_min", "em.n_search.0", float, repr),
-    ("n_max", "em.n_search.1", float, repr),
-    ("kappa", "em.kappa", float, repr),
-    ("q00_init", "em.q00_init", float, repr),
-    ("q11_init", "em.q11_init", float, repr),
-    ("te_bins", "te_bins", int, str),
-    ("te_base", "te_base", float, repr),
-    ("te_bubble_level", "te_bubble_level", float, repr),
-    ("nsii_threshold", "nsii_threshold", float, repr),
-    ("probability_source", "probability_source", str, str),
-    ("regressions", "regressions", str, str),
-    ("correlations", "correlation_specs", str, str),
+    ("analysis_start", "analysis_start", str),
+    ("analysis_end", "analysis_end", str),
+    ("loss_start", "loss_start", str),
+    ("loss_end", "loss_end", str),
+    ("average_window", "em.average_window", int),
+    ("em_tol", "em.tol", float),
+    ("em_max_iterations", "em.max_iterations", int),
+    ("n_min", "em.n_min", float),
+    ("n_max", "em.n_max", float),
+    ("kappa", "em.kappa", float),
+    ("te_bins", "te_bins", int),
+    ("te_base", "te_base", float),
+    ("te_bubble_level", "te_bubble_level", float),
+    ("nsii_threshold", "nsii_threshold", float),
+    ("probability_source", "probability_source", str),
+    ("regressions", "regressions", str),
+    ("correlations", "correlation_specs", str),
 )
-
-
-def _field_value(obj, field_path: str):
-    for part in field_path.split("."):
-        obj = obj[int(part)] if part.isdigit() else getattr(obj, part)
-    return obj
+# EMConfig field -> its config key, to name the key in EMConfig's messages
+_EM_KEYS = {f[3:]: key for key, f, _ in _CONFIG_KEYS if f.startswith("em.")}
 
 
 @dataclass
@@ -133,8 +126,8 @@ class PipelineConfig:
             start, end = days.get(f"{label}_start"), days.get(f"{label}_end")
             if start is not None and end is not None and start > end:
                 raise ConfigurationError(f"{label} window is not well-ordered")
-        if self.te_bins < 2:
-            raise ConfigurationError("te_bins must be >= 2")
+        if not isinstance(self.te_bins, (int, np.integer)) or self.te_bins < 2:
+            raise ConfigurationError(f"te_bins must be an integer >= 2, got {self.te_bins!r}")
         if not 1.0 < self.te_base < np.inf:
             raise ConfigurationError(f"te_base must be finite and exceed 1, got {self.te_base!r}")
         if not 0.0 <= self.te_bubble_level <= 1.0:
@@ -160,10 +153,11 @@ class PipelineConfig:
             kv[f"asset.{a.asset_id}.group"] = a.group
         for logical, actual in sorted(self.column_map.items()):
             kv[f"column.{logical}"] = actual
-        for key, field_path, _, fmt in _CONFIG_KEYS:
-            value = _field_value(self, field_path)
+        for key, field_path, _ in _CONFIG_KEYS:
+            owner, _, name = field_path.rpartition(".")
+            value = getattr(self.em if owner else self, name)
             if value is not None:
-                kv[key] = fmt(value)
+                kv[key] = sio.format_value(value)
         kv["output_dir"] = str(self.output_dir)
         return kv
 
@@ -224,34 +218,22 @@ class PipelineConfig:
 
         fields: dict = {}
         em_fields: dict = {}
-        em_keys: dict = {}  # EMConfig field -> the config keys that set it
-        for key, field_path, parse, _ in _CONFIG_KEYS:
-            if field_path.startswith("em."):
-                em_keys.setdefault(field_path.split(".")[1], []).append(key)
+        for key, field_path, parse in _CONFIG_KEYS:
             if key not in kv:
                 continue
             try:
                 value = parse(kv[key])
             except ValueError as err:
                 raise ConfigurationError(f"{key}: {err}") from None
-            if not field_path.startswith("em."):
+            if field_path.startswith("em."):
+                em_fields[field_path[3:]] = value
+            else:
                 fields[field_path] = value
-                continue
-            name, _, index = field_path[3:].partition(".")
-            if index:  # one end of a pair; the other keeps its value or default
-                pair = list(em_fields.get(name, getattr(EMConfig, name)))
-                pair[int(index)] = value
-                value = tuple(pair)
-            em_fields[name] = value
         try:
             em = EMConfig(**em_fields)
-        except ValueError as err:  # name the config keys, not the EMConfig field
-            message = str(err)
-            for name, keys in em_keys.items():
-                if message.startswith(f"{name} "):
-                    message = "/".join(keys) + message[len(name):]
-                    break
-            raise ConfigurationError(message) from None
+        except ValueError as err:  # name the config key, not the EMConfig field
+            name, sep, rest = str(err).partition(" ")
+            raise ConfigurationError(_EM_KEYS.get(name, name) + sep + rest) from None
         return cls(assets=assets, output_dir=out_dir, column_map=column_map, em=em, **fields)
 
 

@@ -299,7 +299,7 @@ def em_fit_sequential(series, config):
             if smth.pairwise_smoothed[:, 1, 1].sum() > 0.0:
                 n_new = hmm.solve_feedback_exponent(
                     smth, series, updated.regime.mu1, updated.regime.sigma1,
-                    params.regime.n, search=config.n_search,
+                    params.regime.n, search=(config.n_min, config.n_max),
                 )
             candidate = hmm.ModelParams(
                 hmm.replace(updated.regime, n=n_new), updated.q)

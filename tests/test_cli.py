@@ -47,14 +47,15 @@ class TestRun:
         assert "error" in capsys.readouterr().err
 
     def test_unknown_config_key_exits_one(self, corpus_dir, tmp_path, capsys):
+        # q00_init is a deleted key: a config that still sets it must fail, not be ignored
         cfg = tmp_path / "typo.cfg"
-        text = (corpus_dir / "corpus.cfg").read_text()
-        cfg.write_text(text.replace("data_dir = .", f"data_dir = {corpus_dir}")
-                       + "em_tolerance = 1e-9\n")
-        rc = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
-        assert rc == 1
-        assert "'em_tolerance'" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+        text = (corpus_dir / "corpus.cfg").read_text().replace("data_dir = .", f"data_dir = {corpus_dir}")
+        for key, value in (("em_tolerance", "1e-9"), ("q00_init", "0.95")):
+            cfg.write_text(text + f"{key} = {value}\n")
+            rc = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+            assert rc == 1
+            assert f"'{key}'" in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
 
     def test_echo_of_a_windowless_run_runs_again(self, corpus_dir, tmp_path):
         lines = [line for line in (corpus_dir / "corpus.cfg").read_text().splitlines()

@@ -39,6 +39,14 @@ class TestDiscretize:
     def test_bin_count_validation(self, make_probs):
         with pytest.raises(ValueError):
             discretize(make_probs([0.5]), bin_count=1)
+        # a fractional count must fail here, not as a numpy type error in the TE kernel
+        assets = {name: make_probs(np.linspace(0.1, 0.9, 20)) for name in "ab"}
+        for bin_count in (2.5, 4.0):
+            with pytest.raises(ValueError, match="^bin_count must be an integer"):
+                discretize(make_probs([0.5]), bin_count=bin_count)
+            with pytest.raises(ValueError, match="^bin_count must be an integer"):
+                sii_matrix(assets, bin_count)
+        assert discretize(make_probs([0.5]), bin_count=np.int64(4)).bin_count == 4
 
 
 class TestJointHistogram:

@@ -436,7 +436,7 @@ class TestSolveFeedbackExponent:
         )
         assert objective(n) >= objective(n_current)
         # Q' is 0 to rounding, or n sits on a bound with Q' pointing out
-        lo, hi = EMConfig.n_search
+        lo, hi = EMConfig.n_min, EMConfig.n_max
         q, slope, scale = oracles.bubble_block_slope(y, w, mu1, sigma1, n)
         on_lower = n - lo <= 4 * np.spacing(lo) and slope < 0.0
         on_upper = hi - n <= 4 * np.spacing(hi) and slope > 0.0
@@ -659,20 +659,24 @@ class TestEMConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             EMConfig(tol=0.0)
-        with pytest.raises(ValueError):
-            EMConfig(n_search=(1.0, 0.5))
-        with pytest.raises(ValueError):
-            EMConfig(q00_init=1.0)
+        with pytest.raises(ValueError, match="^n_min/n_max must be"):
+            EMConfig(n_min=1.0, n_max=0.5)
+        # a fractional count must fail here, not as a TypeError inside calibrate_asset
+        for setting in ("average_window", "max_iterations"):
+            for value in (2.5, 4.0, 0):
+                with pytest.raises(ValueError, match=f"^{setting} must be an integer"):
+                    EMConfig(**{setting: value})
+            assert getattr(EMConfig(**{setting: np.int64(3)}), setting) == 3
 
     @pytest.mark.parametrize("setting, value", [
         ("tol", np.nan), ("tol", np.inf), ("tol", -np.inf),
         ("kappa", np.nan), ("kappa", np.inf), ("kappa", -np.inf), ("kappa", 0.0),
-        ("n_search", (1e-4, np.inf)), ("n_search", (1e-4, np.nan)),
-        ("n_search", (np.nan, 10.0)), ("n_search", (-np.inf, 10.0)),
+        ("n_max", np.inf), ("n_max", np.nan), ("n_min", np.nan), ("n_min", -np.inf),
     ])
     def test_rejects_non_finite_values(self, setting, value):
         # a NaN tol can never be met, so EM would always run max_iterations
-        with pytest.raises(ValueError, match=f"^{setting} must be .*finite"):
+        name = "n_min/n_max" if setting in ("n_min", "n_max") else setting
+        with pytest.raises(ValueError, match=f"^{name} must be .*finite"):
             EMConfig(**{setting: value})
 
 

@@ -110,11 +110,22 @@ class TestConfigParsing:
 
     def test_key_values_round_trip(self, tmp_path, corpus_dir):
         config = corpus_config(corpus_dir, tmp_path / "out")
-        config.em = replace(config.em, n_search=(0.25, 4.0), tol=1e-7)
+        config.em = replace(config.em, n_min=0.25, n_max=4.0, tol=1e-7)
         config.te_bubble_level = 0.25
         config.column_map = {"price": "close"}
         kv = config.key_values()
         assert "seed" not in kv
+        assert PipelineConfig.from_key_values(kv, tmp_path).key_values() == kv
+
+    def test_one_end_of_the_n_interval_keeps_the_other_default(self, tmp_path, corpus_dir):
+        (tmp_path / "upper.cfg").write_text(
+            f"data_dir = {corpus_dir}\nassets = ENE, MAT\n"
+            "asset.ENE.group = industrial\nasset.MAT.group = financial\nn_max = 4.0\n"
+        )
+        config = PipelineConfig.from_file(tmp_path / "upper.cfg")
+        assert (config.em.n_min, config.em.n_max) == (1e-4, 4.0)
+        kv = config.key_values()
+        assert (kv["n_min"], kv["n_max"]) == ("0.0001", "4.0")
         assert PipelineConfig.from_key_values(kv, tmp_path).key_values() == kv
 
     def test_bundled_corpus_matches_its_generator(self, tmp_path):
@@ -335,7 +346,7 @@ class TestNonFiniteSettings:
         ("nsii_threshold", float("nan")), ("nsii_threshold", float("inf")),
         ("nsii_threshold", float("-inf")),
         ("te_bubble_level", float("nan")), ("te_bubble_level", float("inf")),
-        ("te_bins", 1), ("probability_source", "posterior"),
+        ("te_bins", 1), ("te_bins", 2.5), ("te_bins", 4.0), ("probability_source", "posterior"),
     ])
     def test_validate_names_the_setting(self, corpus_dir, tmp_path, setting, value):
         # a NaN te_base or nsii_threshold used to pass and give an all-zero
