@@ -36,14 +36,15 @@ def format_value(x) -> str:
 # ---------------------------------------------------------------------------
 # CSV ingestion
 #
-# Every table reader goes through ``_read_table`` (the probabilities reader
-# only when numpy's tokenizer refuses a file): the file is read once, all
-# data rows are cut into cells in one ``split``, and each column a reader
-# needs is converted by one numpy call. Each reader then lists its checks as
-# row masks, in the order they rank within one line, and ``_Table.check``
-# fails the read at the first line any of them flags, with the
-# highest-ranked check failing there: ``<path>: <what> on line <n>``
-# (1-based).
+# Price and probabilities tables are read first by numpy's C tokenizer
+# (``_tokenized``), which gives up on any table it cannot prove valid.
+# Every other table, and each one it gives up on, goes through the line
+# reader ``_read_table``: the file is read once, all data rows are cut into
+# cells in one ``split``, and each column a reader needs is converted by one
+# numpy call. Each reader then lists its checks as row masks, in the order
+# they rank within one line, and ``_Table.check`` fails the read at the
+# first line any of them flags, with the highest-ranked check failing
+# there: ``<path>: <what> on line <n>`` (1-based).
 
 # date.fromisoformat only takes years from 1
 _FIRST_DAY = np.datetime64("0001-01-01")
@@ -222,18 +223,99 @@ def plain_date(text: str, what: str) -> np.datetime64:
     return day
 
 
+# Characters that send a table to the line reader: the line breaks of
+# str.splitlines() other than \n and \r (the line reader of pipeline tables
+# splits on them, numpy's tokenizer does not, and its float parser strips
+# them as whitespace), and NUL, at which numpy ends a cell it reads as bytes.
+_REFUSED = "\x00\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+# A YYYY-MM-DD cell as 11 bytes: byte k less _PLAIN_LOW[k] is at most
+# _PLAIN_SPAN[k] (uint8 arithmetic takes a byte below its low above 200)
+_PLAIN_LOW = np.frombuffer(b"0000-00-00\x00", np.uint8)
+_PLAIN_SPAN = np.array([9, 9, 9, 9, 0, 9, 9, 0, 9, 9, 0], np.uint8)
+
+
+def _tokenized(path: Path, date: Optional[str], columns: dict[str, str],
+               price_file: bool = False) -> Optional[dict[str, np.ndarray]]:
+    """A valid table as its reader returns it, read by numpy's C tokenizer;
+    None when the line reader has to decide.
+
+    The result holds ``dates``, from the column named ``date`` (the first
+    column when it is None), and, as floats, the first of ``columns``
+    (key: column name) and each later one the header has. Price files are
+    sorted by date; pipeline tables must already be sorted. The header is
+    the first line of a price file, its cells stripped, and the first line
+    of a pipeline table neither empty nor a comment.
+
+    The file is taken only when its suffix is ``.csv`` (numpy opens a
+    ``.gz``, ``.bz2``, ``.xz`` or ``.lzma`` path through a decompressor),
+    its text holds none of ``_REFUSED``, nor a quote in a price file (the
+    line reader honours csv quoting there), it has data rows, and every
+    date cell is YYYY-MM-DD in ASCII digits, from year 1, with no date
+    repeated. numpy's tokenizer skips empty lines as the line reader does
+    and fails on a row too short for a column. A '#' line below a pipeline
+    table's header and a blank price row are not skipped: their date cell
+    fails the YYYY-MM-DD proof. numpy's float parser reads a subset of what
+    ``float()`` reads (no '_', no non-ASCII digits), to the same value.
+    """
+    if path.suffix != ".csv":
+        return None
+    try:
+        text = path.read_bytes().decode("utf-8-sig")  # faster than read_text()
+        if "\r" in text:  # \r\n and \r end a line, as read_text() reads them
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        if any(c in text for c in _REFUSED) or price_file and '"' in text:
+            return None
+        end, skip = -1, 0
+        while True:  # the header line
+            start, end = end + 1, text.find("\n", end + 1)
+            if end < 0:
+                return None
+            skip += 1
+            if price_file or start < end and text[start] != "#":
+                break
+        header = text[start:end].split(",")
+        if price_file:
+            header = [h.strip() for h in header]
+        first = next(iter(columns.values()))
+        if (date is not None and date not in header or first not in header
+                or len(text.rstrip()) <= end + 1):  # no data rows
+            return None
+        keys = [key for key, name in columns.items() if name in header]
+        rows = np.loadtxt(path, delimiter=",", comments=None, skiprows=skip, ndmin=1,
+                          encoding="utf-8-sig", dtype=",".join(["S11"] + ["f8"] * len(keys)),
+                          usecols=[0 if date is None else header.index(date),
+                                   *(header.index(columns[key]) for key in keys)])
+        cells = rows["f0"].copy()
+        if not (cells.view(np.uint8).reshape(-1, 11) - _PLAIN_LOW <= _PLAIN_SPAN).all():
+            return None
+        dates = cells.astype("datetime64[D]")  # ValueError: a month or day out of range
+    except ValueError:  # UnicodeError too
+        return None
+    order = np.argsort(dates, kind="stable") if price_file else np.arange(len(dates))
+    dates = dates[order]
+    if dates[0] < _FIRST_DAY or (dates[1:] <= dates[:-1]).any():
+        return None
+    return {"dates": dates, **{key: rows[f"f{k}"][order] for k, key in enumerate(keys, 1)}}
+
+
 def read_price_table(path, column_map=None) -> dict:
     """Read a (date, price[, market_cap]) CSV, sorted by date.
 
     Returns a dict with ``dates`` (datetime64[D]), ``prices`` and, when the
     mapped column exists, ``caps``. Dates are ISO dates as
-    ``date.fromisoformat`` reads them: plain YYYY-MM-DD cells are parsed by
-    numpy in one call, the rest one by one. Prices and caps must be finite
-    and positive. A bad row raises ValueError naming the first bad line,
-    with the first check that fails on it, in the order unparseable date,
-    duplicate date, unparseable price, non-positive price, unparseable
-    market_cap, non-positive market_cap: the order in which a row-by-row
-    reader would meet them.
+    ``date.fromisoformat`` reads them. Prices and caps must be finite and
+    positive. A bad row raises ValueError naming the first bad line, with
+    the first check that fails on it, in the order unparseable date,
+    duplicate date, unparseable price, non-finite price, non-positive
+    price, then the same three for market_cap: the order in which a
+    row-by-row reader would meet them.
+
+    A table is read by numpy's C tokenizer first (``_tokenized``). The line
+    reader reads it again when that read or its checks refuse it: a quote,
+    a suffix other than ``.csv``, a date cell not YYYY-MM-DD in ASCII
+    digits, a blank or short row, a cell numpy's float parser refuses, any
+    failing check. It returns what it reads or names the bad line.
     """
     colmap = dict(DEFAULT_COLUMNS)
     if column_map:
@@ -241,6 +323,11 @@ def read_price_table(path, column_map=None) -> dict:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"price file {path} does not exist")
+    columns = {"prices": colmap["price"], "caps": colmap["market_cap"]}
+    out = _tokenized(path, colmap["date"], columns, price_file=True)
+    if out is not None and all(((out[key] > 0) & (out[key] < np.inf)).all()
+                               for key in ("prices", "caps") if key in out):
+        return out
 
     table = _read_table(path, price_file=True)
     for field in ("date", "price"):
@@ -267,7 +354,8 @@ def read_price_table(path, column_map=None) -> dict:
             continue
         values, unparseable = _float_column(table.column(table.header.index(colmap[field])))
         checks.append((f"unparseable {field}", unparseable))
-        checks.append((f"non-positive {field}", ~(np.isfinite(values) & (values > 0))))
+        checks.append((f"non-finite {field}", ~np.isfinite(values)))
+        checks.append((f"non-positive {field}", values <= 0))
         out[key] = values[order]
     table.check(checks, ValueError)
     return out
@@ -442,54 +530,6 @@ def write_probabilities_csv(
     ), provenance)
 
 
-# The line breaks of str.splitlines() other than \n and \r: the line reader
-# splits on them, numpy's tokenizer does not, and its float parser strips
-# them as whitespace.
-_OTHER_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-
-
-def _loadtxt_probabilities(path: Path, column: str) -> Optional[ProbabilitySeries]:
-    """What :func:`read_probabilities_csv` returns for a valid table, read
-    by numpy's C tokenizer; None when the line reader has to decide.
-
-    The file is taken only when its suffix is ``.csv`` (numpy opens a
-    ``.gz``, ``.bz2``, ``.xz`` or ``.lzma`` path through a decompressor),
-    it splits into the line reader's lines (none of
-    ``_OTHER_LINE_BREAKS``) and it has data rows. '#' lines below the
-    header are not skipped: their date cell fails the YYYY-MM-DD proof.
-    numpy's float parser reads a subset of what ``float()`` reads (no '_',
-    no non-ASCII digits), to the same value.
-    """
-    if path.suffix != ".csv":
-        return None
-    text = path.read_text(encoding="utf-8-sig")
-    if any(c in text for c in _OTHER_LINE_BREAKS):
-        return None
-    end, skip = -1, 0
-    while True:  # the header is the first line neither empty nor a comment
-        start, end = end + 1, text.find("\n", end + 1)
-        if end < 0:
-            return None
-        skip += 1
-        if start < end and text[start] != "#":
-            break
-    header = text[start:end].split(",")
-    if column not in header or not text[end + 1:].strip():
-        return None
-    try:
-        rows = np.loadtxt(path, delimiter=",", comments=None, skiprows=skip,
-                          usecols=(0, header.index(column)), ndmin=1,
-                          dtype=[("d", "U11"), ("p", float)])
-    except ValueError:
-        return None
-    dates = _plain_dates(rows["d"].tolist())  # U11: a longer cell is not plain
-    values = rows["p"].copy()
-    if (np.isnat(dates).any() or (dates[1:] <= dates[:-1]).any()
-            or not ((values >= 0.0) & (values <= 1.0)).all()):
-        return None
-    return ProbabilitySeries(dates, values)
-
-
 def read_probabilities_csv(path, column: str = "filtering") -> ProbabilitySeries:
     """Read one probability column of a table written by
     :func:`write_probabilities_csv`.
@@ -501,13 +541,13 @@ def read_probabilities_csv(path, column: str = "filtering") -> ProbabilitySeries
     duplicate or unsorted date, missing or unparseable probability,
     probability outside [0, 1] (NaN included).
 
-    A table is read by numpy's C tokenizer first; only when that read or
-    its checks refuse the file does the line reader read it again, to
-    return what it reads or to name the bad line.
+    A table is read by numpy's C tokenizer first (``_tokenized``); only when
+    that read or its checks refuse the file does the line reader read it
+    again, to return what it reads or to name the bad line.
     """
-    series = _loadtxt_probabilities(Path(path), column)
-    if series is not None:
-        return series
+    fast = _tokenized(Path(path), None, {"values": column})
+    if fast is not None and ((fast["values"] >= 0.0) & (fast["values"] <= 1.0)).all():
+        return ProbabilitySeries(fast["dates"], fast["values"])
     table = _read_table(path)
     if column not in table.header:
         raise ConfigurationError(f"{path}: no column {column!r}")

@@ -597,8 +597,9 @@ def gen_bubble_log_prices(T, mu1, sigma1, n, seed, y0=0.0):
 # Price CSV ingestion, row by row: the reader the columnar one replaced.
 
 def read_price_table_rows(path, column_map=None) -> dict:
-    """Read a (date, price[, market_cap]) CSV with ``csv.reader``, checking
-    one row at a time, so the first failing check names its 1-based line."""
+    """Read a (date, price[, market_cap]) CSV, as UTF-8 without a leading
+    byte-order mark, with ``csv.reader``, checking one row at a time, so the
+    first failing check names its 1-based line."""
     colmap = {"date": "date", "price": "price", "market_cap": "market_cap"}
     if column_map:
         colmap.update(column_map)
@@ -606,7 +607,7 @@ def read_price_table_rows(path, column_map=None) -> dict:
     if not path.exists():
         raise FileNotFoundError(f"price file {path} does not exist")
 
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -637,7 +638,9 @@ def read_price_table_rows(path, column_map=None) -> dict:
                 price = float(row[price_idx])
             except (ValueError, IndexError):
                 raise ValueError(f"{path}: unparseable price on line {lineno}") from None
-            if not np.isfinite(price) or price <= 0:
+            if not np.isfinite(price):
+                raise ValueError(f"{path}: non-finite price on line {lineno}")
+            if price <= 0:
                 raise ValueError(f"{path}: non-positive price on line {lineno}")
             cap = None
             if cap_idx is not None:
@@ -647,7 +650,9 @@ def read_price_table_rows(path, column_map=None) -> dict:
                     raise ValueError(
                         f"{path}: unparseable market_cap on line {lineno}"
                     ) from None
-                if not np.isfinite(cap) or cap <= 0:
+                if not np.isfinite(cap):
+                    raise ValueError(f"{path}: non-finite market_cap on line {lineno}")
+                if cap <= 0:
                     raise ValueError(f"{path}: non-positive market_cap on line {lineno}")
             dates.append(day)
             prices.append(price)

@@ -11,6 +11,7 @@ import oracles
 from sinet import ConfigurationError, NodeGroup, ProbabilitySeries, SIIMatrix, build_sin
 from sinet import io as sio
 from sinet.network import ALL_INDICATORS
+from sinet.synthetic import bundled_corpus_config
 
 
 def write(path, text):
@@ -48,6 +49,16 @@ class TestLoadPriceCsv:
             "date,price\n2006-01-02,1.0\n2006-01-03,1.1\n2006-01-04,1.2\n2006-01-05,0\n",
         )
         with raises_exactly(ValueError, p, "non-positive price on line 5"):
+            sio.read_price_table(p)
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e309"])
+    @pytest.mark.parametrize("field", ["price", "market_cap"])
+    def test_non_finite_names_line(self, tmp_path, field, cell):
+        row = f"2006-01-03,{cell},5.0" if field == "price" else f"2006-01-03,1.0,{cell}"
+        p = write(tmp_path / "a.csv", f"date,price,market_cap\n2006-01-02,1.0,5.0\n{row}\n")
+        assert _outcome(oracles.read_price_table_rows, p, None) == (
+            ValueError, f"{p}: non-finite {field} on line 3")
+        with raises_exactly(ValueError, p, f"non-finite {field} on line 3"):
             sio.read_price_table(p)
 
     def test_unparseable_date_names_line(self, tmp_path):
@@ -552,10 +563,14 @@ def price_tables(draw):
         names = dict(column_map)
     fields = ["date", "price"] + (["market_cap"] if with_cap else []) + ["volume"]
     fields = draw(st.permutations(fields))
-    # plain tables too, so that numpy's one-call parse takes the whole column
-    styles = st.sampled_from(draw(st.sampled_from([(0,), (0, 1, 2)])))
-    pad = st.sampled_from(draw(st.sampled_from([("",), ("", " ", "\t", "  ")])))
-    quote = draw(st.booleans())
+    # half the tables plain (YYYY-MM-DD dates, bare cells, only empty lines
+    # between rows), so that numpy's tokenizer reads them
+    plain = draw(st.booleans())
+    styles = st.sampled_from((0,) if plain else draw(st.sampled_from([(0,), (0, 1, 2)])))
+    pads = ("",) if plain else draw(st.sampled_from([("",), ("", " ", "\t", "  ")]))
+    pad = st.sampled_from(pads)
+    quote = not plain and draw(st.booleans())
+    blank = st.sampled_from([""] if plain else ["", " ", ",,", " , \t"])
 
     def cell(text):
         text = draw(pad) + text + draw(pad)
@@ -574,7 +589,7 @@ def price_tables(draw):
     for row in rows:
         lines.append(",".join(cell(row[f]) for f in fields))
         if draw(st.integers(0, 5)) == 0:
-            lines.append(draw(st.sampled_from(["", " ", ",,", " , \t"])))
+            lines.append(draw(blank))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     text = newline.join(lines) + draw(st.sampled_from(["", newline]))
     return text, column_map, fields
@@ -589,16 +604,38 @@ FUZZ = settings(max_examples=150, deadline=None, database=None, print_blob=True,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
+def _line_reads(monkeypatch) -> list:
+    """Make the line reader record each call, and return that record."""
+    calls, line_reader = [], sio._read_table
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return line_reader(*args, **kwargs)
+
+    monkeypatch.setattr(sio, "_read_table", spy)
+    return calls
+
+
 class TestPriceTableParity:
-    @FUZZ
-    @given(table=price_tables())
-    def test_valid_tables_match_row_reader(self, tmp_path, table):
-        text, column_map, _ = table
-        path = tmp_path / "prices.csv"
-        path.write_bytes(text.encode())
-        want = _outcome(oracles.read_price_table_rows, path, column_map)
-        assert isinstance(want, dict)
-        assert _outcome(sio.read_price_table, path, column_map) == want
+    def test_valid_tables_match_row_reader(self, tmp_path, monkeypatch):
+        line_reads, fast = _line_reads(monkeypatch), []
+
+        @FUZZ
+        @given(table=price_tables())
+        def check(table):
+            text, column_map, _ = table
+            path = tmp_path / "prices.csv"
+            path.write_bytes(text.encode())
+            want = _outcome(oracles.read_price_table_rows, path, column_map)
+            assert isinstance(want, dict)
+            before = len(line_reads)
+            assert _outcome(sio.read_price_table, path, column_map) == want
+            fast.append(len(line_reads) == before)
+
+        check()
+        # numpy's tokenizer reads a real share of the tables, so the
+        # property holds it to the row reader too
+        assert sum(fast) >= len(fast) / 4
 
     @FUZZ
     @given(table=price_tables(), data=st.data())
@@ -633,6 +670,81 @@ class TestPriceTableParity:
         path = write(tmp_path / "a.csv", f"date,price\n2006-01-04,1.0\n{cell},2.0\n")
         want = _outcome(oracles.read_price_table_rows, path, None)
         assert _outcome(sio.read_price_table, path, None) == want
+
+
+# ---------------------------------------------------------------------------
+# Price tables through numpy's tokenizer, against the line reader
+
+def _forbid_line_reader(monkeypatch):
+    def line_reader(*args, **kwargs):
+        raise AssertionError("the line reader ran")
+
+    monkeypatch.setattr(sio, "_read_table", line_reader)
+
+
+class TestPriceTokenizer:
+    def _read_both_ways(self, paths, column_map=None):
+        with pytest.MonkeyPatch.context() as mp:  # the tokenizer gives every table up
+            mp.setattr(sio, "_tokenized", lambda *args, **kwargs: None)
+            want = [_outcome(sio.read_price_table, path, column_map) for path in paths]
+        assert all(isinstance(table, dict) for table in want)
+        with pytest.MonkeyPatch.context() as mp:
+            _forbid_line_reader(mp)
+            assert [_outcome(sio.read_price_table, path, column_map) for path in paths] == want
+
+    def test_bundled_corpus_skips_the_line_reader(self):
+        self._read_both_ways(sorted(bundled_corpus_config().parent.glob("*.csv")))
+
+    def test_long_history_table_skips_the_line_reader(self, tmp_path):
+        rng = np.random.default_rng(5)
+        dates = np.datetime64("1990-01-01", "D") + np.arange(11_681)
+        prices = np.exp(np.cumsum(0.01 * rng.standard_normal(11_681)))
+        lines = ["date,price"] + [f"{d},{p:.6f}" for d, p in zip(dates, prices)]
+        path = write(tmp_path / "LA.csv", "\n".join(lines) + "\n")
+        self._read_both_ways([path])
+
+    def test_column_map_and_caps_skip_the_line_reader(self, tmp_path):
+        path = write(tmp_path / "a.csv", " cap ,day,x, close\n5,2006-01-03,y,2.5\n"
+                                         "4,2006-01-02,,2.0\n")
+        self._read_both_ways([path], {"date": "day", "price": "close", "market_cap": "cap"})
+
+    @pytest.mark.parametrize("name, text, fast", [
+        ("a.csv", 'date,price\n"2006-01-02",1.5\n', False),
+        ("a.csv", 'date,price,note\n2006-01-02,1.5,"x\n2006-01-03,2.0,"\n', False),
+        ("a.txt", "date,price\n2006-01-02,1.5\n", False),
+        ("a.csv.gz", "date,price\n2006-01-02,1.5\n", False),
+        ("a.csv", "date,price\n2006-01-02,1.5\x0c\n", False),
+        ("a.csv", "date,price\n2006-01-02,1.5\u2028\n", False),
+        ("a.csv", "date,price\n2006-01-02\x00x,1.5\n", False),
+        ("a.csv", "\ufeffdate,price\n2006-01-02,1.5\n", True),
+        ("a.csv", "date,price\r\n2006-01-02,1.5\r\n2006-01-03,2.0\r\n", True),
+        ("a.csv", "date,price\n20060102,1.5\n", False),
+        ("a.csv", "date,price\n2006-W01-1,1.5\n", False),
+        ("a.csv", "date,price\n 2006-01-02,1.5\n", False),
+        ("a.csv", "date,price\n0000-01-01,1.5\n", False),
+        ("a.csv", "date,price\n2006-02-30,1.5\n", False),
+        ("a.csv", "date,price\n2006-01-02,1.5\n2006-01-02,2.0\n", False),
+        ("a.csv", "date,price\n2006-01-03,1.5\n2006-01-02,2.0\n", True),
+        ("a.csv", "date,price\n2006-01-02,1_0\n", False),
+        ("a.csv", "date,price\n2006-01-02,１.5\n", False),
+        ("a.csv", "date,price\n2006-01-02,nan\n", False),
+        ("a.csv", "date,price\n2006-01-02,1.5\n \t\n2006-01-03,2.0\n", False),
+        ("a.csv", "date,price\n2006-01-02,1.5\n,,\n2006-01-03,2.0\n", False),
+        ("a.csv", "date,price\n2006-01-02,1.5\n\n2006-01-03,2.0\n", True),
+        ("a.csv", "date,price\n2006-01-02,1.5\n2006-01-03\n", False),
+        ("a.csv", "date,price\n2006-01-02,1.5,x,7\n", True),
+        ("a.csv", "date,price\n", False),
+    ], ids=["quoted", "quoted-line-break", "txt", "csv.gz", "form-feed", "line-separator",
+            "nul", "bom", "crlf", "basic-date", "week-date", "padded-date", "year-0",
+            "day-out-of-range", "duplicate-date", "unsorted", "underscore", "full-width", "nan",
+            "blank-row", "commas-row", "empty-line", "short-row", "extra-cells", "header-only"])
+    def test_matches_row_reader(self, tmp_path, monkeypatch, name, text, fast):
+        path = tmp_path / name
+        path.write_bytes(text.encode())
+        line_reads = _line_reads(monkeypatch)
+        assert _outcome(sio.read_price_table, path, None) == _outcome(
+            oracles.read_price_table_rows, path, None)
+        assert (not line_reads) == fast
 
 
 # ---------------------------------------------------------------------------
@@ -745,6 +857,7 @@ class TestProbabilitiesTableParity:
         ("p.csv", "date,filtering,smoothing\n2006-01-02,0.5,0.1\u2028x\n",
          "unparseable date on line 3"),
         ("p.csv.gz", "date,filtering\n2006-01-02,0.5\n", [0.5]),
+        ("p.csv", "date,filtering\n2006-01-02\x00x,0.5\n", "unparseable date on line 2"),
     ])
     def test_cells_float_and_numpy_read_apart(self, tmp_path, name, text, want):
         path = tmp_path / name
@@ -761,11 +874,7 @@ class TestProbabilitiesTableParity:
         smoothing = make_probs([1.0, 0.5, 0.1, 0.0, 0.75])
         path = sio.write_probabilities_csv(tmp_path / "p.csv", filtering, smoothing,
                                            "config=abc window=x..y")
-
-        def line_reader(*args, **kwargs):
-            raise AssertionError("the line reader ran")
-
-        monkeypatch.setattr(sio, "_read_table", line_reader)
+        _forbid_line_reader(monkeypatch)
         for column, series in (("filtering", filtering), ("smoothing", smoothing)):
             back = sio.read_probabilities_csv(path, column)
             assert back.timestamps.tobytes() == series.timestamps.tobytes()
