@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from datetime import date
-from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
@@ -36,18 +36,20 @@ def format_value(x) -> str:
 # ---------------------------------------------------------------------------
 # CSV ingestion
 #
-# Price and probabilities tables are read first by numpy's C tokenizer
+# Valid price and probabilities tables are read by numpy's C tokenizer
 # (``_tokenized``), which gives up on any table it cannot prove valid.
 # Every other table, and each one it gives up on, goes through the line
-# reader ``_read_table``: the file is read once, all data rows are cut into
-# cells in one ``split``, and each column a reader needs is converted by one
-# numpy call. Each reader then lists its checks as row masks, in the order
-# they rank within one line, and ``_Table.check`` fails the read at the
-# first line any of them flags, with the highest-ranked check failing
-# there: ``<path>: <what> on line <n>`` (1-based).
+# reader ``_read_table`` row by row, with one ``float()`` or
+# ``date.fromisoformat`` per cell. Each reader then lists its checks as row
+# masks, in the order they rank within one line, and ``_Table.check`` fails
+# the read at the first line any of them flags, with the highest-ranked
+# check failing there: ``<path>: <what> on line <n>`` (1-based).
 
-# date.fromisoformat only takes years from 1
+# date.fromisoformat only takes years from 1; datetime64[D] counts days
+# from 1970-01-01 and writes NaT as the least int64
 _FIRST_DAY = np.datetime64("0001-01-01")
+_EPOCH, _NAT = date(1970, 1, 1).toordinal(), np.iinfo(np.int64).min
+_YMD = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")  # a date as the pipeline writes it
 
 
 class _Table(NamedTuple):
@@ -73,12 +75,12 @@ class _Table(NamedTuple):
         first of ``checks`` that flags it.
 
         ``checks`` are ``(what, mask)`` pairs in the order they rank within
-        one line: ``mask`` flags the failing rows (None when none fails; it
-        may stop short of the last row) and ``what`` is the message, or a
-        function of the row that gives it.
+        one line: ``mask`` flags the failing rows (it may stop short of the
+        last row) and ``what`` is the message, or a function of the row that
+        gives it.
         """
         failing = [(int(np.argmax(mask)), rank) for rank, (_, mask) in enumerate(checks)
-                   if mask is not None and mask.any()]
+                   if mask.any()]
         if failing:
             row, rank = min(failing)
             what = checks[rank][0]
@@ -97,36 +99,24 @@ def _read_table(path, price_file: bool = False) -> _Table:
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8-sig")
-    quoted = price_file and '"' in text
     if price_file:
         lines = text.split("\n")  # read_text() turns \r\n and \r into \n
         if lines[-1] == "":
             lines.pop()
         if not lines:
             raise ConfigurationError(f"{path}: empty file")
-        if quoted:
-            lines = list(csv.reader(lines))
-            header = [h.strip() for h in lines[0]]
-            kept = [k for k, r in enumerate(lines) if k and any(c.strip() for c in r)]
-        else:
-            header = [h.strip() for h in lines[0].split(",")]
-            kept = [k for k, r in enumerate(lines) if k and r.replace(",", "").strip()]
+        lines = list(csv.reader(lines))
+        header = [h.strip() for h in lines[0]]
+        kept = [k for k, r in enumerate(lines) if k and "".join(r).strip()]
+        rows = [lines[k] for k in kept]
     else:
         lines = text.splitlines()
         kept = [k for k, line in enumerate(lines) if line and line[0] != "#"]
         if not kept:
             raise ConfigurationError(f"{path}: empty table")
         header = lines[kept.pop(0)].split(",")
-    rows = [lines[k] for k in kept]
+        rows = [lines[k].split(",") for k in kept]
     linenos = [k + 1 for k in kept]
-
-    if rows and not quoted:
-        commas = list(map(str.count, rows, repeat(",")))
-        width = commas[0] + 1
-        if commas.count(width - 1) == len(rows) and width >= len(header):
-            cells = ",".join(rows).split(",")
-            return _Table(path, header, linenos, np.full(len(rows), width), cells, width)
-        rows = [r.split(",") for r in rows]
     widths = [len(r) for r in rows]
     width = max(widths + [len(header)])
     pad = [""] * width
@@ -134,20 +124,17 @@ def _read_table(path, price_file: bool = False) -> _Table:
     return _Table(path, header, linenos, np.array(widths, dtype=int), cells, width)
 
 
-def _float_column(cells: list[str]) -> tuple[np.ndarray, Optional[np.ndarray]]:
+def _float_column(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """``float()`` of every cell, and a mask of the cells it rejects (NaN
-    there); the mask is None when every cell parses."""
-    try:
-        return np.fromiter(map(float, cells), float, len(cells)), None
-    except ValueError:
-        values = np.full(len(cells), np.nan)
-        bad = np.zeros(len(cells), dtype=bool)
-        for k, cell in enumerate(cells):
-            try:
-                values[k] = float(cell)
-            except ValueError:
-                bad[k] = True
-        return values, bad
+    there)."""
+    values = np.full(len(cells), np.nan)
+    bad = np.zeros(len(cells), dtype=bool)
+    for k, cell in enumerate(cells):
+        try:
+            values[k] = float(cell)
+        except ValueError:
+            bad[k] = True
+    return values, bad
 
 
 def _numbers(table: _Table, columns) -> tuple[list[np.ndarray], list]:
@@ -157,9 +144,8 @@ def _numbers(table: _Table, columns) -> tuple[list[np.ndarray], list]:
     parsed = {j: _float_column(table.column(j)) for j in sorted(columns)}
     checks = []
     for j, (_, bad) in parsed.items():
-        if bad is not None:
-            checks.append((f"missing {table.header[j]}", table.widths <= j))
-            checks.append((f"unparseable {table.header[j]}", bad))
+        checks.append((f"missing {table.header[j]}", table.widths <= j))
+        checks.append((f"unparseable {table.header[j]}", bad))
     return [parsed[j][0] for j in columns], checks
 
 
@@ -181,37 +167,22 @@ def _non_finite(table: _Table, columns, values: np.ndarray) -> tuple:
             bad.any(axis=1))
 
 
-def _plain(text: str, n: int) -> bool:
-    """Whether ``text`` is ``n`` DDDD-DD-DD cells joined by commas: a comma
-    after every 10 characters, dashes at offsets 4 and 7 and 8n ASCII digits
-    around them."""
-    digits = text.encode().translate(None, b",-")
-    return (len(text) == 11 * n - 1 and text[10::11] == "," * (n - 1)
-            and text[4::11] == "-" * n and text[7::11] == "-" * n
-            and len(digits) == 8 * n and digits.isdigit())
+def _days(cells) -> np.ndarray:
+    """``date.fromisoformat`` of every cell as datetime64[D], NaT where it
+    raises: a cell that is no ISO date, a day out of range or year 0."""
+    days = []
+    for cell in cells:
+        try:
+            days.append(date.fromisoformat(cell).toordinal() - _EPOCH)
+        except ValueError:
+            days.append(_NAT)
+    return np.array(days, dtype=np.int64).view("datetime64[D]")
 
 
 def _plain_dates(cells: list[str]) -> np.ndarray:
-    """numpy's datetime64[D] of every cell written YYYY-MM-DD, NaT at every
-    other cell.
-
-    A test on the joined text proves every cell plain, and numpy parses the
-    whole column in one call; the cells are looked at one by one only when
-    either step fails.
-    """
-    if cells and _plain(",".join(cells), len(cells)):
-        try:
-            return np.array(cells, dtype="datetime64[D]")
-        except ValueError:  # a month or day out of range
-            pass
-    dates = np.full(len(cells), np.datetime64("NaT"), dtype="datetime64[D]")
-    for k, cell in enumerate(cells):
-        if _plain(cell, 1):
-            try:
-                dates[k] = np.datetime64(cell, "D")
-            except ValueError:
-                pass
-    return dates
+    """The day of every cell written YYYY-MM-DD in ASCII digits, from year
+    1, NaT at every other cell."""
+    return _days([cell if _YMD.fullmatch(cell) else "" for cell in cells])
 
 
 def plain_date(text: str, what: str) -> np.datetime64:
@@ -335,13 +306,7 @@ def read_price_table(path, column_map=None) -> dict:
             raise ConfigurationError(
                 f"{path}: missing required column {colmap[field]!r} (maps {field})"
             )
-    cells = table.column(table.header.index(colmap["date"]))
-    dates = _plain_dates(cells)
-    for k in np.flatnonzero(~(dates >= _FIRST_DAY)):  # NaT or year 0
-        try:
-            dates[k] = date.fromisoformat(cells[k].strip())
-        except ValueError:
-            dates[k] = np.datetime64("NaT")
+    dates = _days([cell.strip() for cell in table.column(table.header.index(colmap["date"]))])
     order = np.argsort(dates, kind="stable")
     repeated = np.zeros(len(dates), dtype=bool)
     repeated[order[1:]] = dates[order[1:]] == dates[order[:-1]]
@@ -563,6 +528,8 @@ def read_probabilities_csv(path, column: str = "filtering") -> ProbabilitySeries
             return "unparseable date"
         if np.isnat(day):
             return "missing date"
+        if _YMD.fullmatch(cells[row]):  # year 0
+            return "unparseable date"
         return f"date {cells[row]!r} not in YYYY-MM-DD form"
 
     def not_after(row):

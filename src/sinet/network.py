@@ -2,9 +2,9 @@
 
 Nodes carry an industrial or financial group label. Gross indicators sum the
 pairwise influence intensities a node sends to (or receives from) a target
-set; net indicators are their differences. The network keeps, per unordered
-pair, only the positive net direction, drops values below a threshold, and
-rescales the survivors' weights into [0, 1].
+set; net indicators are their differences. The network takes, per unordered
+pair, the positive net direction as a candidate, min-max rescales the nets
+of all candidates into [0, 1] and keeps those whose raw net reaches a threshold.
 """
 from __future__ import annotations
 

@@ -675,8 +675,9 @@ def read_probabilities_rows(path, column: str = "filtering") -> dict:
     Lines are ``str.splitlines()`` of the text; empty lines and lines
     starting with '#' are skipped, and the first other line is the header.
     On each data line the date is checked (plain YYYY-MM-DD that numpy
-    reads, after the previous row's), then the probability (present,
-    ``float()`` reads it, in [0, 1]). Returns ``dates`` and ``values``.
+    reads, from year 1, after the previous row's), then the probability
+    (present, ``float()`` reads it, in [0, 1]). Returns ``dates`` and
+    ``values``.
     """
     rows = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -702,6 +703,8 @@ def read_probabilities_rows(path, column: str = "filtering") -> dict:
             raise fail("missing date")
         if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", cells[0]):
             raise fail(f"date {cells[0]!r} not in YYYY-MM-DD form")
+        if day < np.datetime64("0001-01-01"):  # numpy reads year 0, date() does not
+            raise fail("unparseable date")
         if dates and day <= dates[-1]:
             raise fail(f"{'duplicate' if day == dates[-1] else 'unsorted'} date {day}")
         if len(cells) <= j:

@@ -284,6 +284,7 @@ class TestTableRoundTrips:
         (" 2008-03-04", "date ' 2008-03-04' not in YYYY-MM-DD form"),
         ("+006-01-02", "date '+006-01-02' not in YYYY-MM-DD form"),
         ("-006-01-02", "date '-006-01-02' not in YYYY-MM-DD form"),
+        ("0000-01-01", "unparseable date"),
         ("2006-01-03", "duplicate date 2006-01-03"),
         ("2006-01-02", "unsorted date 2006-01-02"),
     ])
@@ -794,7 +795,7 @@ def _render(lines, newline, trailing) -> bytes:
 
 PROBABILITY_CORRUPTIONS = {
     "date": ["2006-02", "not-a-date", "", "NaT", "2006-13-01", " 2006-01-02", "-006-01-02",
-             "2006-01-0212", "20060102", "２００６-01-02"],
+             "2006-01-0212", "20060102", "２００６-01-02", "0000-01-01"],
     "value": ["abc", "", "nan", "1.5", "-0.5", "inf", "1_0", "0.5#x", "２", "0x1"],
 }
 
@@ -881,6 +882,23 @@ class TestProbabilitiesTableParity:
             assert back.values.tobytes() == series.values.tobytes()
             assert back.values.base is None  # not a view that keeps the date cells alive
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+    def test_line_reader_reads_a_wide_network_table(self, tmp_path, make_probs, newline):
+        # the shape of one wide_network input: T = 2,920 and a provenance line
+        rng = np.random.default_rng(96)
+        filtering = 1.0 / (1.0 + np.exp(-2.0 * np.cumsum(0.2 * rng.standard_normal(2_920))))
+        smoothing = np.convolve(filtering, np.ones(5) / 5, mode="same")
+        path = sio.write_probabilities_csv(tmp_path / "p.csv", make_probs(filtering),
+                                           make_probs(smoothing), "benchmark wide_network seed=1")
+        path.write_bytes(path.read_bytes().replace(b"\n", newline))
+        columns = ("filtering", "smoothing")
+        want = [_outcome(sio.read_probabilities_csv, path, column) for column in columns]
+        with pytest.MonkeyPatch.context() as mp:  # the tokenizer gives the table up
+            mp.setattr(sio, "_tokenized", lambda *args, **kwargs: None)
+            got = [_outcome(sio.read_probabilities_csv, path, column) for column in columns]
+        assert got == want
+        assert all(isinstance(table, dict) and table["values"][1] == (2_920,) for table in want)
+
 
 # ---------------------------------------------------------------------------
 # The first bad line decides, whatever follows it
@@ -936,7 +954,8 @@ def probability_cases(draw):
     rows, faults = [], []
     for r, day in enumerate(days):
         cells = [day.isoformat(), draw(PROBABILITY), draw(PROBABILITY)]
-        dates = ["2006-02", "not-a-date", "", "NaT", "2006-13-01", f" {cells[0]}", "-006-01-02"]
+        dates = ["2006-02", "not-a-date", "", "NaT", "2006-13-01", f" {cells[0]}", "-006-01-02",
+                 "0000-01-01"]
         if r:
             dates += [days[r - 1].isoformat(), (days[r - 1] - timedelta(days=1)).isoformat()]
         options = [[d] + cells[1:] for d in dates] + [cells[:j]]

@@ -149,6 +149,14 @@ class TestBuildSin:
             assert (list(g.edges), g.size_values, g.color_values) == want
             assert g.groups == labels
 
+    def test_weights_rescaled_over_every_candidate(self, hand_groups):
+        # nets 0.1 (x -> y), 0.5 (x -> z) and 0.9 (y -> z): the threshold
+        # drops x -> y, whose net still sets the scale's zero
+        values = np.array([[0.0, 0.1, 0.5], [0.0, 0.0, 0.9], [0.0, 0.0, 0.0]])
+        g = build_sin(SIIMatrix(("x", "y", "z"), values), hand_groups, threshold=0.4)
+        assert [(src, dst) for src, dst, _ in g.edges] == [("x", "z"), ("y", "z")]
+        assert [w for _, _, w in g.edges] == pytest.approx([0.5, 1.0])
+
     def test_weights_rescaled_to_unit_interval(self):
         rng = np.random.default_rng(53)
         nodes = [f"n{i}" for i in range(6)]

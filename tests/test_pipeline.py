@@ -167,7 +167,8 @@ class TestConfigParsing:
 
 
     @pytest.mark.parametrize("key", ["analysis_start", "analysis_end", "loss_start", "loss_end"])
-    @pytest.mark.parametrize("value", ["2006-02", "today", "2006-13-01", " 2006-01-02"])
+    @pytest.mark.parametrize("value", ["2006-02", "today", "2006-13-01", " 2006-01-02",
+                                       "0000-01-01"])
     def test_loose_date_names_key(self, corpus_dir, tmp_path, key, value):
         config = corpus_config(corpus_dir, tmp_path / "out")
         setattr(config, key, value)
