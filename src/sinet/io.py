@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from datetime import date
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -39,59 +40,19 @@ def format_value(x) -> str:
 # Valid price and probabilities tables are read by numpy's C tokenizer
 # (``_tokenized``), which gives up on any table it cannot prove valid.
 # Every other table, and each one it gives up on, goes through the line
-# reader ``_read_table`` row by row, with one ``float()`` or
-# ``date.fromisoformat`` per cell. Each reader then lists its checks as row
-# masks, in the order they rank within one line, and ``_Table.check`` fails
-# the read at the first line any of them flags, with the highest-ranked
-# check failing there: ``<path>: <what> on line <n>`` (1-based).
+# reader ``_read_table``, which cuts it into rows. Each reader then checks
+# the rows one at a time, in file order, with one ``float()`` or
+# ``date.fromisoformat`` per cell it needs, and fails the read at the first
+# check that fails: ``<path>: <what> on line <n>`` (1-based).
 
-# date.fromisoformat only takes years from 1; datetime64[D] counts days
-# from 1970-01-01 and writes NaT as the least int64
-_FIRST_DAY = np.datetime64("0001-01-01")
-_EPOCH, _NAT = date(1970, 1, 1).toordinal(), np.iinfo(np.int64).min
+_FIRST_DAY = np.datetime64("0001-01-01")  # date.fromisoformat only takes years from 1
+_EPOCH = date(1970, 1, 1).toordinal()  # datetime64[D] counts days from 1970-01-01
 _YMD = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")  # a date as the pipeline writes it
 
 
-class _Table(NamedTuple):
-    """The data rows of a CSV file, cut into cells.
-
-    ``cells`` holds the rows one after another, each padded with "" to
-    ``width`` cells (at least the header's width); ``widths`` is each row's
-    own cell count and ``linenos`` its 1-based line number.
-    """
-
-    path: Path
-    header: list[str]
-    linenos: Sequence[int]
-    widths: np.ndarray
-    cells: list[str]
-    width: int
-
-    def column(self, j: int) -> list[str]:
-        return self.cells[j :: self.width]
-
-    def check(self, checks, error=ConfigurationError) -> None:
-        """Raise ``error`` for the first line any check flags, naming the
-        first of ``checks`` that flags it.
-
-        ``checks`` are ``(what, mask)`` pairs in the order they rank within
-        one line: ``mask`` flags the failing rows (it may stop short of the
-        last row) and ``what`` is the message, or a function of the row that
-        gives it.
-        """
-        failing = [(int(np.argmax(mask)), rank) for rank, (_, mask) in enumerate(checks)
-                   if mask.any()]
-        if failing:
-            row, rank = min(failing)
-            what = checks[rank][0]
-            if callable(what):
-                what = what(row)
-            raise error(f"{self.path}: {what} on line {self.linenos[row]}")
-
-
-def _read_table(path, price_file: bool = False) -> _Table:
+def _read_table(path, price_file: bool = False) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """Cut a CSV file, read as UTF-8 without a leading byte-order mark, into
-    a header and data rows.
+    a header and data rows, each with its 1-based line number.
 
     Pipeline tables skip empty lines and lines starting with '#' and split
     on every comma. Price files honour csv quoting, strip the header names
@@ -107,91 +68,55 @@ def _read_table(path, price_file: bool = False) -> _Table:
             raise ConfigurationError(f"{path}: empty file")
         lines = list(csv.reader(lines))
         header = [h.strip() for h in lines[0]]
-        kept = [k for k, r in enumerate(lines) if k and "".join(r).strip()]
-        rows = [lines[k] for k in kept]
+        rows = [(k + 1, r) for k, r in enumerate(lines) if k and "".join(r).strip()]
     else:
-        lines = text.splitlines()
-        kept = [k for k, line in enumerate(lines) if line and line[0] != "#"]
-        if not kept:
+        rows = [(k + 1, line.split(",")) for k, line in enumerate(text.splitlines())
+                if line and line[0] != "#"]
+        if not rows:
             raise ConfigurationError(f"{path}: empty table")
-        header = lines[kept.pop(0)].split(",")
-        rows = [lines[k].split(",") for k in kept]
-    linenos = [k + 1 for k in kept]
-    widths = [len(r) for r in rows]
-    width = max(widths + [len(header)])
-    pad = [""] * width
-    cells = [c for r in rows for c in (r + pad)[:width]]
-    return _Table(path, header, linenos, np.array(widths, dtype=int), cells, width)
+        header = rows.pop(0)[1]
+    return header, rows
 
 
-def _float_column(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """``float()`` of every cell, and a mask of the cells it rejects (NaN
-    there)."""
-    values = np.full(len(cells), np.nan)
-    bad = np.zeros(len(cells), dtype=bool)
-    for k, cell in enumerate(cells):
+def _bad_line(path, lineno: int, what: str, error=ConfigurationError) -> Exception:
+    return error(f"{Path(path)}: {what} on line {lineno}")
+
+
+def _finite_cells(path, header: list[str], lineno: int, cells: list[str],
+                  columns) -> list[float]:
+    """``float()`` of the cells of one row at ``columns``, which are in file
+    order; fails at the leftmost missing or unparseable cell, then at the
+    leftmost non-finite one (``non-finite <column>``)."""
+    values = []
+    for j in columns:
+        if len(cells) <= j:
+            raise _bad_line(path, lineno, f"missing {header[j]}")
         try:
-            values[k] = float(cell)
+            values.append(float(cells[j]))
         except ValueError:
-            bad[k] = True
-    return values, bad
+            raise _bad_line(path, lineno, f"unparseable {header[j]}") from None
+    for j, value in zip(columns, values):
+        if not math.isfinite(value):
+            raise _bad_line(path, lineno, f"non-finite {header[j]}")
+    return values
 
 
-def _numbers(table: _Table, columns) -> tuple[list[np.ndarray], list]:
-    """The given columns of a pipeline table as floats, and their checks in
-    line order: ``missing <column>`` where a row is too short to have the
-    cell, then ``unparseable <column>`` where ``float()`` rejects it."""
-    parsed = {j: _float_column(table.column(j)) for j in sorted(columns)}
-    checks = []
-    for j, (_, bad) in parsed.items():
-        checks.append((f"missing {table.header[j]}", table.widths <= j))
-        checks.append((f"unparseable {table.header[j]}", bad))
-    return [parsed[j][0] for j in columns], checks
-
-
-def _repeated_nodes(table: _Table) -> tuple:
-    """The check ``duplicate node <name>`` on the first column: it flags each
-    row whose node an earlier row already names."""
-    nodes = table.column(0)
-    repeated = np.ones(len(nodes), dtype=bool)
-    repeated[np.unique(nodes, return_index=True)[1]] = False
-    return (lambda row: f"duplicate node {nodes[row]!r}", repeated)
-
-
-def _non_finite(table: _Table, columns, values: np.ndarray) -> tuple:
-    """The check ``non-finite <column>`` on the parsed ``columns``, one per
-    column of ``values``: it flags each row holding a NaN or an infinity,
-    naming the leftmost such column."""
-    bad = ~np.isfinite(values)
-    return (lambda row: f"non-finite {table.header[columns[int(np.argmax(bad[row]))]]}",
-            bad.any(axis=1))
-
-
-def _days(cells) -> np.ndarray:
-    """``date.fromisoformat`` of every cell as datetime64[D], NaT where it
-    raises: a cell that is no ISO date, a day out of range or year 0."""
-    days = []
-    for cell in cells:
-        try:
-            days.append(date.fromisoformat(cell).toordinal() - _EPOCH)
-        except ValueError:
-            days.append(_NAT)
-    return np.array(days, dtype=np.int64).view("datetime64[D]")
-
-
-def _plain_dates(cells: list[str]) -> np.ndarray:
-    """The day of every cell written YYYY-MM-DD in ASCII digits, from year
-    1, NaT at every other cell."""
-    return _days([cell if _YMD.fullmatch(cell) else "" for cell in cells])
+def _plain_day(cell: str) -> Optional[int]:
+    """The day number of a cell written YYYY-MM-DD in ASCII digits, from
+    year 1, counted from 1970-01-01; None for any other cell."""
+    try:
+        return date.fromisoformat(cell).toordinal() - _EPOCH if _YMD.fullmatch(cell) else None
+    except ValueError:  # a month or day out of range, year 0
+        return None
 
 
 def plain_date(text: str, what: str) -> np.datetime64:
     """``text`` as a day, by the YYYY-MM-DD rule of the table readers; a
     ConfigurationError naming ``what`` when it is not one."""
-    day = _plain_dates([text])[0]
-    if np.isnat(day):
+    day = _plain_day(text)
+    if day is None:
         raise ConfigurationError(f"{what}: date {text!r} not in YYYY-MM-DD form")
-    return day
+    return np.datetime64(day, "D")
 
 
 # Characters that send a table to the line reader: the line breaks of
@@ -279,8 +204,7 @@ def read_price_table(path, column_map=None) -> dict:
     positive. A bad row raises ValueError naming the first bad line, with
     the first check that fails on it, in the order unparseable date,
     duplicate date, unparseable price, non-finite price, non-positive
-    price, then the same three for market_cap: the order in which a
-    row-by-row reader would meet them.
+    price, then the same three for market_cap.
 
     A table is read by numpy's C tokenizer first (``_tokenized``). The line
     reader reads it again when that read or its checks refuse it: a quote,
@@ -294,36 +218,48 @@ def read_price_table(path, column_map=None) -> dict:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"price file {path} does not exist")
+    if not path.is_file():
+        raise ConfigurationError(f"price file {path} is not a file")
     columns = {"prices": colmap["price"], "caps": colmap["market_cap"]}
     out = _tokenized(path, colmap["date"], columns, price_file=True)
     if out is not None and all(((out[key] > 0) & (out[key] < np.inf)).all()
                                for key in ("prices", "caps") if key in out):
         return out
 
-    table = _read_table(path, price_file=True)
+    header, rows = _read_table(path, price_file=True)
     for field in ("date", "price"):
-        if colmap[field] not in table.header:
+        if colmap[field] not in header:
             raise ConfigurationError(
                 f"{path}: missing required column {colmap[field]!r} (maps {field})"
             )
-    dates = _days([cell.strip() for cell in table.column(table.header.index(colmap["date"]))])
+    d = header.index(colmap["date"])
+    fields = [(field, key, header.index(colmap[field]), [])
+              for field, key in (("price", "prices"), ("market_cap", "caps"))
+              if colmap[field] in header]
+    days, seen = [], set()
+    for lineno, cells in rows:
+        try:
+            day = date.fromisoformat(cells[d].strip())
+        except (ValueError, IndexError):
+            raise _bad_line(path, lineno, "unparseable date", ValueError) from None
+        if day in seen:
+            raise _bad_line(path, lineno, f"duplicate date {day}", ValueError)
+        seen.add(day)
+        days.append(day.toordinal() - _EPOCH)
+        for field, _, j, values in fields:
+            try:
+                value = float(cells[j])
+            except (ValueError, IndexError):
+                raise _bad_line(path, lineno, f"unparseable {field}", ValueError) from None
+            if not math.isfinite(value):
+                raise _bad_line(path, lineno, f"non-finite {field}", ValueError)
+            if value <= 0:
+                raise _bad_line(path, lineno, f"non-positive {field}", ValueError)
+            values.append(value)
+    dates = np.array(days, dtype=np.int64).view("datetime64[D]")
     order = np.argsort(dates, kind="stable")
-    repeated = np.zeros(len(dates), dtype=bool)
-    repeated[order[1:]] = dates[order[1:]] == dates[order[:-1]]
-
-    checks = [("unparseable date", np.isnat(dates)),
-              (lambda row: f"duplicate date {dates[row]}", repeated)]
-    out = {"dates": dates[order]}
-    for field, key in (("price", "prices"), ("market_cap", "caps")):
-        if colmap[field] not in table.header:
-            continue
-        values, unparseable = _float_column(table.column(table.header.index(colmap[field])))
-        checks.append((f"unparseable {field}", unparseable))
-        checks.append((f"non-finite {field}", ~np.isfinite(values)))
-        checks.append((f"non-positive {field}", values <= 0))
-        out[key] = values[order]
-    table.check(checks, ValueError)
-    return out
+    return {"dates": dates[order],
+            **{key: np.array(values, dtype=float)[order] for _, key, _, values in fields}}
 
 
 # ---------------------------------------------------------------------------
@@ -513,33 +449,36 @@ def read_probabilities_csv(path, column: str = "filtering") -> ProbabilitySeries
     fast = _tokenized(Path(path), None, {"values": column})
     if fast is not None and ((fast["values"] >= 0.0) & (fast["values"] <= 1.0)).all():
         return ProbabilitySeries(fast["dates"], fast["values"])
-    table = _read_table(path)
-    if column not in table.header:
+    header, rows = _read_table(path)
+    if column not in header:
         raise ConfigurationError(f"{path}: no column {column!r}")
-    cells = table.column(0)
-    dates = _plain_dates(cells)
-    backward = np.zeros(len(dates), dtype=bool)
-    backward[1:] = dates[1:] <= dates[:-1]
-
-    def not_plain(row):
+    j = header.index(column)
+    days, values = [], []
+    for lineno, cells in rows:
+        day = _plain_day(cells[0])
+        if day is None:
+            try:
+                what = ("missing date" if np.isnat(np.datetime64(cells[0], "D"))
+                        else "unparseable date" if _YMD.fullmatch(cells[0])  # year 0
+                        else f"date {cells[0]!r} not in YYYY-MM-DD form")
+            except ValueError:
+                what = "unparseable date"
+            raise _bad_line(path, lineno, what)
+        if days and day <= days[-1]:
+            what = "duplicate" if day == days[-1] else "unsorted"
+            raise _bad_line(path, lineno, f"{what} date {cells[0]}")
+        if len(cells) <= j:
+            raise _bad_line(path, lineno, f"missing {column}")
         try:
-            day = np.datetime64(cells[row], "D")
+            value = float(cells[j])
         except ValueError:
-            return "unparseable date"
-        if np.isnat(day):
-            return "missing date"
-        if _YMD.fullmatch(cells[row]):  # year 0
-            return "unparseable date"
-        return f"date {cells[row]!r} not in YYYY-MM-DD form"
-
-    def not_after(row):
-        what = "duplicate" if dates[row] == dates[row - 1] else "unsorted"
-        return f"{what} date {dates[row]}"
-
-    (values,), checks = _numbers(table, [table.header.index(column)])
-    table.check([(not_plain, np.isnat(dates)), (not_after, backward), *checks,
-                 ("probability outside [0, 1]", ~((values >= 0.0) & (values <= 1.0)))])
-    return ProbabilitySeries(dates, values)
+            raise _bad_line(path, lineno, f"unparseable {column}") from None
+        if not 0.0 <= value <= 1.0:
+            raise _bad_line(path, lineno, "probability outside [0, 1]")
+        days.append(day)
+        values.append(value)
+    return ProbabilitySeries(np.array(days, dtype=np.int64).view("datetime64[D]"),
+                             np.array(values, dtype=float))
 
 
 def write_matrix_csv(path, nodes, values, provenance: str = "") -> Path:
@@ -557,35 +496,25 @@ def read_matrix_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
     unparseable value, leftmost non-finite value, nonzero diagonal. A
     matrix with fewer rows than nodes raises after that; a header that
     names a node twice raises before any row check."""
-    table = _read_table(path)
-    width = len(table.header)
-    labels, nodes = table.column(0), table.header[1:]
+    header, rows = _read_table(path)
+    width, nodes = len(header), header[1:]
     if len(set(nodes)) < len(nodes):
         twice = next(node for k, node in enumerate(nodes) if node in nodes[:k])
         raise ConfigurationError(f"{path}: duplicate node {twice!r} in the header")
-    columns = range(1, width)
-    values, checks = _numbers(table, columns)
-    matrix = np.column_stack(values) if values else np.empty((len(labels), 0))
-    diagonal = np.arange(min(len(labels), len(nodes)))
-    mislabelled = np.ones(len(labels), dtype=bool)
-    mislabelled[:len(nodes)] = np.fromiter(map(str.__ne__, labels, nodes), dtype=bool)
-
-    def wrong_label(row):
-        has = repr(nodes[row]) if row < len(nodes) else "no node"
-        return f"row {labels[row]!r} where the header has {has}"
-
-    table.check([
-        (lambda row: f"{table.widths[row]} cells where the header has {width}",
-         table.widths != width),
-        (wrong_label, mislabelled),
-        *checks,
-        _non_finite(table, columns, matrix),
-        ("nonzero diagonal", matrix[diagonal, diagonal] != 0.0),
-    ])
-    if len(labels) < len(nodes):
+    matrix = []
+    for r, (lineno, cells) in enumerate(rows):
+        if len(cells) != width:
+            raise _bad_line(path, lineno, f"{len(cells)} cells where the header has {width}")
+        if r >= len(nodes) or cells[0] != nodes[r]:
+            has = repr(nodes[r]) if r < len(nodes) else "no node"
+            raise _bad_line(path, lineno, f"row {cells[0]!r} where the header has {has}")
+        matrix.append(_finite_cells(path, header, lineno, cells, range(1, width)))
+        if matrix[r][r] != 0.0:
+            raise _bad_line(path, lineno, "nonzero diagonal")
+    if len(rows) < len(nodes):
         raise ConfigurationError(
-            f"{path}: {len(labels)} rows where the header has {len(nodes)} nodes")
-    return tuple(nodes), matrix
+            f"{path}: {len(rows)} rows where the header has {len(nodes)} nodes")
+    return tuple(nodes), np.array(matrix, dtype=float).reshape(len(rows), len(nodes))
 
 
 def write_table_csv(path, header: list[str], rows: list[list], provenance: str = "") -> Path:
@@ -597,29 +526,36 @@ def read_indicators_csv(path):
     ConfigurationError naming the first bad line: a duplicate node, then the
     leftmost missing or unparseable value, then the leftmost non-finite
     one."""
-    table = _read_table(path)
-    if table.header[0] != "node":
+    header, rows = _read_table(path)
+    if header[0] != "node":
         raise ConfigurationError(f"{path}: first column must be 'node'")
     for name in ALL_INDICATORS:
-        if name not in table.header:
+        if name not in header:
             raise ConfigurationError(f"{path}: missing indicator column {name!r}")
-    columns = [table.header.index(name) for name in ALL_INDICATORS]
-    values, checks = _numbers(table, columns)
-    table.check([_repeated_nodes(table), *checks,
-                 _non_finite(table, columns, np.column_stack(values))])
-    return IndicatorTable(tuple(table.column(0)), dict(zip(ALL_INDICATORS, values)))
+    columns = sorted(header.index(name) for name in ALL_INDICATORS)
+    table = {}
+    for lineno, cells in rows:
+        if cells[0] in table:
+            raise _bad_line(path, lineno, f"duplicate node {cells[0]!r}")
+        table[cells[0]] = _finite_cells(path, header, lineno, cells, columns)
+    values = np.array(list(table.values()), dtype=float).reshape(len(table), len(columns))
+    return IndicatorTable(tuple(table), {
+        name: values[:, columns.index(header.index(name))] for name in ALL_INDICATORS})
 
 
 def read_losses_csv(path) -> dict[str, float]:
     """Read node,max_loss_pct rows. A bad row raises ConfigurationError
     naming the first bad line: a duplicate node, then a missing, unparseable
     or non-finite loss."""
-    table = _read_table(path)
-    if table.header[:2] != ["node", "max_loss_pct"]:
+    header, rows = _read_table(path)
+    if header[:2] != ["node", "max_loss_pct"]:
         raise ConfigurationError(f"{path}: expected columns node,max_loss_pct")
-    (losses,), checks = _numbers(table, [1])
-    table.check([_repeated_nodes(table), *checks, _non_finite(table, [1], losses[:, None])])
-    return dict(zip(table.column(0), losses.tolist()))
+    losses = {}
+    for lineno, cells in rows:
+        if cells[0] in losses:
+            raise _bad_line(path, lineno, f"duplicate node {cells[0]!r}")
+        losses[cells[0]], = _finite_cells(path, header, lineno, cells, [1])
+    return losses
 
 
 def read_groups_csv(path):
@@ -627,11 +563,16 @@ def read_groups_csv(path):
     ignored). A bad row raises ConfigurationError naming the first bad line:
     a duplicate node, then a missing group, then a group other than
     industrial and financial."""
-    table = _read_table(path)
-    if table.header[:2] != ["node", "group"]:
+    header, rows = _read_table(path)
+    if header[:2] != ["node", "group"]:
         raise ConfigurationError(f"{path}: expected columns node,group")
-    labels = table.column(1)
-    table.check([_repeated_nodes(table), ("missing group", table.widths < 2),
-                 (lambda row: f"unknown group {labels[row]!r}",
-                  ~np.isin(labels, [INDUSTRIAL, FINANCIAL]))])
-    return NodeGroup(dict(zip(table.column(0), labels)))
+    groups = {}
+    for lineno, cells in rows:
+        if cells[0] in groups:
+            raise _bad_line(path, lineno, f"duplicate node {cells[0]!r}")
+        if len(cells) < 2:
+            raise _bad_line(path, lineno, "missing group")
+        if cells[1] not in (INDUSTRIAL, FINANCIAL):
+            raise _bad_line(path, lineno, f"unknown group {cells[1]!r}")
+        groups[cells[0]] = cells[1]
+    return NodeGroup(groups)

@@ -119,6 +119,8 @@ class PipelineConfig:
                 )
             if not Path(a.path).exists():
                 raise ConfigurationError(f"asset file {a.path} does not exist")
+            if not Path(a.path).is_file():
+                raise ConfigurationError(f"asset file {a.path} is not a file")
         days = {key: sio.plain_date(getattr(self, key), key)
                 for key in ("analysis_start", "analysis_end", "loss_start", "loss_end")
                 if getattr(self, key) is not None}

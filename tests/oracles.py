@@ -594,7 +594,9 @@ def gen_bubble_log_prices(T, mu1, sigma1, n, seed, y0=0.0):
 
 
 # ---------------------------------------------------------------------------
-# Price CSV ingestion, row by row: the reader the columnar one replaced.
+# Price and probabilities CSV ingestion, one row at a time in the documented
+# check order: the references the library's readers must match, whether
+# numpy's tokenizer or the line reader reads the table.
 
 def read_price_table_rows(path, column_map=None) -> dict:
     """Read a (date, price[, market_cap]) CSV, as UTF-8 without a leading

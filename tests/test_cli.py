@@ -73,6 +73,17 @@ class TestRun:
         assert settings(tmp_path / "b") == settings(tmp_path / "a")
         assert not [line for line in settings(tmp_path / "a") if line.endswith("= None")]
 
+    def test_asset_path_that_is_a_directory_exits_one(self, corpus_dir, tmp_path, capsys):
+        (tmp_path / "SEC.csv").mkdir()
+        cfg = tmp_path / "dir.cfg"
+        cfg.write_text((corpus_dir / "corpus.cfg").read_text()
+                       .replace("data_dir = .", f"data_dir = {corpus_dir}")
+                       .replace("SEC.path = SEC.csv", f"SEC.path = {tmp_path / 'SEC.csv'}"))
+        rc = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: asset file {tmp_path / 'SEC.csv'} is not a file\n"
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_file_exits_one(self, tmp_path):
         rc = main(["run", "--config", str(tmp_path / "none.cfg")])
         assert rc == 1
@@ -225,6 +236,14 @@ class TestStageCommands:
                    "--out-dir", str(tmp_path / "o")])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {flag}: date '{value}' not in YYYY-MM-DD form\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_calibrate_input_that_is_a_directory_exits_one(self, tmp_path, capsys):
+        (tmp_path / "ENE.csv").mkdir()
+        rc = main(["calibrate", "--input", str(tmp_path / "ENE.csv"),
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: price file {tmp_path / 'ENE.csv'} is not a file\n"
         assert not (tmp_path / "o").exists()
 
     def test_network_and_indicators(self, run_dir, groups_file, tmp_path, capsys):

@@ -506,6 +506,13 @@ class TestMalformedRows:
                             f"non-finite {ALL_INDICATORS[-2]} on line 3"):
             sio.read_indicators_csv(p)
 
+    def test_indicators_non_finite_names_the_leftmost_column(self, tmp_path):
+        header = ",".join(("node",) + ALL_INDICATORS[::-1])
+        row = ",".join(["a", "nan"] + ["0.0"] * (len(ALL_INDICATORS) - 2) + ["inf"])
+        p = write(tmp_path / "i.csv", f"{header}\n{row}\n")
+        with raises_exactly(ConfigurationError, p, f"non-finite {ALL_INDICATORS[-1]} on line 2"):
+            sio.read_indicators_csv(p)
+
     def test_groups_unknown_group(self, tmp_path):
         p = write(tmp_path / "g.csv", "node,group\nA,industrial\n# note\nB,finacial\nC\n")
         with raises_exactly(ConfigurationError, p, "unknown group 'finacial' on line 4"):
@@ -1018,8 +1025,8 @@ def group_cases(draw):
     return _case(draw, sio.read_groups_csv, header, rows, faults)
 
 
-def _failure(read, path, lines):
-    path.write_text("\n".join(lines) + "\n")
+def _failure(read, path, lines, newline):
+    path.write_bytes((newline.join(lines) + newline).encode())
     try:
         read(path)
     except ValueError as err:
@@ -1034,8 +1041,10 @@ class TestFirstBadLine:
     @settings(FUZZ, max_examples=75)
     @given(data=st.data())
     def test_later_bad_row_changes_nothing(self, tmp_path, cases, data):
-        """With rows i < j corrupted, a read fails exactly as with row i alone."""
+        """With rows i < j corrupted, a read fails exactly as with row i alone,
+        under every line ending."""
         read, lines, faults = data.draw(cases())
+        newline = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
         rows = sorted(faults)
         if len(rows) < 2:
             return
@@ -1046,9 +1055,9 @@ class TestFirstBadLine:
         both = list(first)
         both[j] = data.draw(st.sampled_from(faults[j]))
         path = tmp_path / "t.csv"
-        want = _failure(read, path, first)
+        want = _failure(read, path, first, newline)
         assert want is not None and want[1].endswith(f" on line {i + 1}")
-        assert _failure(read, path, both) == want
+        assert _failure(read, path, both, newline) == want
 
 
 class TestProbabilitiesWriter:
