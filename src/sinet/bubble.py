@@ -133,17 +133,20 @@ def _check_bubble_params(mu1: float, sigma1: float, n: float) -> None:
     _check_finite(mu1=mu1)
 
 
-def _exp_neg_n_y(y, n: float):
-    """u = p^{-n} = e^{-n y}, with the exponent clamped at +/-EXP_CLAMP."""
-    return np.exp(np.clip(-n * y, -EXP_CLAMP, EXP_CLAMP))
+def _bubble_steps(y, n: float):
+    """u_{t-1} - u_t along the first axis of ``y``, for u = p^{-n} = e^{-n y}
+    with the exponent clamped at +/-EXP_CLAMP: n times the bubble step v_t,
+    whose mean is mu1 and whose deviation is sigma1."""
+    u = np.exp(np.clip(-n * y, -EXP_CLAMP, EXP_CLAMP))
+    return u[:-1] - u[1:]
 
 
 def _bubble_path_logdensity(y: np.ndarray, mu1: float, sigma1: float, n: float):
     """Bubble log density of each step along the first axis of ``y``, with
     one exponential per point and no input checks."""
-    u = _exp_neg_n_y(y, n)
+    steps = _bubble_steps(y, n)
     with np.errstate(all="ignore"):  # an overflowing square, or inf - inf, gives -inf
-        z = (u[1:] - u[:-1] + n * mu1) / (n * sigma1 * np.sqrt(2.0))
+        z = (n * mu1 - steps) / (n * sigma1 * np.sqrt(2.0))
         out = -n * y[1:] - z * z
         out += np.log(n) - 0.5 * LOG_2PI - np.log(n * sigma1)
     return np.fmax(out, -np.inf)

@@ -30,8 +30,8 @@ from .bubble import (
     EXP_CLAMP,
     RegimeParams,
     _bubble_path_logdensity,
+    _bubble_steps,
     _check_bubble_params,
-    _exp_neg_n_y,
     emission_logdensities,
 )
 from .errors import DegenerateRegimeError, InsufficientDataError, NumericalFailureError
@@ -401,6 +401,19 @@ def kim_smoother(filt: FilterOutput) -> SmootherOutput:
     return SmootherOutput(probs, back.transpose(2, 0, 1))
 
 
+def _moments(w: np.ndarray, x: np.ndarray, scale: float, frozen: tuple[float, float]):
+    """Posterior-weighted mean and population std of ``x / scale``, or
+    ``frozen`` when ``w`` has no mass. An exact-zero mean becomes 1e-12,
+    which keeps the 1/|mu| switch height defined."""
+    tot = w.sum()
+    if not tot > 0.0:
+        return frozen
+    mean = float(np.dot(w, x) / (scale * tot))
+    if mean == 0.0:
+        mean = 1e-12
+    return mean, float(np.sqrt(np.dot(w, (x - scale * mean) ** 2) / (scale**2 * tot)))
+
+
 def m_step(
     smoother: SmootherOutput,
     series: LogPriceSeries,
@@ -410,51 +423,26 @@ def m_step(
 ) -> ModelParams:
     """Closed-form posterior-weighted parameter updates.
 
-    Regime 0 moments are weighted by the (0,0) smoothed pair weights; regime 1
-    moments by the (1,1) weights, in p^{-n} coordinates at ``current_n``. Each
-    sigma uses the mu computed in the same call. Transition probabilities are
-    ratios of summed pair weights to summed origin-state weights.
+    Each regime takes the weighted mean and deviation of its own step
+    (:func:`_moments`): dy under the (0,0) smoothed pair weights, the bubble
+    step in p^{-n} at ``current_n`` under the (1,1) weights. A row of q is
+    its summed pair weights over their total.
 
     A regime (or q row) whose total weight is zero has no update; its values
     are taken from ``freeze``, as is kappa, which no update changes.
     """
     w = smoother.pairwise_smoothed
-    y = series.log_prices
-    dy = np.diff(y)
-    w00 = w[:, 0, 0]
-    w11 = w[:, 1, 1]
+    r = freeze.regime
+    mu0, sigma0 = _moments(w[:, 0, 0], np.diff(series.log_prices), 1, (r.mu0, r.sigma0))
+    mu1, sigma1 = _moments(w[:, 1, 1], _bubble_steps(series.log_prices, current_n),
+                           current_n, (r.mu1, r.sigma1))
 
-    tot0 = w00.sum()
-    if tot0 > 0.0:
-        mu0 = float(np.dot(w00, dy) / tot0)
-        if mu0 == 0.0:
-            mu0 = 1e-12  # exact zero would undefine the 1/|mu0| switch height
-        sigma0 = float(np.sqrt(np.dot(w00, (dy - mu0) ** 2) / tot0))
-    else:
-        mu0, sigma0 = freeze.regime.mu0, freeze.regime.sigma0
-
-    tot1 = w11.sum()
-    if tot1 > 0.0:
-        u = _exp_neg_n_y(y, current_n)
-        du = u[1:] - u[:-1]
-        mu1 = float(np.dot(w11, -du) / (current_n * tot1))
-        if mu1 == 0.0:
-            mu1 = 1e-12
-        sigma1 = float(
-            np.sqrt(np.dot(w11, (du + current_n * mu1) ** 2) / (current_n**2 * tot1))
-        )
-    else:
-        mu1, sigma1 = freeze.regime.mu1, freeze.regime.sigma1
-
-    q = np.empty((2, 2))
-    for i in range(2):
-        origin = w[:, i, 0].sum() + w[:, i, 1].sum()
+    q = np.array(freeze.q)
+    pairs = np.array([[w[:, i, j].sum() for j in range(2)] for i in range(2)])
+    for i, origin in enumerate(pairs.sum(axis=1)):
         if origin > 0.0:
-            q[i, 0] = w[:, i, 0].sum() / origin
-            q[i, 1] = w[:, i, 1].sum() / origin
+            q[i] = pairs[i] / origin
             q[i] /= q[i].sum()
-        else:
-            q[i] = freeze.q[i]
 
     regime = RegimeParams(
         mu0=mu0,
@@ -462,7 +450,7 @@ def m_step(
         mu1=mu1,
         sigma1=max(sigma1, 1e-12),
         n=current_n,
-        kappa=freeze.regime.kappa,
+        kappa=r.kappa,
     )
     return ModelParams(regime, q)
 
@@ -622,10 +610,9 @@ def _initial_params(y: np.ndarray, config: EMConfig) -> ModelParams:
     if mu0 == 0.0:
         mu0 = 1e-12  # the switch-density height 1/|mu0| must stay defined
     sigma0 = max(float(dy[rest].std()), 1e-8)
-    u = _exp_neg_n_y(y, n0)
-    du = np.diff(u)
-    mu1 = max(float(-du[rally].mean() / n0), 1e-6)
-    sigma1 = max(float(du[rally].std() / n0), 1e-8)
+    steps = _bubble_steps(y, n0)[rally]
+    mu1 = max(float(steps.mean() / n0), 1e-6)
+    sigma1 = max(float(steps.std() / n0), 1e-8)
 
     q = np.array([[0.95, 1.0 - 0.95], [1.0 - 0.95, 0.95]])  # both regimes stay with 0.95
     regime = RegimeParams(mu0=mu0, sigma0=sigma0, mu1=mu1, sigma1=sigma1, n=n0, kappa=config.kappa)
