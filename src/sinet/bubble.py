@@ -136,14 +136,31 @@ def _check_bubble_params(mu1: float, sigma1: float, n: float) -> None:
 def _bubble_steps(y, n: float):
     """u_{t-1} - u_t along the first axis of ``y``, for u = p^{-n} = e^{-n y}
     with the exponent clamped at +/-EXP_CLAMP: n times the bubble step v_t,
-    whose mean is mu1 and whose deviation is sigma1."""
-    u = np.exp(np.clip(-n * y, -EXP_CLAMP, EXP_CLAMP))
-    return u[:-1] - u[1:]
+    whose mean is mu1 and whose deviation is sigma1.
+
+    With a = -n y, each step is 2 e^{(a_{t-1} + a_t)/2} sinh((a_{t-1} - a_t)/2),
+    where a_{t-1} - a_t is n (y_t - y_{t-1}) unless the clamp binds at either
+    end. No step is a difference of two exponentials, which would lose about
+    -log10(n |y_t - y_{t-1}|) of its digits, and none overflows.
+    """
+    a = -n * y
+    half = y[1:] - y[:-1]
+    half *= 0.5 * n
+    clamped = np.abs(a) > EXP_CLAMP
+    if clamped.any():
+        np.clip(a, -EXP_CLAMP, EXP_CLAMP, out=a)
+        half = np.where(clamped[1:] | clamped[:-1], 0.5 * (a[:-1] - a[1:]), half)
+    steps = a[:-1] + a[1:]  # in place from here on: a step's scale, then the step
+    steps *= 0.5
+    np.exp(steps, out=steps)
+    steps *= 2.0
+    steps *= np.sinh(half, out=half)
+    return steps
 
 
 def _bubble_path_logdensity(y: np.ndarray, mu1: float, sigma1: float, n: float):
-    """Bubble log density of each step along the first axis of ``y``, with
-    one exponential per point and no input checks."""
+    """Bubble log density of each step along the first axis of ``y``, from
+    the exact steps of :func:`_bubble_steps` and with no input checks."""
     steps = _bubble_steps(y, n)
     with np.errstate(all="ignore"):  # an overflowing square, or inf - inf, gives -inf
         z = (n * mu1 - steps) / (n * sigma1 * np.sqrt(2.0))

@@ -25,6 +25,43 @@ from sinet.errors import ConfigurationError
 # ---------------------------------------------------------------------------
 # Emission densities (linear space), written from the model definition.
 
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
+
+
+def bubble_steps_decimal(y, n: float, digits: int = 60) -> list[Decimal]:
+    """u_{t-1} - u_t for u = e^{-n y}, unclamped (for |n y| < 700), with the
+    floats taken as exact, in ``digits``-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        u = [(-Decimal(n) * Decimal(float(v))).exp() for v in y]
+        return [a - b for a, b in zip(u[:-1], u[1:])]
+
+
+def bubble_logdensity_decimal(y_t, y_prev, mu1, sigma1, n, digits: int = 60) -> float:
+    """The bubble log density -n y_t - z^2 / 2 - ln(sqrt(2 pi) sigma1), z =
+    (n mu1 - (u_{t-1} - u_t)) / (n sigma1), in ``digits``-digit decimal."""
+    step, = bubble_steps_decimal([y_prev, y_t], n, digits)
+    with localcontext() as ctx:
+        ctx.prec = digits
+        n, mu1, sigma1 = Decimal(n), Decimal(mu1), Decimal(sigma1)
+        z = (n * mu1 - step) / (n * sigma1)
+        return float(-n * Decimal(y_t) - z * z / 2 - (2 * _PI).ln() / 2 - sigma1.ln())
+
+
+def weighted_moments(w, x, digits: int = 60) -> tuple[float, float, float]:
+    """The mean, the population deviation and the mean absolute value of the
+    Decimals ``x`` under the float weights ``w``, in ``digits``-digit
+    decimal."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        w = [Decimal(float(v)) for v in w]
+        tot = sum(w)
+        mean = sum(a * b for a, b in zip(w, x)) / tot
+        var = sum(a * (b - mean) ** 2 for a, b in zip(w, x)) / tot
+        size = sum(a * abs(b) for a, b in zip(w, x)) / tot
+        return float(mean), float(var.sqrt()), float(size)
+
+
 def gbm_density(y_t: float, y_prev: float, mu0: float, sigma0: float) -> float:
     z = (y_t - y_prev - mu0) / sigma0
     return math.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * sigma0)

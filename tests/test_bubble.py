@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
+
 from sinet import (
     RegimeParams,
     SingularityError,
@@ -76,6 +78,20 @@ class TestBubbleDensity:
             grid = np.linspace(-math.log(u_hi) / n, -math.log(u_lo) / n, 100_001)
             dens = np.exp(bubble_transition_logdensity(grid, y_prev, mu1, sigma1, n))
             assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-8.0, 0.0), st.floats(-1.0, 1.0), st.floats(0.005, 0.02),
+           st.floats(-2.0, 2.0))
+    @example(-8.0, 0.5, 0.01, 0.0)
+    def test_matches_decimal_reference_at_any_n(self, log10_n, y_prev, dy, k):
+        # a step of u = e^{-n y} is about n dy: a difference of exponentials
+        # keeps about 16 + log10(n dy) of its digits, the density all of them
+        n, sigma1 = 10.0**log10_n, 1e-3
+        mu1 = dy * math.exp(-n * y_prev) + k * sigma1  # z^2 < 4: the density is above 1
+        y_t = y_prev + dy
+        want = oracles.bubble_logdensity_decimal(y_t, y_prev, mu1, sigma1, n)
+        got = bubble_transition_logdensity(y_t, y_prev, mu1, sigma1, n)
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_extreme_arguments_saturate_to_neg_inf(self):
         val = bubble_transition_logdensity(-2000.0, 0.0, 0.01, 0.05, 1.0)

@@ -1,10 +1,11 @@
 import math
 import re
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from sinet import (
@@ -306,6 +307,27 @@ class TestMStep:
         assert (r.mu1, r.sigma1, r.n, r.kappa) == (0.04, 0.05, 0.8, 1.7)
         assert r.mu0 == pytest.approx(0.02)
         np.testing.assert_array_equal(upd.q, [[1.0, 0.0], [0.25, 0.75]])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(5, 60), st.floats(-8.0, 0.0),
+           st.floats(-0.01, 0.03))
+    @example(seed=0, T=30, log10_n=-8.0, drift=0.01)
+    def test_moments_are_exact_weighted_moments(self, seed, T, log10_n, drift):
+        # each mean within 1e-12 of the weighted mean of |x|, which bounds
+        # its rounding error however the signs of x cancel
+        rng = np.random.default_rng(seed)
+        n = 10.0**log10_n
+        y = rng.uniform(-1.0, 1.0) + np.cumsum(rng.normal(drift, 0.01, T + 1))
+        s = make_series(y)
+        weights = consistent_random_weights(rng, T)
+        r = m_step(smoother_from_weights(weights, s.timestamps), s, n, freeze=FREEZE).regime
+        dy = [Decimal(b) - Decimal(a) for a, b in zip(y[:-1], y[1:])]
+        v = [step / Decimal(n) for step in oracles.bubble_steps_decimal(y, n)]
+        for w, x, mu, sigma in ((weights[:, 0, 0], dy, r.mu0, r.sigma0),
+                                (weights[:, 1, 1], v, r.mu1, r.sigma1)):
+            mean, deviation, size = oracles.weighted_moments(w, x)
+            assert abs(mu - mean) <= 1e-12 * size
+            assert sigma == pytest.approx(deviation, rel=1e-12)
 
     def test_updates_match_coordinate_maximisers(self, make_series):
         rng = np.random.default_rng(2024)
