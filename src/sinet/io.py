@@ -50,6 +50,15 @@ _EPOCH = date(1970, 1, 1).toordinal()  # datetime64[D] counts days from 1970-01-
 _YMD = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")  # a date as the pipeline writes it
 
 
+def _read_text(path) -> str:
+    """The text of an input file, read as UTF-8 without a leading byte-order
+    mark; a ConfigurationError when ``path`` is a directory."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except IsADirectoryError:
+        raise ConfigurationError(f"{path} is not a file") from None
+
+
 def _read_table(path, price_file: bool = False) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """Cut a CSV file, read as UTF-8 without a leading byte-order mark, into
     a header and data rows, each with its 1-based line number.
@@ -59,7 +68,7 @@ def _read_table(path, price_file: bool = False) -> tuple[list[str], list[tuple[i
     and skip rows whose cells are all blank; '#' has no special meaning.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8-sig")
+    text = _read_text(path)
     if price_file:
         lines = text.split("\n")  # read_text() turns \r\n and \r into \n
         if lines[-1] == "":
@@ -186,7 +195,7 @@ def _tokenized(path: Path, date: Optional[str], columns: dict[str, str],
         if not (cells.view(np.uint8).reshape(-1, 11) - _PLAIN_LOW <= _PLAIN_SPAN).all():
             return None
         dates = cells.astype("datetime64[D]")  # ValueError: a month or day out of range
-    except ValueError:  # UnicodeError too
+    except (ValueError, IsADirectoryError):  # UnicodeError too; _read_table names a directory
         return None
     order = np.argsort(dates, kind="stable") if price_file else np.arange(len(dates))
     dates = dates[order]
@@ -268,7 +277,7 @@ def read_price_table(path, column_map=None) -> dict:
 def read_key_values(path) -> dict[str, str]:
     """Parse ``key = value`` lines; '#' starts a comment, blanks ignored."""
     out: dict[str, str] = {}
-    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
+    lines = _read_text(path).splitlines()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -354,7 +363,7 @@ def import_graph_json(path) -> tuple[SINGraph, str]:
     never a bool), a repeated node or an edge to a node it does not list.
     """
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as err:
         raise ConfigurationError(f"{path}: {err}") from None
 

@@ -246,6 +246,40 @@ class TestStageCommands:
         assert capsys.readouterr().err == f"error: price file {tmp_path / 'ENE.csv'} is not a file\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, option", [
+        ("te", "--source"), ("te", "--target"),
+        ("network", "--matrix"), ("network", "--groups"), ("network", "--losses"),
+        ("indicators", "--matrix"), ("indicators", "--groups"),
+        ("regress", "--indicators"), ("regress", "--groups"), ("regress", "--losses"),
+        ("export", "--graph"), ("run", "--config"),
+    ])
+    def test_input_path_that_is_a_directory_exits_one(
+        self, run_dir, groups_file, tmp_path, capsys, command, option
+    ):
+        inputs = {"--source": run_dir / "probabilities_ENE.csv",
+                  "--target": run_dir / "probabilities_MAT.csv",
+                  "--matrix": run_dir / "sii_matrix.csv", "--groups": groups_file,
+                  "--losses": run_dir / "losses.csv", "--indicators": run_dir / "indicators.csv",
+                  "--graph": run_dir / "sin.json", "--config": None}
+        options, out = {
+            "te": (["--source", "--target"], []),
+            "network": (["--matrix", "--groups", "--losses"], ["--out-dir", "o"]),
+            "indicators": (["--matrix", "--groups"], ["--out", "o"]),
+            "regress": (["--indicators", "--groups", "--losses"], ["--out-dir", "o"]),
+            "export": (["--graph"], ["--out", "o"]),
+            "run": (["--config"], ["--out-dir", "o"]),
+        }[command]
+        directory = tmp_path / "input.csv"
+        directory.mkdir()
+        inputs[option] = directory
+        argv = [command]
+        for name in options:
+            argv += [name, str(inputs[name])]
+        rc = main(argv + [str(tmp_path / arg) if arg == "o" else arg for arg in out])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {directory} is not a file\n"
+        assert not (tmp_path / "o").exists()
+
     def test_network_and_indicators(self, run_dir, groups_file, tmp_path, capsys):
         rc = main([
             "indicators", "--matrix", str(run_dir / "sii_matrix.csv"),
