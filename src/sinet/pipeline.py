@@ -385,7 +385,8 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
 
     Returns the run report (also written to the output directory). Raises
     :class:`ConfigurationError` for invalid configuration; per-asset
-    failures are recorded in the report instead of raised.
+    failures are recorded in the report instead of raised. A stage that
+    fails after calibration raises its error once the report is written.
     """
     config.validate()
     out = Path(config.output_dir)
@@ -436,34 +437,41 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
             "need at least 2 for the influence matrix"
         )
 
-    matrix = sii_matrix(probs, config.te_bins, config.te_base, bubble_level=config.te_bubble_level)
-    path = sio.write_matrix_csv(out / "sii_matrix.csv", matrix.nodes, matrix.values, provenance)
-    report.artifacts.append(path.name)
-
-    groups = NodeGroup({s.asset_id: s.group for s in config.assets if s.asset_id in probs})
-    table = compute_indicators(matrix, groups)
-    report.artifacts.append(write_indicators(out / "indicators.csv", table, provenance).name)
-
-    graph_losses = losses if set(losses) >= set(matrix.nodes) else None
-    if losses and graph_losses is None:
-        loss_notes.append("losses incomplete; node colors omitted")
-    graph = build_sin(matrix, groups, config.nsii_threshold, graph_losses)
-    report.artifacts += [p.name for p in write_network(out, graph, provenance)]
-
-    if losses:
-        rows = [[node, losses[node]] for node in matrix.nodes if node in losses]
-        path = sio.write_table_csv(out / "losses.csv", ["node", "max_loss_pct"], rows, provenance)
+    try:
+        matrix = sii_matrix(probs, config.te_bins, config.te_base,
+                            bubble_level=config.te_bubble_level)
+        path = sio.write_matrix_csv(out / "sii_matrix.csv", matrix.nodes, matrix.values,
+                                    provenance)
         report.artifacts.append(path.name)
-        doc, text = loss_analytics(
-            table, matrix.nodes, groups, losses,
-            config.regressions, config.correlation_specs, provenance,
-        )
-        report.artifacts += [p.name for p in write_regressions(out, doc, text)]
-    else:
-        report.skipped.append("loss analytics (no loss window or no loss data)")
 
-    report.skipped.extend(loss_notes)
-    _write_report(out, report, provenance)
+        groups = NodeGroup({s.asset_id: s.group for s in config.assets if s.asset_id in probs})
+        table = compute_indicators(matrix, groups)
+        report.artifacts.append(write_indicators(out / "indicators.csv", table, provenance).name)
+
+        graph_losses = losses if set(losses) >= set(matrix.nodes) else None
+        if losses and graph_losses is None:
+            loss_notes.append("losses incomplete; node colors omitted")
+        graph = build_sin(matrix, groups, config.nsii_threshold, graph_losses)
+        report.artifacts += [p.name for p in write_network(out, graph, provenance)]
+
+        if losses:
+            rows = [[node, losses[node]] for node in matrix.nodes if node in losses]
+            path = sio.write_table_csv(out / "losses.csv", ["node", "max_loss_pct"], rows,
+                                       provenance)
+            report.artifacts.append(path.name)
+            doc, text = loss_analytics(
+                table, matrix.nodes, groups, losses,
+                config.regressions, config.correlation_specs, provenance,
+            )
+            report.artifacts += [p.name for p in write_regressions(out, doc, text)]
+        else:
+            report.skipped.append("loss analytics (no loss window or no loss data)")
+    except Exception as err:  # the report lists what was done, and names the error
+        report.skipped.append(f"remaining stages ({err})")
+        raise
+    finally:
+        report.skipped.extend(loss_notes)
+        _write_report(out, report, provenance)
     return report
 
 

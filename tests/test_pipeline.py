@@ -275,6 +275,25 @@ class TestRunPipeline:
         with pytest.raises(ConfigurationError, match="survived"):
             run_pipeline(config)
 
+    def test_stage_failure_after_calibration_writes_the_report(
+        self, corpus_dir, tmp_path, monkeypatch
+    ):
+        def sii_matrix(*args, **kwargs):
+            raise ConfigurationError("mask keeps fewer than 2 triples")
+
+        monkeypatch.setattr(pipeline_module, "sii_matrix", sii_matrix)
+        config = corpus_config(corpus_dir, tmp_path / "out")
+        config.assets = config.assets[:2]
+        with pytest.raises(ConfigurationError, match="^mask keeps fewer than 2 triples$"):
+            run_pipeline(config)
+        doc = json.loads((tmp_path / "out" / "run_report.json").read_text())
+        assert doc["processed"] == ["ENE", "MAT"]
+        assert doc["skipped"] == ["remaining stages (mask keeps fewer than 2 triples)"]
+        assert doc["artifacts"] == ["config_echo.cfg", "probabilities_ENE.csv", "params_ENE.json",
+                                    "probabilities_MAT.csv", "params_MAT.json"]
+        text = (tmp_path / "out" / "run_report.txt").read_text()
+        assert "skipped: remaining stages (mask keeps fewer than 2 triples)\n" in text
+
     def test_loss_window_optional(self, corpus_dir, tmp_path):
         config = corpus_config(corpus_dir, tmp_path / "out")
         config.loss_start = config.loss_end = None
