@@ -79,7 +79,7 @@ class TestBubbleDensity:
             dens = np.exp(bubble_transition_logdensity(grid, y_prev, mu1, sigma1, n))
             assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-5)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, database=None, print_blob=True)
     @given(st.floats(-8.0, 0.0), st.floats(-1.0, 1.0), st.floats(0.005, 0.02),
            st.floats(-2.0, 2.0))
     @example(-8.0, 0.5, 0.01, 0.0)

@@ -308,7 +308,7 @@ class TestMStep:
         assert r.mu0 == pytest.approx(0.02)
         np.testing.assert_array_equal(upd.q, [[1.0, 0.0], [0.25, 0.75]])
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100, deadline=None, database=None, print_blob=True)
     @given(st.integers(0, 2**32 - 1), st.integers(5, 60), st.floats(-8.0, 0.0),
            st.floats(-0.01, 0.03))
     @example(seed=0, T=30, log10_n=-8.0, drift=0.01)
