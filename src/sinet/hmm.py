@@ -4,8 +4,10 @@ A hidden chain s_t in {0 (normal), 1 (bubble)} drives the emission density of
 each log-price step: geometric Brownian motion while (0,0), the nonlinear
 bubble transition while (1,1), and flat bounded switch densities on (0,1) and
 (1,0). Calibration alternates a Hamilton forward filter, a Kim backward
-smoother and closed-form posterior-weighted parameter updates, followed by
-a conditional-maximisation step for the feedback exponent n: safeguarded
+smoother and closed-form posterior-weighted parameter updates, in which one
+moment rule gives each regime the weighted mean and deviation of its own
+step (the log-price step, or the bubble step in p^{-n}), followed by a
+conditional-maximisation step for the feedback exponent n: safeguarded
 Newton on the closed-form derivative of the bubble block of the E-step
 objective at the updated mu1 and sigma1, which keeps the current n unless
 it finds a higher value.
