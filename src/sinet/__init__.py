@@ -48,7 +48,6 @@ from .errors import (
     CollinearityError,
     ConfigurationError,
     ConvergenceError,
-    DegenerateRegimeError,
     InsufficientDataError,
     NumericalFailureError,
     SingularityError,
@@ -87,7 +86,6 @@ __all__ = [
     "ConfigurationError",
     "ConvergenceError",
     "CorrelationReport",
-    "DegenerateRegimeError",
     "EMConfig",
     "EMTrace",
     "FilterOutput",

@@ -31,17 +31,6 @@ class NumericalFailureError(SinetError, ArithmeticError):
         super().__init__(message or f"numerical failure at step {step}")
 
 
-class DegenerateRegimeError(SinetError, ValueError):
-    """All posterior weight for one regime is zero, so its update is undefined.
-
-    ``regime`` is 0 (normal) or 1 (bubble).
-    """
-
-    def __init__(self, regime: int, message: str | None = None):
-        self.regime = regime
-        super().__init__(message or f"zero total posterior weight for regime {regime}")
-
-
 class CollinearityError(SinetError, ValueError):
     """A regressor matrix is rank deficient. ``column`` names the offender."""
 

@@ -36,7 +36,7 @@ from .bubble import (
     _check_bubble_params,
     emission_logdensities,
 )
-from .errors import DegenerateRegimeError, InsufficientDataError, NumericalFailureError
+from .errors import InsufficientDataError, NumericalFailureError
 from .series import LogPriceSeries, ProbabilitySeries
 
 _MAX = float(np.finfo(float).max)
@@ -545,11 +545,10 @@ def solve_feedback_exponent(
     so the step is an exact CM step of ECM (Meng & Rubin 1993): it can never
     lower the E-step objective. Where the objective is not unimodal in n,
     the step climbs to the maximiser of the basin it starts in, which need
-    not be the global one.
+    not be the global one. An empty bubble block, with no step of positive
+    weight, keeps ``n_current``: both of its scores are the empty sum 0.
     """
     w11 = smoother.pairwise_smoothed[:, 1, 1]
-    if w11.sum() <= 0.0:
-        raise DegenerateRegimeError(1)
     y = series.log_prices
     lo, hi = search
     if not 0 < lo < hi < np.inf:
@@ -669,12 +668,14 @@ def em_fit(
 ) -> tuple[ModelParams, EMTrace, FilterOutput, SmootherOutput]:
     """Calibrate the regime-switching model by EM.
 
-    Each iteration runs the filter and smoother at the current parameters,
-    applies the closed-form updates, then takes one conditional-maximisation
-    step for the feedback exponent (:func:`solve_feedback_exponent`): n
-    climbs to a maximiser of the bubble-block objective, by safeguarded
-    Newton from its current value, at the freshly updated mu1 and sigma1,
-    or stays where it is when no higher value is found.
+    Each iteration is one fixed sequence of calls: the smoother of the
+    current filter, the closed-form updates (:func:`m_step`), one
+    conditional-maximisation step for the feedback exponent
+    (:func:`solve_feedback_exponent`) and the filter at the update. In the
+    n step, n climbs to a maximiser of the bubble-block objective, by
+    safeguarded Newton from its current value, at the freshly updated mu1
+    and sigma1, or stays where it is when no higher value is found, as it
+    does when the bubble regime has no posterior weight.
 
     The switch-density heights 1/|mu0| and 1/|mu1| tie the likelihood to the
     drift parameters, but the closed-form updates treat them as constants, so
@@ -713,12 +714,10 @@ def em_fit(
         for iteration in range(1, config.max_iterations + 1):
             smth = kim_smoother(filt)
             updated = m_step(smth, series, params.regime.n, freeze=params)
-            n_new = params.regime.n
-            if smth.pairwise_smoothed[:, 1, 1].sum() > 0.0:
-                n_new = solve_feedback_exponent(
-                    smth, series, updated.regime.mu1, updated.regime.sigma1,
-                    params.regime.n, search=(config.n_min, config.n_max),
-                )
+            n_new = solve_feedback_exponent(
+                smth, series, updated.regime.mu1, updated.regime.sigma1,
+                params.regime.n, search=(config.n_min, config.n_max),
+            )
             candidate = ModelParams(replace(updated.regime, n=n_new), updated.q)
 
             trial = candidate

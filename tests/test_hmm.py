@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from sinet import (
-    DegenerateRegimeError,
     EMConfig,
     InsufficientDataError,
     LogPriceSeries,
@@ -543,13 +542,14 @@ class TestSolveFeedbackExponent:
         assert 1e-4 <= n <= 10.0
         assert n == pytest.approx(peak, rel=1e-6)
 
-    def test_degenerate_weights_rejected(self, make_series):
+    def test_empty_bubble_block_keeps_n(self, make_series):
         s = make_series(np.linspace(0, 0.2, 11))
         weights = np.zeros((10, 2, 2))
         weights[:, 0, 0] = 1.0
         smth = smoother_from_weights(weights, s.timestamps)
-        with pytest.raises(DegenerateRegimeError):
-            solve_feedback_exponent(smth, s, 0.1, 0.1, 0.5)
+        # n_current on the lower bound, inside, on the upper bound and above
+        for n_current in (1e-4, 0.5, 10.0, 20.0):
+            assert solve_feedback_exponent(smth, s, 0.1, 0.1, n_current) == n_current
 
     @pytest.mark.parametrize("search", [(1e-4, np.inf), (np.nan, 10.0), (1e-4, np.nan),
                                         (0.0, 10.0), (2.0, 1.0)])
