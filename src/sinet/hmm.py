@@ -403,6 +403,13 @@ def kim_smoother(filt: FilterOutput) -> SmootherOutput:
     return SmootherOutput(probs, back.transpose(2, 0, 1))
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The inner product of two vectors, summed by numpy's own loop. BLAS
+    ``ddot`` splits a long sum across its threads, so its last digit, and
+    with it a fit, would depend on the BLAS thread count."""
+    return float(np.einsum("i,i->", a, b))
+
+
 def _moments(w: np.ndarray, x: np.ndarray, scale: float, frozen: tuple[float, float]):
     """Posterior-weighted mean and population std of ``x / scale``, or
     ``frozen`` when ``w`` has no mass. An exact-zero mean becomes 1e-12,
@@ -410,10 +417,10 @@ def _moments(w: np.ndarray, x: np.ndarray, scale: float, frozen: tuple[float, fl
     tot = w.sum()
     if not tot > 0.0:
         return frozen
-    mean = float(np.dot(w, x) / (scale * tot))
+    mean = float(_dot(w, x) / (scale * tot))
     if mean == 0.0:
         mean = 1e-12
-    return mean, float(np.sqrt(np.dot(w, (x - scale * mean) ** 2) / (scale**2 * tot)))
+    return mean, float(np.sqrt(_dot(w, (x - scale * mean) ** 2) / (scale**2 * tot)))
 
 
 def m_step(
@@ -464,7 +471,7 @@ def _bubble_block_objective(
     objective that depends on n. ``w11`` holds the weights of the ``live``
     steps, the steps of nonzero weight."""
     logf = _bubble_path_logdensity(y, mu1, sigma1, n)
-    return float(np.dot(w11, logf[live]))
+    return _dot(w11, logf[live])
 
 
 class _BubbleBlock:
@@ -479,7 +486,7 @@ class _BubbleBlock:
         w = np.maximum(w11, 0.0)
         self.y, self.root_w, self.mu1 = y, np.sqrt(w), mu1
         self.inv_var = 1.0 / (sigma1 * sigma1)
-        self.weighted_y = float(np.dot(w, y[1:]))
+        self.weighted_y = _dot(w, y[1:])
         self.y_max = float(np.abs(y).max())
         self.rows = np.empty((3, len(y)))  # reused by every evaluation
         self.steps = np.empty((3, len(y) - 1))
@@ -511,8 +518,8 @@ class _BubbleBlock:
             d[0] += n * self.mu1
             d *= self.root_w  # rows: n v, -n v' and n v'', times sqrt(w)
             c = self.inv_var / (n * n)
-            dq = c * np.dot(d[0], d[1]) - self.weighted_y
-            d2q = -c * (np.dot(d[1], d[1]) + np.dot(d[0], d[2]))
+            dq = c * _dot(d[0], d[1]) - self.weighted_y
+            d2q = -c * (_dot(d[1], d[1]) + _dot(d[0], d[2]))
         return float(dq), float(d2q)
 
 

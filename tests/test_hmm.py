@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from decimal import Decimal
 
@@ -32,6 +35,26 @@ from sinet.io import read_price_table
 from sinet.pipeline import PipelineConfig, calibrate_asset
 from sinet.synthetic import bundled_corpus_config
 import sinet.hmm as hmm_module
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+# fits a 12,001-point series with six rallies and prints every fitted figure
+LONG_FIT = f"""
+import sys
+sys.path.insert(0, {SRC!r})
+import numpy as np
+from sinet import EMConfig, LogPriceSeries, em_fit
+rng = np.random.default_rng(11)
+steps = rng.normal(1e-4, 0.01, 12000)
+for start in range(1000, 12000, 2000):
+    steps[start:start + 300] += np.linspace(0.0, 0.01, 300)
+y = np.concatenate([[0.0], np.cumsum(steps)])
+series = LogPriceSeries("long", np.datetime64("1990-01-01") + np.arange(len(y)), y)
+params, trace, _, _ = em_fit(series, EMConfig(kappa=float(np.ceil(np.abs(y).max())) + 1.0))
+print(repr(params.regime), repr(params.q.tolist()), repr(trace.logliks))
+"""
 
 
 def random_instance(rng, max_points=9):
@@ -617,6 +640,19 @@ class TestEmFit:
     def test_short_series_rejected(self, make_series):
         with pytest.raises(InsufficientDataError):
             em_fit(make_series(np.linspace(0, 1, 9)), EMConfig())
+
+    @pytest.mark.skipif((USABLE_CPUS or 1) < 2, reason="needs 2 usable CPUs")
+    def test_fit_does_not_depend_on_blas_threads(self):
+        # OpenBLAS splits a dot product of more than 10,000 terms across its
+        # threads, which changes the order of the sum
+        printed = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            done = subprocess.run([sys.executable, "-c", LONG_FIT], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            printed.append(done.stdout)
+        assert printed[0] == printed[1]
 
     def test_stalled_fit_is_not_converged(self):
         # SEC in the bundled corpus stalls: no damped step of its second
