@@ -206,10 +206,12 @@ _COMMANDS = {
 
 
 # The exit code of each failure, the first matching entry deciding: 1 for
-# bad input, 2 for a failed computation or an unwritable output.
+# bad input, 2 for a failed computation or an unwritable output. A reader
+# reports a missing input as a ConfigurationError, so a FileNotFoundError
+# left over is an output in a missing directory.
 _EXIT_CODES = (
     ((NumericalFailureError, ConvergenceError), 2),
-    ((ValueError, SinetError, FileNotFoundError), 1),
+    ((ValueError, SinetError), 1),
     (OSError, 2),
 )
 

@@ -52,9 +52,12 @@ _YMD = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")  # a date as the pipeline writes
 
 def _read_text(path) -> str:
     """The text of an input file, read as UTF-8 without a leading byte-order
-    mark; a ConfigurationError when ``path`` is a directory."""
+    mark; a ConfigurationError when ``path`` does not exist or is a
+    directory."""
     try:
         return Path(path).read_text(encoding="utf-8-sig")
+    except FileNotFoundError:
+        raise ConfigurationError(f"{path} does not exist") from None
     except IsADirectoryError:
         raise ConfigurationError(f"{path} is not a file") from None
 
@@ -195,7 +198,8 @@ def _tokenized(path: Path, date: Optional[str], columns: dict[str, str],
         if not (cells.view(np.uint8).reshape(-1, 11) - _PLAIN_LOW <= _PLAIN_SPAN).all():
             return None
         dates = cells.astype("datetime64[D]")  # ValueError: a month or day out of range
-    except (ValueError, IsADirectoryError):  # UnicodeError too; _read_table names a directory
+    # UnicodeError too; _read_table names a missing file or a directory
+    except (ValueError, FileNotFoundError, IsADirectoryError):
         return None
     order = np.argsort(dates, kind="stable") if price_file else np.arange(len(dates))
     dates = dates[order]
@@ -226,7 +230,7 @@ def read_price_table(path, column_map=None) -> dict:
         colmap.update(column_map)
     path = Path(path)
     if not path.exists():
-        raise FileNotFoundError(f"price file {path} does not exist")
+        raise ConfigurationError(f"price file {path} does not exist")
     if not path.is_file():
         raise ConfigurationError(f"price file {path} is not a file")
     columns = {"prices": colmap["price"], "caps": colmap["market_cap"]}

@@ -644,7 +644,7 @@ def read_price_table_rows(path, column_map=None) -> dict:
         colmap.update(column_map)
     path = Path(path)
     if not path.exists():
-        raise FileNotFoundError(f"price file {path} does not exist")
+        raise ConfigurationError(f"price file {path} does not exist")
 
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)

@@ -280,6 +280,30 @@ class TestStageCommands:
         assert capsys.readouterr().err == f"error: {directory} is not a file\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, option, what", [
+        ("calibrate", "--input", "price file "),  # price table
+        ("te", "--source", ""),  # probabilities table, the tokenizer's first
+        ("indicators", "--matrix", ""),  # pipeline table, the line reader's alone
+        ("run", "--config", ""),  # key-value config
+        ("export", "--graph", ""),  # graph-JSON
+    ])
+    def test_missing_input_exits_one_naming_it(
+        self, run_dir, groups_file, tmp_path, capsys, command, option, what
+    ):
+        missing = tmp_path / "missing" / "input.csv"
+        argv = {
+            "calibrate": ["--out-dir", "o"],
+            "te": ["--target", str(run_dir / "probabilities_MAT.csv")],
+            "indicators": ["--groups", str(groups_file), "--out", "o"],
+            "run": ["--out-dir", "o"],
+            "export": ["--out", "o"],
+        }[command]
+        rc = main([command, option, str(missing)]
+                  + [str(tmp_path / arg) if arg == "o" else arg for arg in argv])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {what}{missing} does not exist\n"
+        assert not (tmp_path / "o").exists()
+
     def test_network_and_indicators(self, run_dir, groups_file, tmp_path, capsys):
         rc = main([
             "indicators", "--matrix", str(run_dir / "sii_matrix.csv"),
@@ -502,6 +526,24 @@ class TestRuntimeFailure:
                    "--max-iterations", "1", "--out-dir", str(taken)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: [Errno 17] File exists: ")
+
+    @pytest.mark.parametrize("command", ["indicators", "export", "simulate", "calibrate"])
+    def test_output_in_a_missing_directory_exits_two(
+        self, run_dir, corpus_dir, groups_file, tmp_path, capsys, command
+    ):
+        missing = tmp_path / "missing"
+        argv = {
+            "indicators": ["--matrix", str(run_dir / "sii_matrix.csv"),
+                           "--groups", str(groups_file), "--out", str(missing / "ind.csv")],
+            "export": ["--graph", str(run_dir / "sin.json"), "--out", str(missing / "x.dot")],
+            "simulate": ["--steps", "10", "--out", str(missing / "p.csv")],
+            # the asset id names the output files: probabilities_a/b.csv
+            "calibrate": ["--input", str(corpus_dir / "ENE.csv"), "--asset-id", "a/b",
+                          "--max-iterations", "1", "--out-dir", str(tmp_path)],
+        }[command]
+        rc = main([command] + argv)
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory: ")
 
     def test_numerical_failure_exits_two(self, corpus_dir, tmp_path, monkeypatch, capsys):
         def em_fit(series, config=None):
