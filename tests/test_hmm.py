@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -640,6 +641,29 @@ class TestEmFit:
     def test_short_series_rejected(self, make_series):
         with pytest.raises(InsufficientDataError):
             em_fit(make_series(np.linspace(0, 1, 9)), EMConfig())
+
+    @pytest.mark.parametrize("cap", [1, 3])
+    def test_stops_at_the_iteration_cap(self, monkeypatch, cap):
+        # ENE in the bundled corpus, raw at kappa 2, has not converged to
+        # 1e-12 after 3 iterations; the trace also counts the start
+        n_steps = []
+        solve = hmm_module.solve_feedback_exponent
+
+        def counting_solve(*args, **kwargs):
+            n_steps.append(args[4])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(hmm_module, "solve_feedback_exponent", counting_solve)
+        config = PipelineConfig.from_file(bundled_corpus_config())
+        spec = next(a for a in config.assets if a.asset_id == "ENE")
+        em = dataclasses.replace(config.em, tol=1e-12, max_iterations=cap)
+        assert (em.average_window, em.kappa) == (1, 2.0)
+        trace = calibrate_asset("ENE", spec.path, config.column_map, em,
+                                start=config.analysis_start, end=config.analysis_end).trace
+        assert trace.iterations == cap + 1
+        assert not trace.converged and not trace.stalled
+        assert len(n_steps) == cap
+        trace.validate_monotone(1e-9)
 
     @pytest.mark.skipif((USABLE_CPUS or 1) < 2, reason="needs 2 usable CPUs")
     def test_fit_does_not_depend_on_blas_threads(self):
