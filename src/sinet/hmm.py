@@ -520,7 +520,7 @@ class _BubbleBlock:
             c = self.inv_var / (n * n)
             dq = c * _dot(d[0], d[1]) - self.weighted_y
             d2q = -c * (_dot(d[1], d[1]) + _dot(d[0], d[2]))
-        return float(dq), float(d2q)
+        return dq, d2q
 
 
 def solve_feedback_exponent(

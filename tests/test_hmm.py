@@ -6,6 +6,7 @@ import subprocess
 import sys
 import warnings
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from sinet.synthetic import bundled_corpus_config
 import sinet.hmm as hmm_module
 
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 # fits a 12,001-point series with six rallies and prints every fitted figure
