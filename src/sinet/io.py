@@ -50,16 +50,24 @@ _EPOCH = date(1970, 1, 1).toordinal()  # datetime64[D] counts days from 1970-01-
 _YMD = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")  # a date as the pipeline writes it
 
 
-def _read_text(path) -> str:
-    """The text of an input file, read as UTF-8 without a leading byte-order
-    mark; a ConfigurationError when ``path`` does not exist or is a
-    directory."""
+def read_bytes(path) -> bytes:
+    """The bytes of an input file; a ConfigurationError when ``path`` does
+    not exist or is a directory. Every reader of an input goes through it."""
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
+        return Path(path).read_bytes()
     except FileNotFoundError:
         raise ConfigurationError(f"{path} does not exist") from None
     except IsADirectoryError:
         raise ConfigurationError(f"{path} is not a file") from None
+
+
+def _read_text(path) -> str:
+    """The text of an input file: UTF-8 without a leading byte-order mark,
+    with \\r\\n and \\r read as \\n."""
+    text = read_bytes(path).decode("utf-8-sig")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _read_table(path, price_file: bool = False) -> tuple[list[str], list[tuple[int, list[str]]]]:
@@ -73,7 +81,7 @@ def _read_table(path, price_file: bool = False) -> tuple[list[str], list[tuple[i
     path = Path(path)
     text = _read_text(path)
     if price_file:
-        lines = text.split("\n")  # read_text() turns \r\n and \r into \n
+        lines = text.split("\n")  # _read_text turns \r\n and \r into \n
         if lines[-1] == "":
             lines.pop()
         if not lines:
@@ -168,10 +176,8 @@ def _tokenized(path: Path, date: Optional[str], columns: dict[str, str],
     """
     if path.suffix != ".csv":
         return None
+    text = _read_text(path)
     try:
-        text = path.read_bytes().decode("utf-8-sig")  # faster than read_text()
-        if "\r" in text:  # \r\n and \r end a line, as read_text() reads them
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
         if any(c in text for c in _REFUSED) or price_file and '"' in text:
             return None
         end, skip = -1, 0
@@ -198,8 +204,7 @@ def _tokenized(path: Path, date: Optional[str], columns: dict[str, str],
         if not (cells.view(np.uint8).reshape(-1, 11) - _PLAIN_LOW <= _PLAIN_SPAN).all():
             return None
         dates = cells.astype("datetime64[D]")  # ValueError: a month or day out of range
-    # UnicodeError too; _read_table names a missing file or a directory
-    except (ValueError, FileNotFoundError, IsADirectoryError):
+    except ValueError:
         return None
     order = np.argsort(dates, kind="stable") if price_file else np.arange(len(dates))
     dates = dates[order]
@@ -229,10 +234,6 @@ def read_price_table(path, column_map=None) -> dict:
     if column_map:
         colmap.update(column_map)
     path = Path(path)
-    if not path.exists():
-        raise ConfigurationError(f"price file {path} does not exist")
-    if not path.is_file():
-        raise ConfigurationError(f"price file {path} is not a file")
     columns = {"prices": colmap["price"], "caps": colmap["market_cap"]}
     out = _tokenized(path, colmap["date"], columns, price_file=True)
     if out is not None and all(((out[key] > 0) & (out[key] < np.inf)).all()

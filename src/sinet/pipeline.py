@@ -2,8 +2,8 @@
 matrix -> network -> loss analytics.
 
 Per-asset calibration failures are isolated and reported; the run aborts
-only when fewer than two assets survive or the configuration itself is
-invalid. All outputs are deterministic for a fixed configuration.
+when fewer than two assets survive, the configuration is invalid or an
+output cannot be written. Outputs are deterministic for a fixed configuration.
 
 Per-asset calibrations (:func:`calibrate_asset`) and per-pair entropies are
 independent work units (nothing is shared between them), so they could be
@@ -117,10 +117,6 @@ class PipelineConfig:
                 raise ConfigurationError(
                     f"asset {a.asset_id!r} has unknown group {a.group!r}"
                 )
-            if not Path(a.path).exists():
-                raise ConfigurationError(f"asset file {a.path} does not exist")
-            if not Path(a.path).is_file():
-                raise ConfigurationError(f"asset file {a.path} is not a file")
         days = {key: sio.plain_date(getattr(self, key), key)
                 for key in ("analysis_start", "analysis_end", "loss_start", "loss_end")
                 if getattr(self, key) is not None}
@@ -174,7 +170,7 @@ class PipelineConfig:
         kv = self.key_values()
         del kv["output_dir"]
         for a in self.assets:
-            kv[f"asset.{a.asset_id}.path"] = hashlib.sha256(Path(a.path).read_bytes()).hexdigest()
+            kv[f"asset.{a.asset_id}.path"] = hashlib.sha256(sio.read_bytes(a.path)).hexdigest()
         blob = "\n".join(f"{k} = {v}" for k, v in kv.items())
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
@@ -383,15 +379,15 @@ def write_regressions(out: Path, doc: dict, text: str) -> list[Path]:
 def run_pipeline(config: PipelineConfig) -> RunReport:
     """Run the full pipeline and write every intermediate artifact.
 
-    Returns the run report (also written to the output directory). Raises
-    :class:`ConfigurationError` for invalid configuration; per-asset
-    failures are recorded in the report instead of raised. A stage that
-    fails after calibration raises its error once the report is written.
+    Returns the run report (also written to the output directory). Invalid
+    configuration or a missing asset file raises ConfigurationError before
+    anything is written. An asset whose calibration fails on its data is
+    listed in the report; any other failure raises once the report is written.
     """
     config.validate()
+    provenance = config.provenance()  # reads every asset file: a missing one fails here
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    provenance = config.provenance()
     report = RunReport()
 
     (out / "config_echo.cfg").write_text(
@@ -404,12 +400,16 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
     probs = {}
     losses: dict[str, float] = {}
     loss_notes: list[str] = []
-    for spec in config.assets:
-        try:
-            fit = calibrate_asset(
-                spec.asset_id, spec.path, config.column_map, config.em,
-                start=config.analysis_start, end=config.analysis_end,
-            )
+    try:
+        for spec in config.assets:
+            try:
+                fit = calibrate_asset(
+                    spec.asset_id, spec.path, config.column_map, config.em,
+                    start=config.analysis_start, end=config.analysis_end,
+                )
+            except (SinetError, ValueError) as err:  # this asset's data
+                report.failed[spec.asset_id] = str(err)
+                continue
             report.artifacts += [p.name for p in write_asset_fit(out, fit, provenance)]
             report.summary[spec.asset_id] = fit.summary()
             probs[spec.asset_id] = (
@@ -423,21 +423,15 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
                 if len(values) >= 2:
                     losses[spec.asset_id] = max_loss(values)
                 else:
-                    loss_notes.append(
-                        f"{spec.asset_id}: no data in loss window, loss skipped"
-                    )
+                    loss_notes.append(f"{spec.asset_id}: no data in loss window, loss skipped")
             report.processed.append(spec.asset_id)
-        except (SinetError, ValueError, FileNotFoundError, KeyError) as err:
-            report.failed[spec.asset_id] = str(err)
 
-    if len(report.processed) < 2:
-        _write_report(out, report, provenance)
-        raise ConfigurationError(
-            f"only {len(report.processed)} asset(s) survived calibration; "
-            "need at least 2 for the influence matrix"
-        )
+        if len(report.processed) < 2:
+            raise ConfigurationError(
+                f"only {len(report.processed)} asset(s) survived calibration; "
+                "need at least 2 for the influence matrix"
+            )
 
-    try:
         matrix = sii_matrix(probs, config.te_bins, config.te_base,
                             bubble_level=config.te_bubble_level)
         path = sio.write_matrix_csv(out / "sii_matrix.csv", matrix.nodes, matrix.values,

@@ -81,7 +81,7 @@ class TestRun:
                        .replace("SEC.path = SEC.csv", f"SEC.path = {tmp_path / 'SEC.csv'}"))
         rc = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
         assert rc == 1
-        assert capsys.readouterr().err == f"error: asset file {tmp_path / 'SEC.csv'} is not a file\n"
+        assert capsys.readouterr().err == f"error: {tmp_path / 'SEC.csv'} is not a file\n"
         assert not (tmp_path / "o").exists()
 
     def test_missing_config_file_exits_one(self, tmp_path):
@@ -243,7 +243,7 @@ class TestStageCommands:
         rc = main(["calibrate", "--input", str(tmp_path / "ENE.csv"),
                    "--out-dir", str(tmp_path / "o")])
         assert rc == 1
-        assert capsys.readouterr().err == f"error: price file {tmp_path / 'ENE.csv'} is not a file\n"
+        assert capsys.readouterr().err == f"error: {tmp_path / 'ENE.csv'} is not a file\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, option", [
@@ -281,7 +281,7 @@ class TestStageCommands:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, option, what", [
-        ("calibrate", "--input", "price file "),  # price table
+        ("calibrate", "--input", ""),  # price table
         ("te", "--source", ""),  # probabilities table, the tokenizer's first
         ("indicators", "--matrix", ""),  # pipeline table, the line reader's alone
         ("run", "--config", ""),  # key-value config

@@ -91,7 +91,7 @@ class TestLoadPriceCsv:
     def test_missing_file(self, tmp_path):
         absent = tmp_path / "absent.csv"
         with pytest.raises(
-            ConfigurationError, match=rf"^price file {re.escape(str(absent))} does not exist$"
+            ConfigurationError, match=rf"^{re.escape(str(absent))} does not exist$"
         ):
             sio.read_price_table(absent)
 
