@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -32,6 +33,32 @@ def groups_file(tmp_path):
         "IND,industrial,\nBNK,financial,bank\nSEC,financial,securities\n"
     )
     return path
+
+
+def slashed_config(corpus_dir, tmp_path):
+    """The corpus config with ENE moved last and named E/NE, so that `run`
+    writes its probabilities_E/NE.csv into a directory that does not exist."""
+    cfg = tmp_path / "slashed.cfg"
+    cfg.write_text((corpus_dir / "corpus.cfg").read_text()
+                   .replace("data_dir = .", f"data_dir = {corpus_dir}")
+                   .replace("assets = ENE, MAT, IND, BNK, SEC", "assets = MAT, IND, BNK, SEC, ENE")
+                   .replace("ENE", "E/NE").replace("E/NE.csv", "ENE.csv"))
+    return cfg
+
+
+def check_run_report(out, config, unreported=()):
+    """The run_report.json in ``out`` names each asset of ``config`` but
+    ``unreported`` once, in config order, as processed or failed, and its
+    artifacts and the two report files are exactly the files in ``out``."""
+    assets = [a.asset_id for a in pipeline.PipelineConfig.from_file(config).assets]
+    doc = json.loads((out / "run_report.json").read_text())
+    for key in ("processed", "failed"):
+        assert list(doc[key]) == [a for a in assets if a in doc[key]]
+    assert sorted([*doc["processed"], *doc["failed"]], key=assets.index) == [
+        a for a in assets if a not in unreported]
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [*doc["artifacts"], "run_report.json", "run_report.txt"])
+    return doc
 
 
 class TestRun:
@@ -82,6 +109,16 @@ class TestRun:
         rc = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {tmp_path / 'SEC.csv'} is not a file\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_missing_asset_file_exits_one(self, corpus_dir, tmp_path, capsys):
+        cfg = tmp_path / "missing.cfg"
+        cfg.write_text((corpus_dir / "corpus.cfg").read_text()
+                       .replace("data_dir = .", f"data_dir = {corpus_dir}")
+                       .replace("SEC.path = SEC.csv", f"SEC.path = {tmp_path / 'SEC.csv'}"))
+        rc = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {tmp_path / 'SEC.csv'} does not exist\n"
         assert not (tmp_path / "o").exists()
 
     def test_missing_config_file_exits_one(self, tmp_path):
@@ -141,6 +178,42 @@ class TestRun:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {key}: {what}\n"
         assert not (tmp_path / "o").exists()
+
+
+class TestRunReport:
+    """run_report.json accounts for every configured asset and every file
+    the run left in its output directory."""
+
+    def test_clean_run(self, run_dir, corpus_dir):
+        doc = check_run_report(run_dir, corpus_dir / "corpus.cfg")
+        assert doc["processed"] == ["ENE", "MAT", "IND", "BNK", "SEC"]
+        assert doc["failed"] == {}
+
+    def test_run_with_a_corrupt_price_row(self, corpus_dir, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(corpus_dir, data)
+        lines = (data / "IND.csv").read_text().splitlines()
+        lines[5] = lines[5].rsplit(",", 2)[0] + ",-4.0,100"
+        (data / "IND.csv").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(data / "corpus.cfg"), "--out-dir", str(out)]) == 0
+        doc = check_run_report(out, data / "corpus.cfg")
+        assert doc["processed"] == ["ENE", "MAT", "BNK", "SEC"]
+        assert list(doc["failed"]) == ["IND"]
+
+    def test_unwritable_asset_output_exits_two_after_the_report(
+        self, corpus_dir, tmp_path, capsys
+    ):
+        # an output that cannot be written is not a failed calibration
+        config, out = slashed_config(corpus_dir, tmp_path), tmp_path / "o"
+        assert main(["run", "--config", str(config), "--out-dir", str(out)]) == 2
+        error = f"[Errno 2] No such file or directory: '{out / 'probabilities_E/NE.csv'}'"
+        assert capsys.readouterr().err == f"error: {error}\n"
+        doc = check_run_report(out, config, unreported=["E/NE"])
+        assert doc["processed"] == ["MAT", "IND", "BNK", "SEC"]
+        assert doc["failed"] == {}
+        assert doc["skipped"] == [f"remaining stages ({error})"]
+        assert f"\nskipped: remaining stages ({error})\n" in (out / "run_report.txt").read_text()
 
 
 class TestSimulate:
@@ -527,11 +600,12 @@ class TestRuntimeFailure:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: [Errno 17] File exists: ")
 
-    @pytest.mark.parametrize("command", ["indicators", "export", "simulate", "calibrate"])
+    @pytest.mark.parametrize("command", ["indicators", "export", "simulate", "calibrate", "run"])
     def test_output_in_a_missing_directory_exits_two(
         self, run_dir, corpus_dir, groups_file, tmp_path, capsys, command
     ):
         missing = tmp_path / "missing"
+        config = slashed_config(corpus_dir, tmp_path)
         argv = {
             "indicators": ["--matrix", str(run_dir / "sii_matrix.csv"),
                            "--groups", str(groups_file), "--out", str(missing / "ind.csv")],
@@ -540,6 +614,8 @@ class TestRuntimeFailure:
             # the asset id names the output files: probabilities_a/b.csv
             "calibrate": ["--input", str(corpus_dir / "ENE.csv"), "--asset-id", "a/b",
                           "--max-iterations", "1", "--out-dir", str(tmp_path)],
+            # the asset id E/NE names probabilities_E/NE.csv
+            "run": ["--config", str(config), "--out-dir", str(tmp_path / "o")],
         }[command]
         rc = main([command] + argv)
         assert rc == 2

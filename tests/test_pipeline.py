@@ -274,6 +274,14 @@ class TestRunPipeline:
         object.__setattr__(config.assets[1], "path", empty)
         with pytest.raises(ConfigurationError, match="survived"):
             run_pipeline(config)
+        doc = json.loads((tmp_path / "out" / "run_report.json").read_text())
+        assert doc["processed"] == ["ENE"]
+        assert doc["failed"] == {"MAT": "a log-price series needs at least 2 points"}
+        assert doc["skipped"] == ["remaining stages (only 1 asset(s) survived calibration; "
+                                  "need at least 2 for the influence matrix)"]
+        assert doc["artifacts"] == ["config_echo.cfg", "probabilities_ENE.csv", "params_ENE.json"]
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(
+            [*doc["artifacts"], "run_report.json", "run_report.txt"])
 
     def test_stage_failure_after_calibration_writes_the_report(
         self, corpus_dir, tmp_path, monkeypatch
