@@ -77,8 +77,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--indicators", type=Path, required=True)
     p.add_argument("--groups", type=Path, required=True)
     p.add_argument("--losses", type=Path, required=True)
-    p.add_argument("--models", default=None, help="'A, B | C' model list")
-    p.add_argument("--correlations", default=None, help="'A | B - C' combo list")
+    p.add_argument("--models", default=pipeline.DEFAULT_REGRESSIONS,
+                   help="'A, B | C' model list; empty runs none")
+    p.add_argument("--correlations", default=pipeline.DEFAULT_CORRELATIONS,
+                   help="'A | B - C' combo list; empty runs none")
     p.add_argument("--out-dir", type=Path, default=Path("."))
 
     p = sub.add_parser("run", help="full pipeline from a key-value config file")
@@ -159,11 +161,8 @@ def _cmd_regress(args) -> int:
     table = sio.read_indicators_csv(args.indicators)
     groups = sio.read_groups_csv(args.groups)
     losses = sio.read_losses_csv(args.losses)
-    doc, text = pipeline.loss_analytics(
-        table, table.nodes, groups, losses,
-        args.models or pipeline.DEFAULT_REGRESSIONS,
-        args.correlations or pipeline.DEFAULT_CORRELATIONS,
-    )
+    doc, text = pipeline.loss_analytics(table, table.nodes, groups, losses,
+                                        args.models, args.correlations)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     pipeline.write_regressions(args.out_dir, doc, text)
     print(f"wrote regressions.json and regressions.txt to {args.out_dir}")

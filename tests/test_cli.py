@@ -399,6 +399,17 @@ class TestStageCommands:
         doc = json.loads((tmp_path / "reg" / "regressions.json").read_text())
         assert doc["regressions"] and doc["correlations"]
 
+    def test_regress_empty_specs_run_nothing(self, run_dir, groups_file, tmp_path):
+        # an empty spec means none, as `regressions =` does in a config
+        rc = main([
+            "regress", "--indicators", str(run_dir / "indicators.csv"),
+            "--groups", str(groups_file), "--losses", str(run_dir / "losses.csv"),
+            "--models", "", "--correlations", "", "--out-dir", str(tmp_path / "reg"),
+        ])
+        assert rc == 0
+        doc = json.loads((tmp_path / "reg" / "regressions.json").read_text())
+        assert doc["regressions"] == [] and doc["correlations"] == []
+
     def test_calibrate_single_asset(self, corpus_dir, tmp_path):
         rc = main([
             "calibrate", "--input", str(corpus_dir / "ENE.csv"), "--window", "1",
