@@ -100,17 +100,6 @@ def test_run_pipeline_loads_no_scipy_part(bundled_run):
     assert loaded == []
 
 
-def test_run_pipeline_never_loads_scipy_stats(bundled_run):
-    out, loaded = bundled_run
-    assert (out / "regressions.json").exists()
-    assert "scipy.stats" not in loaded
-
-
-def test_run_pipeline_never_loads_scipy_optimize(bundled_run):
-    _, loaded = bundled_run
-    assert "scipy.optimize" not in loaded
-
-
 def test_regress_on_run_outputs_loads_no_scipy_part(bundled_run, tmp_path):
     out, _ = bundled_run
     groups = tmp_path / "groups.csv"
