@@ -100,7 +100,7 @@ def _cmd_simulate(args) -> int:
                             args.steps, args.seed)
     if path.hit_critical:
         print(f"hit critical denominator at step {path.critical_time_index} "
-              f"(t = {path.critical_time!r})")
+              f"(t = {path.critical_time})")
     else:
         print(f"no singularity within {args.steps} steps")
     if args.out is not None:
@@ -132,7 +132,7 @@ def _cmd_calibrate(args) -> int:
 def _cmd_te(args) -> int:
     source = sio.read_probabilities_csv(args.source, args.column)
     target = sio.read_probabilities_csv(args.target, args.column)
-    print(repr(sii(source, target, args.bins, args.base)))
+    print(sii(source, target, args.bins, args.base))
     return 0
 
 

@@ -1,10 +1,11 @@
 """File formats: CSV ingestion, key-value configuration, graph and table
 exports.
 
-All numeric output uses shortest round-trip decimal text (``repr``), so
-identical inputs produce byte-identical files. Every artifact carries a
-provenance line naming the configuration hash and analysis window it came
-from.
+Every number is written by ``str``, which gives a float's shortest
+round-trip decimal text, so identical inputs produce byte-identical files.
+Every artifact carries a provenance line naming the configuration hash and
+analysis window it came from. An input that cannot be decoded or parsed
+raises ConfigurationError with a message that starts with its path.
 """
 from __future__ import annotations
 
@@ -25,13 +26,6 @@ from .series import ProbabilitySeries
 GRAPH_SCHEMA = "sin-graph/1"
 
 DEFAULT_COLUMNS = {"date": "date", "price": "price", "market_cap": "market_cap"}
-
-
-def format_value(x) -> str:
-    """Full-precision decimal text for floats; ints and strings unchanged."""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
 
 
 # ---------------------------------------------------------------------------
@@ -63,8 +57,13 @@ def read_bytes(path) -> bytes:
 
 def _read_text(path) -> str:
     """The text of an input file: UTF-8 without a leading byte-order mark,
-    with \\r\\n and \\r read as \\n."""
-    text = read_bytes(path).decode("utf-8-sig")
+    with \\r\\n and \\r read as \\n; a ConfigurationError naming the
+    offset of the first byte that is not UTF-8, counted from 0 at the start
+    of the file."""
+    try:
+        text = read_bytes(path).decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as err:
+        raise ConfigurationError(f"{path}: not UTF-8 at byte {err.start}") from None
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
@@ -98,8 +97,8 @@ def _read_table(path, price_file: bool = False) -> tuple[list[str], list[tuple[i
     return header, rows
 
 
-def _bad_line(path, lineno: int, what: str, error=ConfigurationError) -> Exception:
-    return error(f"{Path(path)}: {what} on line {lineno}")
+def _bad_line(path, lineno: int, what: str) -> ConfigurationError:
+    return ConfigurationError(f"{Path(path)}: {what} on line {lineno}")
 
 
 def _finite_cells(path, header: list[str], lineno: int, cells: list[str],
@@ -219,9 +218,9 @@ def read_price_table(path, column_map=None) -> dict:
     Returns a dict with ``dates`` (datetime64[D]), ``prices`` and, when the
     mapped column exists, ``caps``. Dates are ISO dates as
     ``date.fromisoformat`` reads them. Prices and caps must be finite and
-    positive. A bad row raises ValueError naming the first bad line, with
-    the first check that fails on it, in the order unparseable date,
-    duplicate date, unparseable price, non-finite price, non-positive
+    positive. A bad row raises ConfigurationError naming the first bad
+    line, with the first check that fails on it, in the order unparseable
+    date, duplicate date, unparseable price, non-finite price, non-positive
     price, then the same three for market_cap.
 
     A table is read by numpy's C tokenizer first (``_tokenized``). The line
@@ -255,20 +254,20 @@ def read_price_table(path, column_map=None) -> dict:
         try:
             day = date.fromisoformat(cells[d].strip())
         except (ValueError, IndexError):
-            raise _bad_line(path, lineno, "unparseable date", ValueError) from None
+            raise _bad_line(path, lineno, "unparseable date") from None
         if day in seen:
-            raise _bad_line(path, lineno, f"duplicate date {day}", ValueError)
+            raise _bad_line(path, lineno, f"duplicate date {day}")
         seen.add(day)
         days.append(day.toordinal() - _EPOCH)
         for field, _, j, values in fields:
             try:
                 value = float(cells[j])
             except (ValueError, IndexError):
-                raise _bad_line(path, lineno, f"unparseable {field}", ValueError) from None
+                raise _bad_line(path, lineno, f"unparseable {field}") from None
             if not math.isfinite(value):
-                raise _bad_line(path, lineno, f"non-finite {field}", ValueError)
+                raise _bad_line(path, lineno, f"non-finite {field}")
             if value <= 0:
-                raise _bad_line(path, lineno, f"non-positive {field}", ValueError)
+                raise _bad_line(path, lineno, f"non-positive {field}")
             values.append(value)
     dates = np.array(days, dtype=np.int64).view("datetime64[D]")
     order = np.argsort(dates, kind="stable")
@@ -316,19 +315,18 @@ def export_graph(g: SINGraph, fmt: str, path, provenance: str = "") -> Path:
         if provenance:
             lines.append(f"// {provenance}")
         lines.append("digraph SIN {")
-        lines.append(f"  // threshold={format_value(float(g.threshold))}")
+        lines.append(f"  // threshold={float(g.threshold)}")
         for node in g.nodes:
             attrs = [f"group={_dot_id(g.groups[node])}"]
             if node in g.size_values:
-                attrs.append(f"size_value={format_value(g.size_values[node])}")
+                attrs.append(f"size_value={g.size_values[node]}")
             color = g.color_values.get(node)
             if color is not None:
-                attrs.append(f"color_value={format_value(color)}")
+                attrs.append(f"color_value={color}")
             lines.append(f'  {_dot_id(node)} [{", ".join(attrs)}];')
         for src, dst, weight in g.edges:
             pen = 0.5 + 4.5 * weight
-            lines.append(f"  {_dot_id(src)} -> {_dot_id(dst)} "
-                         f"[weight={format_value(weight)}, penwidth={format_value(pen)}];")
+            lines.append(f"  {_dot_id(src)} -> {_dot_id(dst)} [weight={weight}, penwidth={pen}];")
         lines.append("}")
         path.write_text("\n".join(lines) + "\n")
         return path
@@ -438,7 +436,7 @@ def write_probabilities_csv(
         raise ValueError(f"filtering and smoothing dates differ at row {k + 1}: "
                          f"{dates[k]} and {other[k]}")
     return _write_csv(path, ["date", "filtering", "smoothing"], map(
-        "{},{!r},{!r}".format,
+        "{},{},{}".format,
         np.datetime_as_string(filtering.timestamps).tolist(),
         filtering.values.tolist(),
         smoothing.values.tolist(),
@@ -452,9 +450,9 @@ def read_probabilities_csv(path, column: str = "filtering") -> ProbabilitySeries
     Dates are in the first column, as YYYY-MM-DD and strictly increasing;
     numpy alone would also read ``2006-02`` as 2006-02-01. A bad row raises
     ConfigurationError naming the first bad line, with the first check that
-    fails on it, in the order unparseable, missing or not-YYYY-MM-DD date,
-    duplicate or unsorted date, missing or unparseable probability,
-    probability outside [0, 1] (NaN included).
+    fails on it, in the order date not in YYYY-MM-DD form (the message a
+    config date gets), duplicate or unsorted date, missing or unparseable
+    probability, probability outside [0, 1] (NaN included).
 
     A table is read by numpy's C tokenizer first (``_tokenized``); only when
     that read or its checks refuse the file does the line reader read it
@@ -471,13 +469,7 @@ def read_probabilities_csv(path, column: str = "filtering") -> ProbabilitySeries
     for lineno, cells in rows:
         day = _plain_day(cells[0])
         if day is None:
-            try:
-                what = ("missing date" if np.isnat(np.datetime64(cells[0], "D"))
-                        else "unparseable date" if _YMD.fullmatch(cells[0])  # year 0
-                        else f"date {cells[0]!r} not in YYYY-MM-DD form")
-            except ValueError:
-                what = "unparseable date"
-            raise _bad_line(path, lineno, what)
+            raise _bad_line(path, lineno, f"date {cells[0]!r} not in YYYY-MM-DD form")
         if days and day <= days[-1]:
             what = "duplicate" if day == days[-1] else "unsorted"
             raise _bad_line(path, lineno, f"{what} date {cells[0]}")
@@ -498,7 +490,7 @@ def read_probabilities_csv(path, column: str = "filtering") -> ProbabilitySeries
 def write_matrix_csv(path, nodes, values, provenance: str = "") -> Path:
     rows = np.asarray(values, dtype=float).tolist()
     return _write_csv(path, ["node", *nodes], (
-        ",".join([name, *map(repr, row)]) for name, row in zip(nodes, rows)
+        ",".join([name, *map(str, row)]) for name, row in zip(nodes, rows)
     ), provenance)
 
 
@@ -532,7 +524,7 @@ def read_matrix_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
 
 
 def write_table_csv(path, header: list[str], rows: list[list], provenance: str = "") -> Path:
-    return _write_csv(path, header, (",".join(map(format_value, row)) for row in rows), provenance)
+    return _write_csv(path, header, (",".join(map(str, row)) for row in rows), provenance)
 
 
 def read_indicators_csv(path):

@@ -155,7 +155,7 @@ class PipelineConfig:
             owner, _, name = field_path.rpartition(".")
             value = getattr(self.em if owner else self, name)
             if value is not None:
-                kv[key] = sio.format_value(value)
+                kv[key] = str(value)
         kv["output_dir"] = str(self.output_dir)
         return kv
 

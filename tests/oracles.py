@@ -669,30 +669,30 @@ def read_price_table_rows(path, column_map=None) -> dict:
             try:
                 day = date.fromisoformat(row[date_idx].strip())
             except (ValueError, IndexError):
-                raise ValueError(f"{path}: unparseable date on line {lineno}") from None
+                raise ConfigurationError(f"{path}: unparseable date on line {lineno}") from None
             if day in seen:
-                raise ValueError(f"{path}: duplicate date {day} on line {lineno}")
+                raise ConfigurationError(f"{path}: duplicate date {day} on line {lineno}")
             seen.add(day)
             try:
                 price = float(row[price_idx])
             except (ValueError, IndexError):
-                raise ValueError(f"{path}: unparseable price on line {lineno}") from None
+                raise ConfigurationError(f"{path}: unparseable price on line {lineno}") from None
             if not np.isfinite(price):
-                raise ValueError(f"{path}: non-finite price on line {lineno}")
+                raise ConfigurationError(f"{path}: non-finite price on line {lineno}")
             if price <= 0:
-                raise ValueError(f"{path}: non-positive price on line {lineno}")
+                raise ConfigurationError(f"{path}: non-positive price on line {lineno}")
             cap = None
             if cap_idx is not None:
                 try:
                     cap = float(row[cap_idx])
                 except (ValueError, IndexError):
-                    raise ValueError(
+                    raise ConfigurationError(
                         f"{path}: unparseable market_cap on line {lineno}"
                     ) from None
                 if not np.isfinite(cap):
-                    raise ValueError(f"{path}: non-finite market_cap on line {lineno}")
+                    raise ConfigurationError(f"{path}: non-finite market_cap on line {lineno}")
                 if cap <= 0:
-                    raise ValueError(f"{path}: non-positive market_cap on line {lineno}")
+                    raise ConfigurationError(f"{path}: non-positive market_cap on line {lineno}")
             dates.append(day)
             prices.append(price)
             caps.append(cap)
@@ -737,13 +737,10 @@ def read_probabilities_rows(path, column: str = "filtering") -> dict:
         try:
             day = np.datetime64(cells[0], "D")
         except ValueError:
-            raise fail("unparseable date") from None
-        if np.isnat(day):
-            raise fail("missing date")
-        if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", cells[0]):
+            day = None
+        if (day is None or not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", cells[0])
+                or day < np.datetime64("0001-01-01")):  # numpy reads year 0, date() does not
             raise fail(f"date {cells[0]!r} not in YYYY-MM-DD form")
-        if day < np.datetime64("0001-01-01"):  # numpy reads year 0, date() does not
-            raise fail("unparseable date")
         if dates and day <= dates[-1]:
             raise fail(f"{'duplicate' if day == dates[-1] else 'unsorted'} date {day}")
         if len(cells) <= j:

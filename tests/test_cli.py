@@ -353,17 +353,18 @@ class TestStageCommands:
         assert capsys.readouterr().err == f"error: {directory} is not a file\n"
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command, option, what", [
-        ("calibrate", "--input", ""),  # price table
-        ("te", "--source", ""),  # probabilities table, the tokenizer's first
-        ("indicators", "--matrix", ""),  # pipeline table, the line reader's alone
-        ("run", "--config", ""),  # key-value config
-        ("export", "--graph", ""),  # graph-JSON
+    ONE_INPUT = pytest.mark.parametrize("command, option", [
+        ("calibrate", "--input"),  # price table
+        ("te", "--source"),  # probabilities table, the tokenizer's first
+        ("indicators", "--matrix"),  # pipeline table, the line reader's alone
+        ("run", "--config"),  # key-value config
+        ("export", "--graph"),  # graph-JSON
     ])
-    def test_missing_input_exits_one_naming_it(
-        self, run_dir, groups_file, tmp_path, capsys, command, option, what
-    ):
-        missing = tmp_path / "missing" / "input.csv"
+
+    @staticmethod
+    def run_on(command, option, path, run_dir, groups_file, tmp_path):
+        """Exit code of ``command`` with ``path`` as ``option`` and its
+        other inputs valid; an output goes to ``tmp_path / "o"``."""
         argv = {
             "calibrate": ["--out-dir", "o"],
             "te": ["--target", str(run_dir / "probabilities_MAT.csv")],
@@ -371,10 +372,26 @@ class TestStageCommands:
             "run": ["--out-dir", "o"],
             "export": ["--out", "o"],
         }[command]
-        rc = main([command, option, str(missing)]
-                  + [str(tmp_path / arg) if arg == "o" else arg for arg in argv])
-        assert rc == 1
-        assert capsys.readouterr().err == f"error: {what}{missing} does not exist\n"
+        return main([command, option, str(path)]
+                    + [str(tmp_path / arg) if arg == "o" else arg for arg in argv])
+
+    @ONE_INPUT
+    def test_missing_input_exits_one_naming_it(
+        self, run_dir, groups_file, tmp_path, capsys, command, option
+    ):
+        missing = tmp_path / "missing" / "input.csv"
+        assert self.run_on(command, option, missing, run_dir, groups_file, tmp_path) == 1
+        assert capsys.readouterr().err == f"error: {missing} does not exist\n"
+        assert not (tmp_path / "o").exists()
+
+    @ONE_INPUT
+    def test_input_not_utf8_exits_one_naming_it(
+        self, run_dir, groups_file, tmp_path, capsys, command, option
+    ):
+        bad = tmp_path / "input.csv"
+        bad.write_bytes(b"date,filtering\n2006-01-02,0.5\xff\n")
+        assert self.run_on(command, option, bad, run_dir, groups_file, tmp_path) == 1
+        assert capsys.readouterr().err == f"error: {bad}: not UTF-8 at byte 29\n"
         assert not (tmp_path / "o").exists()
 
     def test_network_and_indicators(self, run_dir, groups_file, tmp_path, capsys):

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracles
-from sinet import ConfigurationError, NodeGroup, ProbabilitySeries, SIIMatrix, build_sin
+from sinet import (ConfigurationError, NodeGroup, ProbabilitySeries, SIIMatrix, SINGraph,
+                   build_sin)
 from sinet import io as sio
 from sinet.network import ALL_INDICATORS
 from sinet.synthetic import bundled_corpus_config
@@ -48,7 +49,7 @@ class TestLoadPriceCsv:
             tmp_path / "a.csv",
             "date,price\n2006-01-02,1.0\n2006-01-03,1.1\n2006-01-04,1.2\n2006-01-05,0\n",
         )
-        with raises_exactly(ValueError, p, "non-positive price on line 5"):
+        with raises_exactly(ConfigurationError, p, "non-positive price on line 5"):
             sio.read_price_table(p)
 
     @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e309"])
@@ -57,13 +58,13 @@ class TestLoadPriceCsv:
         row = f"2006-01-03,{cell},5.0" if field == "price" else f"2006-01-03,1.0,{cell}"
         p = write(tmp_path / "a.csv", f"date,price,market_cap\n2006-01-02,1.0,5.0\n{row}\n")
         assert _outcome(oracles.read_price_table_rows, p, None) == (
-            ValueError, f"{p}: non-finite {field} on line 3")
-        with raises_exactly(ValueError, p, f"non-finite {field} on line 3"):
+            ConfigurationError, f"{p}: non-finite {field} on line 3")
+        with raises_exactly(ConfigurationError, p, f"non-finite {field} on line 3"):
             sio.read_price_table(p)
 
     def test_unparseable_date_names_line(self, tmp_path):
         p = write(tmp_path / "a.csv", "date,price\n2006-01-02,1.0\nnot-a-date,1.1\n")
-        with raises_exactly(ValueError, p, "unparseable date on line 3"):
+        with raises_exactly(ConfigurationError, p, "unparseable date on line 3"):
             sio.read_price_table(p)
 
     def test_missing_date_column_names_it(self, tmp_path):
@@ -75,7 +76,7 @@ class TestLoadPriceCsv:
         p = write(
             tmp_path / "a.csv", "date,price\n2006-01-02,1.0\n2006-01-02,1.1\n"
         )
-        with raises_exactly(ValueError, p, "duplicate date 2006-01-02 on line 3"):
+        with raises_exactly(ConfigurationError, p, "duplicate date 2006-01-02 on line 3"):
             sio.read_price_table(p)
 
     def test_column_map_and_caps(self, tmp_path):
@@ -176,6 +177,20 @@ class TestGraphExport:
             b'}\n'
         )
 
+    def test_dot_writes_numpy_floats_as_plain_text(self, tmp_path):
+        # an int threshold is written as a float
+        g = SINGraph(("a", "b"), {"a": "industrial", "b": "financial"},
+                     {"a": np.float64(1.5)}, {"a": np.float64(12.5), "b": None},
+                     (("a", "b", np.float64(0.25)),), 0)
+        assert sio.export_graph(g, "dot", tmp_path / "g.dot").read_text() == (
+            "digraph SIN {\n"
+            "  // threshold=0.0\n"
+            '  "a" [group="industrial", size_value=1.5, color_value=12.5];\n'
+            '  "b" [group="financial"];\n'
+            '  "a" -> "b" [weight=0.25, penwidth=1.625];\n'
+            "}\n"
+        )
+
 
 GRAPH_HEAD = '"schema": "sin-graph/1", "provenance": "p", "threshold": 0.3'
 NODE_A = '{"id": "a", "group": "industrial", "size_value": 1.0, "color_value": null}'
@@ -266,6 +281,25 @@ class TestByteOrderMark:
         assert sio.import_graph_json(p)[0].nodes == ("a",)
 
 
+class TestNotUtf8:
+    """A file that is not UTF-8 fails naming it and the offset of its first
+    bad byte, counted from 0 at the start of the file, byte-order mark
+    included."""
+
+    @pytest.mark.parametrize("read", [
+        sio.read_price_table, sio.read_probabilities_csv, sio.read_matrix_csv,
+        sio.read_indicators_csv, sio.read_losses_csv, sio.read_groups_csv,
+        sio.read_key_values, sio.import_graph_json,
+    ], ids=lambda read: read.__name__)
+    @pytest.mark.parametrize("suffix", [".csv", ".txt"])
+    def test_every_reader_names_the_file(self, tmp_path, read, suffix):
+        p = tmp_path / f"input{suffix}"
+        for head, at in ((b"", 25), (BOM.encode(), 28)):
+            p.write_bytes(head + b"date,price\n2006-01-02,1.0\xff\n")
+            with raises_exactly(ConfigurationError, p, f"not UTF-8 at byte {at}"):
+                read(p)
+
+
 class TestTableRoundTrips:
     def test_probabilities_csv(self, tmp_path, make_probs):
         filt = make_probs([0.1, 0.5, 0.9])
@@ -284,7 +318,8 @@ class TestTableRoundTrips:
         (" 2008-03-04", "date ' 2008-03-04' not in YYYY-MM-DD form"),
         ("+006-01-02", "date '+006-01-02' not in YYYY-MM-DD form"),
         ("-006-01-02", "date '-006-01-02' not in YYYY-MM-DD form"),
-        ("0000-01-01", "unparseable date"),
+        ("0000-01-01", "date '0000-01-01' not in YYYY-MM-DD form"),
+        ("2006-13-01", "date '2006-13-01' not in YYYY-MM-DD form"),
         ("2006-01-03", "duplicate date 2006-01-03"),
         ("2006-01-02", "unsorted date 2006-01-02"),
     ])
@@ -300,22 +335,18 @@ class TestTableRoundTrips:
         path = write(tmp_path / "p.csv", "date,filtering,smoothing\n")
         assert len(sio.read_probabilities_csv(path)) == 0
 
-    def test_probabilities_csv_unparseable_date_rejected(self, tmp_path):
-        path = write(tmp_path / "p.csv", "date,filtering,smoothing\n2006-13-01,0.5,0.5\n")
-        with pytest.raises(ValueError):
-            sio.read_probabilities_csv(path)
-
     @pytest.mark.parametrize("cell", ["", "NaT"])
     def test_probabilities_csv_missing_date_names_line(self, tmp_path, cell):
         path = write(tmp_path / "p.csv", "# provenance\ndate,filtering,smoothing\n"
                      f"2006-01-02,0.5,0.5\n\n{cell},0.5,0.5\n")
-        with raises_exactly(ConfigurationError, path, "missing date on line 5"):
+        with raises_exactly(ConfigurationError, path,
+                            f"date {cell!r} not in YYYY-MM-DD form on line 5"):
             sio.read_probabilities_csv(path)
 
     def test_probabilities_csv_nan_rejected(self, tmp_path):
         path = write(tmp_path / "p.csv", "date,filtering,smoothing\n"
                      "2006-01-02,0.5,0.5\n2006-01-03,nan,0.5\n")
-        with raises_exactly(ValueError, path, "probability outside [0, 1] on line 3"):
+        with raises_exactly(ConfigurationError, path, "probability outside [0, 1] on line 3"):
             sio.read_probabilities_csv(path)
 
     @pytest.mark.parametrize("cell", ["nan", "1.5", "-0.25", "inf"])
@@ -368,7 +399,7 @@ class TestMalformedRows:
 
     def test_price_short_row(self, tmp_path):
         p = write(tmp_path / "a.csv", "date,price\n2006-01-02,1.0\n2006-01-03\n")
-        with raises_exactly(ValueError, p, "unparseable price on line 3"):
+        with raises_exactly(ConfigurationError, p, "unparseable price on line 3"):
             sio.read_price_table(p)
 
     def test_probabilities_short_row(self, tmp_path):
@@ -386,7 +417,8 @@ class TestMalformedRows:
     def test_probabilities_unparseable_date(self, tmp_path):
         p = write(tmp_path / "p.csv", "date,filtering,smoothing\n"
                   "2000-01-03,0.5,0.5\nnot-a-date,0.5,0.5\n")
-        with raises_exactly(ConfigurationError, p, "unparseable date on line 3"):
+        with raises_exactly(ConfigurationError, p,
+                            "date 'not-a-date' not in YYYY-MM-DD form on line 3"):
             sio.read_probabilities_csv(p)
 
     @pytest.mark.parametrize("row, what", [
@@ -528,7 +560,7 @@ class TestMalformedRows:
         losses = write(tmp_path / "l.csv", "# prov\nnode,max_loss_pct\n# note\na,12.5\n")
         assert sio.read_losses_csv(losses) == {"a": 12.5}
         prices = write(tmp_path / "a.csv", "date,price\n2006-01-02,1.0\n# note\n")
-        with raises_exactly(ValueError, prices, "unparseable date on line 3"):
+        with raises_exactly(ConfigurationError, prices, "unparseable date on line 3"):
             sio.read_price_table(prices)
 
 
@@ -854,18 +886,21 @@ class TestProbabilitiesTableParity:
         ("p.csv", "date,filtering\n2006-01-02, 0.5\n", [0.5]),
         ("p.csv", "date,filtering\n2006-01-02,0.5#x\n", "unparseable filtering on line 2"),
         ("p.csv", "date,filtering\n2006-01-02,0.5\n \t\n2006-01-03,0.25\n",
-         "unparseable date on line 3"),
+         "date ' \\t' not in YYYY-MM-DD form on line 3"),
         ("p.csv", "# p\r\ndate,filtering\r\n2006-01-02,0.5\r\n\r\n2006-01-03,0.25\r\n",
          [0.5, 0.25]),
         ("p.csv", "# p\ndate,filtering,smoothing\n", []),
         ("p.csv", "date,filtering,smoothing\n2006-01-02,0.5,0.1,x,\n2006-01-03,0.25\n",
          [0.5, 0.25]),
-        ("p.csv", "date,filtering\n2006-01-0212,0.5\n", "unparseable date on line 2"),
-        ("p.csv", "date,filtering\n2006-01-02,0.5\x0c \x0c\n", "unparseable date on line 3"),
+        ("p.csv", "date,filtering\n2006-01-0212,0.5\n",
+         "date '2006-01-0212' not in YYYY-MM-DD form on line 2"),
+        ("p.csv", "date,filtering\n2006-01-02,0.5\x0c \x0c\n",
+         "date ' ' not in YYYY-MM-DD form on line 3"),
         ("p.csv", "date,filtering,smoothing\n2006-01-02,0.5,0.1\u2028x\n",
-         "unparseable date on line 3"),
+         "date 'x' not in YYYY-MM-DD form on line 3"),
         ("p.csv.gz", "date,filtering\n2006-01-02,0.5\n", [0.5]),
-        ("p.csv", "date,filtering\n2006-01-02\x00x,0.5\n", "unparseable date on line 2"),
+        ("p.csv", "date,filtering\n2006-01-02\x00x,0.5\n",
+         "date '2006-01-02\\x00x' not in YYYY-MM-DD form on line 2"),
     ])
     def test_cells_float_and_numpy_read_apart(self, tmp_path, name, text, want):
         path = tmp_path / name
@@ -1097,7 +1132,7 @@ class TestProbabilitiesWriter:
 
 class TestWriterBytes:
     """Each CSV writer's exact output: provenance line, header, and
-    ``repr`` text of every float."""
+    ``str`` text of every number."""
 
     def test_probabilities(self, tmp_path):
         dates = np.datetime64("2006-01-02", "D") + np.arange(3)
@@ -1127,5 +1162,8 @@ class TestWriterBytes:
         path = sio.write_table_csv(tmp_path / "t.csv", ["node", "x", "n"],
                                    [["a", 0.1, 3], ["b", 1e-300, -0.0]], "config=abc")
         assert path.read_text() == "# config=abc\nnode,x,n\na,0.1,3\nb,1e-300,-0.0\n"
+        path = sio.write_table_csv(tmp_path / "t.csv", ["node", "x", "n"],
+                                   [["c", np.float64(1 / 3), np.int64(4)]])
+        assert path.read_text() == "node,x,n\nc,0.3333333333333333,4\n"
         path = sio.write_table_csv(tmp_path / "t.csv", ["node", "max_loss_pct"], [])
         assert path.read_text() == "node,max_loss_pct\n"

@@ -137,6 +137,19 @@ class TestConfigParsing:
         for path in written:
             assert path.read_bytes() == (bundled / path.name).read_bytes(), path.name
 
+    def test_numpy_setting_hashes_and_echoes_as_its_float(self, tmp_path):
+        # a numpy float is written by str, as the Python float it equals
+        config = PipelineConfig.from_file(bundled_corpus_config())
+        config.te_base = np.float64(config.te_base)
+        config.output_dir = tmp_path / "a"
+        assert config.config_hash() == "f27e2fc10884"
+        run_pipeline(config)
+        echo = PipelineConfig.from_file(tmp_path / "a" / "config_echo.cfg")
+        assert echo.key_values()["te_base"] == "10.0"
+        echo.output_dir = tmp_path / "b"
+        assert run_pipeline(echo).failed == {}
+        assert echo.config_hash() == "f27e2fc10884"
+
     def test_hash_changes_with_content(self, corpus_dir, tmp_path):
         a = corpus_config(corpus_dir, tmp_path / "a")
         b = corpus_config(corpus_dir, tmp_path / "a")
