@@ -278,12 +278,16 @@ def read_price_table(path, column_map=None) -> dict:
 # ---------------------------------------------------------------------------
 # Key-value configuration files
 
+_COMMENT = re.compile(r"(?:^|\s)#")  # a '#' that starts a comment
+
+
 def read_key_values(path) -> dict[str, str]:
-    """Parse ``key = value`` lines; '#' starts a comment, blanks ignored."""
+    """Parse ``key = value`` lines; a '#' at the start of a line or after
+    whitespace starts a comment, so ``d#1`` is a value; blanks ignored."""
     out: dict[str, str] = {}
     lines = _read_text(path).splitlines()
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:

@@ -110,6 +110,11 @@ class TestKeyValues:
         with raises_exactly(ConfigurationError, p, "duplicate key 'a' on line 2"):
             sio.read_key_values(p)
 
+    def test_hash_inside_a_value_is_not_a_comment(self, tmp_path):
+        p = write(tmp_path / "c.cfg",
+                  "data_dir = d#1\n#a = 1\n  # b = 2\noutput_dir = out#2\t# trailing\n")
+        assert sio.read_key_values(p) == {"data_dir": "d#1", "output_dir": "out#2"}
+
     def test_malformed_line_rejected(self, tmp_path):
         p = write(tmp_path / "c.cfg", "just words\n")
         with raises_exactly(ConfigurationError, p, "line 1 is not 'key = value'"):
