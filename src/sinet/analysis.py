@@ -242,10 +242,7 @@ def _kendall_tau_b(x: np.ndarray, y: np.ndarray) -> float:
     ties_x = float((dx[iu] == 0).sum())
     ties_y = float((dy[iu] == 0).sum())
     n_pairs = n * (n - 1) / 2.0
-    denom = np.sqrt((n_pairs - ties_x) * (n_pairs - ties_y))
-    if denom == 0.0:
-        raise UndefinedCorrelationError("kendall")
-    return concordant_minus_discordant / denom
+    return concordant_minus_discordant / np.sqrt((n_pairs - ties_x) * (n_pairs - ties_y))
 
 
 def correlations(x, y) -> CorrelationReport:

@@ -153,27 +153,38 @@ def _te_kernel(
             pair = (h[counts].sum(axis=0) - h[tp]).sum(axis=0).reshape(rows, B).sum(axis=1)
             own = (h[lp].sum(axis=0) - h[lag]).reshape(rows, B).sum(axis=1)
             n = lag.reshape(rows, B).sum(axis=1)
-            # a pair without triples is 0.0 here; _clamped rejects its size
+            # a pair without triples is 0.0 here; _reported rejects its size
             values[i, lo:lo + rows] = (pair - own) / (np.maximum(n, 1) * log_base)
             sizes[i, lo:lo + rows] = n
     return values, sizes
 
 
-def _clamped(value: float, size: int) -> float:
-    """One pair's reported value: rejects a mask that keeps fewer than two
-    triples, and clamps a negative rounding residue to zero (the
-    0*log(0) convention leaves only rounding below zero)."""
-    if size < 2:
-        raise ValueError("mask keeps fewer than 2 triples")
-    if value < 0.0:
-        if value < -NEGATIVE_RESIDUE_WARN:
+def _reported(
+    bins: np.ndarray, bin_count: int, base: float, days: np.ndarray | None = None,
+) -> np.ndarray:
+    """Every pair's reported value, laid out as :func:`_te_kernel` lays it
+    out: the one place that decides an SII value. In (source, target)
+    order, the first pair that keeps fewer than two triples raises, and a
+    negative rounding residue (all that the 0*log(0) convention leaves below
+    zero) becomes 0.0, with a warning below -``NEGATIVE_RESIDUE_WARN``.
+    """
+    if not 1.0 < base < np.inf:
+        raise ValueError(f"base must be finite and exceed 1, got {base!r}")
+    if bins.shape[1] < 3:
+        raise ValueError("need at least 3 observations to form lagged triples")
+    values, sizes = _te_kernel(bins, bin_count, base, days)
+    # only the pairs the rule rejects or changes
+    for k in np.flatnonzero((sizes < 2) | (values < 0.0)).tolist():
+        if sizes.flat[k] < 2:
+            raise ValueError("mask keeps fewer than 2 triples")
+        if values.flat[k] < -NEGATIVE_RESIDUE_WARN:
             warnings.warn(
-                f"transfer entropy rounding residue {value:.3e} clamped to 0",
+                f"transfer entropy rounding residue {values.flat[k]:.3e} clamped to 0",
                 RuntimeWarning,
                 stacklevel=3,
             )
-        value = 0.0
-    return value
+        values.flat[k] = 0.0
+    return values
 
 
 def transfer_entropy(
@@ -181,16 +192,12 @@ def transfer_entropy(
 ) -> float:
     """Transfer entropy from source v to target u, one lag each side.
 
-    Zero-probability triples are skipped (the 0*log(0) convention); a tiny
-    negative rounding residue is clamped to zero. ``mask`` restricts the
-    histogram to selected triples.
+    Zero-probability triples are skipped (the 0*log(0) convention). The
+    value is entry (v, u) of the pair's 2x2 matrix under :func:`sii_matrix`'s
+    pair rule. ``mask`` restricts the histogram to selected triples.
     """
-    if not 1.0 < base < np.inf:
-        raise ValueError(f"base must be finite and exceed 1, got {base!r}")
     if len(u) != len(v):
         raise ValueError(f"series lengths differ: {len(u)} vs {len(v)}")
-    if len(u) < 3:
-        raise ValueError("need at least 3 observations to form lagged triples")
     if u.bin_count != v.bin_count:
         raise ValueError("series must share the same bin count")
     days = None
@@ -199,8 +206,7 @@ def transfer_entropy(
         if days.shape != (2, len(u) - 1):
             raise ValueError("mask must align with the lagged triples")
     # row 0 is the source v and row 1 the target u: only entry (0, 1) is read
-    values, sizes = _te_kernel(np.stack([v.bins, u.bins]), u.bin_count, base, days)
-    return _clamped(float(values[0, 1]), int(sizes[0, 1]))
+    return float(_reported(np.stack([v.bins, u.bins]), u.bin_count, base, days)[0, 1])
 
 
 def _bubble_days(probs: ProbabilitySeries, level: float) -> np.ndarray:
@@ -270,19 +276,11 @@ def sii_matrix(
     bins = np.empty((len(names), len(first)), dtype=np.int32)  # symbols < bin_count
     for row, name in zip(bins, names):
         row[:] = discretize(assets[name], bin_count).bins
-    if not 1.0 < base < np.inf:
-        raise ValueError(f"base must be finite and exceed 1, got {base!r}")
     if not 0.0 <= bubble_level <= 1.0:
         raise ValueError(f"bubble_level must lie in [0, 1], got {bubble_level!r}")
-    if len(first) < 3:
-        raise ValueError("need at least 3 observations to form lagged triples")
     days = (
         np.stack([_bubble_days(assets[name], bubble_level) for name in names])
         if bubble_level > 0.0 else None
     )
     # a series against itself cancels term by term: the diagonal is exactly 0.0
-    values, sizes = _te_kernel(bins, bin_count, base, days)
-    # only the pairs _clamped rejects or changes, in (source, target) order
-    for k in np.flatnonzero((sizes < 2) | (values < 0.0)).tolist():
-        values.flat[k] = _clamped(float(values.flat[k]), int(sizes.flat[k]))
-    return SIIMatrix(tuple(names), values, window=window)
+    return SIIMatrix(tuple(names), _reported(bins, bin_count, base, days), window=window)

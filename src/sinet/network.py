@@ -39,9 +39,9 @@ class NodeGroup:
     groups: dict[str, str]
 
     def __post_init__(self):
-        bad = {n: g for n, g in self.groups.items() if g not in (INDUSTRIAL, FINANCIAL)}
-        if bad:
-            raise ConfigurationError(f"unknown group labels: {bad}")
+        for node, group in self.groups.items():
+            if group not in (INDUSTRIAL, FINANCIAL):
+                raise ConfigurationError(f"node {node!r} has unknown group {group!r}")
 
     def group_of(self, node: str) -> str:
         try:

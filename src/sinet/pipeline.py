@@ -112,11 +112,7 @@ class PipelineConfig:
         ids = [a.asset_id for a in self.assets]
         if len(set(ids)) != len(ids):
             raise ConfigurationError("duplicate asset ids")
-        for a in self.assets:
-            if a.group not in (INDUSTRIAL, FINANCIAL):
-                raise ConfigurationError(
-                    f"asset {a.asset_id!r} has unknown group {a.group!r}"
-                )
+        NodeGroup({a.asset_id: a.group for a in self.assets})
         days = {key: sio.plain_date(getattr(self, key), key)
                 for key in ("analysis_start", "analysis_end", "loss_start", "loss_end")
                 if getattr(self, key) is not None}
@@ -254,8 +250,6 @@ def _parse_combo(raw: str) -> list[tuple[float, str]]:
     SI-to-Fin) are left alone.
     """
     parts = re.split(r"\s([+-])\s", raw.strip())
-    if not parts or not parts[0].strip():
-        raise ConfigurationError(f"empty indicator expression {raw!r}")
     terms = [(1.0, parts[0].strip())]
     for k in range(1, len(parts), 2):
         sign = 1.0 if parts[k] == "+" else -1.0

@@ -60,7 +60,7 @@ class TestConfigParsing:
         ("assets = ENE\nasset.ENE.group = industrial\n", "need at least 2 assets"),
         ("assets = ENE, ENE\nasset.ENE.group = industrial\n", "duplicate asset ids"),
         ("assets = ENE, MAT\nasset.ENE.group = industrial\nasset.MAT.group = insurance\n",
-         "asset 'MAT' has unknown group 'insurance'"),
+         "node 'MAT' has unknown group 'insurance'"),
     ])
     def test_bad_asset_list_rejected(self, tmp_path, corpus_dir, lines, message):
         (tmp_path / "bad.cfg").write_text(f"data_dir = {corpus_dir}\n{lines}")
