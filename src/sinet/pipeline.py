@@ -143,7 +143,7 @@ class PipelineConfig:
         kv: dict[str, str] = {}
         kv["assets"] = ", ".join(a.asset_id for a in self.assets)
         for a in self.assets:
-            kv[f"asset.{a.asset_id}.path"] = str(a.path)
+            kv[f"asset.{a.asset_id}.path"] = str(Path(a.path).absolute())
             kv[f"asset.{a.asset_id}.group"] = a.group
         for logical, actual in sorted(self.column_map.items()):
             kv[f"column.{logical}"] = actual
@@ -152,7 +152,7 @@ class PipelineConfig:
             value = getattr(self.em if owner else self, name)
             if value is not None:
                 kv[key] = str(value)
-        kv["output_dir"] = str(self.output_dir)
+        kv["output_dir"] = str(Path(self.output_dir).absolute())
         return kv
 
     def config_hash(self) -> str:

@@ -100,6 +100,18 @@ class TestRun:
         assert settings(tmp_path / "b") == settings(tmp_path / "a")
         assert not [line for line in settings(tmp_path / "a") if line.endswith("= None")]
 
+    def test_echo_of_a_run_from_a_relative_config_runs_again(
+        self, corpus_dir, tmp_path, monkeypatch
+    ):
+        # the echo holds absolute paths, so it does not resolve the run's
+        # relative asset paths against its own directory
+        shutil.copytree(corpus_dir, tmp_path / "corpus")
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", "corpus/corpus.cfg", "--out-dir", "a"]) == 0
+        assert main(["run", "--config", "a/config_echo.cfg", "--out-dir", "b"]) == 0
+        assert (tmp_path / "b" / "sii_matrix.csv").read_bytes() == (
+            tmp_path / "a" / "sii_matrix.csv").read_bytes()
+
     def test_asset_path_that_is_a_directory_exits_one(self, corpus_dir, tmp_path, capsys):
         (tmp_path / "SEC.csv").mkdir()
         cfg = tmp_path / "dir.cfg"
