@@ -112,6 +112,13 @@ class TestRun:
         assert (tmp_path / "b" / "sii_matrix.csv").read_bytes() == (
             tmp_path / "a" / "sii_matrix.csv").read_bytes()
 
+    def test_bare_run_writes_into_the_working_directory(self, tmp_path, monkeypatch):
+        # the bundled corpus, and its outputs go next to the caller
+        monkeypatch.chdir(tmp_path)
+        assert main(["run"]) == 0
+        doc = json.loads((tmp_path / "sinet-out" / "run_report.json").read_text())
+        assert doc["processed"] == ["ENE", "MAT", "IND", "BNK", "SEC"]
+
     def test_asset_path_that_is_a_directory_exits_one(self, corpus_dir, tmp_path, capsys):
         (tmp_path / "SEC.csv").mkdir()
         cfg = tmp_path / "dir.cfg"
@@ -212,6 +219,20 @@ class TestRunReport:
         doc = check_run_report(out, data / "corpus.cfg")
         assert doc["processed"] == ["ENE", "MAT", "BNK", "SEC"]
         assert list(doc["failed"]) == ["IND"]
+
+    def test_run_with_an_asset_outside_the_window(self, corpus_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(corpus_dir, data)
+        lines = (data / "ENE.csv").read_text().splitlines()
+        (data / "ENE.csv").write_text("\n".join(
+            [lines[0]] + [line for line in lines[1:] if line.startswith("2008-")]) + "\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(data / "corpus.cfg"), "--out-dir", str(out)]) == 0
+        reason = "window [2006-01-02, 2007-12-31] keeps fewer than 2 points of 'ENE'"
+        assert f"failed: ENE: {reason}\n" in capsys.readouterr().out
+        doc = check_run_report(out, data / "corpus.cfg")
+        assert doc["processed"] == ["MAT", "IND", "BNK", "SEC"]
+        assert doc["failed"] == {"ENE": reason}
 
     def test_unwritable_asset_output_exits_two_after_the_report(
         self, corpus_dir, tmp_path, capsys
@@ -490,7 +511,14 @@ class TestExport:
         (lambda doc: [doc], "the document is not an object"),
         (lambda doc: {**doc, "edges": [{"source": "ENE", "target": "XYZ", "weight": 0.5}]},
          "edge ('ENE', 'XYZ') has an endpoint that is not a node"),
-    ], ids=["no-nodes", "list", "unlisted-endpoint"])
+        (lambda doc: {**doc, "edges": [{"source": "ENE", "target": "ENE", "weight": 0.5}]},
+         "self-edges are not allowed"),
+        (lambda doc: {**doc, "edges": [{"source": "ENE", "target": "MAT", "weight": 0.5},
+                                       {"source": "MAT", "target": "ENE", "weight": 0.5}]},
+         "duplicate or bidirectional pair (MAT, ENE)"),
+        (lambda doc: {**doc, "edges": [{"source": "ENE", "target": "MAT", "weight": 1.5}]},
+         "edge weight 1.5 outside [0, 1]"),
+    ], ids=["no-nodes", "list", "unlisted-endpoint", "self-edge", "bidirectional", "weight"])
     def test_malformed_graph_exits_one(self, run_dir, tmp_path, capsys, edit, what):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(edit(json.loads((run_dir / "sin.json").read_text()))))
@@ -523,6 +551,27 @@ class TestMalformedInput:
         rc = main(["te", "--source", str(path), "--target", str(path)])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {path}: {what}\n"
+
+    @pytest.mark.parametrize("command, text, what", [
+        ("calibrate", "", "empty file"),
+        ("te", "", "empty table"),
+        ("te", "# note\n", "empty table"),
+    ], ids=["calibrate-empty", "te-empty", "te-comment-only"])
+    def test_empty_input_exits_one(self, tmp_path, capsys, command, text, what):
+        path = tmp_path / "f.csv"
+        path.write_text(text)
+        argv = {"calibrate": ["--input", str(path), "--out-dir", str(tmp_path / "o")],
+                "te": ["--source", str(path), "--target", str(path)]}[command]
+        assert main([command, *argv]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {what}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_te_missing_column_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "f.csv"
+        path.write_text("date,filtering\n2000-01-03,0.5\n2000-01-04,0.6\n2000-01-05,0.4\n")
+        rc = main(["te", "--source", str(path), "--target", str(path), "--column", "smoothing"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {path}: no column 'smoothing'\n"
 
     def test_indicators_ragged_matrix_exits_one_naming_line(
         self, tmp_path, groups_file, capsys
@@ -562,15 +611,20 @@ class TestMalformedInput:
     @pytest.mark.parametrize("table, text, what", [
         ("groups", "node,group\nENE,industrial\nENE,financial\n", "duplicate node 'ENE' on line 3"),
         ("losses", "node,max_loss_pct\nENE,nan\n", "non-finite max_loss_pct on line 2"),
+        ("groups", "name,group\nENE,industrial\n", "expected columns node,group"),
+        ("losses", "node,loss\nENE,10.0\n", "expected columns node,max_loss_pct"),
+        ("indicators", "name,SI-to-All\nENE,0.1\n", "first column must be 'node'"),
+        ("indicators", "node,SI-to-Fin\nENE,0.1\n", "missing indicator column 'SI-to-All'"),
     ])
     def test_regress_bad_node_table_exits_one(
         self, run_dir, groups_file, tmp_path, capsys, table, text, what
     ):
-        paths = {"groups": groups_file, "losses": run_dir / "losses.csv"}
+        paths = {"groups": groups_file, "losses": run_dir / "losses.csv",
+                 "indicators": run_dir / "indicators.csv"}
         paths[table] = tmp_path / f"{table}.csv"
         paths[table].write_text(text)
         out = tmp_path / "reports"
-        rc = main(["regress", "--indicators", str(run_dir / "indicators.csv"),
+        rc = main(["regress", "--indicators", str(paths["indicators"]),
                    "--groups", str(paths["groups"]), "--losses", str(paths["losses"]),
                    "--out-dir", str(out)])
         assert rc == 1

@@ -49,19 +49,6 @@ class TestDiscretize:
         assert discretize(make_probs([0.5]), bin_count=np.int64(4)).bin_count == 4
 
 
-class TestJointHistogram:
-    """transfer_entropy refuses a pair it cannot form the joint histogram of
-    lagged triples from."""
-
-    def test_length_and_alignment_validation(self):
-        with pytest.raises(ValueError):
-            transfer_entropy(binned([1, 2]), binned([1, 2]))
-        with pytest.raises(ValueError):
-            transfer_entropy(binned([1, 2, 3]), binned([1, 2]))
-        with pytest.raises(ValueError):
-            transfer_entropy(binned([1, 2, 3], bins=10), binned([1, 2, 3], bins=5))
-
-
 class TestTransferEntropy:
     @pytest.mark.parametrize("base", [1.0, np.nan, np.inf, -np.inf])
     def test_base_must_be_finite_and_exceed_one(self, base):
@@ -122,10 +109,6 @@ class TestTransferEntropy:
         base_value = transfer_entropy(binned(u_raw, 6), binned(v_raw, 6))
         permuted = transfer_entropy(binned(perm[u_raw], 6), binned(perm[v_raw], 6))
         assert permuted == pytest.approx(base_value, abs=1e-14)
-
-    def test_length_validation(self):
-        with pytest.raises(ValueError):
-            transfer_entropy(binned([1, 2]), binned([1, 2]))
 
 
 class TestSii:

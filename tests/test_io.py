@@ -110,6 +110,11 @@ class TestKeyValues:
         with raises_exactly(ConfigurationError, p, "duplicate key 'a' on line 2"):
             sio.read_key_values(p)
 
+    def test_empty_key_rejected(self, tmp_path):
+        p = write(tmp_path / "c.cfg", "a = 1\n = 1\n")
+        with raises_exactly(ConfigurationError, p, "empty key on line 2"):
+            sio.read_key_values(p)
+
     def test_hash_inside_a_value_is_not_a_comment(self, tmp_path):
         p = write(tmp_path / "c.cfg",
                   "data_dir = d#1\n#a = 1\n  # b = 2\noutput_dir = out#2\t# trailing\n")
