@@ -245,6 +245,20 @@ def binned(seq, bins=10):
     return BinnedSeries(np.asarray(seq, dtype=np.int64), bins)
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+def test_transfer_entropy_reports_like_sii(monkeypatch, reverse):
+    # the first residue pair rounds to a negative value from its source to
+    # its target: reversed, that residue is the other direction's, which
+    # sii warns for, so transfer_entropy must warn for it too
+    monkeypatch.setattr(entropy_module, "NEGATIVE_RESIDUE_WARN", 0.0)
+    source, target = RESIDUE_PAIRS[0][::-1] if reverse else RESIDUE_PAIRS[0]
+    got = outcome(transfer_entropy, binned(target, 2), binned(source, 2))
+    want = outcome(sii, ProbabilitySeries(dates(14), residue_series(source)),
+                   ProbabilitySeries(dates(14), residue_series(target)), 2)
+    assert got == want
+    assert len(got[1]) == 1
+
+
 @pytest.mark.parametrize("u, v, mask, message", [
     (binned([1, 2, 3]), binned([1, 2]), None, "series lengths differ: 3 vs 2"),
     (binned([1, 2]), binned([1, 2]), None,
