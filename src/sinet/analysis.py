@@ -242,6 +242,7 @@ def _kendall_tau_b(x: np.ndarray, y: np.ndarray) -> float:
     ties_x = float((dx[iu] == 0).sum())
     ties_y = float((dy[iu] == 0).sum())
     n_pairs = n * (n - 1) / 2.0
+    # nonzero: the Spearman call of correlations rejects an all-tied x or y first
     return concordant_minus_discordant / np.sqrt((n_pairs - ties_x) * (n_pairs - ties_y))
 
 
