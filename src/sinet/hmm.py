@@ -64,14 +64,6 @@ class ModelParams:
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
 
-    def stationary_distribution(self) -> np.ndarray:
-        """Stationary distribution of the chain (uniform if q is the identity)."""
-        q01, q10 = self.q[0, 1], self.q[1, 0]
-        total = q01 + q10
-        if total == 0.0:
-            return np.array([0.5, 0.5])
-        return np.array([q10 / total, q01 / total])
-
 
 @dataclass(frozen=True)
 class FilterOutput:
@@ -275,20 +267,16 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return terms[:, 0] + terms[:, 1]
 
 
-def hamilton_filter(
-    series: LogPriceSeries, params: ModelParams, initial=None
-) -> FilterOutput:
+def hamilton_filter(series: LogPriceSeries, params: ModelParams, initial) -> FilterOutput:
     """Forward filter: predict with the chain, update with the emission
     densities, normalise over the four state pairs, and marginalise.
 
-    ``initial`` is the distribution of s_0 (defaults to the stationary
-    distribution of ``params.q``). The log-likelihood accumulates the log of
-    the per-step normalisers, which :func:`_forward` computes. The first step
-    with no live state pair (normaliser 0) is a numerical failure at that
-    step; prefixes before it never involve the offending operator.
+    ``initial`` is the distribution of s_0. The log-likelihood accumulates
+    the log of the per-step normalisers, which :func:`_forward` computes.
+    The first step with no live state pair (normaliser 0) is a numerical
+    failure at that step; prefixes before it never involve the offending
+    operator.
     """
-    if initial is None:
-        initial = params.stationary_distribution()
     pi = np.asarray(initial, dtype=float)
     if pi.shape != (2,) or not (np.all(pi >= 0) and abs(pi.sum() - 1.0) <= 1e-9):
         raise ValueError("initial must be a length-2 distribution summing to 1")
@@ -675,10 +663,11 @@ def em_fit(
 ) -> tuple[ModelParams, EMTrace, FilterOutput, SmootherOutput]:
     """Calibrate the regime-switching model by EM.
 
-    Each iteration is one fixed sequence of calls: the smoother of the
-    current filter, the closed-form updates (:func:`m_step`), one
+    Each iteration is one fixed sequence of calls on the smoother of the
+    current filter: the closed-form updates (:func:`m_step`), one
     conditional-maximisation step for the feedback exponent
-    (:func:`solve_feedback_exponent`) and the filter at the update. In the
+    (:func:`solve_feedback_exponent`), the filter at the update and, once a
+    step is accepted, the smoother of its filter. In the
     n step, n climbs to a maximiser of the bubble-block objective, by
     safeguarded Newton from its current value, at the freshly updated mu1
     and sigma1, or stays where it is when no higher value is found, as it
@@ -700,9 +689,8 @@ def em_fit(
 
     Stops when the relative log-likelihood change drops to ``config.tol``
     (non-convergence within ``max_iterations`` is flagged on the trace, not
-    raised). The t = 0 state distribution is held fixed at the stationary
-    distribution of the initial transition matrix; letting it track the
-    running q would itself break monotonicity.
+    raised). The t = 0 state distribution is held fixed at (1/2, 1/2);
+    letting it track the running q would itself break monotonicity.
     """
     if config is None:
         config = EMConfig()
@@ -711,15 +699,15 @@ def em_fit(
         raise InsufficientDataError("em_fit needs a series of length >= 10")
 
     params = _initial_params(y, config)
-    pi0 = params.stationary_distribution()
+    pi0 = np.array([0.5, 0.5])  # the stationary law of the symmetric start chain
     trace = EMTrace()
 
     iteration = 0
     try:
-        filt = hamilton_filter(series, params, initial=pi0)
+        filt = hamilton_filter(series, params, pi0)
+        smth = kim_smoother(filt)
         trace.logliks.append(filt.loglik)
         for iteration in range(1, config.max_iterations + 1):
-            smth = kim_smoother(filt)
             updated = m_step(smth, series, params.regime.n, freeze=params)
             n_new = solve_feedback_exponent(
                 smth, series, updated.regime.mu1, updated.regime.sigma1,
@@ -728,16 +716,17 @@ def em_fit(
             candidate = ModelParams(replace(updated.regime, n=n_new), updated.q)
 
             trial = candidate
-            trial_filt = hamilton_filter(series, trial, initial=pi0)
+            trial_filt = hamilton_filter(series, trial, pi0)
             if trial_filt.loglik < filt.loglik:
                 lam = _halved_step(series, params, candidate, pi0, filt.loglik)
                 if lam is None:
                     trace.stalled = True
                     break
                 trial = _blend_params(params, candidate, lam)
-                trial_filt = hamilton_filter(series, trial, initial=pi0)
+                trial_filt = hamilton_filter(series, trial, pi0)
 
             params, filt = trial, trial_filt
+            smth = kim_smoother(filt)
             delta = abs(filt.loglik - trace.logliks[-1]) / max(abs(trace.logliks[-1]), 1e-300)
             trace.logliks.append(filt.loglik)
             if delta <= config.tol:
@@ -746,7 +735,6 @@ def em_fit(
     except NumericalFailureError as err:
         raise NumericalFailureError(err.step, f"EM iteration {iteration}: {err}") from err
 
-    smth = kim_smoother(filt)
     return params, trace, filt, smth
 
 

@@ -322,7 +322,7 @@ def em_fit_sequential(series, config):
 
     y = series.log_prices
     params = hmm._initial_params(y, config)
-    pi0 = params.stationary_distribution()
+    pi0 = np.array([0.5, 0.5])
     trace = hmm.EMTrace()
     accepted = []
     iteration = 0

@@ -666,6 +666,31 @@ class TestEmFit:
         assert len(n_steps) == cap
         trace.validate_monotone(1e-9)
 
+    def test_smooths_each_accepted_filter_once(self, monkeypatch):
+        # SEC in the bundled corpus, raw at kappa 2, stalls after one
+        # accepted step, so its last filter was once smoothed twice
+        smoothed = []
+        smooth = hmm_module.kim_smoother
+
+        def counting_smooth(filt):
+            smoothed.append(filt)
+            return smooth(filt)
+
+        monkeypatch.setattr(hmm_module, "kim_smoother", counting_smooth)
+        config = PipelineConfig.from_file(bundled_corpus_config())
+        spec = next(a for a in config.assets if a.asset_id == "SEC")
+        fit = calibrate_asset("SEC", spec.path, config.column_map, config.em,
+                              start=config.analysis_start, end=config.analysis_end)
+        assert fit.trace.stalled
+        assert len(smoothed) == fit.trace.iterations == 2
+        again = smooth(fit.filt)
+        np.testing.assert_array_equal(fit.smth.smoothing.values, again.smoothing.values)
+        np.testing.assert_array_equal(fit.smth.pairwise_smoothed, again.pairwise_smoothed)
+        # every filter of the fit starts from (1/2, 1/2)
+        series = LogPriceSeries("SEC", fit.table["dates"], np.log(fit.table["prices"]))
+        series = series.window(config.analysis_start, config.analysis_end)
+        assert hamilton_filter(series, fit.params, [0.5, 0.5]).loglik == fit.trace.logliks[-1]
+
     @pytest.mark.skipif((USABLE_CPUS or 1) < 2, reason="needs 2 usable CPUs")
     def test_fit_does_not_depend_on_blas_threads(self):
         # OpenBLAS splits a dot product of more than 10,000 terms across its
