@@ -540,7 +540,8 @@ def read_indicators_csv(path):
     """Read an indicator table written by the pipeline. A bad row raises
     ConfigurationError naming the first bad line: a duplicate node, then the
     leftmost missing or unparseable value, then the leftmost non-finite
-    one."""
+    one, then a net column (All, Fin, IX) that is not exactly its gross
+    difference."""
     header, rows = _read_table(path)
     if header[0] != "node":
         raise ConfigurationError(f"{path}: first column must be 'node'")
@@ -553,6 +554,11 @@ def read_indicators_csv(path):
         if cells[0] in table:
             raise _bad_line(path, lineno, f"duplicate node {cells[0]!r}")
         table[cells[0]] = _finite_cells(path, header, lineno, cells, columns)
+        row = {header[j]: v for j, v in zip(columns, table[cells[0]])}
+        for suffix in ("All", "Fin", "IX"):
+            to, frm = f"SI-to-{suffix}", f"SI-from-{suffix}"
+            if row[f"NSII-on-{suffix}"] != row[to] - row[frm]:
+                raise _bad_line(path, lineno, f"NSII-on-{suffix} is not {to} - {frm}")
     values = np.array(list(table.values()), dtype=float).reshape(len(table), len(columns))
     return IndicatorTable(tuple(table), {
         name: values[:, columns.index(header.index(name))] for name in ALL_INDICATORS})

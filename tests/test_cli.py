@@ -7,7 +7,10 @@ import pytest
 from sinet import NodeGroup, SIIMatrix, analysis, compute_indicators, pipeline
 from sinet.cli import main
 from sinet.errors import NumericalFailureError
+from sinet.network import ALL_INDICATORS
 from sinet.synthetic import write_corpus
+
+INDICATOR_HEADER = ",".join(("node",) + ALL_INDICATORS)
 
 
 @pytest.fixture(scope="module")
@@ -615,6 +618,11 @@ class TestMalformedInput:
         ("losses", "node,loss\nENE,10.0\n", "expected columns node,max_loss_pct"),
         ("indicators", "name,SI-to-All\nENE,0.1\n", "first column must be 'node'"),
         ("indicators", "node,SI-to-Fin\nENE,0.1\n", "missing indicator column 'SI-to-All'"),
+        ("indicators", f"{INDICATOR_HEADER}\nENE,0.5,0.25,0,0,0,0,1.25,0,0\n",
+         "NSII-on-All is not SI-to-All - SI-from-All on line 2"),
+        ("indicators", f"{INDICATOR_HEADER}\nENE,0.5,0.25,0,0,0,0,0.25,0,0\n"
+         "MAT,0,0,0.5,0.25,0.5,0.25,0,0.5,0.5\n",
+         "NSII-on-Fin is not SI-to-Fin - SI-from-Fin on line 3"),
     ])
     def test_regress_bad_node_table_exits_one(
         self, run_dir, groups_file, tmp_path, capsys, table, text, what

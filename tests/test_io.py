@@ -11,7 +11,7 @@ import oracles
 from sinet import (ConfigurationError, NodeGroup, ProbabilitySeries, SIIMatrix, SINGraph,
                    build_sin)
 from sinet import io as sio
-from sinet.network import ALL_INDICATORS
+from sinet.network import ALL_INDICATORS, GROSS_INDICATORS
 from sinet.synthetic import bundled_corpus_config
 
 
@@ -502,7 +502,7 @@ class TestMalformedRows:
         (sio.read_groups_csv, "node,group", ["financial", "industrial", "financial"]),
         (sio.read_losses_csv, "node,max_loss_pct", ["1.0", "12.5", "50.0"]),
         (sio.read_indicators_csv, ",".join(("node",) + ALL_INDICATORS),
-         [",".join(["0.5"] * len(ALL_INDICATORS))] * 3),
+         [",".join(["0.5"] * len(GROSS_INDICATORS) + ["0.0"] * 3)] * 3),
     ], ids=["groups", "losses", "indicators"])
     def test_duplicate_node(self, tmp_path, read, header, cells):
         b, a, again = (f"{node},{rest}" for node, rest in zip("BAA", cells))
@@ -1040,10 +1040,16 @@ def indicator_cases(draw):
     rows, faults = [], []
     nodes = draw(NAMES)
     for r, node in enumerate(nodes):
-        cells = [node] + [draw(NUMBER) for _ in ALL_INDICATORS]
+        value = {name: draw(NUMBER) for name in GROSS_INDICATORS}
+        for suffix in ("All", "Fin", "IX"):
+            value[f"NSII-on-{suffix}"] = repr(
+                float(value[f"SI-to-{suffix}"]) - float(value[f"SI-from-{suffix}"]))
+        cells = [node] + [value[name] for name in header[1:]]
         options = [cells[:m] for m in range(1, len(cells))]
         options += [cells[:m] + [v] + cells[m + 1:] for m in range(1, len(cells))
                     for v in ("?", "", "nan", "inf")]
+        options += [cells[:m] + [repr(float(cells[m]) + 1.0)] + cells[m + 1:]
+                    for m in range(1, len(cells)) if header[m].startswith("NSII")]
         options += [[earlier] + cells[1:] for earlier in nodes[:r]]
         rows.append(",".join(cells))
         faults.append([",".join(option) for option in options])
