@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -83,6 +86,11 @@ class TestRankTransform:
         values = rng.integers(0, 6, 50).astype(float)
         np.testing.assert_allclose(rank_transform(values), stats.rankdata(values))
 
+    @pytest.mark.parametrize("values", [[], [[1.0, 2.0]]], ids=["empty", "2-d"])
+    def test_bad_input_rejected(self, values):
+        with pytest.raises(ValueError, match="^rank_transform needs a non-empty 1-d vector$"):
+            rank_transform(values)
+
 
 class TestOlsRegress:
     def test_exact_linear_fit(self):
@@ -164,6 +172,24 @@ class TestOlsRegress:
         with pytest.raises(InsufficientDataError):
             ols_regress(np.ones(4), np.ones((4, 3)))
 
+    def test_row_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="^y and X must have the same number of rows$"):
+            ols_regress(np.ones(5), np.ones((6, 1)))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("r_squared", 1.5, "R^2 must lie in [0, 1]"),
+        ("r_squared", -0.1, "R^2 must lie in [0, 1]"),
+        ("adj_r_squared", 0.9, "adjusted R^2 cannot exceed R^2"),
+        ("f_statistic", -1.0, "F statistic must be nonnegative"),
+    ])
+    def test_bad_fit_statistic_rejected(self, field, value, message):
+        rng = np.random.default_rng(8)
+        x = rng.normal(0, 1, 12)
+        result = ols_regress(0.1 * x + rng.normal(0, 1, 12), x)
+        assert result.r_squared < 0.8
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(result, **{field: value})
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name", ["y", "X"])
     def test_non_finite_input_named(self, name, bad):
@@ -218,6 +244,21 @@ class TestCorrelations:
     def test_length_validation(self):
         with pytest.raises(InsufficientDataError):
             correlations([1.0], [2.0])
+
+    @pytest.mark.parametrize("x, y", [
+        ([1.0, 2.0, 3.0], [1.0, 2.0]),
+        ([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [4.0, 3.0]]),
+    ], ids=["unequal-length", "2-d"])
+    def test_shape_validation(self, x, y):
+        with pytest.raises(ValueError, match="^x and y must be 1-d vectors of equal length$"):
+            correlations(x, y)
+
+    def test_coefficient_outside_unit_interval_rejected(self):
+        # an infinite value makes Pearson's centred x NaN
+        with np.errstate(invalid="ignore"), pytest.raises(
+            ValueError, match=r"^pearson coefficient nan outside \[-1, 1\]$"
+        ):
+            correlations([np.inf, 1.0, 2.0], [1.0, 2.0, 3.0])
 
 
 def t_p_reference(t, dof):

@@ -17,7 +17,7 @@ from sinet import (
     simulate_sa_path,
     switch_logdensity,
 )
-from sinet.bubble import critical_time, emission_logdensities
+from sinet.bubble import SimulatedPath, critical_time, emission_logdensities
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -213,6 +213,10 @@ class TestDeterministicPrice:
         assert np.all(np.diff(prices) > 0)
         assert prices[-1] > 1e8
 
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError, match="^t must be nonnegative$"):
+            deterministic_fts_price([0.0, -1.0], 1.0, 1.0, 1.0)
+
     def test_singularity_carries_critical_time(self):
         with pytest.raises(SingularityError) as err:
             deterministic_fts_price(1.0, 1.0, 1.0, 1.0)
@@ -308,6 +312,8 @@ class TestSimulatePath:
         ("mu", np.nan, "mu must be finite"),
         ("mu", np.inf, "mu must be finite"),
         ("mu", -np.inf, "mu must be finite"),
+        ("mu", 0.0, "mu must be positive when n > 0"),
+        ("mu", -0.05, "mu must be positive when n > 0"),
     ])
     def test_bad_argument_is_named(self, name, value, message):
         kwargs = {"p0": 1.0, "mu": 0.05, "sigma": 0.1, "n": 1.0, "dt": 0.01,
@@ -321,3 +327,35 @@ class TestSimulatePath:
             simulate_sa_path(1.0, 1.0, 0.1, 1.0, dt=0.0, max_steps=10, seed=0)
         with pytest.raises(ValueError):
             simulate_sa_path(1.0, 1.0, 0.1, 1.0, dt=0.01, max_steps=0, seed=0)
+
+
+class TestRegimeParams:
+    @pytest.mark.parametrize("name, value, message", [
+        ("mu0", np.nan, "regime parameters must be finite"),
+        ("sigma1", np.inf, "regime parameters must be finite"),
+        ("kappa", -np.inf, "regime parameters must be finite"),
+        ("sigma0", 0.0, "sigma0 must be positive, got 0.0"),
+        ("sigma1", -0.1, "sigma1 must be positive, got -0.1"),
+        ("n", 0.0, "n must be positive, got 0.0"),
+        ("kappa", -1.0, "kappa must be positive, got -1.0"),
+    ])
+    def test_bad_value_rejected(self, name, value, message):
+        kwargs = {"mu0": 0.001, "sigma0": 0.01, "mu1": 0.1, "sigma1": 0.1, "n": 1.0,
+                  "kappa": 0.6}
+        assert_rejected(RegimeParams, kwargs, name, value, message)
+
+
+class TestSimulatedPath:
+    @pytest.mark.parametrize("log_prices, hit, index, message", [
+        ([0.0, np.nan], False, None, "simulated log prices must be finite"),
+        ([0.0, np.inf], True, 1, "simulated log prices must be finite"),
+        ([0.0, 0.1], True, None, "critical_time_index must index into log_prices"),
+        ([0.0, 0.1], True, 2, "critical_time_index must index into log_prices"),
+    ])
+    def test_bad_path_rejected(self, log_prices, hit, index, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SimulatedPath(np.array(log_prices), 0.5, hit, index)
+
+    def test_critical_time_only_after_a_hit(self):
+        assert SimulatedPath(np.array([0.0, 0.1]), 0.5, False).critical_time is None
+        assert SimulatedPath(np.array([0.0, 0.1]), 0.5, True, 1).critical_time == 0.5

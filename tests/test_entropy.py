@@ -162,6 +162,26 @@ class TestNsii:
             nsii("x", "w", matrix)
 
 
+class TestContainers:
+    @pytest.mark.parametrize("make, message", [
+        pytest.param(lambda: BinnedSeries(np.array([0, 10]), 10), "bins must lie in [0, 9]",
+                     id="bin-above"),
+        pytest.param(lambda: BinnedSeries(np.array([-1, 1]), 4), "bins must lie in [0, 3]",
+                     id="bin-below"),
+        pytest.param(lambda: SIIMatrix(("a", "b"), np.zeros((3, 3))),
+                     "values must be 2x2 to match nodes", id="matrix-shape"),
+        pytest.param(lambda: SIIMatrix(("a", "b"), np.array([[0.0, np.nan], [0.1, 0.0]])),
+                     "SII values must be finite", id="matrix-nan"),
+        pytest.param(lambda: SIIMatrix(("a", "b"), np.array([[0.0, 0.2], [np.inf, 0.0]])),
+                     "SII values must be finite", id="matrix-inf"),
+        pytest.param(lambda: SIIMatrix(("a", "b"), np.array([[0.0, 0.2], [0.1, 0.3]])),
+                     "diagonal must be zero", id="matrix-diagonal"),
+    ])
+    def test_bad_container_rejected(self, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+
+
 class TestSiiMatrix:
     @pytest.mark.parametrize("base", [1.0, np.nan, np.inf, -np.inf])
     def test_base_must_be_finite_and_exceed_one(self, make_probs, base):

@@ -32,7 +32,7 @@ from sinet import (
     threshold_fractions,
 )
 from sinet.bubble import EXP_CLAMP
-from sinet.hmm import FilterOutput, SmootherOutput
+from sinet.hmm import EMTrace, FilterOutput, SmootherOutput
 from sinet.io import read_price_table
 from sinet.pipeline import PipelineConfig, calibrate_asset
 from sinet.synthetic import bundled_corpus_config
@@ -132,6 +132,10 @@ class TestGeometricAverageFilter:
         with pytest.raises(InsufficientDataError):
             geometric_average_filter(s, window=100)
 
+    def test_window_zero_rejected(self, make_series):
+        with pytest.raises(ValueError, match="^window must be >= 1$"):
+            geometric_average_filter(make_series(np.zeros(5)), window=0)
+
     def test_window_one_returns_raw_prices(self):
         # window 1 means raw prices; the running-sum form would move ENE's
         # log prices by up to 1.1e-13
@@ -149,6 +153,8 @@ class TestModelParams:
         ([[0.5, 0.5], [np.inf, -np.inf]], "transition probabilities must lie in [0, 1]"),
         ([[1.0, 0.0], [np.nan, 1.0]], "transition probabilities must lie in [0, 1]"),
         ([[0.5, 0.5], [0.5, 0.6]], "each row of q must sum to 1"),
+        ([[1.0]], "q must be 2x2, got shape (1, 1)"),
+        ([0.5, 0.5, 0.5, 0.5], "q must be 2x2, got shape (4,)"),
     ])
     def test_bad_transition_matrix_rejected(self, q, message):
         regime = RegimeParams(0.001, 0.1, 0.1, 0.1, 1.0)
@@ -174,6 +180,32 @@ class TestPosteriorTables:
     def test_nan_loglik_rejected(self):
         with pytest.raises(ValueError, match="^loglik must not be NaN$"):
             FilterOutput(self.probs, self.table, np.nan)
+
+    # probs is 1/2 throughout; a table [[a, b], [c, d]] has filtered
+    # marginal b + d and smoothed marginal c + d
+    @pytest.mark.parametrize("make, message", [
+        pytest.param(lambda p: FilterOutput(p, np.full((2, 2), 0.25), 0.0),
+                     "pairwise_filtered must have shape (T, 2, 2)", id="filter-shape"),
+        pytest.param(lambda p: FilterOutput(p, np.full((3, 2, 2), 0.25), 0.0),
+                     "filtering must have one more entry than pairwise_filtered",
+                     id="filter-length"),
+        pytest.param(lambda p: FilterOutput(p, np.full((2, 2, 2), 0.5), 0.0),
+                     "each pairwise table must sum to 1", id="filter-sum"),
+        pytest.param(lambda p: FilterOutput(p, np.tile([[0.5, 0.0], [0.5, 0.0]], (2, 1, 1)), 0.0),
+                     "filtering marginal inconsistent with pairwise tables",
+                     id="filter-marginal"),
+        pytest.param(lambda p: SmootherOutput(p, np.full((2, 4), 0.25)),
+                     "pairwise_smoothed must have shape (T, 2, 2)", id="smoother-shape"),
+        pytest.param(lambda p: SmootherOutput(p, np.full((1, 2, 2), 0.25)),
+                     "smoothing must have one more entry than pairwise_smoothed",
+                     id="smoother-length"),
+        pytest.param(lambda p: SmootherOutput(p, np.tile([[0.5, 0.5], [0.0, 0.0]], (2, 1, 1))),
+                     "smoothing marginal inconsistent with pairwise tables",
+                     id="smoother-marginal"),
+    ])
+    def test_inconsistent_tables_rejected(self, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make(self.probs)
 
 
 class TestHamiltonFilter:
@@ -643,6 +675,12 @@ class TestEmFit:
         with pytest.raises(InsufficientDataError):
             em_fit(make_series(np.linspace(0, 1, 9)), EMConfig())
 
+    def test_falling_trace_fails_validation(self):
+        trace = EMTrace(logliks=[1.0, 2.0, 1.5])
+        message = "log-likelihood decreased at iteration 2: 2.0 -> 1.5"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            trace.validate_monotone()
+
     @pytest.mark.parametrize("cap", [1, 3])
     def test_stops_at_the_iteration_cap(self, monkeypatch, cap):
         # ENE in the bundled corpus, raw at kappa 2, has not converged to
@@ -756,6 +794,11 @@ class TestFractions:
     def test_bubble_time_fraction_empty(self, make_probs):
         with pytest.raises(InsufficientDataError):
             bubble_time_fraction(make_probs([]))
+
+    def test_threshold_fractions_empty(self, make_probs):
+        with pytest.raises(InsufficientDataError,
+                           match="^cannot threshold an empty probability series$"):
+            threshold_fractions(make_probs([]))
 
     def test_threshold_fractions(self, make_probs):
         assert threshold_fractions(make_probs([0.95] * 4)) == (100.0, 0.0)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from sinet import (
     build_sin,
     compute_indicators,
 )
-from sinet.network import ALL_INDICATORS
+from sinet.network import ALL_INDICATORS, IndicatorTable
 
 
 @pytest.fixture
@@ -93,6 +95,23 @@ class TestComputeIndicators:
         groups = NodeGroup({"x": "industrial", "y": "industrial"})
         with pytest.raises(ConfigurationError):
             compute_indicators(hand_matrix, groups)
+
+
+class TestIndicatorTable:
+    @pytest.mark.parametrize("changes, message", [
+        ({"SI-from-Fin": None}, "missing indicator column 'SI-from-Fin'"),
+        ({"NSII-on-IX": np.zeros(3)}, "indicator column 'NSII-on-IX' has wrong length"),
+        ({"SI-to-All": np.array([0.5, 0.0])},
+         "NSII-on-All must equal its gross difference exactly"),
+        ({"NSII-on-Fin": np.array([0.0, 1e-300])},
+         "NSII-on-Fin must equal its gross difference exactly"),
+    ])
+    def test_bad_table_rejected(self, changes, message):
+        # a zero column (None: no column) for every indicator not changed
+        values = {name: changes.get(name, np.zeros(2)) for name in ALL_INDICATORS}
+        values = {name: value for name, value in values.items() if value is not None}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            IndicatorTable(("a", "b"), values)
 
 
 class TestBuildSin:

@@ -10,7 +10,7 @@ import pytest
 from sinet import ConfigurationError, NodeGroup, SIIMatrix, compute_indicators
 from sinet import pipeline as pipeline_module
 from sinet.pipeline import PipelineConfig, _parse_analytics, _parse_combo, run_pipeline
-from sinet.synthetic import bundled_corpus_config, write_corpus
+from sinet.synthetic import _simulate_asset, bundled_corpus_config, write_corpus
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +136,12 @@ class TestConfigParsing:
         )
         for path in written:
             assert path.read_bytes() == (bundled / path.name).read_bytes(), path.name
+
+    def test_generator_stops_at_the_singularity(self):
+        # a bubble day's shock of -100 takes p^{-n} below zero
+        shocks = np.array([0.0, -100.0, 0.0])
+        with pytest.raises(RuntimeError, match="^synthetic bubble crossed the singularity$"):
+            _simulate_asset(shocks, np.ones(3, dtype=bool), 10.0, 1e-4, 0.01, 3)
 
     def test_numpy_setting_hashes_and_echoes_as_its_float(self, tmp_path):
         # a numpy float is written by str, as the Python float it equals
