@@ -398,13 +398,13 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
-def _moments(w: np.ndarray, x: np.ndarray, scale: float, frozen: tuple[float, float]):
-    """Posterior-weighted mean and population std of ``x / scale``, or
-    ``frozen`` when ``w`` has no mass. An exact-zero mean becomes 1e-12,
-    which keeps the 1/|mu| switch height defined."""
+def _moments(w: np.ndarray, x: np.ndarray, scale: float) -> tuple[float, float] | None:
+    """Weighted mean and population std of ``x / scale``, or None when ``w``
+    has no mass. An exact-zero mean becomes 1e-12, which keeps the 1/|mu|
+    switch height defined."""
     tot = w.sum()
     if not tot > 0.0:
-        return frozen
+        return None
     mean = float(_dot(w, x) / (scale * tot))
     if mean == 0.0:
         mean = 1e-12
@@ -430,9 +430,9 @@ def m_step(
     """
     w = smoother.pairwise_smoothed
     r = freeze.regime
-    mu0, sigma0 = _moments(w[:, 0, 0], np.diff(series.log_prices), 1, (r.mu0, r.sigma0))
-    mu1, sigma1 = _moments(w[:, 1, 1], _bubble_steps(series.log_prices, current_n),
-                           current_n, (r.mu1, r.sigma1))
+    mu0, sigma0 = _moments(w[:, 0, 0], np.diff(series.log_prices), 1) or (r.mu0, r.sigma0)
+    mu1, sigma1 = (_moments(w[:, 1, 1], _bubble_steps(series.log_prices, current_n), current_n)
+                   or (r.mu1, r.sigma1))
 
     q = np.array(freeze.q)
     pairs = np.array([[w[:, i, j].sum() for j in range(2)] for i in range(2)])
@@ -588,32 +588,27 @@ def solve_feedback_exponent(
 def _initial_params(y: np.ndarray, config: EMConfig) -> ModelParams:
     """Moment-based starting point anchored to the strongest sustained rally.
 
-    The bubble regime starts from the p^{-n} moments (n = 0.5) of the
-    quarter-sample window with the largest cumulative log return; the normal
-    regime starts from the moments of everything else. Anchoring regime 1 to
-    a contiguous rally keeps the first posteriors pointed at persistent
-    super-exponential stretches rather than at scattered single-day spikes,
-    which would otherwise seed a spurious fast-alternation fit.
+    By the M step's rule (:func:`_moments`), the bubble regime starts from
+    the p^{-n} moments (n = 0.5) of the quarter-sample window with the
+    largest cumulative log return, the normal regime from those of the rest.
+    Anchoring regime 1 to a contiguous rally keeps the first posteriors
+    pointed at persistent super-exponential stretches rather than at
+    scattered single-day spikes, which would otherwise seed a spurious
+    fast-alternation fit.
     """
     n0 = 0.5
     dy = np.diff(y)
     w = min(max(5, len(dy) // 4), len(dy) - 1)
     gains = y[w:] - y[:-w]
     start = int(np.argmax(gains))
-    rally = np.zeros(len(dy), dtype=bool)
-    rally[start : start + w] = True
-    rest = ~rally  # keeps at least one step: the rally spans at most len(dy) - 1
-
-    mu0 = float(dy[rest].mean())
-    if mu0 == 0.0:
-        mu0 = 1e-12  # the switch-density height 1/|mu0| must stay defined
-    sigma0 = max(float(dy[rest].std()), 1e-8)
-    steps = _bubble_steps(y, n0)[rally]
-    mu1 = max(float(steps.mean() / n0), 1e-6)
-    sigma1 = max(float(steps.std() / n0), 1e-8)
+    rally = np.zeros(len(dy))
+    rally[start : start + w] = 1.0  # 1 to len(dy) - 1 steps: both regimes have weight
+    mu0, sigma0 = _moments(1.0 - rally, dy, 1)
+    mu1, sigma1 = _moments(rally, _bubble_steps(y, n0), n0)
 
     q = np.array([[0.95, 1.0 - 0.95], [1.0 - 0.95, 0.95]])  # both regimes stay with 0.95
-    regime = RegimeParams(mu0=mu0, sigma0=sigma0, mu1=mu1, sigma1=sigma1, n=n0, kappa=config.kappa)
+    regime = RegimeParams(mu0, max(sigma0, 1e-8), max(mu1, 1e-6), max(sigma1, 1e-8),
+                          n=n0, kappa=config.kappa)
     return ModelParams(regime, q)
 
 
@@ -662,7 +657,7 @@ def _halved_step(
 
 
 def em_fit(
-    series: LogPriceSeries, config: EMConfig | None = None
+    series: LogPriceSeries, config: EMConfig
 ) -> tuple[ModelParams, EMTrace, FilterOutput, SmootherOutput]:
     """Calibrate the regime-switching model by EM.
 
@@ -695,8 +690,6 @@ def em_fit(
     raised). The t = 0 state distribution is held fixed at (1/2, 1/2);
     letting it track the running q would itself break monotonicity.
     """
-    if config is None:
-        config = EMConfig()
     y = series.log_prices
     if len(y) < 10:
         raise InsufficientDataError("em_fit needs a series of length >= 10")
