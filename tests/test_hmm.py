@@ -638,6 +638,46 @@ def two_segment_series(seed, y0=0.0, t_gbm=1400, t_bub=600, mu0=2e-4, sigma0=0.0
     return np.concatenate([y_a, y_b[1:]]), t_gbm
 
 
+def rally_weights(y):
+    """1 on each step of the start's rally: the first window of a quarter of
+    the steps (5 to len - 1 of them) with the largest log gain."""
+    dy = np.diff(y)
+    w = min(max(5, len(dy) // 4), len(dy) - 1)
+    start = int(np.argmax(y[w:] - y[:-w]))
+    rally = np.zeros(len(dy))
+    rally[start : start + w] = 1.0
+    return rally
+
+
+class TestInitialParams:
+    @pytest.mark.parametrize("source", ["seeded", "ENE"])
+    def test_start_moments_are_the_split_moments(self, source):
+        if source == "seeded":
+            y = 1.0 + np.cumsum(np.random.default_rng(33).normal(0.002, 0.02, 300))
+        else:
+            table = read_price_table(bundled_corpus_config().parent / "ENE.csv")
+            y = np.log(table["prices"])
+        rally = rally_weights(y)
+        dy = [Decimal(b) - Decimal(a) for a, b in zip(y[:-1], y[1:])]
+        v = [step / Decimal(0.5) for step in oracles.bubble_steps_decimal(y, 0.5)]
+        r = hmm_module._initial_params(y, EMConfig(kappa=2.0)).regime
+        assert (r.n, r.kappa) == (0.5, 2.0)
+        for w, x, mu, sigma in ((1.0 - rally, dy, r.mu0, r.sigma0), (rally, v, r.mu1, r.sigma1)):
+            mean, deviation, _ = oracles.weighted_moments(w, x)
+            assert mu == pytest.approx(mean, rel=1e-13, abs=0.0)
+            assert sigma == pytest.approx(deviation, rel=1e-13, abs=0.0)
+
+    def test_zero_drift_outside_the_rally_starts_at_1e_minus_12(self):
+        # steps of +-0.25 keep every partial sum exact; the five-step rally
+        # is flanked by falls, so it is the only window that gains 1.25
+        dy = [0.25, -0.25] * 4 + [0.25] * 5 + [-0.25, 0.25] * 4
+        y = 1.0 + np.concatenate([[0.0], np.cumsum(dy)])
+        np.testing.assert_array_equal(rally_weights(y), [0.0] * 8 + [1.0] * 5 + [0.0] * 8)
+        r = hmm_module._initial_params(y, EMConfig()).regime
+        assert r.mu0 == 1e-12
+        assert r.sigma0 == pytest.approx(0.25, rel=1e-13)
+
+
 class TestEmFit:
     def test_gbm_data_recovery(self, make_series):
         # index-scale data: y stays above kappa so the switch channels are
