@@ -82,6 +82,8 @@ def rank_transform(values) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or len(v) == 0:
         raise ValueError("rank_transform needs a non-empty 1-d vector")
+    if not np.isfinite(v).all():
+        raise ValueError("values holds a non-finite value")
     order = np.argsort(v, kind="stable")
     sorted_v = v[order]
     # each run of equal sorted values [first, last] gets their mean rank
@@ -248,11 +250,15 @@ def _kendall_tau_b(x: np.ndarray, y: np.ndarray) -> float:
 
 def correlations(x, y) -> CorrelationReport:
     """Pearson on raw values, Spearman as Pearson on average-tie ranks, and
-    tie-corrected Kendall tau-b."""
+    tie-corrected Kendall tau-b. Raises ValueError naming ``x`` or ``y``
+    when it holds a non-finite value."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be 1-d vectors of equal length")
+    for name, values in (("x", x), ("y", y)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} holds a non-finite value")
     if len(x) < 2:
         raise InsufficientDataError("correlations need at least 2 observations")
     pearson = _pearson(x, y, "pearson")

@@ -10,6 +10,7 @@ import oracles
 from sinet import (
     CollinearityError,
     ConvergenceError,
+    CorrelationReport,
     InsufficientDataError,
     UndefinedCorrelationError,
     correlations,
@@ -75,10 +76,16 @@ class TestRankTransform:
             assert rank_transform(values).sum() == pytest.approx(n * (n + 1) / 2)
 
     def test_matches_tie_loop_bitwise(self):
+        # a draw with a non-finite value must be rejected, every other one
+        # ranked as the tie loop ranks it
         rng = np.random.default_rng(5)
         levels = [0.0, -0.0, 1.0, 2.5, np.nan, np.inf, -np.inf]
         for _ in range(300):
             values = rng.choice(levels, int(rng.integers(1, 30)))
+            if not np.isfinite(values).all():
+                with pytest.raises(ValueError, match="^values holds a non-finite value$"):
+                    rank_transform(values)
+                continue
             assert rank_transform(values).tobytes() == oracles.average_tie_ranks(values).tobytes()
 
     def test_matches_scipy_convention(self):
@@ -90,6 +97,11 @@ class TestRankTransform:
     def test_bad_input_rejected(self, values):
         with pytest.raises(ValueError, match="^rank_transform needs a non-empty 1-d vector$"):
             rank_transform(values)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_named(self, bad):
+        with pytest.raises(ValueError, match="^values holds a non-finite value$"):
+            rank_transform([bad, 1.0, bad])
 
 
 class TestOlsRegress:
@@ -254,11 +266,16 @@ class TestCorrelations:
             correlations(x, y)
 
     def test_coefficient_outside_unit_interval_rejected(self):
-        # an infinite value makes Pearson's centred x NaN
-        with np.errstate(invalid="ignore"), pytest.raises(
-            ValueError, match=r"^pearson coefficient nan outside \[-1, 1\]$"
-        ):
-            correlations([np.inf, 1.0, 2.0], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match=r"^pearson coefficient nan outside \[-1, 1\]$"):
+            CorrelationReport(np.nan, 0.5, 0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["x", "y"])
+    def test_non_finite_input_named(self, name, bad):
+        args = {"x": np.array([1.0, 2.0, 3.0]), "y": np.array([1.0, 3.0, 2.0])}
+        args[name][1] = bad
+        with pytest.raises(ValueError, match=f"^{name} holds a non-finite value$"):
+            correlations(args["x"], args["y"])
 
 
 def t_p_reference(t, dof):
