@@ -724,7 +724,7 @@ class TestRuntimeFailure:
         assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory: ")
 
     def test_numerical_failure_exits_two(self, corpus_dir, tmp_path, monkeypatch, capsys):
-        def em_fit(series, config=None):
+        def em_fit(series, config):
             raise NumericalFailureError(7, "EM iteration 3: filter normaliser nan at step 7")
 
         monkeypatch.setattr(pipeline, "em_fit", em_fit)
