@@ -17,14 +17,12 @@ computes it, and a single pair is its one-by-one case.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .series import ProbabilitySeries
 
-NEGATIVE_RESIDUE_WARN = 1e-9
 # Most elements (targets x steps, or targets x B^3 counts) in one block of
 # the batched transfer-entropy kernel. The bound keeps the working set small:
 # 96 series of 2,920 days in one block peaked 10 % higher in RSS.
@@ -165,27 +163,18 @@ def _reported(
     bins: np.ndarray, bin_count: int, base: float, days: np.ndarray | None = None,
 ) -> np.ndarray:
     """Every pair's reported value, laid out as :func:`_te_kernel` lays it
-    out: the one place that decides an SII value. In (source, target)
-    order, the first pair that keeps fewer than two triples raises, and a
-    negative rounding residue (all that the 0*log(0) convention leaves below
-    zero) becomes 0.0, with a warning below -``NEGATIVE_RESIDUE_WARN``.
+    out: the one place that decides an SII value. A basket in which any pair
+    keeps fewer than two triples raises, and a negative rounding residue
+    (all that the 0*log(0) convention leaves below zero) becomes 0.0.
     """
     if not 1.0 < base < np.inf:
         raise ValueError(f"base must be finite and exceed 1, got {base!r}")
     if bins.shape[1] < 3:
         raise ValueError("need at least 3 observations to form lagged triples")
     values, sizes = _te_kernel(bins, bin_count, base, days)
-    # only the pairs the rule rejects or changes
-    for k in np.flatnonzero((sizes < 2) | (values < 0.0)).tolist():
-        if sizes.flat[k] < 2:
-            raise ValueError("mask keeps fewer than 2 triples")
-        if values.flat[k] < -NEGATIVE_RESIDUE_WARN:
-            warnings.warn(
-                f"transfer entropy rounding residue {values.flat[k]:.3e} clamped to 0",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        values.flat[k] = 0.0
+    if (sizes < 2).any():
+        raise ValueError("mask keeps fewer than 2 triples")
+    values[values < 0.0] = 0.0
     return values
 
 
@@ -258,9 +247,8 @@ def sii_matrix(
 
     Series must be aligned (equal timestamps). Every pair is counted by one
     batched kernel, and an entry is bit for bit the same in any basket.
-    Pairs are checked in (source, target) order: a negative rounding residue
-    is clamped to zero (with a warning below -``NEGATIVE_RESIDUE_WARN``), and
-    the first pair whose mask keeps fewer than two triples raises.
+    A negative rounding residue is clamped to zero, and the basket raises
+    if the mask of any pair keeps fewer than two triples.
 
     A ``bubble_level`` above 0 keeps only the triples of a pair on whose two
     days both assets' probabilities reach it. At 0 every triple qualifies,

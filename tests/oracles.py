@@ -10,7 +10,6 @@ import csv
 import itertools
 import math
 import re
-import warnings
 from collections import Counter
 from datetime import date
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
@@ -447,9 +446,9 @@ def transfer_entropy_counting(u, v, base: float = 10.0) -> float:
 # ---------------------------------------------------------------------------
 # The per-pair transfer entropy and influence matrix the library computed
 # before its batched kernel, kept as the reference that kernel must match
-# (values within 1e-13, the same errors and warnings in the same order),
-# and a 50-digit decimal reference both are held to. Series are plain
-# arrays of bin symbols or probabilities.
+# (values within 1e-13 and the same errors), and a 50-digit decimal
+# reference both are held to. Series are plain arrays of bin symbols or
+# probabilities.
 
 def joint_counts(u, v, bin_count, mask=None):
     """Triple counts over (u_t, u_{t-1}, v_{t-1}), shape (B, B, B)."""
@@ -469,7 +468,7 @@ def joint_counts(u, v, bin_count, mask=None):
     return np.bincount(codes, minlength=B**3).reshape(B, B, B)
 
 
-def transfer_entropy_pairwise(u, v, bin_count, base=10.0, mask=None, warn_below=1e-9):
+def transfer_entropy_pairwise(u, v, bin_count, base=10.0, mask=None):
     """Transfer entropy from v to u by one histogram of the pair."""
     if not 1.0 < base < math.inf:
         raise ValueError(f"base must be finite and exceed 1, got {base!r}")
@@ -483,14 +482,7 @@ def transfer_entropy_pairwise(u, v, bin_count, base=10.0, mask=None, warn_below=
     num = p3[a, b, c] * p_l[b]
     den = p_tp[a, b] * p_lp[b, c]
     value = float(np.dot(p3[a, b, c], np.log(num / den))) / float(np.log(base))
-    if value < 0.0:
-        if value < -warn_below:
-            warnings.warn(
-                f"transfer entropy rounding residue {value:.3e} clamped to 0",
-                RuntimeWarning,
-            )
-        value = 0.0
-    return value
+    return max(value, 0.0)
 
 
 def transfer_entropy_decimal(u, v, bin_count, base=10.0, mask=None, digits=50):
@@ -516,7 +508,7 @@ def bubble_day_mask(x, y, level):
 
 
 def sii_matrix_pairwise(series, bin_count=10, base=10.0, bubble_only=False,
-                        bubble_level=0.5, warn_below=1e-9):
+                        bubble_level=0.5):
     """Influence matrix over aligned probability arrays, one pair at a time
     in (source, target) order."""
     binned = [np.minimum(np.floor(np.asarray(x) * bin_count).astype(np.int64), bin_count - 1)
@@ -530,7 +522,7 @@ def sii_matrix_pairwise(series, bin_count=10, base=10.0, bubble_only=False,
             mask = (bubble_day_mask(series[i], series[j], bubble_level)
                     if bubble_only else None)
             values[i, j] = transfer_entropy_pairwise(
-                binned[j], binned[i], bin_count, base, mask, warn_below
+                binned[j], binned[i], bin_count, base, mask
             )
     return values
 

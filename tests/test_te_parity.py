@@ -1,7 +1,6 @@
 """Parity of the batched transfer-entropy kernel with the per-pair
 histograms in ``oracles``: every value within ``TOL`` of the reference, the
-same sample sizes, and the same errors and warnings in the same order."""
-import warnings
+same sample sizes, and the same errors."""
 from unittest import mock
 
 import numpy as np
@@ -30,21 +29,15 @@ def dates(n):
 
 
 def outcome(fn, *args, **kwargs):
-    """The value, or the ValueError raised, with every warning emitted on
-    the way."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            result = np.asarray(fn(*args, **kwargs), dtype=float)
-        except ValueError as err:
-            result = ("ValueError", str(err))
-    return result, [(w.category, str(w.message)) for w in caught]
+    """The value, or the ValueError raised."""
+    try:
+        return np.asarray(fn(*args, **kwargs), dtype=float)
+    except ValueError as err:
+        return ("ValueError", str(err))
 
 
-def assert_same_outcome(got, want):
-    """Equal errors and warnings, and values within TOL."""
-    (value, warned), (expected, expected_warned) = got, want
-    assert warned == expected_warned
+def assert_same_outcome(value, expected):
+    """Equal errors, and values within TOL."""
     if isinstance(expected, tuple):
         assert value == expected
     else:
@@ -171,7 +164,7 @@ def test_constant_basket_is_zero():
 def test_too_short_basket_raises_like_reference(T):
     series = [np.full(T, 0.5), np.full(T, 0.2)]
     assert_matrix_parity(series, 10)
-    assert outcome(library_matrix, series, 10, 10.0, 0.0)[0] == (
+    assert outcome(library_matrix, series, 10, 10.0, 0.0) == (
         "ValueError", "need at least 3 observations to form lagged triples")
 
 
@@ -193,70 +186,31 @@ def residue_series(bits):
     return 0.25 + 0.5 * np.array(bits, dtype=float)
 
 
-def residue_warnings(raw, sizes):
-    """The warnings the kernel's own unclamped values call for with the
-    threshold at 0, in (source, target) order up to the first pair that
-    keeps fewer than 2 triples."""
-    out = []
-    for i, j in np.argwhere(~np.eye(len(raw), dtype=bool)).tolist():
-        if sizes[i, j] < 2:
-            break
-        if raw[i, j] < 0.0:
-            out.append((RuntimeWarning,
-                        f"transfer entropy rounding residue {raw[i, j]:.3e} clamped to 0"))
-    return out
-
-
-def test_negative_residues_warn_in_pair_order(monkeypatch):
-    # with the warning threshold at 0 every negative residue warns: the
-    # kernel must warn for exactly the pairs whose own unclamped value is
-    # negative, in pair order, and clamp them to zero
-    series = [residue_series(bits) for pair in RESIDUE_PAIRS for bits in pair]
-    assert_matrix_parity(series, 2)
-    raw, sizes = kernel_raw(series, 2)
-    assert raw[0, 1] < 0.0 and raw[2, 3] < 0.0
-    assert library_matrix(series, 2, 10.0, 0.0)[0, 1] == 0.0
-    monkeypatch.setattr(entropy_module, "NEGATIVE_RESIDUE_WARN", 0.0)
-    value, warned = outcome(library_matrix, series, 2, 10.0, 0.0)
-    assert len(warned) >= 2
-    assert warned == residue_warnings(raw, sizes)
-    np.testing.assert_array_equal(
-        value, np.where(np.eye(len(series), dtype=bool) | (raw < 0.0), 0.0, raw))
-
-
-def test_overtight_mask_raises_after_earlier_warnings(monkeypatch):
-    # pair (0, 1) keeps all its triples and warns; pair (0, 2) keeps one
-    # triple and must raise only after that warning
-    source, target = (residue_series(bits) for bits in RESIDUE_PAIRS[0])
-    late = np.concatenate([[0.95, 0.95], np.full(12, 0.1)])
-    series = [source, target, late]
-    assert_matrix_parity(series, 2, level=0.25)
-    raw, sizes = kernel_raw(series, 2, 0.25)
-    assert raw[0, 1] < 0.0 and sizes[0, 2] == 1
-    monkeypatch.setattr(entropy_module, "NEGATIVE_RESIDUE_WARN", 0.0)
-    error = ("ValueError", "mask keeps fewer than 2 triples")
-    got = outcome(library_matrix, series, 2, 10.0, 0.25)
-    assert got == (error, residue_warnings(raw, sizes))
-    assert len(got[1]) == 1
-    assert outcome(oracles.sii_matrix_pairwise, series, 2, 10.0, True, 0.25, 0.0)[0] == error
-
-
 def binned(seq, bins=10):
     return BinnedSeries(np.asarray(seq, dtype=np.int64), bins)
 
 
-@pytest.mark.parametrize("reverse", [False, True])
-def test_transfer_entropy_reports_like_sii(monkeypatch, reverse):
-    # the first residue pair rounds to a negative value from its source to
-    # its target: reversed, that residue is the other direction's, which
-    # sii warns for, so transfer_entropy must warn for it too
-    monkeypatch.setattr(entropy_module, "NEGATIVE_RESIDUE_WARN", 0.0)
-    source, target = RESIDUE_PAIRS[0][::-1] if reverse else RESIDUE_PAIRS[0]
-    got = outcome(transfer_entropy, binned(target, 2), binned(source, 2))
-    want = outcome(sii, ProbabilitySeries(dates(14), residue_series(source)),
-                   ProbabilitySeries(dates(14), residue_series(target)), 2)
-    assert got == want
-    assert len(got[1]) == 1
+def test_negative_residues_clamp_to_zero():
+    # the kernel's own value from each pair's source to its target is
+    # negative: the matrix, sii and transfer_entropy all report 0.0, and
+    # every other entry is the kernel's value bit for bit
+    series = [residue_series(bits) for pair in RESIDUE_PAIRS for bits in pair]
+    assert_matrix_parity(series, 2)
+    raw, _ = kernel_raw(series, 2)
+    assert raw[0, 1] < 0.0 and raw[2, 3] < 0.0
+    got = library_matrix(series, 2, 10.0, 0.0)
+    assert got.tobytes() == np.where(raw < 0.0, 0.0, raw).tobytes()
+    for source, target in RESIDUE_PAIRS:
+        assert sii(ProbabilitySeries(dates(14), residue_series(source)),
+                   ProbabilitySeries(dates(14), residue_series(target)), 2) == 0.0
+        assert transfer_entropy(binned(target, 2), binned(source, 2)) == 0.0
+    # a thin pair beside the residue raises as the reference does
+    late = np.concatenate([[0.95, 0.95], np.full(12, 0.1)])
+    thin = series[:2] + [late]
+    assert kernel_raw(thin, 2, 0.25)[1][0, 2] == 1
+    assert_matrix_parity(thin, 2, level=0.25)
+    assert outcome(library_matrix, thin, 2, 10.0, 0.25) == (
+        "ValueError", "mask keeps fewer than 2 triples")
 
 
 @pytest.mark.parametrize("u, v, mask, message", [
