@@ -198,9 +198,9 @@ def geometric_average_filter(
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    if len(series) < window:
+    if len(series) <= window:
         raise InsufficientDataError(
-            f"series of length {len(series)} is shorter than window {window}"
+            f"series of length {len(series)} leaves fewer than 2 points after window {window}"
         )
     if window == 1:
         return series

@@ -128,9 +128,11 @@ class TestGeometricAverageFilter:
         np.testing.assert_array_equal(out.timestamps, s.timestamps[3:])
 
     def test_too_short_series_rejected(self, make_series):
-        s = make_series(np.zeros(99))
-        with pytest.raises(InsufficientDataError):
-            geometric_average_filter(s, window=100)
+        # a window as long as the series leaves one point, too few as well
+        for length in (99, 100):
+            message = f"series of length {length} leaves fewer than 2 points after window 100"
+            with pytest.raises(InsufficientDataError, match=f"^{message}$"):
+                geometric_average_filter(make_series(np.zeros(length)), window=100)
 
     def test_window_zero_rejected(self, make_series):
         with pytest.raises(ValueError, match="^window must be >= 1$"):
