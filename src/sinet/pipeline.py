@@ -310,6 +310,7 @@ class AssetFit:
             "n": r.n, "kappa": r.kappa,
             "q": [[q[0, 0], q[0, 1]], [q[1, 0], q[1, 1]]],
             "loglik": self.trace.logliks[-1],
+            "logliks": self.trace.logliks,
             "iterations": self.trace.iterations,
             "converged": self.trace.converged,
             "stalled": self.trace.stalled,

@@ -255,6 +255,26 @@ class TestRunPipeline:
         doc = json.loads((tmp_path / "out" / "sin.json").read_text())
         assert doc["provenance"] == expected
 
+    def test_params_carry_the_loglik_path(self, corpus_dir, tmp_path, monkeypatch):
+        fits = {}
+        calibrate = pipeline_module.calibrate_asset
+
+        def recording(asset_id, *args, **kwargs):
+            fits[asset_id] = calibrate(asset_id, *args, **kwargs)
+            return fits[asset_id]
+
+        monkeypatch.setattr(pipeline_module, "calibrate_asset", recording)
+        report = run_pipeline(corpus_config(corpus_dir, tmp_path / "out"))
+        assert sorted(fits) == sorted(report.processed)
+        run_doc = json.loads((tmp_path / "out" / "run_report.json").read_text())
+        for asset, fit in fits.items():
+            params = json.loads((tmp_path / "out" / f"params_{asset}.json").read_text())
+            for doc in (params, run_doc["summary"][asset]):
+                # floats are written by repr, so equal floats are equal bits
+                assert doc["logliks"] == fit.trace.logliks
+                assert doc["logliks"][-1] == doc["loglik"]
+                assert len(doc["logliks"]) == doc["iterations"]
+
     def test_rerun_is_byte_identical(self, corpus_dir, tmp_path):
         config_a = corpus_config(corpus_dir, tmp_path / "a")
         config_b = corpus_config(corpus_dir, tmp_path / "a")  # same hash
