@@ -37,14 +37,6 @@ class RegressionResult:
     adj_r_squared: float
     f_statistic: float
 
-    def __post_init__(self):
-        if not -1e-12 <= self.r_squared <= 1.0 + 1e-12:
-            raise ValueError("R^2 must lie in [0, 1]")
-        if self.adj_r_squared > self.r_squared + 1e-12:
-            raise ValueError("adjusted R^2 cannot exceed R^2")
-        if self.f_statistic < 0:
-            raise ValueError("F statistic must be nonnegative")
-
 
 @dataclass(frozen=True)
 class CorrelationReport:

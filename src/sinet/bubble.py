@@ -81,9 +81,6 @@ class SimulatedPath:
         y = np.asarray(self.log_prices, dtype=float)
         if not np.all(np.isfinite(y)):
             raise ValueError("simulated log prices must be finite")
-        if self.hit_critical:
-            if self.critical_time_index is None or self.critical_time_index >= len(y):
-                raise ValueError("critical_time_index must index into log_prices")
         y.setflags(write=False)
         object.__setattr__(self, "log_prices", y)
 

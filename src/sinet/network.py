@@ -57,20 +57,6 @@ class IndicatorTable:
     nodes: tuple[str, ...]
     values: dict[str, np.ndarray]
 
-    def __post_init__(self):
-        for name in ALL_INDICATORS:
-            if name not in self.values:
-                raise ValueError(f"missing indicator column {name!r}")
-            if len(self.values[name]) != len(self.nodes):
-                raise ValueError(f"indicator column {name!r} has wrong length")
-        for suffix in ("All", "Fin", "IX"):
-            net = np.asarray(self.values[f"NSII-on-{suffix}"], dtype=float)
-            gross = np.asarray(self.values[f"SI-to-{suffix}"], dtype=float) - np.asarray(
-                self.values[f"SI-from-{suffix}"], dtype=float
-            )
-            if not np.array_equal(net, gross):
-                raise ValueError(f"NSII-on-{suffix} must equal its gross difference exactly")
-
     def column(self, name: str) -> np.ndarray:
         return np.asarray(self.values[name], dtype=float)
 

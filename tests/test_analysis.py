@@ -1,6 +1,3 @@
-import dataclasses
-import re
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -181,20 +178,6 @@ class TestOlsRegress:
     def test_row_mismatch_rejected(self):
         with pytest.raises(ValueError, match="^y and X must have the same number of rows$"):
             ols_regress(np.ones(5), np.ones((6, 1)))
-
-    @pytest.mark.parametrize("field, value, message", [
-        ("r_squared", 1.5, "R^2 must lie in [0, 1]"),
-        ("r_squared", -0.1, "R^2 must lie in [0, 1]"),
-        ("adj_r_squared", 0.9, "adjusted R^2 cannot exceed R^2"),
-        ("f_statistic", -1.0, "F statistic must be nonnegative"),
-    ])
-    def test_bad_fit_statistic_rejected(self, field, value, message):
-        rng = np.random.default_rng(8)
-        x = rng.normal(0, 1, 12)
-        result = ols_regress(0.1 * x + rng.normal(0, 1, 12), x)
-        assert result.r_squared < 0.8
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            dataclasses.replace(result, **{field: value})
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name", ["y", "X"])

@@ -349,8 +349,6 @@ class TestSimulatedPath:
     @pytest.mark.parametrize("log_prices, hit, index, message", [
         ([0.0, np.nan], False, None, "simulated log prices must be finite"),
         ([0.0, np.inf], True, 1, "simulated log prices must be finite"),
-        ([0.0, 0.1], True, None, "critical_time_index must index into log_prices"),
-        ([0.0, 0.1], True, 2, "critical_time_index must index into log_prices"),
     ])
     def test_bad_path_rejected(self, log_prices, hit, index, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
