@@ -27,6 +27,9 @@ from .series import ProbabilitySeries
 # the batched transfer-entropy kernel. The bound keeps the working set small:
 # 96 series of 2,920 days in one block peaked 10 % higher in RSS.
 TE_BLOCK = 1 << 16
+# The most bins whose B^3 cells fit in one block. Past it a block is one
+# target whose count tables alone hold B^3 cells, about 8 GB each at B = 1000.
+MAX_BIN_COUNT = int(TE_BLOCK ** (1 / 3))  # 40
 
 
 @dataclass(frozen=True)
@@ -37,8 +40,10 @@ class BinnedSeries:
     bin_count: int = 10
 
     def __post_init__(self):
-        if not isinstance(self.bin_count, (int, np.integer)) or self.bin_count < 2:
-            raise ValueError(f"bin_count must be an integer >= 2, got {self.bin_count!r}")
+        if (not isinstance(self.bin_count, (int, np.integer))
+                or not 2 <= self.bin_count <= MAX_BIN_COUNT):
+            raise ValueError(
+                f"bin_count must be an integer in [2, {MAX_BIN_COUNT}], got {self.bin_count!r}")
         b = np.asarray(self.bins, dtype=np.int64)
         if len(b) and (b.min() < 0 or b.max() >= self.bin_count):
             raise ValueError(f"bins must lie in [0, {self.bin_count - 1}]")

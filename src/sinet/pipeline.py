@@ -23,7 +23,7 @@ import numpy as np
 
 from . import io as sio
 from .analysis import correlations, max_loss, ols_regress, rank_transform
-from .entropy import sii_matrix
+from .entropy import MAX_BIN_COUNT, sii_matrix
 from .errors import ConfigurationError, SinetError
 from .hmm import (
     EMConfig,
@@ -120,8 +120,10 @@ class PipelineConfig:
             start, end = days.get(f"{label}_start"), days.get(f"{label}_end")
             if start is not None and end is not None and start > end:
                 raise ConfigurationError(f"{label} window is not well-ordered")
-        if not isinstance(self.te_bins, (int, np.integer)) or self.te_bins < 2:
-            raise ConfigurationError(f"te_bins must be an integer >= 2, got {self.te_bins!r}")
+        if (not isinstance(self.te_bins, (int, np.integer))
+                or not 2 <= self.te_bins <= MAX_BIN_COUNT):
+            raise ConfigurationError(
+                f"te_bins must be an integer in [2, {MAX_BIN_COUNT}], got {self.te_bins!r}")
         if not 1.0 < self.te_base < np.inf:
             raise ConfigurationError(f"te_base must be finite and exceed 1, got {self.te_base!r}")
         if not 0.0 <= self.te_bubble_level <= 1.0:

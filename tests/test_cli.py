@@ -542,6 +542,18 @@ class TestTeOptions:
         assert rc == 0
         assert float(capsys.readouterr().out.strip()) >= 0.0
 
+    @pytest.mark.parametrize("bins, code, err", [
+        ("40", 0, ""),
+        ("41", 1, "error: bin_count must be an integer in [2, 40], got 41\n"),
+    ])
+    def test_bins_bound(self, run_dir, capsys, bins, code, err):
+        rc = main([
+            "te", "--source", str(run_dir / "probabilities_ENE.csv"),
+            "--target", str(run_dir / "probabilities_MAT.csv"), "--bins", bins,
+        ])
+        assert rc == code
+        assert capsys.readouterr().err == err
+
 
 class TestMalformedInput:
     @pytest.mark.parametrize("row, what", [

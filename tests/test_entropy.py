@@ -41,12 +41,15 @@ class TestDiscretize:
             discretize(make_probs([0.5]), bin_count=1)
         # a fractional count must fail here, not as a numpy type error in the TE kernel
         assets = {name: make_probs(np.linspace(0.1, 0.9, 20)) for name in "ab"}
-        for bin_count in (2.5, 4.0):
-            with pytest.raises(ValueError, match="^bin_count must be an integer"):
+        # past 40 bins a block of the TE kernel would outgrow TE_BLOCK
+        for bin_count in (2.5, 4.0, 41, np.int64(41)):
+            message = f"bin_count must be an integer in [2, 40], got {bin_count!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 discretize(make_probs([0.5]), bin_count=bin_count)
-            with pytest.raises(ValueError, match="^bin_count must be an integer"):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 sii_matrix(assets, bin_count)
         assert discretize(make_probs([0.5]), bin_count=np.int64(4)).bin_count == 4
+        assert sii_matrix(assets, 40).values.shape == (2, 2)
 
 
 class TestTransferEntropy:

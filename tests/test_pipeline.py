@@ -424,6 +424,18 @@ class TestNonFiniteSettings:
             config.validate()
 
 
+def test_te_bins_bound_fails_before_any_output(corpus_dir, tmp_path):
+    # past 40 bins a block of the TE kernel would outgrow TE_BLOCK
+    config = corpus_config(corpus_dir, tmp_path / "out")
+    config.te_bins = 41
+    message = r"^te_bins must be an integer in \[2, 40\], got 41$"
+    with pytest.raises(ConfigurationError, match=message):
+        run_pipeline(config)
+    assert not (tmp_path / "out").exists()
+    config.te_bins = 40
+    config.validate()
+
+
 def four_node_table():
     m = SIIMatrix(("A", "B", "C", "D"), np.array([
         [0.0, 0.1, 0.2, 0.3], [0.05, 0.0, 0.4, 0.1],
