@@ -15,6 +15,8 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -157,24 +159,31 @@ class PipelineConfig:
         kv["output_dir"] = str(Path(self.output_dir).absolute())
         return kv
 
-    def config_hash(self) -> str:
+    def input_digests(self) -> dict[str, str]:
+        """The sha256 of each asset file's bytes, by asset id."""
+        return {a.asset_id: hashlib.sha256(sio.read_bytes(a.path)).hexdigest()
+                for a in self.assets}
+
+    def config_hash(self, digests: Optional[dict[str, str]] = None) -> str:
         """Hash of the settings and of the input data.
 
         Each asset enters by the sha256 of its file's bytes instead of its
         path, so one corpus hashes alike in every directory and edited data
-        hashes differently. output_dir does not affect the computation and
-        is left out.
+        hashes differently. ``digests`` are those of :meth:`input_digests`,
+        which reads every asset file when they are not given. output_dir
+        does not affect the computation and is left out.
         """
         kv = self.key_values()
         del kv["output_dir"]
+        digests = self.input_digests() if digests is None else digests
         for a in self.assets:
-            kv[f"asset.{a.asset_id}.path"] = hashlib.sha256(sio.read_bytes(a.path)).hexdigest()
+            kv[f"asset.{a.asset_id}.path"] = digests[a.asset_id]
         blob = "\n".join(f"{k} = {v}" for k, v in kv.items())
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
-    def provenance(self) -> str:
+    def provenance(self, digests: Optional[dict[str, str]] = None) -> str:
         return (
-            f"config={self.config_hash()} "
+            f"config={self.config_hash(digests)} "
             f"window={self.analysis_start}..{self.analysis_end}"
         )
 
@@ -235,13 +244,31 @@ class PipelineConfig:
 
 @dataclass
 class RunReport:
-    """What happened, asset by asset, plus the artifact inventory."""
+    """What happened, asset by asset, plus the artifact inventory.
+
+    ``inputs`` holds the sha256 of each asset file, and ``stages`` the wall
+    seconds of each stage: ``calibration`` by asset, failed assets too,
+    then ``te_matrix``, ``indicators_and_network``, ``loss_analytics`` and
+    ``writing``, the sum of every artifact write before the report's own.
+    """
 
     processed: list[str] = field(default_factory=list)
     failed: dict[str, str] = field(default_factory=dict)
     skipped: list[str] = field(default_factory=list)
     artifacts: list[str] = field(default_factory=list)
     summary: dict[str, dict] = field(default_factory=dict)
+    inputs: dict[str, str] = field(default_factory=dict)
+    stages: dict = field(default_factory=lambda: {"calibration": {}})
+
+
+@contextmanager
+def _timed(seconds: dict, key: str):
+    """Add the wall time of the block to ``seconds[key]``, also when it raises."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        seconds[key] = seconds.get(key, 0.0) + (time.perf_counter() - start)
 
 
 def _parse_combo(raw: str) -> list[tuple[float, str]]:
@@ -382,16 +409,19 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
     listed in the report; any other failure raises once the report is written.
     """
     config.validate()
-    provenance = config.provenance()  # reads every asset file: a missing one fails here
+    digests = config.input_digests()  # reads every asset file: a missing one fails here
+    provenance = config.provenance(digests)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    report = RunReport()
+    report = RunReport(inputs=digests)
+    stages = report.stages
 
-    (out / "config_echo.cfg").write_text(
-        f"# {provenance}\n"
-        + "\n".join(f"{k} = {v}" for k, v in config.key_values().items())
-        + "\n"
-    )
+    with _timed(stages, "writing"):
+        (out / "config_echo.cfg").write_text(
+            f"# {provenance}\n"
+            + "\n".join(f"{k} = {v}" for k, v in config.key_values().items())
+            + "\n"
+        )
     report.artifacts.append("config_echo.cfg")
 
     probs = {}
@@ -400,14 +430,16 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
     try:
         for spec in config.assets:
             try:
-                fit = calibrate_asset(
-                    spec.asset_id, spec.path, config.column_map, config.em,
-                    start=config.analysis_start, end=config.analysis_end,
-                )
+                with _timed(stages["calibration"], spec.asset_id):
+                    fit = calibrate_asset(
+                        spec.asset_id, spec.path, config.column_map, config.em,
+                        start=config.analysis_start, end=config.analysis_end,
+                    )
             except (SinetError, ValueError) as err:  # this asset's data
                 report.failed[spec.asset_id] = str(err)
                 continue
-            report.artifacts += [p.name for p in write_asset_fit(out, fit, provenance)]
+            with _timed(stages, "writing"):
+                report.artifacts += [p.name for p in write_asset_fit(out, fit, provenance)]
             report.summary[spec.asset_id] = fit.summary()
             probs[spec.asset_id] = (
                 fit.filt.filtering if config.probability_source == "filtering"
@@ -429,32 +461,42 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
                 "need at least 2 for the influence matrix"
             )
 
-        matrix = sii_matrix(probs, config.te_bins, config.te_base,
-                            bubble_level=config.te_bubble_level)
-        path = sio.write_matrix_csv(out / "sii_matrix.csv", matrix.nodes, matrix.values,
-                                    provenance)
+        with _timed(stages, "te_matrix"):
+            matrix = sii_matrix(probs, config.te_bins, config.te_base,
+                                bubble_level=config.te_bubble_level)
+        with _timed(stages, "writing"):
+            path = sio.write_matrix_csv(out / "sii_matrix.csv", matrix.nodes, matrix.values,
+                                        provenance)
         report.artifacts.append(path.name)
 
         groups = NodeGroup({s.asset_id: s.group for s in config.assets if s.asset_id in probs})
-        table = compute_indicators(matrix, groups)
-        report.artifacts.append(write_indicators(out / "indicators.csv", table, provenance).name)
+        with _timed(stages, "indicators_and_network"):
+            table = compute_indicators(matrix, groups)
+        with _timed(stages, "writing"):
+            path = write_indicators(out / "indicators.csv", table, provenance)
+        report.artifacts.append(path.name)
 
         graph_losses = losses if set(losses) >= set(matrix.nodes) else None
         if losses and graph_losses is None:
             loss_notes.append("losses incomplete; node colors omitted")
-        graph = build_sin(matrix, groups, config.nsii_threshold, graph_losses)
-        report.artifacts += [p.name for p in write_network(out, graph, provenance)]
+        with _timed(stages, "indicators_and_network"):
+            graph = build_sin(matrix, groups, config.nsii_threshold, graph_losses)
+        with _timed(stages, "writing"):
+            report.artifacts += [p.name for p in write_network(out, graph, provenance)]
 
         if losses:
             rows = [[node, losses[node]] for node in matrix.nodes if node in losses]
-            path = sio.write_table_csv(out / "losses.csv", ["node", "max_loss_pct"], rows,
-                                       provenance)
+            with _timed(stages, "writing"):
+                path = sio.write_table_csv(out / "losses.csv", ["node", "max_loss_pct"], rows,
+                                           provenance)
             report.artifacts.append(path.name)
-            doc, text = loss_analytics(
-                table, matrix.nodes, groups, losses,
-                config.regressions, config.correlation_specs, provenance,
-            )
-            report.artifacts += [p.name for p in write_regressions(out, doc, text)]
+            with _timed(stages, "loss_analytics"):
+                doc, text = loss_analytics(
+                    table, matrix.nodes, groups, losses,
+                    config.regressions, config.correlation_specs, provenance,
+                )
+            with _timed(stages, "writing"):
+                report.artifacts += [p.name for p in write_regressions(out, doc, text)]
         else:
             report.skipped.append("loss analytics (no loss window or no loss data)")
     except Exception as err:  # the report lists what was done, and names the error
@@ -569,10 +611,12 @@ def _write_report(out: Path, report: RunReport, provenance: str) -> None:
     (out / "run_report.txt").write_text("\n".join(lines) + "\n")
     doc = {
         "provenance": provenance,
+        "inputs": report.inputs,
         "processed": report.processed,
         "failed": report.failed,
         "skipped": report.skipped,
         "artifacts": report.artifacts,
         "summary": report.summary,
+        "stages": report.stages,
     }
     (out / "run_report.json").write_text(json.dumps(doc, indent=2) + "\n")

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -26,3 +28,16 @@ def make_probs():
         return ProbabilitySeries(ts, values)
 
     return _make
+
+
+@pytest.fixture
+def without_stages():
+    """The text of a run_report.json without ``stages``, whose wall times
+    differ from run to run, for comparing everything else exactly."""
+
+    def _strip(raw):
+        doc = json.loads(raw)
+        del doc["stages"]
+        return json.dumps(doc, indent=2)
+
+    return _strip

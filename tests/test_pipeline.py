@@ -275,7 +275,7 @@ class TestRunPipeline:
                 assert doc["logliks"][-1] == doc["loglik"]
                 assert len(doc["logliks"]) == doc["iterations"]
 
-    def test_rerun_is_byte_identical(self, corpus_dir, tmp_path):
+    def test_rerun_is_byte_identical(self, corpus_dir, tmp_path, without_stages):
         config_a = corpus_config(corpus_dir, tmp_path / "a")
         config_b = corpus_config(corpus_dir, tmp_path / "a")  # same hash
         config_b.output_dir = tmp_path / "b"
@@ -287,8 +287,28 @@ class TestRunPipeline:
         for name in names:
             if name == "config_echo.cfg":
                 continue
-            same = (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-            assert same, f"{name} differs between identical runs"
+            a, b = ((tmp_path / run / name).read_bytes() for run in "ab")
+            if name == "run_report.json":  # stage wall times differ from run to run
+                a, b = without_stages(a), without_stages(b)
+            assert a == b, f"{name} differs between identical runs"
+        for run in "ab":
+            doc = json.loads((tmp_path / run / "run_report.json").read_text())
+            stages = doc["stages"]
+            assert sorted(stages) == ["calibration", "indicators_and_network",
+                                      "loss_analytics", "te_matrix", "writing"]
+            assert list(stages["calibration"]) == doc["processed"]
+            times = [*stages["calibration"].values(),
+                     *(v for k, v in stages.items() if k != "calibration")]
+            assert all(isinstance(t, float) and t >= 0.0 for t in times)
+
+    def test_inputs_are_the_asset_file_digests(self, corpus_dir, tmp_path):
+        config = corpus_config(corpus_dir, tmp_path / "out")
+        run_pipeline(config)
+        doc = json.loads((tmp_path / "out" / "run_report.json").read_text())
+        assert doc["inputs"] == {
+            a.asset_id: hashlib.sha256(Path(a.path).read_bytes()).hexdigest()
+            for a in config.assets}
+        assert config.config_hash(doc["inputs"]) == config.config_hash()
 
     def test_corrupt_asset_is_isolated(self, corpus_dir, tmp_path):
         broken_dir = tmp_path / "data"
@@ -302,6 +322,8 @@ class TestRunPipeline:
         assert set(report.processed) == {"ENE", "MAT", "BNK", "SEC"}
         assert "IND" in report.failed
         assert "line 6" in report.failed["IND"]
+        # a failed asset's calibration is timed too
+        assert list(report.stages["calibration"]) == ["ENE", "MAT", "IND", "BNK", "SEC"]
         report_text = (tmp_path / "out" / "run_report.txt").read_text()
         assert "IND" in report_text and "line 6" in report_text
 
