@@ -95,7 +95,40 @@ class TestRankTransform:
             rank_transform([bad, 1.0, bad])
 
 
+@st.composite
+def scaled_regressions(draw):
+    """y on k = 1-4 columns and n = k + 2 to 60 rows, each column and y at a
+    scale 10^s with s in [-30, 30], and y random, constant or in the span of
+    the intercept and X. Wider mixes of scales overflow the covariance."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k + 2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scales = 10.0 ** np.array(draw(st.lists(st.integers(-30, 30), min_size=k + 1,
+                                            max_size=k + 1)))
+    X = rng.normal(0, 1, (n, k)) * scales[:k]
+    y = draw(st.sampled_from([
+        lambda: rng.normal(0, 1, n),
+        lambda: np.full(n, rng.normal()),
+        lambda: rng.normal() + X @ (rng.normal(0, 1, k) / scales[:k]),
+    ]))()
+    return y * scales[k], X
+
+
 class TestOlsRegress:
+    @settings(max_examples=300, deadline=None, database=None, print_blob=True)
+    @given(scaled_regressions())
+    def test_fit_statistics_in_range(self, case):
+        # ols_regress alone makes these true: RegressionResult does not check them
+        y, X = case
+        try:
+            res = ols_regress(y, X)
+        except (CollinearityError, InsufficientDataError):
+            return
+        assert 0.0 <= res.r_squared <= 1.0
+        assert res.adj_r_squared <= res.r_squared + 2.0**-52
+        assert res.f_statistic >= 0.0
+        assert (res.f_statistic == np.inf) == (res.r_squared == 1.0)
+
     def test_exact_linear_fit(self):
         x = np.arange(10.0)
         y = 2.0 * x + 1.0

@@ -287,10 +287,13 @@ class TestSimulatePath:
         assert a.critical_time_index == b.critical_time_index
 
     def test_prices_finite_and_positive_before_termination(self):
-        for seed in range(5):
-            path = simulate_sa_path(1.0, 0.2, 0.3, 1.0, dt=1e-3, max_steps=100_000, seed=seed)
+        # mu = 0.05 hits past the first 8,192-step chunk of draws
+        for seed, mu, sigma in [(s, 0.2, 0.3) for s in range(5)] + [(s, 0.05, 0.1)
+                                                                   for s in range(5)]:
+            path = simulate_sa_path(1.0, mu, sigma, 1.0, dt=1e-3, max_steps=100_000, seed=seed)
             assert path.hit_critical
-            assert path.critical_time_index < len(path)
+            # simulate_sa_path alone makes this true: SimulatedPath does not check it
+            assert path.critical_time_index == len(path) - 1
             assert np.all(np.isfinite(path.log_prices))
             assert path.critical_time is not None and path.critical_time >= 0
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from sinet import (
@@ -74,20 +75,24 @@ class TestComputeIndicators:
             assert table.value(node, "SI-to-Fin") == pytest.approx(to_fin, abs=1e-12)
             assert table.value(node, "SI-from-IX") == pytest.approx(from_ix, abs=1e-12)
 
-    def test_net_identities_exact(self):
-        rng = np.random.default_rng(31)
-        for _ in range(10):
-            nodes = [f"n{i}" for i in range(7)]
-            labels = rng.choice(["industrial", "financial"], size=7)
-            if len(set(labels)) == 1:
-                labels[0] = "financial" if labels[0] == "industrial" else "industrial"
-            groups = NodeGroup(dict(zip(nodes, labels)))
-            table = compute_indicators(random_matrix(rng, nodes), groups)
-            for suffix in ("All", "Fin", "IX"):
-                net = table.column(f"NSII-on-{suffix}")
-                gross = table.column(f"SI-to-{suffix}") - table.column(f"SI-from-{suffix}")
-                np.testing.assert_array_equal(net, gross)
-            assert abs(table.column("NSII-on-All").sum()) < 1e-12
+    @settings(max_examples=200, deadline=None, database=None, print_blob=True)
+    @given(st.integers(1, 12).flatmap(lambda k: st.tuples(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.sampled_from(["industrial", "financial"]), min_size=k, max_size=k))))
+    def test_net_identities_exact(self, case):
+        # compute_indicators alone makes these true: IndicatorTable does not check them
+        seed, labels = case
+        nodes = [f"n{i}" for i in range(len(labels))]
+        m = random_matrix(np.random.default_rng(seed), nodes)
+        table = compute_indicators(m, NodeGroup(dict(zip(nodes, labels))))
+        assert table.nodes == m.nodes and list(table.values) == list(ALL_INDICATORS)
+        for name in ALL_INDICATORS:
+            assert table.column(name).shape == (len(nodes),)
+        for suffix in ("All", "Fin", "IX"):
+            net = table.column(f"NSII-on-{suffix}")
+            gross = table.column(f"SI-to-{suffix}") - table.column(f"SI-from-{suffix}")
+            np.testing.assert_array_equal(net, gross)
+        assert abs(table.column("NSII-on-All").sum()) < 1e-12
 
     def test_unlabeled_node_rejected(self, hand_matrix):
         groups = NodeGroup({"x": "industrial", "y": "industrial"})
