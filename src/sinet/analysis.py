@@ -24,7 +24,10 @@ SIGNIFICANCE_LEVELS = ((0.01, "***"), (0.05, "**"), (0.1, "*"))
 
 @dataclass(frozen=True)
 class RegressionResult:
-    """OLS estimates with classical standard errors and fit statistics."""
+    """OLS estimates with classical standard errors and fit statistics.
+
+    :func:`ols_regress` makes 0 <= R^2 <= 1, adjusted R^2 <= R^2 and F >= 0.
+    """
 
     coefficients: np.ndarray
     std_errors: np.ndarray

@@ -67,9 +67,9 @@ class SimulatedPath:
 
     ``log_prices[k]`` is ln p(k*dt). When the path reaches the critical
     denominator floor, ``hit_critical`` is True and ``critical_time_index``
-    is the first grid index at which the floor was crossed; the log price at
-    that index is evaluated with the denominator clamped to the floor, so
-    every stored value is finite.
+    is the first grid index at which the floor was crossed, the path's last
+    point; the log price at that index is evaluated with the denominator
+    clamped to the floor, so every stored value is finite.
     """
 
     log_prices: np.ndarray

@@ -52,7 +52,12 @@ class NodeGroup:
 
 @dataclass(frozen=True)
 class IndicatorTable:
-    """Per-node aggregate indicators, keyed by indicator name."""
+    """Per-node aggregate indicators, keyed by indicator name.
+
+    :func:`compute_indicators` builds every column, each net one exactly
+    its gross difference; ``io.read_indicators_csv`` rejects a file that
+    lacks a column or holds a net that is not.
+    """
 
     nodes: tuple[str, ...]
     values: dict[str, np.ndarray]
